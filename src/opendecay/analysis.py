@@ -58,27 +58,46 @@ def _report(name: str, measured: float, tolerance: float, **meta) -> Verificatio
     )
 
 
+def _frobenius_each(a: np.ndarray) -> np.ndarray:
+    # ||a||_F over the last two axes, without complex temporaries.
+    re, im = a.real, a.imag
+    return np.sqrt(
+        np.einsum("...ij,...ij->...", re, re) + np.einsum("...ij,...ij->...", im, im)
+    )
+
+
 def _require_hermitian_sample(rho: np.ndarray, where: str) -> np.ndarray:
-    dev = float(np.linalg.norm(rho - rho.conj().T))
-    if dev > 1e-10 * max(1.0, float(np.linalg.norm(rho))):
-        raise NotHermitianError(f"{where} deviates from hermiticity by {dev:.3e}")
-    return 0.5 * (rho + rho.conj().T)
+    """Symmetrized copy of a matrix, or of each matrix in an (n, d, d) stack.
+
+    Raises :class:`NotHermitianError` naming the first matrix whose deviation
+    from hermiticity exceeds 1e-10 * max(1, ||rho||_F).
+    """
+    half = np.conj(np.swapaxes(rho, -1, -2))
+    half -= rho  # rho† - rho, worked on in place to keep one temporary
+    dev = _frobenius_each(half)
+    bad = np.flatnonzero(dev > 1e-10 * np.maximum(1.0, _frobenius_each(rho)))
+    if bad.size:
+        i = int(bad[0])
+        name = where if rho.ndim == 2 else f"{where} {i}"
+        raise NotHermitianError(
+            f"{name} deviates from hermiticity by {float(np.ravel(dev)[i]):.3e}"
+        )
+    half *= 0.5
+    half += rho
+    return half
 
 
 def check_positivity(traj: Trajectory, tol: float = 1e-8) -> VerificationReport:
     """Smallest eigenvalue of every sample (and of its system/decay blocks
     when the trajectory has block structure) must stay above ``-tol``."""
-    worst = np.inf
-    for i in range(len(traj)):
-        rho = _require_hermitian_sample(
-            np.asarray(traj.states[i], dtype=np.complex128), f"sample {i}"
-        )
-        worst = min(worst, float(np.linalg.eigvalsh(rho)[0]))
-        if traj.d_s is not None:
-            blk = traj.blocks(i)
-            for part in (blk.rho_ss, blk.rho_ff):
-                sym = 0.5 * (part + part.conj().T)
-                worst = min(worst, float(np.linalg.eigvalsh(sym)[0]))
+    sym = _require_hermitian_sample(np.stack(traj.states), "sample")
+    worst = float(np.linalg.eigvalsh(sym)[:, 0].min())
+    if traj.d_s is not None:
+        d_s = traj.d_s
+        if not 0 < d_s < sym.shape[1]:
+            raise DimensionError(f"cannot split shape {sym.shape[1:]} at d_s={d_s}")
+        for part in (sym[:, :d_s, :d_s], sym[:, d_s:, d_s:]):
+            worst = min(worst, float(np.linalg.eigvalsh(part)[:, 0].min()))
     return _report(
         "positivity", max(0.0, -worst), tol,
         min_eigenvalue=worst, n_samples=len(traj),
@@ -87,9 +106,8 @@ def check_positivity(traj: Trajectory, tol: float = 1e-8) -> VerificationReport:
 
 def check_trace(traj: Trajectory, tol: float = 1e-8, target: float = 1.0) -> VerificationReport:
     """Largest deviation of the total trace from ``target`` across samples."""
-    worst = 0.0
-    for s in traj.states:
-        worst = max(worst, abs(float(np.trace(s).real) - target))
+    traces = np.trace(np.stack(traj.states), axis1=1, axis2=2).real
+    worst = max(0.0, float(np.abs(traces - target).max()))
     return _report("trace", worst, tol, target=target, n_samples=len(traj))
 
 

@@ -6,10 +6,26 @@ equation, and its block-decoupled form; a fixed-step RK4 integrator; the exact
 superoperator-exponential propagator used as an oracle; the cumulative
 quadrature for the decay block; and the closed form of the single-channel
 decay.
+
+Both master equations are linear and autonomous, d vec(rho)/dt = L vec(rho),
+so one classical RK4 step is exactly the matrix polynomial
+P(dt L) = I + dt L + (dt L)^2/2 + (dt L)^3/6 + (dt L)^4/24.  For a state of
+dimension d <= SUPEROP_MAX_DIM (d_tot on the enlarged space, d_s on the
+system space) the ``rk4`` method builds P once from the Liouvillian and then
+spends one d^2 x d^2 matvec per step; the ``exact`` method runs the same loop
+with expm(dt L).  Larger states take the direct right-hand-side RK4, whose
+step costs O(d^3) instead of O(d^4).  The crossover, measured per step at one
+BLAS thread (2-core AMD EPYC, numpy 2.4.6, OpenBLAS 0.3.31) with the
+Liouvillian assembly and the build of P included: at d = 16 the stepper costs
+37, 25 and 14 us over 500, 1000 and 5000 steps against 44-47 us direct; at
+d = 18 it costs 65 and 43 us over 500 and 1000 steps against 50-52 us; at
+d = 20, 108 and 69 us against 53-57 us.  16 is the largest size at which the
+stepper wins from 500 steps on.
 """
 
 from __future__ import annotations
 
+import math
 import warnings
 from dataclasses import dataclass
 
@@ -22,12 +38,14 @@ from .model import (
     EnlargedModel,
     Liouvillian,
     SystemSpec,
-    assemble_liouvillian,
     assemble_liouvillian_wwa,
 )
 
 # Allowed per-step hermiticity drift before the integrator aborts.
 HERMITICITY_DRIFT_TOL = 1e-9
+# Largest state dimension d for which RK4 runs as one precomputed
+# d^2 x d^2 step matrix; the module docstring gives the measured crossover.
+SUPEROP_MAX_DIM = 16
 
 __all__ = [
     "BlockDensity",
@@ -207,9 +225,38 @@ def _check_grid(cfg: IntegratorConfig) -> int:
         warnings.warn(
             f"t_max={cfg.t_max!r} is not an integer multiple of dt={cfg.dt!r}; "
             f"integrating to {n * cfg.dt!r}",
-            stacklevel=3,
+            stacklevel=4,
         )
     return n
+
+
+def _sample(advance, x0, to_state, cfg: IntegratorConfig, d_s, drift_tol) -> Trajectory:
+    """The sampling loop shared by every integrator.
+
+    ``advance(x)`` moves the state ``x`` one ``dt`` forward and re-symmetrizes
+    it, returning the new state and the hermiticity drift ||rho - rho†||_F it
+    had before symmetrization; a drift above ``drift_tol`` aborts the run.
+    ``to_state`` turns a kept state into the density matrix stored in the
+    trajectory.
+    """
+    n = _check_grid(cfg)
+    dt = cfg.dt
+    wanted = cfg.sampled_steps()
+    x = x0
+    times = [0.0]
+    states = [to_state(x)]
+    wi = 1  # wanted[0] == 0 always
+    for k in range(1, n + 1):
+        x, drift = advance(x)
+        if drift > drift_tol:
+            raise NumericsError(
+                f"hermiticity drift {drift:.3e} at step {k} exceeds {drift_tol:g}"
+            )
+        if wi < len(wanted) and wanted[wi] == k:
+            times.append(k * dt)
+            states.append(to_state(x))
+            wi += 1
+    return Trajectory(times=np.array(times), states=tuple(states), d_s=d_s)
 
 
 def integrate_rk4(
@@ -225,31 +272,18 @@ def integrate_rk4(
     hermiticity drift is monitored and a :class:`NumericsError` is raised if
     it ever exceeds ``drift_tol``.
     """
-    rho = as_matrix(rho0).copy()
-    n = _check_grid(cfg)
     dt = cfg.dt
-    wanted = cfg.sampled_steps()
-    times = [0.0]
-    states = [rho.copy()]
-    wi = 1  # wanted[0] == 0 always
-    for k in range(1, n + 1):
+
+    def advance(rho):
         k1 = rhs(rho)
         k2 = rhs(rho + (0.5 * dt) * k1)
         k3 = rhs(rho + (0.5 * dt) * k2)
         k4 = rhs(rho + dt * k3)
         rho = rho + (dt / 6.0) * (k1 + 2.0 * (k2 + k3) + k4)
         rho_dag = rho.conj().T
-        drift = float(np.linalg.norm(rho - rho_dag))
-        if drift > drift_tol:
-            raise NumericsError(
-                f"hermiticity drift {drift:.3e} at step {k} exceeds {drift_tol:g}"
-            )
-        rho = 0.5 * (rho + rho_dag)
-        if wi < len(wanted) and wanted[wi] == k:
-            times.append(k * dt)
-            states.append(rho.copy())
-            wi += 1
-    return Trajectory(times=np.array(times), states=tuple(states), d_s=d_s)
+        return 0.5 * (rho + rho_dag), float(np.linalg.norm(rho - rho_dag))
+
+    return _sample(advance, as_matrix(rho0).copy(), np.asarray, cfg, d_s, drift_tol)
 
 
 def propagate_exact(liouv: Liouvillian, rho0, t: float) -> np.ndarray:
@@ -262,37 +296,88 @@ def propagate_exact(liouv: Liouvillian, rho0, t: float) -> np.ndarray:
     return unvec(expm(liouv.matrix * t) @ vec(rho), liouv.dim)
 
 
-def _evolve_exact(liouv: Liouvillian, rho0, cfg: IntegratorConfig, d_s=None) -> Trajectory:
-    n = _check_grid(cfg)
-    step = expm(liouv.matrix * cfg.dt)
-    v = vec(as_matrix(rho0))
-    wanted = cfg.sampled_steps()
-    times = [0.0]
-    states = [unvec(v, liouv.dim)]
-    wi = 1
-    for k in range(1, n + 1):
-        v = step @ v
-        if wi < len(wanted) and wanted[wi] == k:
-            times.append(k * cfg.dt)
-            states.append(unvec(v, liouv.dim))
-            wi += 1
-    return Trajectory(times=np.array(times), states=tuple(states), d_s=d_s)
+def _rk4_polynomial(a: np.ndarray) -> np.ndarray:
+    # I + a + a^2/2 + a^3/6 + a^4/24 in Horner form: for the linear
+    # autonomous equation dx/dt = L x with a = dt L, one classical RK4 step
+    # is exactly this matrix.
+    eye = np.eye(a.shape[0], dtype=np.complex128)
+    p = eye + a / 4.0
+    p = eye + (a @ p) / 3.0
+    p = eye + (a @ p) / 2.0
+    return eye + a @ p
+
+
+def _hermitian_basis(d: int) -> np.ndarray:
+    """Columns: vec() of E_ii, E_ij + E_ji and i(E_ij - E_ji) for i < j.
+
+    These hermitian matrices are mutually orthogonal and span all d x d
+    matrices.  The coordinates of a hermitian matrix are real: its diagonal
+    and the real and imaginary parts of its upper triangle.  Every entry is
+    0, 1 or +-i, so a change to this basis rounds at most once per entry.
+    """
+    n = d * d
+    k = np.arange(n)
+    row, col = k % d, k // d
+    kt = k.reshape(d, d).T.ravel()  # vec index of the transposed entry
+    u = np.zeros((n, n), dtype=np.complex128)
+    u[k, k] = np.where(row <= col, 1.0, -1j)
+    off = row != col
+    u[kt[off], k[off]] = np.where(row < col, 1.0, 1j)[off]
+    return u
+
+
+def _evolve_linear(liouv: Liouvillian, rho0, cfg: IntegratorConfig, d_s=None) -> Trajectory:
+    """Evolve d vec(rho)/dt = L vec(rho) with one precomputed step matrix:
+    expm(L dt) for the exact method, the RK4 polynomial of L dt otherwise.
+
+    The state is held as its real coordinates h in the basis U of
+    :func:`_hermitian_basis`.  With Q = U^-1 step U, one step maps h to Q h:
+    Re(Q) h is the re-symmetrized next state and Im(Q) h, scaled by the
+    column norms w of U, has norm ||rho - rho†||_F / 2.  So each step is one
+    matvec with the stacked real matrix [Re Q; w Im Q].
+    """
+    d = liouv.dim
+    rho = as_matrix(rho0)
+    if rho.shape != (d, d):
+        raise DimensionError(f"state has shape {rho.shape}, expected {(d, d)}")
+    a = liouv.matrix * cfg.dt
+    step = expm(a) if cfg.method == "exact" else _rk4_polynomial(a)
+    u = _hermitian_basis(d)
+    norms_sq = (np.abs(u) ** 2).sum(axis=0)  # 1 on the diagonal, 2 off it
+    w = np.sqrt(norms_sq)
+    u_inv = u.conj().T / norms_sq[:, None]
+    q = u_inv @ step @ u
+    stacked = np.concatenate((q.real, w[:, None] * q.imag))
+    n = d * d
+
+    def advance(h):
+        y = stacked @ h
+        anti = y[n:]
+        return y[:n], 2.0 * math.sqrt(anti @ anti)
+
+    c0 = u_inv @ vec(rho)
+    drift = 2.0 * float(np.linalg.norm(w * c0.imag))
+    if drift > HERMITICITY_DRIFT_TOL:
+        raise NumericsError(
+            f"initial state deviates from hermiticity by {drift:.3e} "
+            f"(allowed {HERMITICITY_DRIFT_TOL:g})"
+        )
+    return _sample(
+        advance, c0.real.copy(), lambda h: unvec(u @ h, d).copy(), cfg, d_s, HERMITICITY_DRIFT_TOL
+    )
 
 
 def evolve_wwa(spec: SystemSpec, rho0, cfg: IntegratorConfig) -> Trajectory:
     """Evolve the system-space master equation with the configured method."""
-    if cfg.method == "exact":
-        return _evolve_exact(assemble_liouvillian_wwa(spec), rho0, cfg)
+    if cfg.method == "exact" or spec.d_s <= SUPEROP_MAX_DIM:
+        return _evolve_linear(assemble_liouvillian_wwa(spec), rho0, cfg)
     return integrate_rk4(lambda r: rhs_wwa(r, spec), rho0, cfg)
 
 
 def evolve_enlarged(model: EnlargedModel, rho0, cfg: IntegratorConfig) -> Trajectory:
     """Evolve the enlarged-space master equation with the configured method."""
-    if cfg.method == "exact":
-        liouv = assemble_liouvillian(
-            model.hamiltonian, model.lindblad_ops, model.decay_op
-        )
-        return _evolve_exact(liouv, rho0, cfg, d_s=model.d_s)
+    if cfg.method == "exact" or model.d_tot <= SUPEROP_MAX_DIM:
+        return _evolve_linear(model.liouvillian, rho0, cfg, d_s=model.d_s)
     return integrate_rk4(lambda r: rhs_enlarged(r, model), rho0, cfg, d_s=model.d_s)
 
 

@@ -272,6 +272,11 @@ class EnlargedModel:
     def _jump_pairs(self) -> tuple[tuple[np.ndarray, np.ndarray], ...]:
         return tuple((k, k.conj().T) for k in self.jump_ops)
 
+    @cached_property
+    def liouvillian(self) -> Liouvillian:
+        """The enlarged-space Liouvillian, assembled once per model."""
+        return assemble_liouvillian(self.hamiltonian, self.lindblad_ops, self.decay_op)
+
 
 def _embed_block(m: np.ndarray, d_s: int, d_f: int) -> np.ndarray:
     out = np.zeros((d_s + d_f, d_s + d_f), dtype=np.complex128)

@@ -104,6 +104,30 @@ def test_positivity_rejects_nonhermitian_sample():
         check_positivity(traj)
 
 
+def test_positivity_names_first_nonhermitian_sample():
+    good = np.diag([0.5, 0.5])
+    bad = np.array([[0.5, 1.0], [0.0, 0.5]])
+    traj = Trajectory(times=[0.0, 0.1, 0.2], states=(good, bad, bad))
+    with pytest.raises(NotHermitianError, match=r"^sample 1 deviates"):
+        check_positivity(traj)
+
+
+def test_positivity_batched_matches_per_sample_loop():
+    # Reference: the smallest eigenvalue of each sample and of its ss/ff
+    # blocks, one LAPACK call per matrix.
+    spec, rho0 = random_system(21, d_s=3, n_lindblad=2)
+    decay = build_decay_operator(decompose_gamma(spec.decay_matrix), spec.d_f)
+    model = embed_operators(spec, decay)
+    cfg = IntegratorConfig(dt=1e-3, t_max=1.0, sample_stride=50)
+    traj = evolve_enlarged(model, embed_state(rho0, spec.d_f), cfg)
+    worst = np.inf
+    for i in range(len(traj)):
+        blk = traj.blocks(i)
+        for part in (traj.states[i], blk.rho_ss, blk.rho_ff):
+            worst = min(worst, float(np.linalg.eigvalsh(0.5 * (part + part.conj().T))[0]))
+    assert check_positivity(traj).meta["min_eigenvalue"] == pytest.approx(worst, abs=1e-15)
+
+
 # -- Choi matrices and complete positivity ---------------------------------------
 
 

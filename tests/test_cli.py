@@ -1,4 +1,5 @@
 import json
+import warnings
 
 import numpy as np
 import pytest
@@ -276,3 +277,38 @@ def test_main_seed_override_changes_output(tmp_path):
     a = (tmp_path / "a" / "random_timeseries.csv").read_text()
     b = (tmp_path / "b" / "random_timeseries.csv").read_text()
     assert a != b
+
+
+def test_sample_table_matches_per_sample_formula(tmp_path):
+    cfg = parse_config(builtin_scenario_path("two-level-decay").read_text())
+    result = run_scenario(short(cfg, t_max=1.0, checks=()), write=False)
+    d_s = cfg.system.d_s
+    for row, t, rho in zip(result.table, result.enlarged.times, result.enlarged.states):
+        tr_ss = np.trace(rho[:d_s, :d_s]).real
+        tr_ff = np.trace(rho[d_s:, d_s:]).real
+        sym = 0.5 * (rho + rho.conj().T)
+        ref = (t, tr_ss, tr_ff, tr_ss + tr_ff, np.trace(sym @ sym).real, np.linalg.eigvalsh(sym)[0])
+        assert np.allclose(row, ref, rtol=0.0, atol=1e-14)
+
+
+@pytest.mark.parametrize("name", ["single-decay", "two-level-decay", "random"])
+def test_shipped_scenarios_rerun_byte_identical(tmp_path, name):
+    cfg = parse_config(builtin_scenario_path(name).read_text())
+    a = run_scenario(cfg, out_dir=tmp_path / "a")
+    b = run_scenario(cfg, out_dir=tmp_path / "b")
+    assert a.timeseries_path.read_bytes() == b.timeseries_path.read_bytes()
+    assert a.report_path.read_bytes() == b.report_path.read_bytes()
+
+
+@pytest.mark.parametrize("dt, warns", [(0.1, True), (0.05, False)])
+def test_step_size_warning(dt, warns):
+    # At dt = 0.05 the cheap bound 2||G|| + sum ||K||^2 exceeds 0.1/dt, so
+    # the warning rests on the exact ||L||_2 (dt * ||L||_2 is about 0.07).
+    cfg = short(parse_config(SINGLE_DECAY), dt=dt, sample_stride=1, checks=())
+    model = cli._RunContext(cfg).model
+    assert dt * cli._liouvillian_norm_bound(model) > 0.1
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        run_scenario(cfg, write=False)
+    messages = [str(w.message) for w in caught]
+    assert any("dt*|generator|" in m for m in messages) == warns

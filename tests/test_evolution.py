@@ -1,8 +1,10 @@
 import numpy as np
 import pytest
 
+from opendecay import evolution
 from opendecay.errors import DimensionError, GridError, NumericsError
 from opendecay.evolution import (
+    SUPEROP_MAX_DIM,
     BlockDensity,
     IntegratorConfig,
     Trajectory,
@@ -18,6 +20,7 @@ from opendecay.evolution import (
     rhs_wwa,
 )
 from opendecay.model import (
+    Liouvillian,
     SystemSpec,
     assemble_liouvillian,
     build_decay_operator,
@@ -324,3 +327,77 @@ def test_closed_form_energy_independent():
             closed_form_1d(energy, 0.7, 1.3).to_full(),
             closed_form_1d(0.0, 0.7, 1.3).to_full(),
         )
+
+
+# -- superoperator RK4 stepper ----------------------------------------------------------
+
+
+def test_superop_stepper_matches_direct_rk4_on_corpus(corpus):
+    # One RK4 step of the linear equation is the polynomial P(dt L), so the
+    # stepper and the right-hand-side RK4 differ only by rounding.
+    cfg = IntegratorConfig(dt=1e-3, t_max=0.4, sample_stride=40)
+    worst = 0.0
+    for m in corpus:
+        assert m.model.d_tot <= SUPEROP_MAX_DIM
+        rho0_full = embed_state(m.rho0, m.spec.d_f)
+        pairs = (
+            (
+                evolve_enlarged(m.model, rho0_full, cfg),
+                integrate_rk4(lambda r: rhs_enlarged(r, m.model), rho0_full, cfg),
+            ),
+            (
+                evolve_wwa(m.spec, m.rho0, cfg),
+                integrate_rk4(lambda r: rhs_wwa(r, m.spec), m.rho0, cfg),
+            ),
+        )
+        for fast, direct in pairs:
+            assert np.array_equal(fast.times, direct.times)
+            for a, b in zip(fast.states, direct.states):
+                worst = max(worst, float(np.linalg.norm(a - b)))
+    assert worst <= 1e-12
+
+
+@pytest.mark.parametrize("above", [False, True])
+@pytest.mark.parametrize("space", ["enlarged", "wwa"])
+def test_direct_rk4_above_superop_threshold(monkeypatch, space, above):
+    # States at the threshold take the stepper, one past it the direct RK4;
+    # full-rank random models have d_tot = 2 d_s.
+    d_s = SUPEROP_MAX_DIM // (2 if space == "enlarged" else 1) + int(above)
+    spec, rho0, decay, model = random_member(seed=15, d_s=d_s)
+    if space == "enlarged":
+        evolve, target, name, rhs = evolve_enlarged, model, "rhs_enlarged", rhs_enlarged
+        rho0, dim = embed_state(rho0, spec.d_f), model.d_tot
+    else:
+        evolve, target, name, rhs = evolve_wwa, spec, "rhs_wwa", rhs_wwa
+        dim = spec.d_s
+    assert (dim > SUPEROP_MAX_DIM) == above
+    calls = []
+
+    def counting(rho, obj):
+        calls.append(1)
+        return rhs(rho, obj)
+
+    monkeypatch.setattr(evolution, name, counting)
+    cfg = IntegratorConfig(dt=1e-3, t_max=0.01)
+    traj = evolve(target, rho0, cfg)
+    assert len(calls) == (4 * cfg.n_steps if above else 0)
+    if above:
+        ref = integrate_rk4(lambda r: rhs(r, target), rho0, cfg)
+        assert all(np.array_equal(a, b) for a, b in zip(traj.states, ref.states))
+
+
+@pytest.mark.parametrize("method", ["rk4", "exact"])
+def test_superop_drift_monitor_trips(method):
+    # d vec(rho)/dt = i vec(rho) turns rho into exp(it) rho, which is not
+    # hermitian: the drift after the first step is about 2 sin(dt).
+    liouv = Liouvillian(matrix=1j * np.eye(4), dim=2)
+    cfg = IntegratorConfig(dt=0.1, t_max=1.0, method=method)
+    with pytest.raises(NumericsError, match="hermiticity drift .* at step 1 exceeds"):
+        evolution._evolve_linear(liouv, np.eye(2) / 2, cfg)
+
+
+def test_superop_rejects_nonhermitian_initial_state():
+    _, _, model = single_decay()
+    cfg = IntegratorConfig(dt=1e-3, t_max=0.01)
+    with pytest.raises(NumericsError, match="initial state deviates from hermiticity"):
+        evolve_enlarged(model, np.array([[0.5, 0.1], [0.0, 0.5]]), cfg)
