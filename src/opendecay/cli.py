@@ -336,13 +336,13 @@ class _RunContext:
 
 def _restricted_map(ctx: _RunContext, t: float):
     # rho_ss(0) -> system block of the exactly propagated enlarged state.
-    prop = expm(ctx.model.liouvillian.matrix * t)
-    d_s, d_f = ctx.spec.d_s, ctx.spec.d_f
+    # Nothing couples the decay sector back into the system block, so that
+    # block evolves on its own under the d_s^2 x d_s^2 system Liouvillian.
+    prop = expm(ctx.model.system_liouvillian.matrix * t)
+    d_s = ctx.spec.d_s
 
     def apply(rho_ss):
-        full = embed_state(rho_ss, d_f)
-        out = unvec(prop @ vec(full), ctx.model.d_tot)
-        return out[:d_s, :d_s]
+        return unvec(prop @ vec(rho_ss), d_s)
 
     return apply
 
@@ -393,19 +393,12 @@ def _check_asymptotics(ctx: _RunContext) -> analysis.VerificationReport:
         return analysis.asymptotics_check(ctx.enlarged, ctx.dec, ctx.spec)
     # Reach 20/gamma0 with the exact propagator regardless of the configured
     # integrator; a fixed-step run to that horizon would be wasteful.
-    gamma0 = float(ctx.dec.rates.min())
-    horizon = 20.0 / gamma0
-    n = 200
-    h = horizon / n
-    step = expm(ctx.model.liouvillian.matrix * h)
-    v = vec(embed_state(ctx.cfg.initial_state, ctx.spec.d_f))
-    times = [0.0]
-    states = [unvec(v, ctx.model.d_tot)]
-    for k in range(1, n + 1):
-        v = step @ v
-        times.append(k * h)
-        states.append(unvec(v, ctx.model.d_tot))
-    traj = Trajectory(times=np.array(times), states=tuple(states), d_s=ctx.spec.d_s)
+    horizon = 20.0 / float(ctx.dec.rates.min())
+    traj = evolve_enlarged(
+        ctx.model,
+        embed_state(ctx.cfg.initial_state, ctx.spec.d_f),
+        IntegratorConfig(dt=horizon / 200, t_max=horizon, method="exact"),
+    )
     return analysis.asymptotics_check(traj, ctx.dec, ctx.spec)
 
 

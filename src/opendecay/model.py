@@ -5,6 +5,15 @@ decay matrix, Lindblad operators), extracts the spectral data of the decay
 matrix, builds the decay operator that feeds the decay-product space, embeds
 everything on the direct sum of system and decay spaces, and assembles the
 corresponding Liouvillian superoperators in column-stacking convention.
+
+Both master equations have the form rho' = -i(G rho - rho G†) + sum_k K rho K†,
+whose Liouvillian is L = -i I(x)G + i conj(G)(x)I + sum_k conj(K)(x)K.  On the
+enlarged space the decay operator maps system states only into the decay
+sector, so G[:d_s, d_s:] and every K[:d_s, d_s:] vanish.  Then the rows of L
+for system-block entries have non-zero columns only at system-block entries:
+L is block-triangular, and exp(tL) restricted to the system block equals
+exp(t L_ss), where L_ss is built by the same formula from the d_s x d_s
+upper-left blocks of G and of every K (``EnlargedModel.system_liouvillian``).
 """
 
 from __future__ import annotations
@@ -277,6 +286,33 @@ class EnlargedModel:
         """The enlarged-space Liouvillian, assembled once per model."""
         return assemble_liouvillian(self.hamiltonian, self.lindblad_ops, self.decay_op)
 
+    @cached_property
+    def system_liouvillian(self) -> Liouvillian:
+        """The d_s^2 x d_s^2 system block of :attr:`liouvillian`, built from
+        the d_s x d_s upper-left blocks of the generator and the jump
+        operators without assembling the enlarged one.
+
+        It is exact when nothing couples the decay sector back into the
+        system block: G[:d_s, d_s:] and every K[:d_s, d_s:] are zero.  Then
+        L is block-triangular and exp(tL) restricted to the system block is
+        exp(t L_ss).  Raises :class:`ConstraintError` naming the operator
+        whose s<-f block is not exactly zero.
+        """
+        d = self.d_s
+        named = [("generator H - (i/2) sum K†K", self._generator)]
+        named += [(f"Lindblad operator {k}", a) for k, a in enumerate(self.lindblad_ops)]
+        named.append(("decay operator", self.decay_op))
+        for name, op in named:
+            if np.any(op[:d, d:]):
+                raise ConstraintError(
+                    f"{name} couples the decay sector into the system block; "
+                    "the system block of the Liouvillian is not closed"
+                )
+        return Liouvillian(
+            matrix=_superop(self._generator[:d, :d], [k[:d, :d] for k in self.jump_ops]),
+            dim=d,
+        )
+
 
 def _embed_block(m: np.ndarray, d_s: int, d_f: int) -> np.ndarray:
     out = np.zeros((d_s + d_f, d_s + d_f), dtype=np.complex128)
@@ -325,6 +361,16 @@ class Liouvillian:
     dim: int
 
 
+def _superop(gen: np.ndarray, jumps) -> np.ndarray:
+    # L = -i I(x)G + i conj(G)(x)I + sum_k conj(K)(x)K: the column-stacking
+    # matrix of rho -> -i(G rho - rho G†) + sum_k K rho K†.
+    eye = np.eye(gen.shape[0], dtype=np.complex128)
+    mat = -1j * np.kron(eye, gen) + 1j * np.kron(gen.conj(), eye)
+    for k in jumps:
+        mat += np.kron(k.conj(), k)
+    return mat
+
+
 def _dissipator_superop(k: np.ndarray) -> np.ndarray:
     kk = k.conj().T @ k
     eye = np.eye(k.shape[0], dtype=np.complex128)
@@ -358,9 +404,6 @@ def assemble_liouvillian(hamiltonian, lindblad_ops=(), decay_op=None) -> Liouvil
 def assemble_liouvillian_wwa(spec: SystemSpec) -> Liouvillian:
     """Superoperator matrix of the system-space master equation with the
     non-hermitian effective Hamiltonian (trace non-increasing)."""
-    heff = effective_hamiltonian(spec)
-    eye = np.eye(spec.d_s, dtype=np.complex128)
-    mat = -1j * np.kron(eye, heff) + 1j * np.kron(heff.conj(), eye)
-    for a in spec.lindblad_ops:
-        mat += _dissipator_superop(a)
-    return Liouvillian(matrix=mat, dim=spec.d_s)
+    return Liouvillian(
+        matrix=_superop(spec._wwa_generator, spec.lindblad_ops), dim=spec.d_s
+    )

@@ -4,7 +4,7 @@ import warnings
 import numpy as np
 import pytest
 
-from opendecay import cli
+from opendecay import analysis, cli
 from opendecay.cli import (
     builtin_scenario_path,
     main,
@@ -15,6 +15,8 @@ from opendecay.cli import (
 )
 from opendecay.errors import ParseError, ValidationError
 from opendecay.evolution import IntegratorConfig
+from opendecay.linalg import expm, unvec, vec
+from opendecay.model import embed_state
 
 SINGLE_DECAY = builtin_scenario_path("single-decay").read_text()
 
@@ -312,3 +314,58 @@ def test_step_size_warning(dt, warns):
         run_scenario(cfg, write=False)
     messages = [str(w.message) for w in caught]
     assert any("dt*|generator|" in m for m in messages) == warns
+
+
+def _full_propagator_cp(ctx):
+    # The cp certificate computed from the d_tot^2 x d_tot^2 propagator of the
+    # whole enlarged Liouvillian, restricted to the system block afterwards.
+    d_s, d_f, d_tot = ctx.spec.d_s, ctx.spec.d_f, ctx.model.d_tot
+    t_max = ctx.cfg.integrator.t_max
+    times = [t for t in cli.CP_SAMPLE_TIMES if t <= t_max] or [max(t_max, 1e-3)]
+    worst, low = 0.0, np.inf
+    for t in times:
+        prop = expm(ctx.model.liouvillian.matrix * t)
+
+        def apply(rho_ss):
+            return unvec(prop @ vec(embed_state(rho_ss, d_f)), d_tot)[:d_s, :d_s]
+
+        rep = analysis.check_cp(analysis.choi_matrix(apply, d_s, t=t), tol=1e-8)
+        worst = max(worst, rep.measured)
+        low = min(low, rep.meta["min_eigenvalue"])
+    return worst, low
+
+
+@pytest.mark.parametrize("name", ["single-decay", "two-level-decay", "random"])
+def test_cp_report_matches_full_propagator(name):
+    cfg = short(parse_config(builtin_scenario_path(name).read_text()), t_max=5.0, checks=("cp",))
+    (rep,) = run_scenario(cfg, write=False).reports
+    worst, low = _full_propagator_cp(cli._RunContext(cfg))
+    assert rep.status == "pass"
+    assert rep.meta["times"] == list(cli.CP_SAMPLE_TIMES)
+    assert abs(rep.measured - worst) <= 1e-12
+    assert abs(rep.meta["min_eigenvalue"] - low) <= 1e-12
+
+
+def test_cp_check_does_not_assemble_enlarged_liouvillian(monkeypatch):
+    # d_s = 12 gives d_tot = 24, above the stepper's threshold: an rk4 run with
+    # only the cp check never needs the 576^2 enlarged Liouvillian.
+    models = []
+    embed = cli.embed_operators
+
+    def recording_embed(spec, decay):
+        models.append(embed(spec, decay))
+        return models[-1]
+
+    monkeypatch.setattr(cli, "embed_operators", recording_embed)
+    text = json.dumps({
+        "name": "cp-only",
+        "random_system": {"seed": 42, "d_s": 12, "n_lindblad": 1},
+        "integrator": {"dt": 1e-3, "t_max": 0.05, "sample_stride": 10, "method": "rk4"},
+        "checks": ["cp"],
+    })
+    (rep,) = run_scenario(parse_config(text), write=False).reports
+    assert rep.status == "pass"
+    (model,) = models
+    assert model.d_tot == 24
+    assert "system_liouvillian" in vars(model)
+    assert "liouvillian" not in vars(model)

@@ -15,6 +15,8 @@ from opendecay.linalg import (
     unvec,
     vec,
 )
+from opendecay.model import SystemSpec, build_decay_operator, decompose_gamma, embed_operators
+from opendecay.randmodel import random_system
 
 RNG = np.random.default_rng(7)
 
@@ -188,6 +190,27 @@ def test_expm_block_diagonal():
     assert np.linalg.norm(out[:2, :2] - expm(a)) <= 1e-10
     assert np.linalg.norm(out[2:, 2:] - expm(b)) <= 1e-10
     assert np.linalg.norm(out[:2, 2:]) <= 1e-12
+
+
+@pytest.mark.parametrize("scale", [1e-3, 1e-1, 1.0, 1e1, 1e3])
+@pytest.mark.parametrize("d_s, seed", [(2, 7), (3, 8)])
+def test_expm_matches_scipy_on_stiff_liouvillians(d_s, seed, scale):
+    # Decay and Lindblad rates scaled by `scale` (the operators A by its
+    # square root): stiff, non-normal generators with ||L|| up to ~1e3.
+    sl = pytest.importorskip("scipy.linalg")
+    spec, _ = random_system(seed, d_s, n_lindblad=2)
+    spec = SystemSpec(
+        d_s=spec.d_s,
+        d_f=spec.d_f,
+        hamiltonian=spec.hamiltonian,
+        decay_matrix=spec.decay_matrix * scale,
+        lindblad_ops=tuple(a * np.sqrt(scale) for a in spec.lindblad_ops),
+    )
+    decay = build_decay_operator(decompose_gamma(spec.decay_matrix), spec.d_f)
+    liouv = embed_operators(spec, decay).liouvillian.matrix
+    for t in (0.1, 1.0):
+        ref = sl.expm(liouv * t)
+        assert np.linalg.norm(expm(liouv * t) - ref) <= 1e-12 * np.linalg.norm(ref)
 
 
 # -- kron / vec / unvec --------------------------------------------------------

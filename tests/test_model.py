@@ -7,9 +7,11 @@ from opendecay.errors import (
     NotHermitianError,
     NotPSDError,
 )
+from opendecay.cli import CP_SAMPLE_TIMES
 from opendecay.evolution import IntegratorConfig, evolve_enlarged, rhs_enlarged, rhs_wwa
-from opendecay.linalg import unvec, vec
+from opendecay.linalg import expm, unvec, vec
 from opendecay.model import (
+    EnlargedModel,
     SystemSpec,
     assemble_liouvillian,
     assemble_liouvillian_wwa,
@@ -285,3 +287,57 @@ def test_wwa_trace_loss_identity(corpus):
     for m in corpus:
         row = vec(np.eye(m.spec.d_s)).conj() @ m.liouv_wwa.matrix
         assert np.abs(row - (-vec(m.spec.decay_matrix).conj())).max() <= 1e-12
+
+
+# -- system block of the enlarged Liouvillian ----------------------------------------
+
+
+def system_block_index(d_s, d_tot):
+    """vec() indices of the d_s x d_s upper-left block of a d_tot x d_tot matrix,
+    in the column-stacking order of that block."""
+    return np.arange(d_tot * d_tot).reshape((d_tot, d_tot), order="F")[:d_s, :d_s].ravel(order="F")
+
+
+def test_system_liouvillian_is_system_block(corpus):
+    for m in corpus:
+        ss = system_block_index(m.spec.d_s, m.model.d_tot)
+        block = m.liouv.matrix[np.ix_(ss, ss)]
+        assert m.model.system_liouvillian.dim == m.spec.d_s
+        assert np.abs(m.model.system_liouvillian.matrix - block).max() <= 1e-14
+
+
+def test_system_propagator_is_system_block_of_full_propagator(corpus):
+    # No s<-f coupling makes L block-triangular, so exp(tL) restricted to the
+    # system block is exp(t L_ss).
+    for m in corpus:
+        ss = system_block_index(m.spec.d_s, m.model.d_tot)
+        for t in CP_SAMPLE_TIMES:
+            full = expm(m.liouv.matrix * t)[np.ix_(ss, ss)]
+            small = expm(m.model.system_liouvillian.matrix * t)
+            assert np.abs(small - full).max() <= 1e-12
+
+
+def _two_level_model(**override):
+    parts = dict(
+        d_s=1,
+        d_f=1,
+        hamiltonian=np.diag([1.0, 0.0]).astype(complex),
+        lindblad_ops=(),
+        decay_op=np.array([[0.0, 0.0], [1.0, 0.0]], dtype=complex),
+    )
+    parts.update(override)
+    return EnlargedModel(**parts)
+
+
+@pytest.mark.parametrize(
+    "override, named",
+    [
+        (dict(hamiltonian=np.array([[1.0, 0.3], [0.3, 0.0]], dtype=complex)), "generator"),
+        (dict(lindblad_ops=(np.array([[0.0, 0.5], [0.0, 0.0]], dtype=complex),)), "Lindblad operator 0"),
+        (dict(decay_op=np.array([[0.0, 0.2], [1.0, 0.0]], dtype=complex)), "decay operator"),
+    ],
+)
+def test_system_liouvillian_rejects_coupling_into_system_block(override, named):
+    assert _two_level_model().system_liouvillian.dim == 1
+    with pytest.raises(ConstraintError, match=named):
+        _two_level_model(**override).system_liouvillian
