@@ -297,6 +297,13 @@ class EnlargedModel:
         L is block-triangular and exp(tL) restricted to the system block is
         exp(t L_ss).  Raises :class:`ConstraintError` naming the operator
         whose s<-f block is not exactly zero.
+
+        The block equals :func:`assemble_liouvillian_wwa` only through
+        B†B = Gamma, which holds up to rounding and the eigenvalues that
+        :func:`decompose_gamma` drops.  It is built here from the enlarged
+        operators instead, so that the ``cp`` check certifies the map the
+        enlarged model generates without assuming that identity; the
+        ``equivalence`` check is the one that tests it.
         """
         d = self.d_s
         named = [("generator H - (i/2) sum K†K", self._generator)]
