@@ -61,13 +61,10 @@ from .evolution import (
 )
 from .linalg import (
     HermitianEigen,
-    adjoint,
     expm,
     frobenius,
     hermitian_eig,
-    kron,
-    matmul,
-    min_eigenvalue_hermitian,
+    require_hermitian,
     unvec,
     vec,
 )
@@ -76,6 +73,7 @@ from .model import (
     EnlargedModel,
     GammaDecomposition,
     Liouvillian,
+    MasterEquation,
     SystemSpec,
     assemble_liouvillian,
     assemble_liouvillian_wwa,

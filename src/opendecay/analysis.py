@@ -13,10 +13,10 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import DimensionError, NotHermitianError
+from .errors import DimensionError
 from .evolution import Trajectory
-from .linalg import frobenius
-from .model import GammaDecomposition, SystemSpec
+from .linalg import frobenius, require_hermitian
+from .model import DEFAULT_HERMITICITY_TOL, GammaDecomposition, SystemSpec
 
 __all__ = [
     "ChoiMatrix",
@@ -58,39 +58,15 @@ def _report(name: str, measured: float, tolerance: float, **meta) -> Verificatio
     )
 
 
-def _frobenius_each(a: np.ndarray) -> np.ndarray:
-    # ||a||_F over the last two axes, without complex temporaries.
-    re, im = a.real, a.imag
-    return np.sqrt(
-        np.einsum("...ij,...ij->...", re, re) + np.einsum("...ij,...ij->...", im, im)
-    )
-
-
-def _require_hermitian_sample(rho: np.ndarray, where: str) -> np.ndarray:
-    """Symmetrized copy of a matrix, or of each matrix in an (n, d, d) stack.
-
-    Raises :class:`NotHermitianError` naming the first matrix whose deviation
-    from hermiticity exceeds 1e-10 * max(1, ||rho||_F).
-    """
-    half = np.conj(np.swapaxes(rho, -1, -2))
-    half -= rho  # rho† - rho, worked on in place to keep one temporary
-    dev = _frobenius_each(half)
-    bad = np.flatnonzero(dev > 1e-10 * np.maximum(1.0, _frobenius_each(rho)))
-    if bad.size:
-        i = int(bad[0])
-        name = where if rho.ndim == 2 else f"{where} {i}"
-        raise NotHermitianError(
-            f"{name} deviates from hermiticity by {float(np.ravel(dev)[i]):.3e}"
-        )
-    half *= 0.5
-    half += rho
-    return half
+def _shortfall(low: float) -> float:
+    # How far ``low`` lies below zero.  NaN stays NaN, so the report fails.
+    return 0.0 if low >= 0 else -low
 
 
 def check_positivity(traj: Trajectory, tol: float = 1e-8) -> VerificationReport:
     """Smallest eigenvalue of every sample (and of its system/decay blocks
     when the trajectory has block structure) must stay above ``-tol``."""
-    sym = _require_hermitian_sample(np.stack(traj.states), "sample")
+    sym = require_hermitian(np.stack(traj.states), DEFAULT_HERMITICITY_TOL, "sample")
     worst = float(np.linalg.eigvalsh(sym)[:, 0].min())
     if traj.d_s is not None:
         d_s = traj.d_s
@@ -99,7 +75,7 @@ def check_positivity(traj: Trajectory, tol: float = 1e-8) -> VerificationReport:
         for part in (sym[:, :d_s, :d_s], sym[:, d_s:, d_s:]):
             worst = min(worst, float(np.linalg.eigvalsh(part)[:, 0].min()))
     return _report(
-        "positivity", max(0.0, -worst), tol,
+        "positivity", _shortfall(worst), tol,
         min_eigenvalue=worst, n_samples=len(traj),
     )
 
@@ -107,7 +83,7 @@ def check_positivity(traj: Trajectory, tol: float = 1e-8) -> VerificationReport:
 def check_trace(traj: Trajectory, tol: float = 1e-8, target: float = 1.0) -> VerificationReport:
     """Largest deviation of the total trace from ``target`` across samples."""
     traces = np.trace(np.stack(traj.states), axis1=1, axis2=2).real
-    worst = max(0.0, float(np.abs(traces - target).max()))
+    worst = float(np.abs(traces - target).max())
     return _report("trace", worst, tol, target=target, n_samples=len(traj))
 
 
@@ -164,15 +140,15 @@ def choi_matrix(map_eval, d: int, t: float | None = None) -> ChoiMatrix:
 
 def check_cp(choi: ChoiMatrix, tol: float = 1e-8) -> VerificationReport:
     """Complete positivity via the smallest Choi eigenvalue."""
-    sym = _require_hermitian_sample(choi.matrix, "Choi matrix")
+    sym = require_hermitian(choi.matrix, DEFAULT_HERMITICITY_TOL, "Choi matrix")
     low = float(np.linalg.eigvalsh(sym)[0])
-    return _report("cp", max(0.0, -low), tol, min_eigenvalue=low, t=choi.t)
+    return _report("cp", _shortfall(low), tol, min_eigenvalue=low, t=choi.t)
 
 
 def mixedness(rho) -> float:
     """Purity Tr(rho^2); one for pure states, below one for mixed states."""
     a = np.asarray(rho, dtype=np.complex128)
-    sym = _require_hermitian_sample(a, "state")
+    sym = require_hermitian(a, DEFAULT_HERMITICITY_TOL, "state")
     return float(np.trace(sym @ sym).real)
 
 

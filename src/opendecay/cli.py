@@ -43,6 +43,7 @@ import numpy as np
 from . import analysis
 from .errors import (
     ConfigError,
+    NotHermitianError,
     NumericsError,
     ParseError,
     ToolkitError,
@@ -54,7 +55,7 @@ from .evolution import (
     evolve_enlarged,
     evolve_wwa,
 )
-from .linalg import expm, frobenius, unvec, vec
+from .linalg import expm, require_hermitian, unvec, vec
 from .model import (
     SystemSpec,
     build_decay_operator,
@@ -130,9 +131,17 @@ def _parse_int(node, where: str, minimum: int | None = None) -> int:
     return node
 
 
+def _is_number(x) -> bool:
+    # A JSON number within the finite float range: json.loads also yields
+    # NaN, Infinity, inf for 1e400 and integers that no float can hold.
+    if isinstance(x, bool) or not isinstance(x, (int, float)):
+        return False
+    return abs(x) <= sys.float_info.max
+
+
 def _parse_number(node, where: str) -> float:
-    if isinstance(node, bool) or not isinstance(node, (int, float)):
-        raise ParseError(f"{where}: expected a number")
+    if not _is_number(node):
+        raise ParseError(f"{where}: expected a finite number")
     return float(node)
 
 
@@ -150,12 +159,8 @@ def _parse_matrix(node, where: str) -> np.ndarray:
             raise ParseError(f"{where}[{i}]: ragged row (expected {width} entries)")
         entries = []
         for j, ent in enumerate(row):
-            if (
-                not isinstance(ent, list)
-                or len(ent) != 2
-                or any(isinstance(x, bool) or not isinstance(x, (int, float)) for x in ent)
-            ):
-                raise ParseError(f"{where}[{i}][{j}]: expected a [re, im] pair")
+            if not isinstance(ent, list) or len(ent) != 2 or not all(map(_is_number, ent)):
+                raise ParseError(f"{where}[{i}][{j}]: expected a [re, im] pair of finite numbers")
             entries.append(complex(ent[0], ent[1]))
         rows.append(entries)
     return np.array(rows, dtype=np.complex128)
@@ -170,10 +175,10 @@ def _validate_initial_state(rho: np.ndarray, d_s: int) -> np.ndarray:
         raise ValidationError(
             f"initial_state has shape {rho.shape}, expected {(d_s, d_s)}"
         )
-    dev = float(np.linalg.norm(rho - rho.conj().T))
-    if dev > 1e-9 * max(1.0, frobenius(rho)):
-        raise ValidationError(f"initial_state is not hermitian (deviation {dev:.3e})")
-    sym = 0.5 * (rho + rho.conj().T)
+    try:
+        sym = require_hermitian(rho, 1e-9, "initial_state")
+    except NotHermitianError as e:
+        raise ValidationError(str(e)) from e
     low = float(np.linalg.eigvalsh(sym)[0])
     if low < -1e-9:
         raise ValidationError(f"initial_state has eigenvalue {low:.3e} < -1e-9")
@@ -372,13 +377,14 @@ def _check_equivalence(ctx: _RunContext) -> analysis.VerificationReport:
 def _check_cp(ctx: _RunContext) -> analysis.VerificationReport:
     t_max = ctx.cfg.integrator.t_max
     times = [t for t in CP_SAMPLE_TIMES if t <= t_max] or [max(t_max, 1e-3)]
-    worst = 0.0
-    low = np.inf
-    for t in times:
-        choi = analysis.choi_matrix(_restricted_map(ctx, t), ctx.spec.d_s, t=t)
-        rep = analysis.check_cp(choi, tol=1e-8)
-        worst = max(worst, rep.measured)
-        low = min(low, rep.meta["min_eigenvalue"])
+    d_s = ctx.spec.d_s
+    reps = [
+        analysis.check_cp(analysis.choi_matrix(_restricted_map(ctx, t), d_s, t=t), tol=1e-8)
+        for t in times
+    ]
+    # np.max and np.min keep a NaN, so the report fails.
+    worst = float(np.max([r.measured for r in reps]))
+    low = float(np.min([r.meta["min_eigenvalue"] for r in reps]))
     return analysis.VerificationReport(
         name="cp",
         status="pass" if worst <= 1e-8 else "fail",
@@ -469,8 +475,9 @@ def _liouvillian_norm_bound(model) -> float:
     # inequality gives ||L||_2 <= 2||G||_2 + sum_k ||K||_2^2 from d_tot x d_tot
     # norms; the d_tot^2 x d_tot^2 SVD is needed only when this cannot rule
     # the step-size warning out.
-    bound = 2.0 * np.linalg.norm(model._generator, 2)
-    for k in model.jump_ops:
+    eq = model.equation
+    bound = 2.0 * np.linalg.norm(eq.generator, 2)
+    for k in eq.jumps:
         bound += np.linalg.norm(k, 2) ** 2
     return float(bound)
 

@@ -37,6 +37,7 @@ from .model import (
     DecayOperator,
     EnlargedModel,
     Liouvillian,
+    MasterEquation,
     SystemSpec,
     assemble_liouvillian_wwa,
 )
@@ -140,10 +141,10 @@ class IntegratorConfig:
     method: str = "rk4"
 
     def __post_init__(self):
-        if not self.dt > 0:
-            raise ValueError("dt must be positive")
-        if self.t_max < 0:
-            raise ValueError("t_max must be non-negative")
+        if not 0 < self.dt < math.inf:
+            raise ValueError("dt must be positive and finite")
+        if not 0 <= self.t_max < math.inf:
+            raise ValueError("t_max must be non-negative and finite")
         if self.t_max > 0 and self.dt > self.t_max * (1 + 1e-12):
             raise ValueError("dt must not exceed t_max")
         if self.sample_stride < 1:
@@ -168,28 +169,14 @@ class IntegratorConfig:
 def rhs_wwa(rho, spec: SystemSpec) -> np.ndarray:
     """Derivative of the system-space density matrix: non-hermitian effective
     Hamiltonian plus the Lindblad dissipator."""
-    rho = np.asarray(rho, dtype=np.complex128)
-    if rho.shape != (spec.d_s, spec.d_s):
-        raise DimensionError(f"state has shape {rho.shape}, expected {(spec.d_s,) * 2}")
-    gen = spec._wwa_generator
-    out = -1j * (gen @ rho - rho @ spec._wwa_generator_adjoint)
-    for a, a_dag in spec._jump_pairs:
-        out += a @ rho @ a_dag
-    return out
+    return spec.equation.rhs(rho)
 
 
 def rhs_enlarged(rho, model: EnlargedModel) -> np.ndarray:
     """Derivative on the enlarged space: hermitian Hamiltonian commutator plus
     the dissipator over the embedded Lindblad operators and the decay
     operator.  Trace-free by construction."""
-    rho = np.asarray(rho, dtype=np.complex128)
-    gen = model._generator
-    if rho.shape != gen.shape:
-        raise DimensionError(f"state has shape {rho.shape}, expected {gen.shape}")
-    out = -1j * (gen @ rho - rho @ model._generator_adjoint)
-    for k, k_dag in model._jump_pairs:
-        out += k @ rho @ k_dag
-    return out
+    return model.equation.rhs(rho)
 
 
 def rhs_blocks(blocks: BlockDensity, spec: SystemSpec, decay: DecayOperator) -> BlockDensity:
@@ -208,13 +195,10 @@ def rhs_blocks(blocks: BlockDensity, spec: SystemSpec, decay: DecayOperator) -> 
             f"decay operator has shape {decay.matrix.shape}, "
             f"expected {(spec.d_f, spec.d_s)}"
         )
-    gen = spec.hamiltonian - 0.5j * (decay.gram + spec._lindblad_gram_sum)
-    gen_dag = gen.conj().T
-    d_ss = -1j * (gen @ blocks.rho_ss - blocks.rho_ss @ gen_dag)
-    for a, a_dag in spec._jump_pairs:
-        d_ss += a @ blocks.rho_ss @ a_dag
-    d_sf = -1j * (gen @ blocks.rho_sf)
-    d_fs = 1j * (blocks.rho_fs @ gen_dag)
+    eq = MasterEquation.build(spec.hamiltonian, spec.lindblad_ops, loss=decay.gram)
+    d_ss = eq.rhs(blocks.rho_ss)
+    d_sf = -1j * (eq.generator @ blocks.rho_sf)
+    d_fs = 1j * (blocks.rho_fs @ eq.generator_adjoint)
     d_ff = decay.matrix @ blocks.rho_ss @ decay.matrix.conj().T
     return BlockDensity(rho_ss=d_ss, rho_sf=d_sf, rho_fs=d_fs, rho_ff=d_ff)
 
@@ -248,7 +232,7 @@ def _sample(advance, x0, to_state, cfg: IntegratorConfig, d_s, drift_tol) -> Tra
     wi = 1  # wanted[0] == 0 always
     for k in range(1, n + 1):
         x, drift = advance(x)
-        if drift > drift_tol:
+        if not drift <= drift_tol:  # a NaN drift fails too
             raise NumericsError(
                 f"hermiticity drift {drift:.3e} at step {k} exceeds {drift_tol:g}"
             )
@@ -421,10 +405,9 @@ def rho_ff_quadrature(decay: DecayOperator, traj: Trajectory) -> list[np.ndarray
     return [out[k] for k in range(out.shape[0])]
 
 
-def closed_form_1d(energy: float, rate: float, t: float) -> BlockDensity:
+def closed_form_1d(rate: float, t: float) -> BlockDensity:
     """Closed form of the single decay channel started in the unstable state:
-    diag(exp(-rate*t), 1 - exp(-rate*t)).  Independent of ``energy``, which is
-    kept for signature symmetry with the model input."""
+    diag(exp(-rate*t), 1 - exp(-rate*t))."""
     if rate < 0:
         raise ValueError("rate must be non-negative")
     if t < 0:

@@ -15,14 +15,11 @@ from .errors import DimensionError, NotHermitianError
 
 __all__ = [
     "HermitianEigen",
-    "adjoint",
     "as_matrix",
     "expm",
     "frobenius",
     "hermitian_eig",
-    "kron",
-    "matmul",
-    "min_eigenvalue_hermitian",
+    "require_hermitian",
     "unvec",
     "vec",
 ]
@@ -36,25 +33,6 @@ def as_matrix(m) -> np.ndarray:
     if not np.isfinite(a).all():
         raise ValueError("matrix contains non-finite entries")
     return a
-
-
-def adjoint(m) -> np.ndarray:
-    """Conjugate transpose."""
-    return as_matrix(m).conj().T
-
-
-def matmul(a, b) -> np.ndarray:
-    """Matrix product with an explicit shape check."""
-    a = as_matrix(a)
-    b = as_matrix(b)
-    if a.shape[1] != b.shape[0]:
-        raise DimensionError(f"cannot multiply {a.shape} by {b.shape}")
-    return a @ b
-
-
-def kron(a, b) -> np.ndarray:
-    """Kronecker product: (a kron b)[i*p + k, j*q + l] = a[i, j] * b[k, l]."""
-    return np.kron(as_matrix(a), as_matrix(b))
 
 
 def vec(m) -> np.ndarray:
@@ -82,15 +60,37 @@ def _require_square(a: np.ndarray) -> None:
         raise DimensionError(f"expected a square matrix, got shape {a.shape}")
 
 
-def _require_hermitian(a: np.ndarray, tol: float) -> None:
-    # Deviation gate scaled by max(1, ||a||_F) so tiny and large inputs are
-    # judged consistently.
-    dev = float(np.linalg.norm(a - a.conj().T))
-    bound = tol * max(1.0, float(np.linalg.norm(a)))
-    if dev > bound:
+def _frobenius_each(a: np.ndarray) -> np.ndarray:
+    # ||a||_F over the last two axes, without complex temporaries.
+    re, im = a.real, a.imag
+    return np.sqrt(
+        np.einsum("...ij,...ij->...", re, re) + np.einsum("...ij,...ij->...", im, im)
+    )
+
+
+def require_hermitian(a: np.ndarray, tol: float, where: str = "matrix") -> np.ndarray:
+    """Symmetrized copy of a matrix, or of each matrix in an (n, d, d) stack.
+
+    Raises :class:`NotHermitianError` naming the first matrix whose deviation
+    ||a - a†||_F exceeds ``tol * max(1, ||a||_F)``; the bound is scaled so
+    that tiny and large inputs are judged consistently, and a NaN deviation
+    fails.
+    """
+    half = np.conj(np.swapaxes(a, -1, -2))
+    half -= a  # a† - a, worked on in place to keep one temporary
+    dev = _frobenius_each(half)
+    bound = tol * np.maximum(1.0, _frobenius_each(a))
+    bad = np.flatnonzero(~(dev <= bound))
+    if bad.size:
+        i = int(bad[0])
+        name = where if a.ndim == 2 else f"{where} {i}"
         raise NotHermitianError(
-            f"matrix deviates from hermiticity by {dev:.3e} (allowed {bound:.3e})"
+            f"{name} deviates from hermiticity by {float(np.ravel(dev)[i]):.3e} "
+            f"(allowed {float(np.ravel(bound)[i]):.3e})"
         )
+    half *= 0.5
+    half += a
+    return half
 
 
 @dataclass(frozen=True)
@@ -111,22 +111,12 @@ def hermitian_eig(m, tol: float = 1e-10) -> HermitianEigen:
     """
     a = as_matrix(m)
     _require_square(a)
-    _require_hermitian(a, tol)
-    sym = 0.5 * (a + a.conj().T)
-    lam, v = np.linalg.eigh(sym)
+    lam, v = np.linalg.eigh(require_hermitian(a, tol))
     v = v.copy()
     for j in range(v.shape[1]):
         k = int(np.argmax(np.abs(v[:, j])))
         v[:, j] /= v[k, j] / abs(v[k, j])
     return HermitianEigen(eigenvalues=lam, eigenvectors=v)
-
-
-def min_eigenvalue_hermitian(m, tol: float = 1e-10) -> float:
-    """Smallest eigenvalue of a hermitian matrix."""
-    a = as_matrix(m)
-    _require_square(a)
-    _require_hermitian(a, tol)
-    return float(np.linalg.eigvalsh(0.5 * (a + a.conj().T))[0])
 
 
 # Coefficients of the diagonal order-6 Pade approximant of exp.

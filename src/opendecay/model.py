@@ -7,7 +7,8 @@ everything on the direct sum of system and decay spaces, and assembles the
 corresponding Liouvillian superoperators in column-stacking convention.
 
 Both master equations have the form rho' = -i(G rho - rho G†) + sum_k K rho K†,
-whose Liouvillian is L = -i I(x)G + i conj(G)(x)I + sum_k conj(K)(x)K.  On the
+whose Liouvillian is L = -i I(x)G + i conj(G)(x)I + sum_k conj(K)(x)K; one
+:class:`MasterEquation` holds G and the jumps K for every setting.  On the
 enlarged space the decay operator maps system states only into the decay
 sector, so G[:d_s, d_s:] and every K[:d_s, d_s:] vanish.  Then the rows of L
 for system-block entries have non-zero columns only at system-block entries:
@@ -25,7 +26,7 @@ from functools import cached_property
 import numpy as np
 
 from .errors import ConstraintError, DimensionError, NotPSDError
-from .linalg import as_matrix, frobenius, hermitian_eig
+from .linalg import as_matrix, frobenius, hermitian_eig, require_hermitian
 
 DEFAULT_HERMITICITY_TOL = 1e-10
 # Eigenvalues of the decay matrix at or below this (times max(1, ||Gamma||_F))
@@ -37,6 +38,7 @@ __all__ = [
     "EnlargedModel",
     "GammaDecomposition",
     "Liouvillian",
+    "MasterEquation",
     "SystemSpec",
     "assemble_liouvillian",
     "assemble_liouvillian_wwa",
@@ -47,6 +49,60 @@ __all__ = [
     "embed_state",
     "validate_spec",
 ]
+
+
+@dataclass(frozen=True)
+class MasterEquation:
+    """rho' = -i(G rho - rho G†) + sum_k K rho K† for a generator G and
+    jump operators K, all d x d."""
+
+    generator: np.ndarray
+    jumps: tuple[np.ndarray, ...]
+
+    @classmethod
+    def build(cls, hamiltonian: np.ndarray, jumps, loss=None) -> MasterEquation:
+        """G = H - (i/2)(loss + sum_k K†K).
+
+        Folds every anticommutator of the master equation into one
+        non-hermitian generator, so each right-hand side needs only
+        2 + 2*len(jumps) products.  ``loss`` is Gamma on the system space,
+        B†B for the system block of the block-decoupled equations, and
+        absent on the enlarged space, where B is one of the jumps.
+        """
+        gram = np.zeros(hamiltonian.shape, dtype=np.complex128)
+        for k in jumps:
+            gram += k.conj().T @ k
+        if loss is not None:
+            gram = loss + gram
+        return cls(generator=hamiltonian - 0.5j * gram, jumps=tuple(jumps))
+
+    @cached_property
+    def generator_adjoint(self) -> np.ndarray:
+        return self.generator.conj().T
+
+    @cached_property
+    def jump_pairs(self) -> tuple[tuple[np.ndarray, np.ndarray], ...]:
+        return tuple((k, k.conj().T) for k in self.jumps)
+
+    def rhs(self, rho) -> np.ndarray:
+        """The derivative rho' of a d x d state."""
+        rho = np.asarray(rho, dtype=np.complex128)
+        if rho.shape != self.generator.shape:
+            raise DimensionError(f"state has shape {rho.shape}, expected {self.generator.shape}")
+        out = -1j * (self.generator @ rho - rho @ self.generator_adjoint)
+        for k, k_dag in self.jump_pairs:
+            out += k @ rho @ k_dag
+        return out
+
+    def liouvillian(self) -> Liouvillian:
+        """L = -i I(x)G + i conj(G)(x)I + sum_k conj(K)(x)K: the column-stacking
+        matrix of :meth:`rhs`."""
+        gen = self.generator
+        eye = np.eye(gen.shape[0], dtype=np.complex128)
+        mat = -1j * np.kron(eye, gen) + 1j * np.kron(gen.conj(), eye)
+        for k in self.jumps:
+            mat += np.kron(k.conj(), k)
+        return Liouvillian(matrix=mat, dim=gen.shape[0])
 
 
 @dataclass(frozen=True)
@@ -89,26 +145,9 @@ class SystemSpec:
                 )
 
     @cached_property
-    def _lindblad_gram_sum(self) -> np.ndarray:
-        acc = np.zeros((self.d_s, self.d_s), dtype=np.complex128)
-        for a in self.lindblad_ops:
-            acc += a.conj().T @ a
-        return acc
-
-    @cached_property
-    def _wwa_generator(self) -> np.ndarray:
-        # H - (i/2)(Gamma + sum A†A): folds every anticommutator of the master
-        # equation into one non-hermitian generator, so each rhs evaluation
-        # needs only 2 + 2*len(A) products.
-        return self.hamiltonian - 0.5j * (self.decay_matrix + self._lindblad_gram_sum)
-
-    @cached_property
-    def _wwa_generator_adjoint(self) -> np.ndarray:
-        return self._wwa_generator.conj().T
-
-    @cached_property
-    def _jump_pairs(self) -> tuple[tuple[np.ndarray, np.ndarray], ...]:
-        return tuple((a, a.conj().T) for a in self.lindblad_ops)
+    def equation(self) -> MasterEquation:
+        """The system-space equation: G = H - (i/2)(Gamma + sum A†A), jumps A."""
+        return MasterEquation.build(self.hamiltonian, self.lindblad_ops, loss=self.decay_matrix)
 
 
 def effective_hamiltonian(spec: SystemSpec) -> np.ndarray:
@@ -116,25 +155,13 @@ def effective_hamiltonian(spec: SystemSpec) -> np.ndarray:
     return spec.hamiltonian - 0.5j * spec.decay_matrix
 
 
-def _hermitian_deviation(a: np.ndarray) -> float:
-    return float(np.linalg.norm(a - a.conj().T))
-
-
 def validate_spec(spec: SystemSpec, tol: float = DEFAULT_HERMITICITY_TOL) -> SystemSpec:
     """Check hermiticity of H and Gamma, positivity of Gamma, and that the
     decay space is large enough (d_f >= rank Gamma).  Returns ``spec``
     unchanged when every invariant holds.
     """
-    from .errors import NotHermitianError
-
-    for name, mat in (("H", spec.hamiltonian), ("Gamma", spec.decay_matrix)):
-        dev = _hermitian_deviation(mat)
-        bound = tol * max(1.0, frobenius(mat))
-        if dev > bound:
-            raise NotHermitianError(
-                f"{name} deviates from hermiticity by {dev:.3e} (allowed {bound:.3e})"
-            )
-    gamma = 0.5 * (spec.decay_matrix + spec.decay_matrix.conj().T)
+    require_hermitian(spec.hamiltonian, tol, "H")
+    gamma = require_hermitian(spec.decay_matrix, tol, "Gamma")
     lam = np.linalg.eigvalsh(gamma)
     if lam[0] < -tol:
         raise NotPSDError(f"Gamma has eigenvalue {lam[0]:.3e} < -{tol:g}")
@@ -260,26 +287,10 @@ class EnlargedModel:
         return self.d_s + self.d_f
 
     @cached_property
-    def jump_ops(self) -> tuple[np.ndarray, ...]:
-        """All dissipator operators: the embedded Lindblad operators plus the
-        decay operator."""
-        return self.lindblad_ops + (self.decay_op,)
-
-    @cached_property
-    def _generator(self) -> np.ndarray:
-        # Embedded analogue of SystemSpec._wwa_generator.
-        acc = np.zeros((self.d_tot, self.d_tot), dtype=np.complex128)
-        for k in self.jump_ops:
-            acc += k.conj().T @ k
-        return self.hamiltonian - 0.5j * acc
-
-    @cached_property
-    def _generator_adjoint(self) -> np.ndarray:
-        return self._generator.conj().T
-
-    @cached_property
-    def _jump_pairs(self) -> tuple[tuple[np.ndarray, np.ndarray], ...]:
-        return tuple((k, k.conj().T) for k in self.jump_ops)
+    def equation(self) -> MasterEquation:
+        """The enlarged-space equation: G = H - (i/2) sum K†K, where the jumps
+        K are the embedded Lindblad operators plus the decay operator."""
+        return MasterEquation.build(self.hamiltonian, self.lindblad_ops + (self.decay_op,))
 
     @cached_property
     def liouvillian(self) -> Liouvillian:
@@ -306,7 +317,8 @@ class EnlargedModel:
         ``equivalence`` check is the one that tests it.
         """
         d = self.d_s
-        named = [("generator H - (i/2) sum K†K", self._generator)]
+        eq = self.equation
+        named = [("generator H - (i/2) sum K†K", eq.generator)]
         named += [(f"Lindblad operator {k}", a) for k, a in enumerate(self.lindblad_ops)]
         named.append(("decay operator", self.decay_op))
         for name, op in named:
@@ -315,10 +327,8 @@ class EnlargedModel:
                     f"{name} couples the decay sector into the system block; "
                     "the system block of the Liouvillian is not closed"
                 )
-        return Liouvillian(
-            matrix=_superop(self._generator[:d, :d], [k[:d, :d] for k in self.jump_ops]),
-            dim=d,
-        )
+        jumps = tuple(k[:d, :d] for k in eq.jumps)
+        return MasterEquation(eq.generator[:d, :d], jumps).liouvillian()
 
 
 def _embed_block(m: np.ndarray, d_s: int, d_f: int) -> np.ndarray:
@@ -368,49 +378,23 @@ class Liouvillian:
     dim: int
 
 
-def _superop(gen: np.ndarray, jumps) -> np.ndarray:
-    # L = -i I(x)G + i conj(G)(x)I + sum_k conj(K)(x)K: the column-stacking
-    # matrix of rho -> -i(G rho - rho G†) + sum_k K rho K†.
-    eye = np.eye(gen.shape[0], dtype=np.complex128)
-    mat = -1j * np.kron(eye, gen) + 1j * np.kron(gen.conj(), eye)
-    for k in jumps:
-        mat += np.kron(k.conj(), k)
-    return mat
-
-
-def _dissipator_superop(k: np.ndarray) -> np.ndarray:
-    kk = k.conj().T @ k
-    eye = np.eye(k.shape[0], dtype=np.complex128)
-    return (
-        np.kron(k.conj(), k)
-        - 0.5 * np.kron(eye, kk)
-        - 0.5 * np.kron(kk.T, eye)
-    )
-
-
 def assemble_liouvillian(hamiltonian, lindblad_ops=(), decay_op=None) -> Liouvillian:
     """Superoperator matrix of the trace-preserving master equation
-    -i[H, rho] minus the dissipator over all given jump operators."""
+    -i[H, rho] plus the dissipator over all given jump operators, as
+    :meth:`MasterEquation.liouvillian` with G = H - (i/2) sum K†K."""
     h = as_matrix(hamiltonian)
     if h.shape[0] != h.shape[1]:
         raise DimensionError(f"hamiltonian must be square, got {h.shape}")
-    d = h.shape[0]
-    eye = np.eye(d, dtype=np.complex128)
-    mat = -1j * (np.kron(eye, h) - np.kron(h.T, eye))
-    ops = list(lindblad_ops)
+    ops = [as_matrix(k) for k in lindblad_ops]
     if decay_op is not None:
-        ops.append(decay_op)
+        ops.append(as_matrix(decay_op))
     for k in ops:
-        k = as_matrix(k)
         if k.shape != h.shape:
             raise DimensionError(f"jump operator has shape {k.shape}, expected {h.shape}")
-        mat += _dissipator_superop(k)
-    return Liouvillian(matrix=mat, dim=d)
+    return MasterEquation.build(h, ops).liouvillian()
 
 
 def assemble_liouvillian_wwa(spec: SystemSpec) -> Liouvillian:
     """Superoperator matrix of the system-space master equation with the
     non-hermitian effective Hamiltonian (trace non-increasing)."""
-    return Liouvillian(
-        matrix=_superop(spec._wwa_generator, spec.lindblad_ops), dim=spec.d_s
-    )
+    return spec.equation.liouvillian()

@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from opendecay.analysis import (
+    ChoiMatrix,
     VerificationReport,
     apply_kraus,
     asymptotics_check,
@@ -43,7 +44,7 @@ def single_decay_model(m=1.0, gamma=1.0):
 
 def closed_form_trajectory(gamma=1.0, t_max=5.0, n=51):
     times = np.linspace(0.0, t_max, n)
-    states = tuple(closed_form_1d(1.0, gamma, t).to_full() for t in times)
+    states = tuple(closed_form_1d(gamma, t).to_full() for t in times)
     return Trajectory(times=times, states=states, d_s=1)
 
 
@@ -110,6 +111,28 @@ def test_positivity_names_first_nonhermitian_sample():
     traj = Trajectory(times=[0.0, 0.1, 0.2], states=(good, bad, bad))
     with pytest.raises(NotHermitianError, match=r"^sample 1 deviates"):
         check_positivity(traj)
+
+
+def test_nan_sample_fails_trace_and_positivity():
+    nan = np.full((2, 2), np.nan)
+    traj = Trajectory(times=[0.0, 0.1], states=(np.diag([0.5, 0.5]), nan))
+    report = check_trace(traj)
+    assert report.status == "fail" and np.isnan(report.measured)
+    with pytest.raises(NotHermitianError, match=r"^sample 1 deviates from hermiticity by nan"):
+        check_positivity(traj)
+    with pytest.raises(NotHermitianError, match=r"^Choi matrix deviates from hermiticity by nan"):
+        check_cp(ChoiMatrix(matrix=nan, dim=1))
+
+
+def test_nan_eigenvalue_fails_positivity_and_cp(monkeypatch):
+    # An eigensolver that returns NaN must fail the report, not pass it at 0.
+    monkeypatch.setattr(np.linalg, "eigvalsh", lambda a: np.full(a.shape[:-1], np.nan))
+    state = np.diag([0.5, 0.5])
+    for report in (
+        check_positivity(Trajectory(times=[0.0], states=(state,))),
+        check_cp(ChoiMatrix(matrix=state, dim=1)),
+    ):
+        assert report.status == "fail" and np.isnan(report.measured)
 
 
 def test_positivity_batched_matches_per_sample_loop():
@@ -199,16 +222,16 @@ def test_choi_restricted_map_trace_non_increasing():
 
 
 def test_mixedness_pure_at_boundaries():
-    assert mixedness(closed_form_1d(1.0, 1.0, 0.0).to_full()) == pytest.approx(1.0)
-    assert mixedness(closed_form_1d(1.0, 1.0, 60.0).to_full()) == pytest.approx(1.0)
+    assert mixedness(closed_form_1d(1.0, 0.0).to_full()) == pytest.approx(1.0)
+    assert mixedness(closed_form_1d(1.0, 60.0).to_full()) == pytest.approx(1.0)
 
 
 def test_mixedness_minimum_half():
     # delta(x) = 1 - 2x + 2x^2 over x = exp(-t) is minimized at x = 1/2
     t_half = np.log(2.0)
-    assert mixedness(closed_form_1d(1.0, 1.0, t_half).to_full()) == pytest.approx(0.5)
+    assert mixedness(closed_form_1d(1.0, t_half).to_full()) == pytest.approx(0.5)
     for t in (t_half / 2, 2 * t_half):
-        assert mixedness(closed_form_1d(1.0, 1.0, t).to_full()) > 0.5
+        assert mixedness(closed_form_1d(1.0, t).to_full()) > 0.5
 
 
 def test_mixedness_matches_curve():
@@ -304,7 +327,7 @@ def test_apply_kraus_reproduces_closed_form():
     for t in (0.0, 0.4, 1.7, 6.0):
         pair = kraus_amplitude_damping(1.0, t)
         out = apply_kraus(np.diag([1.0, 0.0]), pair)
-        assert np.abs(out - closed_form_1d(1.0, 1.0, t).to_full()).max() <= 1e-12
+        assert np.abs(out - closed_form_1d(1.0, t).to_full()).max() <= 1e-12
 
 
 def test_apply_kraus_identity_at_p_zero():

@@ -252,6 +252,29 @@ def test_main_exit_2_on_invalid_config(tmp_path, capsys):
     assert main(["simulate", str(bad), "--out", str(tmp_path)]) == 2
 
 
+@pytest.mark.parametrize(
+    "section, key, value",
+    [
+        ("system", "H", [[[float("nan"), 0.0]]]),
+        ("system", "Gamma", [[[float("inf"), 0.0]]]),
+        ("system", "H", [[[10**400, 0.0]]]),
+        (None, "initial_state", [[[1.0, float("-inf")]]]),
+        ("integrator", "t_max", float("nan")),
+        ("integrator", "t_max", float("inf")),
+        ("integrator", "dt", float("nan")),
+    ],
+)
+def test_main_exit_2_on_non_finite_number(tmp_path, capsys, section, key, value):
+    # json.loads accepts NaN and Infinity, and Python integers beyond the
+    # float range; each must end as a config error, not a traceback.
+    doc = json.loads(SINGLE_DECAY)
+    (doc[section] if section else doc)[key] = value
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps(doc))
+    assert main(["simulate", str(bad), "--out", str(tmp_path)]) == 2
+    assert "finite" in capsys.readouterr().err
+
+
 def test_main_exit_2_on_unknown_flag_check(tmp_path):
     assert main(["simulate", "single-decay", "--out", str(tmp_path), "--checks", "bogus"]) == 2
 
@@ -344,6 +367,15 @@ def test_cp_report_matches_full_propagator(name):
     assert rep.meta["times"] == list(cli.CP_SAMPLE_TIMES)
     assert abs(rep.measured - worst) <= 1e-12
     assert abs(rep.meta["min_eigenvalue"] - low) <= 1e-12
+
+
+def test_cp_report_fails_on_nan_eigenvalue(monkeypatch):
+    # An eigensolver that returns NaN must fail the run's cp report, not pass
+    # it at 0 when the per-time reports are folded.
+    cfg = short(parse_config(SINGLE_DECAY), checks=("cp",))
+    monkeypatch.setattr(np.linalg, "eigvalsh", lambda a: np.full(a.shape[:-1], np.nan))
+    (rep,) = run_scenario(cfg, write=False).reports
+    assert rep.status == "fail" and np.isnan(rep.measured)
 
 
 def test_cp_check_does_not_assemble_enlarged_liouvillian(monkeypatch):

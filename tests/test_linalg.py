@@ -1,21 +1,18 @@
 import numpy as np
 import pytest
-from hypothesis import given, settings
-from hypothesis import strategies as st
-from hypothesis.extra.numpy import arrays
 
-from opendecay.errors import DimensionError, NotHermitianError
-from opendecay.linalg import (
-    adjoint,
-    expm,
-    hermitian_eig,
-    kron,
-    matmul,
-    min_eigenvalue_hermitian,
-    unvec,
-    vec,
+from opendecay import cli
+from opendecay.analysis import ChoiMatrix, check_cp, check_positivity, mixedness
+from opendecay.errors import DimensionError, NotHermitianError, ValidationError
+from opendecay.evolution import Trajectory
+from opendecay.linalg import as_matrix, expm, hermitian_eig, unvec, vec
+from opendecay.model import (
+    SystemSpec,
+    build_decay_operator,
+    decompose_gamma,
+    embed_operators,
+    validate_spec,
 )
-from opendecay.model import SystemSpec, build_decay_operator, decompose_gamma, embed_operators
 from opendecay.randmodel import random_system
 
 RNG = np.random.default_rng(7)
@@ -30,66 +27,13 @@ def random_hermitian(d, rng=RNG):
     return 0.5 * (m + m.conj().T)
 
 
-complex_3x3 = arrays(
-    np.complex128,
-    (3, 3),
-    elements=st.complex_numbers(
-        min_magnitude=0, max_magnitude=5, allow_nan=False, allow_infinity=False
-    ),
-)
-
-
-# -- adjoint ------------------------------------------------------------------
-
-
-def test_adjoint_identity():
-    assert np.array_equal(adjoint(np.eye(2)), np.eye(2))
-
-
-def test_adjoint_lower_left_block():
-    b = 2.0 - 3.0j
-    m = np.array([[0, 0], [b, 0]])
-    expected = np.array([[0, np.conj(b)], [0, 0]])
-    assert np.array_equal(adjoint(m), expected)
-
-
-@settings(max_examples=50, derandomize=True, deadline=None)
-@given(complex_3x3)
-def test_adjoint_involution(m):
-    assert np.array_equal(adjoint(adjoint(m)), m)
+# -- as_matrix ------------------------------------------------------------------
 
 
 def test_adjoint_rejects_nan():
+    # Every operator and state enters through as_matrix, which rejects NaN.
     with pytest.raises(ValueError):
-        adjoint(np.array([[np.nan, 0], [0, 0]]))
-
-
-# -- matmul -------------------------------------------------------------------
-
-
-def test_matmul_identity():
-    m = random_complex(3, 3)
-    assert np.allclose(matmul(np.eye(3), m), m, atol=0)
-
-
-def test_matmul_decay_gram():
-    # hand expansion: [[0,0],[g,0]] @ [[0,conj(g)],[0,0]] = diag(0, |g|^2)
-    g = np.sqrt(2.0)
-    b = np.array([[0, 0], [g, 0]])
-    prod = matmul(b, adjoint(b))
-    assert np.allclose(prod, np.diag([0.0, 2.0]), atol=1e-15)
-
-
-def test_matmul_dimension_mismatch():
-    with pytest.raises(DimensionError):
-        matmul(np.zeros((2, 3)), np.zeros((2, 2)))
-
-
-def test_matmul_associative():
-    a, b, c = (random_complex(3, 3) for _ in range(3))
-    left = matmul(matmul(a, b), c)
-    right = matmul(a, matmul(b, c))
-    assert np.abs(left - right).max() < 1e-12
+        as_matrix(np.array([[np.nan, 0], [0, 0]]))
 
 
 # -- hermitian_eig ------------------------------------------------------------
@@ -119,6 +63,45 @@ def test_hermitian_eig_zero_matrix():
 def test_hermitian_eig_rejects_nonhermitian():
     with pytest.raises(NotHermitianError):
         hermitian_eig(np.array([[0.0, 1.0], [0.0, 0.0]]))
+
+
+# -- the hermiticity gate, through each caller --------------------------------
+
+# caller: (tolerance, error raised, call on a 2 x 2 matrix)
+GATE_CALLERS = {
+    "hermitian_eig": (1e-10, NotHermitianError, hermitian_eig),
+    "validate_spec H": (
+        1e-10,
+        NotHermitianError,
+        lambda a: validate_spec(SystemSpec(d_s=2, d_f=2, hamiltonian=a, decay_matrix=np.eye(2))),
+    ),
+    "validate_spec Gamma": (
+        1e-10,
+        NotHermitianError,
+        lambda a: validate_spec(SystemSpec(d_s=2, d_f=2, hamiltonian=np.eye(2), decay_matrix=a)),
+    ),
+    "check_positivity": (
+        1e-10, NotHermitianError, lambda a: check_positivity(Trajectory(times=[0.0], states=(a,)))
+    ),
+    "check_cp": (1e-10, NotHermitianError, lambda a: check_cp(ChoiMatrix(matrix=a, dim=1))),
+    "mixedness": (1e-10, NotHermitianError, mixedness),
+    "initial_state": (1e-9, ValidationError, lambda a: cli._validate_initial_state(a, 2)),
+}
+
+
+@pytest.mark.parametrize("caller", list(GATE_CALLERS))
+@pytest.mark.parametrize("scale", [0.5, 2.0])
+def test_hermiticity_gate_tolerance(caller, scale):
+    tol, error, call = GATE_CALLERS[caller]
+    # diag(1/2, 1/2), a unit-trace state, plus an anti-hermitian part with
+    # ||a - a†||_F = scale * tol; ||a||_F < 1, so the allowed deviation is tol.
+    eps = scale * tol / np.sqrt(2.0)
+    a = np.array([[0.5, eps], [0.0, 0.5]], dtype=np.complex128)
+    if scale < 1:
+        call(a)
+    else:
+        with pytest.raises(error, match="deviates from hermiticity"):
+            call(a)
 
 
 @pytest.mark.parametrize("d", [2, 3, 4, 5, 6])
@@ -213,16 +196,7 @@ def test_expm_matches_scipy_on_stiff_liouvillians(d_s, seed, scale):
         assert np.linalg.norm(expm(liouv * t) - ref) <= 1e-12 * np.linalg.norm(ref)
 
 
-# -- kron / vec / unvec --------------------------------------------------------
-
-
-def test_kron_identity():
-    assert np.array_equal(kron(np.eye(2), np.eye(2)), np.eye(4))
-
-
-def test_kron_diag():
-    out = kron(np.diag([2.0, 3.0]), np.eye(2))
-    assert np.allclose(out, np.diag([2.0, 2.0, 3.0, 3.0]), atol=0)
+# -- vec / unvec --------------------------------------------------------------
 
 
 def test_vec_column_stacking():
@@ -251,25 +225,5 @@ def test_vec_kron_identity(d):
     for _ in range(5):
         a, x, b = (random_complex(d, d, rng) for _ in range(3))
         lhs = vec(a @ x @ b)
-        rhs = kron(b.T, a) @ vec(x)
+        rhs = np.kron(b.T, a) @ vec(x)
         assert np.abs(lhs - rhs).max() <= 1e-12
-
-
-# -- min_eigenvalue_hermitian ---------------------------------------------------
-
-
-def test_min_eigenvalue_diagonal():
-    assert min_eigenvalue_hermitian(np.diag([0.3, 0.7])) == pytest.approx(0.3)
-
-
-def test_min_eigenvalue_coupled():
-    assert min_eigenvalue_hermitian(np.array([[2.0, 1.0], [1.0, 2.0]])) == pytest.approx(1.0)
-
-
-def test_min_eigenvalue_negative():
-    assert min_eigenvalue_hermitian(-np.eye(2)) == pytest.approx(-1.0)
-
-
-def test_min_eigenvalue_rejects_nonhermitian():
-    with pytest.raises(NotHermitianError):
-        min_eigenvalue_hermitian(np.array([[0.0, 1.0], [0.0, 0.0]]))
