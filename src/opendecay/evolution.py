@@ -47,6 +47,11 @@ HERMITICITY_DRIFT_TOL = 1e-9
 # Largest state dimension d for which RK4 runs as one precomputed
 # d^2 x d^2 step matrix; the module docstring gives the measured crossover.
 SUPEROP_MAX_DIM = 16
+# Largest step count t_max/dt an IntegratorConfig accepts.  A step costs
+# ~1 us (stepper, small d) to ~0.2 ms (direct RK4, d_tot = 24), so this caps
+# one evolution at seconds to half an hour instead of letting a tiny dt ask
+# for unbounded work and a sample list of unbounded length.
+MAX_STEPS = 10**7
 
 __all__ = [
     "BlockDensity",
@@ -132,7 +137,8 @@ class IntegratorConfig:
 
     The grid is k*dt for k = 0..round(t_max/dt); samples are taken every
     ``sample_stride`` steps plus the final step.  ``t_max = 0`` yields the
-    degenerate single-sample trajectory at t = 0.
+    degenerate single-sample trajectory at t = 0.  ``t_max/dt`` may not
+    exceed ``MAX_STEPS``.
     """
 
     dt: float
@@ -147,6 +153,10 @@ class IntegratorConfig:
             raise ValueError("t_max must be non-negative and finite")
         if self.t_max > 0 and self.dt > self.t_max * (1 + 1e-12):
             raise ValueError("dt must not exceed t_max")
+        if self.t_max / self.dt > MAX_STEPS:
+            raise ValueError(
+                f"t_max/dt = {self.t_max / self.dt:.6g} steps exceeds MAX_STEPS = {MAX_STEPS}"
+            )
         if self.sample_stride < 1:
             raise ValueError("sample_stride must be at least 1")
         if self.method not in ("rk4", "exact"):

@@ -23,6 +23,10 @@ _MIX2 = 0x94D049BB133111EB
 # Generated operator entries are rescaled to this peak magnitude (well inside
 # the unit bound) to keep generator norms modest for fixed-step integration.
 DEFAULT_MAX_ENTRY = 0.5
+# Most complex entries one random_system call may draw.  Each costs two
+# pure-Python Gaussians (~0.7 us each), so the cap keeps generation near a
+# second however large a config asks d_s or n_lindblad to be.
+MAX_ENTRIES = 10**6
 
 
 class SplitMix64:
@@ -84,7 +88,8 @@ def random_system(
     semidefiniteness at the requested rank), and each Lindblad operator is an
     unconstrained Gaussian matrix; every operator is rescaled to peak entry
     magnitude ``max_entry``.  The decay dimension is set to the realized rank
-    of the decay matrix.  Returns ``(spec, rho0)``.
+    of the decay matrix.  Returns ``(spec, rho0)``.  Raises ``ValueError``
+    for a request that would draw more than ``MAX_ENTRIES`` entries.
     """
     if d_s < 1:
         raise ValueError("d_s must be positive")
@@ -94,6 +99,12 @@ def random_system(
         raise ValueError(f"rank must lie in [1, {d_s}], got {rank}")
     if n_lindblad < 0:
         raise ValueError("n_lindblad must be non-negative")
+    entries = (2 + n_lindblad) * d_s * d_s + rank * d_s
+    if entries > MAX_ENTRIES:
+        raise ValueError(
+            f"d_s={d_s}, rank={rank}, n_lindblad={n_lindblad} would draw {entries} "
+            f"entries, more than MAX_ENTRIES = {MAX_ENTRIES}"
+        )
     rng = SplitMix64(seed)
     w = _gaussian_matrix(rng, d_s, d_s)
     hamiltonian = _rescale(0.5 * (w + w.conj().T), max_entry)

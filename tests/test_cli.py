@@ -1,5 +1,8 @@
 import json
+import os
 import warnings
+
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -275,6 +278,30 @@ def test_main_exit_2_on_non_finite_number(tmp_path, capsys, section, key, value)
     assert "finite" in capsys.readouterr().err
 
 
+def test_main_exit_2_on_step_count_beyond_limit(tmp_path, monkeypatch, capsys):
+    # t_max = 10 at dt = 1e-12 asks for 10^13 steps: a config error, raised
+    # before anything is built or run.
+    monkeypatch.setattr(cli, "run_scenario", lambda *a, **k: pytest.fail("run started"))
+    assert main(["simulate", "single-decay", "--out", str(tmp_path), "--dt", "1e-12"]) == 2
+    err = capsys.readouterr().err
+    assert "1e+13 steps" in err and "MAX_STEPS" in err
+    assert not any(tmp_path.iterdir())
+
+
+def test_parse_rejects_step_count_beyond_limit():
+    doc = json.loads(SINGLE_DECAY)
+    doc["integrator"]["dt"] = 1e-12
+    with pytest.raises(ParseError, match="1e\\+13 steps"):
+        parse_config(json.dumps(doc))
+
+
+def test_parse_rejects_oversized_random_system():
+    doc = json.loads(builtin_scenario_path("random").read_text())
+    doc["random_system"]["d_s"] = 600  # 1.44e6 entries
+    with pytest.raises(ParseError, match="MAX_ENTRIES"):
+        parse_config(json.dumps(doc))
+
+
 def test_main_exit_2_on_unknown_flag_check(tmp_path):
     assert main(["simulate", "single-decay", "--out", str(tmp_path), "--checks", "bogus"]) == 2
 
@@ -323,6 +350,91 @@ def test_shipped_scenarios_rerun_byte_identical(tmp_path, name):
     b = run_scenario(cfg, out_dir=tmp_path / "b")
     assert a.timeseries_path.read_bytes() == b.timeseries_path.read_bytes()
     assert a.report_path.read_bytes() == b.report_path.read_bytes()
+
+
+# -- writing -------------------------------------------------------------------
+
+RANDOM_RUN = ["simulate", "random", "--t-max", "1.0", "--checks", "trace"]
+
+
+def _outputs(out_dir, name="random"):
+    return [out_dir / f"{name}_timeseries.csv", out_dir / f"{name}_report.csv"]
+
+
+def _recording_replace(monkeypatch):
+    calls = []
+    real = os.replace
+
+    def recording(src, dst):
+        calls.append((Path(src), Path(dst)))
+        real(src, dst)
+
+    monkeypatch.setattr(cli.os, "replace", recording)
+    return calls
+
+
+def test_rerun_leaves_unchanged_outputs_in_place(tmp_path, monkeypatch):
+    args = RANDOM_RUN + ["--out", str(tmp_path)]
+    assert main(args) == 0
+    paths = _outputs(tmp_path)
+    old = {p: p.read_bytes() for p in paths}
+    inodes = {p: p.stat().st_ino for p in paths}
+    for p in paths:
+        os.utime(p, ns=(10**18, 10**18))  # 2001: a refresh must move it forward
+    calls = _recording_replace(monkeypatch)
+    assert main(args) == 0
+    assert calls == []
+    for p in paths:
+        assert p.read_bytes() == old[p]
+        assert p.stat().st_ino == inodes[p]
+        assert p.stat().st_mtime_ns > 10**18
+    assert not list(tmp_path.glob("*.tmp"))
+
+
+def test_rerun_with_new_output_replaces_both_files(tmp_path, monkeypatch):
+    assert main(RANDOM_RUN + ["--out", str(tmp_path / "a"), "--seed", "7"]) == 0
+    assert main(RANDOM_RUN + ["--out", str(tmp_path / "b"), "--seed", "8"]) == 0
+    paths = _outputs(tmp_path / "a")
+    inodes = [p.stat().st_ino for p in paths]
+    calls = _recording_replace(monkeypatch)
+    assert main(RANDOM_RUN + ["--out", str(tmp_path / "a"), "--seed", "8"]) == 0
+    # Written through <name>.tmp and renamed over the target, never in place.
+    assert calls == [(p.with_name(p.name + ".tmp"), p) for p in paths]
+    for p, q, ino in zip(paths, _outputs(tmp_path / "b"), inodes):
+        assert p.read_bytes() == q.read_bytes()
+        assert p.stat().st_ino != ino
+    assert not list((tmp_path / "a").glob("*.tmp"))
+
+
+def test_same_size_different_bytes_is_replaced(tmp_path, monkeypatch):
+    args = RANDOM_RUN + ["--out", str(tmp_path)]
+    assert main(args) == 0
+    path = _outputs(tmp_path)[0]
+    good = path.read_bytes()
+    path.write_bytes(good.replace(b"0", b"9"))
+    assert path.stat().st_size == len(good) and path.read_bytes() != good
+    calls = _recording_replace(monkeypatch)
+    assert main(args) == 0
+    assert calls == [(path.with_name(path.name + ".tmp"), path)]
+    assert path.read_bytes() == good
+    assert not list(tmp_path.glob("*.tmp"))
+
+
+def test_failed_replace_removes_tmp_and_keeps_target(tmp_path, monkeypatch):
+    result = run_scenario(short(parse_config(SINGLE_DECAY), checks=()), write=False)
+    path = tmp_path / "series.csv"
+    path.write_text("old\n")
+
+    def failing(src, dst):
+        raise OSError("disk full")
+
+    monkeypatch.setattr(cli.os, "replace", failing)
+    with pytest.raises(OSError, match="disk full"):
+        write_timeseries(result, path)
+    with pytest.raises(OSError, match="disk full"):
+        write_timeseries(result, tmp_path / "fresh.csv")
+    assert path.read_text() == "old\n"
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["series.csv"]
 
 
 @pytest.mark.parametrize("dt, warns", [(0.1, True), (0.05, False)])
