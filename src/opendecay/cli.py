@@ -32,6 +32,7 @@ from __future__ import annotations
 import argparse
 import json
 import os
+import stat
 import sys
 import warnings
 from dataclasses import dataclass, replace
@@ -445,21 +446,34 @@ def _sample_table(traj: Trajectory, d_s: int) -> tuple[tuple[float, ...], ...]:
 
 
 def _holds(path: Path, data: bytes) -> bool:
+    # lstat: only a regular file is left in place; a symlink at the output
+    # path is replaced by a regular file, as a rename over it always did.
     try:
-        return path.stat().st_size == len(data) and path.read_bytes() == data
+        st = path.lstat()
+        return (
+            stat.S_ISREG(st.st_mode)
+            and st.st_size == len(data)
+            and path.read_bytes() == data
+        )
     except OSError:
         return False
 
 
 def _atomic_write(path: Path, text: str) -> None:
-    # Reruns of a config produce the same bytes, and renaming over an
-    # existing file costs ~50 ms on ext4 against ~0.03 ms for a fresh name,
-    # so a file that already holds these bytes is left in place and only its
-    # mtime is refreshed.  New content goes through <name>.tmp + os.replace.
+    # A rerun of a config into the same directory produces the same bytes,
+    # and renaming over an existing file costs ~50 ms on ext4 against
+    # ~0.03 ms for a fresh name, so a regular file that already holds these
+    # bytes is left in place and only its mtime is refreshed.  New content,
+    # and an unchanged file whose mtime this process may not set (utime needs
+    # ownership, a rename only a writable directory), go through
+    # <name>.tmp + os.replace.
     data = text.encode("utf-8")
     if _holds(path, data):
-        os.utime(path)
-        return
+        try:
+            os.utime(path)
+            return
+        except OSError:
+            pass
     path.parent.mkdir(parents=True, exist_ok=True)
     tmp = path.with_name(path.name + ".tmp")
     try:

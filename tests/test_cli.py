@@ -420,6 +420,42 @@ def test_same_size_different_bytes_is_replaced(tmp_path, monkeypatch):
     assert not list(tmp_path.glob("*.tmp"))
 
 
+def test_unchanged_file_without_utime_permission_is_replaced(tmp_path, monkeypatch):
+    # A file owned by another user in a writable directory: utime fails with
+    # EPERM, a rename over it still works, so the rerun falls back to it.
+    args = RANDOM_RUN + ["--out", str(tmp_path)]
+    assert main(args) == 0
+    paths = _outputs(tmp_path)
+    old = {p: p.read_bytes() for p in paths}
+
+    def failing(path, *a, **kw):
+        raise PermissionError(1, "Operation not permitted", str(path))
+
+    monkeypatch.setattr(cli.os, "utime", failing)
+    calls = _recording_replace(monkeypatch)
+    assert main(args) == 0
+    assert calls == [(p.with_name(p.name + ".tmp"), p) for p in paths]
+    for p in paths:
+        assert p.read_bytes() == old[p]
+    assert not list(tmp_path.glob("*.tmp"))
+
+
+def test_symlink_with_same_bytes_is_replaced_by_a_file(tmp_path, monkeypatch):
+    args = RANDOM_RUN + ["--out", str(tmp_path / "out")]
+    assert main(args) == 0
+    path = _outputs(tmp_path / "out")[1]
+    target = tmp_path / "elsewhere.csv"
+    target.write_bytes(path.read_bytes())
+    os.utime(target, ns=(10**18, 10**18))
+    path.unlink()
+    path.symlink_to(target)
+    calls = _recording_replace(monkeypatch)
+    assert main(args) == 0
+    assert calls == [(path.with_name(path.name + ".tmp"), path)]
+    assert not path.is_symlink() and path.read_bytes() == target.read_bytes()
+    assert target.stat().st_mtime_ns == 10**18
+
+
 def test_failed_replace_removes_tmp_and_keeps_target(tmp_path, monkeypatch):
     result = run_scenario(short(parse_config(SINGLE_DECAY), checks=()), write=False)
     path = tmp_path / "series.csv"
