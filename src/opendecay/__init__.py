@@ -19,6 +19,7 @@ from .analysis import (
     check_positivity,
     check_trace,
     choi_matrix,
+    choi_of_superoperator,
     kraus_amplitude_damping,
     mixedness,
 )
@@ -49,17 +50,17 @@ from .evolution import (
     IntegratorConfig,
     Trajectory,
     closed_form_1d,
-    evolve_blocks,
     evolve_enlarged,
     evolve_wwa,
     integrate_rk4,
     propagate_exact,
+    propagate_nonsingular,
     rho_ff_quadrature,
-    rhs_blocks,
     rhs_enlarged,
     rhs_wwa,
 )
 from .linalg import (
+    HermitianBasis,
     HermitianEigen,
     expm,
     frobenius,

@@ -28,6 +28,7 @@ __all__ = [
     "check_positivity",
     "check_trace",
     "choi_matrix",
+    "choi_of_superoperator",
     "kraus_amplitude_damping",
     "mixedness",
 ]
@@ -136,6 +137,23 @@ def choi_matrix(map_eval, d: int, t: float | None = None) -> ChoiMatrix:
             raise DimensionError("map returned inconsistent output shapes")
         out[i * d_out : (i + 1) * d_out, j * d_out : (j + 1) * d_out] = img
     return ChoiMatrix(matrix=out, dim=d, t=t)
+
+
+def choi_of_superoperator(superop, d: int, t: float | None = None) -> ChoiMatrix:
+    """The Choi matrix sum_ij E_ij kron map(E_ij) of the linear map whose
+    column-stacking matrix is ``superop`` (d_out^2 x d^2).
+
+    vec(map(E_ij)) is column i + j d of ``superop``, so the Choi matrix is a
+    reshuffle of its entries: no map evaluations.
+    """
+    s = np.asarray(superop, dtype=np.complex128)
+    d_out = math.isqrt(s.shape[0])
+    if s.ndim != 2 or d_out * d_out != s.shape[0] or s.shape[1] != d * d:
+        raise DimensionError(f"superoperator has shape {s.shape}, expected (d_out^2, {d * d})")
+    # s[a + b d_out, i + j d] = map(E_ij)[a, b] goes to row i d_out + a,
+    # column j d_out + b.
+    choi = s.reshape(d_out, d_out, d, d).transpose(3, 1, 2, 0).reshape(d * d_out, d * d_out)
+    return ChoiMatrix(matrix=choi, dim=d, t=t)
 
 
 def check_cp(choi: ChoiMatrix, tol: float = 1e-8) -> VerificationReport:

@@ -55,8 +55,9 @@ from .evolution import (
     Trajectory,
     evolve_enlarged,
     evolve_wwa,
+    propagate_nonsingular,
 )
-from .linalg import expm, require_hermitian, unvec, vec
+from .linalg import HermitianBasis, expm, require_hermitian
 from .model import (
     SystemSpec,
     build_decay_operator,
@@ -65,11 +66,13 @@ from .model import (
     embed_state,
     validate_spec,
 )
-from .randmodel import random_system
+from .randmodel import MAX_ENTRIES, random_system
 
 CHECK_NAMES = ("trace", "positivity", "cp", "equivalence", "asymptotics")
 # Times at which complete positivity is certified (clipped to t_max).
 CP_SAMPLE_TIMES = (0.1, 1.0, 5.0)
+# Steps of the exact propagation to the asymptotics horizon 20/gamma0.
+ASYMPTOTICS_STEPS = 200
 
 __all__ = [
     "RunResult",
@@ -256,6 +259,12 @@ def parse_config(text: str, seed: int | None = None) -> ScenarioConfig:
         if "initial_state" in raw:
             rho0 = _parse_matrix(raw["initial_state"], "config.initial_state")
 
+    entries = (spec.d_s + spec.d_f) ** 2
+    if entries > MAX_ENTRIES:
+        raise ParseError(
+            f"config: d_s={spec.d_s}, d_f={spec.d_f} gives enlarged-space matrices of "
+            f"(d_s + d_f)^2 = {entries} entries, more than MAX_ENTRIES = {MAX_ENTRIES}"
+        )
     try:
         validate_spec(spec)
     except ToolkitError as e:
@@ -340,17 +349,13 @@ class _RunContext:
         self.wwa: Trajectory | None = None
 
 
-def _restricted_map(ctx: _RunContext, t: float):
-    # rho_ss(0) -> system block of the exactly propagated enlarged state.
-    # Nothing couples the decay sector back into the system block, so that
-    # block evolves on its own under the d_s^2 x d_s^2 system Liouvillian.
-    prop = expm(ctx.model.system_liouvillian.matrix * t)
-    d_s = ctx.spec.d_s
-
-    def apply(rho_ss):
-        return unvec(prop @ vec(rho_ss), d_s)
-
-    return apply
+def _restricted_propagator(basis: HermitianBasis, gen: np.ndarray, t: float) -> np.ndarray:
+    # rho_ss(0) -> system block of the exactly propagated enlarged state, as
+    # a d_s^2 x d_s^2 superoperator.  Nothing couples the decay sector back
+    # into the system block, so that block evolves on its own under the
+    # system Liouvillian; its real form ``gen`` is exponentiated in real
+    # arithmetic and taken back to vec() coordinates.
+    return basis.right_inverse(basis.left(expm(gen * t)))
 
 
 def _check_trace(ctx: _RunContext) -> analysis.VerificationReport:
@@ -379,8 +384,13 @@ def _check_cp(ctx: _RunContext) -> analysis.VerificationReport:
     t_max = ctx.cfg.integrator.t_max
     times = [t for t in CP_SAMPLE_TIMES if t <= t_max] or [max(t_max, 1e-3)]
     d_s = ctx.spec.d_s
+    basis = HermitianBasis(d_s)
+    gen = basis.real_form(ctx.model.system_liouvillian.matrix)
     reps = [
-        analysis.check_cp(analysis.choi_matrix(_restricted_map(ctx, t), d_s, t=t), tol=1e-8)
+        analysis.check_cp(
+            analysis.choi_of_superoperator(_restricted_propagator(basis, gen, t), d_s, t=t),
+            tol=1e-8,
+        )
         for t in times
     ]
     # np.max and np.min keep a NaN, so the report fails.
@@ -400,19 +410,9 @@ def _check_asymptotics(ctx: _RunContext) -> analysis.VerificationReport:
         return analysis.asymptotics_check(ctx.enlarged, ctx.dec, ctx.spec)
     # Reach 20/gamma0 with the exact propagator regardless of the configured
     # integrator; a fixed-step run to that horizon would be wasteful.
-    gamma0 = float(ctx.dec.rates.min())
-    horizon = 20.0 / gamma0
-    n = 200
-    h = horizon / n
-    step = expm(ctx.model.liouvillian.matrix * h)
-    v = vec(embed_state(ctx.cfg.initial_state, ctx.spec.d_f))
-    times = [0.0]
-    states = [unvec(v, ctx.model.d_tot)]
-    for k in range(1, n + 1):
-        v = step @ v
-        times.append(k * h)
-        states.append(unvec(v, ctx.model.d_tot))
-    traj = Trajectory(times=np.array(times), states=tuple(states), d_s=ctx.spec.d_s)
+    horizon = 20.0 / float(ctx.dec.rates.min())
+    rho0 = embed_state(ctx.cfg.initial_state, ctx.spec.d_f)
+    traj = propagate_nonsingular(ctx.model, rho0, horizon, ASYMPTOTICS_STEPS)
     return analysis.asymptotics_check(traj, ctx.dec, ctx.spec)
 
 
@@ -506,13 +506,22 @@ def write_report(result: RunResult, path) -> None:
 def _liouvillian_norm_bound(model) -> float:
     # L = -i I(x)G + i conj(G)(x)I + sum_k conj(K)(x)K, so the triangle
     # inequality gives ||L||_2 <= 2||G||_2 + sum_k ||K||_2^2 from d_tot x d_tot
-    # norms; the d_tot^2 x d_tot^2 SVD is needed only when this cannot rule
-    # the step-size warning out.
+    # norms.  The generator on the block-diagonal subspace is L restricted to
+    # it, so the bound holds for it too; its SVD is needed only when the
+    # bound cannot rule the step-size warning out.
     eq = model.equation
     bound = 2.0 * np.linalg.norm(eq.generator, 2)
     for k in eq.jumps:
         bound += np.linalg.norm(k, 2) ** 2
     return float(bound)
+
+
+def _subspace_generator_norm(model) -> float:
+    # The generator on (vec rho_ss, vec rho_ff) is [[L_ss, 0], [L_fs, 0]];
+    # its zero block column does not change the 2-norm.
+    l_ss = model.system_liouvillian.matrix
+    l_fs = model.feed(np.eye(l_ss.shape[0]))
+    return float(np.linalg.norm(np.concatenate((l_ss, l_fs)), 2))
 
 
 def run_scenario(cfg: ScenarioConfig, out_dir=None, write: bool = True) -> RunResult:
@@ -521,7 +530,7 @@ def run_scenario(cfg: ScenarioConfig, out_dir=None, write: bool = True) -> RunRe
     ctx = _RunContext(cfg)
     dt = cfg.integrator.dt
     if cfg.integrator.method == "rk4" and dt * _liouvillian_norm_bound(ctx.model) > 0.1:
-        gen_scale = float(np.linalg.norm(ctx.model.liouvillian.matrix, 2))
+        gen_scale = _subspace_generator_norm(ctx.model)
         if dt * gen_scale > 0.1:
             warnings.warn(
                 f"dt*|generator| = {dt * gen_scale:.3g} > 0.1; "

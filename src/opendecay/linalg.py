@@ -2,7 +2,9 @@
 
 Matrices are plain numpy arrays of dtype complex128.  The vectorization
 convention is column stacking, vec([[a, b], [c, d]]) = (a, c, b, d), for
-which vec(A X B) = (B^T kron A) vec(X).
+which vec(A X B) = (B^T kron A) vec(X).  :class:`HermitianBasis` gives
+hermitian matrices real coordinates, in which a map that preserves
+hermiticity, such as a Liouvillian, is a real matrix.
 """
 
 from __future__ import annotations
@@ -14,6 +16,7 @@ import numpy as np
 from .errors import DimensionError, NotHermitianError
 
 __all__ = [
+    "HermitianBasis",
     "HermitianEigen",
     "as_matrix",
     "expm",
@@ -25,9 +28,9 @@ __all__ = [
 ]
 
 
-def as_matrix(m) -> np.ndarray:
-    """Coerce ``m`` to a 2-D complex128 array, rejecting NaN/Inf entries."""
-    a = np.asarray(m, dtype=np.complex128)
+def as_matrix(m, dtype=np.complex128) -> np.ndarray:
+    """Coerce ``m`` to a 2-D array of ``dtype``, rejecting NaN/Inf entries."""
+    a = np.asarray(m, dtype=dtype)
     if a.ndim != 2:
         raise DimensionError(f"expected a matrix, got array of ndim {a.ndim}")
     if not np.isfinite(a).all():
@@ -48,6 +51,72 @@ def unvec(v, rows: int, cols: int | None = None) -> np.ndarray:
     if a.size != rows * cols:
         raise DimensionError(f"cannot reshape length {a.size} into {rows}x{cols}")
     return a.reshape((rows, cols), order="F")
+
+
+class HermitianBasis:
+    """The hermitian basis U of d x d matrices: vec() of E_ii, E_ij + E_ji
+    and i(E_ij - E_ji) for i < j, one column per vec index k.
+
+    These hermitian matrices are mutually orthogonal and span all d x d
+    matrices.  The coordinates of a hermitian matrix are real: its diagonal
+    and the real and imaginary parts of its upper triangle.  Column k has
+    ``first[k]`` at row k and ``second[k]`` at row ``kt[k]``, the vec index
+    of the transposed entry, and no other entry; each is 0, 1 or +-i, so the
+    changes of basis below are gathers that round at most once per entry,
+    and U itself is never built.
+    """
+
+    def __init__(self, d: int):
+        k = np.arange(d * d)
+        row, col = k % d, k // d
+        self.d = d
+        self.kt = row * d + col
+        self.first = np.where(row <= col, 1.0, -1j)
+        self.second = np.where(row < col, 1.0, np.where(row > col, 1j, 0.0))
+        self.norms_sq = np.where(row == col, 1.0, 2.0)  # squared column norms
+
+    def left(self, m: np.ndarray) -> np.ndarray:
+        """U @ m."""
+        out = m[self.kt] * self.second[self.kt][:, None]
+        out += self.first[:, None] * m
+        return out
+
+    def right(self, m: np.ndarray) -> np.ndarray:
+        """m @ U."""
+        out = m[:, self.kt]
+        out *= self.second
+        out += m * self.first
+        return out
+
+    def left_inverse(self, m: np.ndarray) -> np.ndarray:
+        """U^-1 @ m = U† m / norms_sq."""
+        out = m[self.kt]
+        out *= self.second.conj()[:, None]
+        out += self.first.conj()[:, None] * m
+        out /= self.norms_sq[:, None]
+        return out
+
+    def right_inverse(self, m: np.ndarray) -> np.ndarray:
+        """m @ U^-1 = m U† / norms_sq."""
+        scale = self.second.conj() / self.norms_sq
+        out = m[:, self.kt] * scale[self.kt]
+        out += m * (self.first.conj() / self.norms_sq)
+        return out
+
+    def real_form(self, superop: np.ndarray) -> np.ndarray:
+        """Re(U^-1 superop U) for a d^2 x d^2 superoperator.  For one that
+        preserves hermiticity the imaginary part is rounding-level, and the
+        real matrix maps coordinates to coordinates."""
+        return self.left_inverse(self.right(superop)).real
+
+    def coords(self, rho: np.ndarray) -> np.ndarray:
+        """Real coordinates of a hermitian d x d matrix."""
+        return self.left_inverse(rho.reshape(-1, 1, order="F"))[:, 0].real
+
+    def matrices(self, coords: np.ndarray) -> np.ndarray:
+        """The d x d matrices with real coordinates ``coords``, one per row."""
+        v = coords * self.first + coords[:, self.kt] * self.second[self.kt]  # rows of (U h)^T
+        return v.reshape(-1, self.d, self.d).transpose(0, 2, 1)  # vec() stacks columns
 
 
 def frobenius(m) -> float:
@@ -128,8 +197,9 @@ def expm(m) -> np.ndarray:
 
     The input is halved until its 1-norm is at most 0.5, a diagonal Pade
     approximant of order 6 is evaluated, and the result is squared back up.
+    A real input stays real, at a quarter of the complex cost.
     """
-    a = as_matrix(m)
+    a = as_matrix(m, np.float64 if np.isrealobj(m) else np.complex128)
     _require_square(a)
     n = a.shape[0]
     norm = float(np.linalg.norm(a, 1)) if n else 0.0
@@ -137,14 +207,18 @@ def expm(m) -> np.ndarray:
     if norm > 0.5:
         squarings = int(np.ceil(np.log2(norm / 0.5)))
         a = a / (2.0**squarings)
-    eye = np.eye(n, dtype=np.complex128)
+    eye = np.eye(n, dtype=a.dtype)
     c = _PADE6
     a2 = a @ a
     a4 = a2 @ a2
-    a6 = a2 @ a4
     odd = a @ (c[1] * eye + c[3] * a2 + c[5] * a4)
-    even = c[0] * eye + c[2] * a2 + c[4] * a4 + c[6] * a6
-    result = np.linalg.solve(even - odd, even + odd)
+    del a
+    even = c[0] * eye + c[2] * a2 + c[4] * a4 + c[6] * (a2 @ a4)
+    # Drop the powers before the solve, which holds two more n x n arrays.
+    del eye, a2, a4
+    num, den = even + odd, even - odd
+    del even, odd
+    result = np.linalg.solve(den, num)
     for _ in range(squarings):
         result = result @ result
     return result

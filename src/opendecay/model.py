@@ -9,12 +9,13 @@ corresponding Liouvillian superoperators in column-stacking convention.
 Both master equations have the form rho' = -i(G rho - rho G†) + sum_k K rho K†,
 whose Liouvillian is L = -i I(x)G + i conj(G)(x)I + sum_k conj(K)(x)K; one
 :class:`MasterEquation` holds G and the jumps K for every setting.  On the
-enlarged space the decay operator maps system states only into the decay
-sector, so G[:d_s, d_s:] and every K[:d_s, d_s:] vanish.  Then the rows of L
-for system-block entries have non-zero columns only at system-block entries:
-L is block-triangular, and exp(tL) restricted to the system block equals
-exp(t L_ss), where L_ss is built by the same formula from the d_s x d_s
-upper-left blocks of G and of every K (``EnlargedModel.system_liouvillian``).
+enlarged space the decay sector is passive: it has no Hamiltonian, no jump
+acts on it, and the decay operator B maps system states only into it.  So a
+block-diagonal state stays block-diagonal: rho_ss evolves alone under L_ss,
+built by the same formula from the d_s x d_s upper-left blocks of G and of the
+Lindblad operators (``EnlargedModel.system_liouvillian``), rho_sf stays zero,
+and rho_ff' = B rho_ss B† (``EnlargedModel.feed``).  Every run works on that
+subspace; the d_tot^2 x d_tot^2 Liouvillian is assembled only as a test oracle.
 """
 
 from __future__ import annotations
@@ -65,9 +66,8 @@ class MasterEquation:
 
         Folds every anticommutator of the master equation into one
         non-hermitian generator, so each right-hand side needs only
-        2 + 2*len(jumps) products.  ``loss`` is Gamma on the system space,
-        B†B for the system block of the block-decoupled equations, and
-        absent on the enlarged space, where B is one of the jumps.
+        2 + 2*len(jumps) products.  ``loss`` is Gamma on the system space
+        and absent on the enlarged space, where B is one of the jumps.
         """
         gram = np.zeros(hamiltonian.shape, dtype=np.complex128)
         for k in jumps:
@@ -294,41 +294,80 @@ class EnlargedModel:
 
     @cached_property
     def liouvillian(self) -> Liouvillian:
-        """The enlarged-space Liouvillian, assembled once per model."""
+        """The enlarged-space Liouvillian, assembled once per model.  No run
+        path builds it; it is the d_tot^2 x d_tot^2 oracle of the tests."""
         return assemble_liouvillian(self.hamiltonian, self.lindblad_ops, self.decay_op)
 
     @cached_property
-    def system_liouvillian(self) -> Liouvillian:
-        """The d_s^2 x d_s^2 system block of :attr:`liouvillian`, built from
-        the d_s x d_s upper-left blocks of the generator and the jump
-        operators without assembling the enlarged one.
+    def system_equation(self) -> MasterEquation:
+        """The equation of the system block: the d_s x d_s upper-left blocks
+        of the generator and of the Lindblad operators.
 
-        It is exact when nothing couples the decay sector back into the
-        system block: G[:d_s, d_s:] and every K[:d_s, d_s:] are zero.  Then
-        L is block-triangular and exp(tL) restricted to the system block is
-        exp(t L_ss).  Raises :class:`ConstraintError` naming the operator
-        whose s<-f block is not exactly zero.
+        It is exact on the block-diagonal subspace, which the enlarged
+        equation leaves invariant when the decay sector is passive: every
+        Lindblad operator and the generator live in the ss block, and the
+        decay operator maps s to f only.  Then rho_ss evolves alone under
+        it, rho_sf stays zero and rho_ff' = B rho_ss B† (:meth:`feed`).
+        Raises :class:`ConstraintError` naming the operator and the block
+        that would leave the subspace.
 
-        The block equals :func:`assemble_liouvillian_wwa` only through
+        The generator's block equals H - (i/2)(Gamma + sum A†A) only through
         B†B = Gamma, which holds up to rounding and the eigenvalues that
         :func:`decompose_gamma` drops.  It is built here from the enlarged
         operators instead, so that the ``cp`` check certifies the map the
         enlarged model generates without assuming that identity; the
         ``equivalence`` check is the one that tests it.
         """
+        self._require_closed()
         d = self.d_s
-        eq = self.equation
-        named = [("generator H - (i/2) sum K†K", eq.generator)]
-        named += [(f"Lindblad operator {k}", a) for k, a in enumerate(self.lindblad_ops)]
-        named.append(("decay operator", self.decay_op))
-        for name, op in named:
-            if np.any(op[:d, d:]):
-                raise ConstraintError(
-                    f"{name} couples the decay sector into the system block; "
-                    "the system block of the Liouvillian is not closed"
-                )
-        jumps = tuple(k[:d, :d] for k in eq.jumps)
-        return MasterEquation(eq.generator[:d, :d], jumps).liouvillian()
+        return MasterEquation(
+            self.equation.generator[:d, :d], tuple(a[:d, :d] for a in self.lindblad_ops)
+        )
+
+    def _require_closed(self) -> None:
+        d = self.d_s
+        blocks = {
+            "ss": np.s_[:d, :d], "sf": np.s_[:d, d:], "fs": np.s_[d:, :d], "ff": np.s_[d:, d:]
+        }
+        outside = ("sf", "fs", "ff")
+        # Jumps first: a jump with a stray block also puts one into the
+        # generator through K†K, and the message should name the jump.
+        named = [(f"Lindblad operator {k}", a, outside) for k, a in enumerate(self.lindblad_ops)]
+        named.append(("decay operator", self.decay_op, ("ss", "sf", "ff")))
+        named.append(("generator H - (i/2) sum K†K", self.equation.generator, outside))
+        for name, op, zero in named:
+            for block in zero:
+                if np.any(op[blocks[block]]):
+                    raise ConstraintError(
+                        f"{name} has a nonzero {block} block; the block-diagonal "
+                        "subspace of the enlarged space is not closed"
+                    )
+
+    @cached_property
+    def system_liouvillian(self) -> Liouvillian:
+        """L_ss: the d_s^2 x d_s^2 Liouvillian of :attr:`system_equation`,
+        the system block of :attr:`liouvillian` without assembling it.
+        exp(tL) restricted to the system block is exp(t L_ss)."""
+        return self.system_equation.liouvillian()
+
+    def feed(self, x) -> np.ndarray:
+        """L_fs @ x, for L_fs the ff <- ss block of :attr:`liouvillian`.
+
+        Each column of ``x`` (d_s^2 rows) is vec(rho_ss) and becomes
+        vec(B rho_ss B†), with B the fs block of the decay operator, through
+        two batched d x d products instead of the d_f^2 x d_s^2 Kronecker
+        matrix.  Raises :class:`ConstraintError` as
+        :attr:`system_equation` does.
+        """
+        self._require_closed()
+        d_s, d_f = self.d_s, self.d_f
+        b = self.decay_op[d_s:, :d_s]
+        x = np.asarray(x, dtype=np.complex128)
+        m = x.shape[1]
+        # Row j of x.T, read as d_s x d_s in C order, is rho_j^T; so
+        # conj(B) rho_j^T B^T = (B rho_j B†)^T, whose C-order rows are vec().
+        out = b.conj() @ x.T.reshape(m, d_s, d_s) @ b.T
+        return out.reshape(m, d_f * d_f).T
 
 
 def _embed_block(m: np.ndarray, d_s: int, d_f: int) -> np.ndarray:

@@ -25,7 +25,6 @@ from opendecay.analysis import (
 from opendecay.evolution import (
     IntegratorConfig,
     Trajectory,
-    evolve_blocks,
     evolve_enlarged,
     evolve_wwa,
     propagate_exact,
@@ -269,7 +268,7 @@ def test_10_decay_block_quadrature(corpus):
     cfg = IntegratorConfig(dt=1e-3, t_max=2.0, sample_stride=1)
     worst = 0.0
     for m in corpus:
-        traj = evolve_blocks(m.spec, m.decay, embed_state(m.rho0, m.spec.d_f), cfg)
+        traj = evolve_enlarged(m.model, embed_state(m.rho0, m.spec.d_f), cfg)
         ss = Trajectory(
             times=traj.times,
             states=tuple(traj.blocks(k).rho_ss for k in range(len(traj))),

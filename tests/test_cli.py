@@ -3,6 +3,7 @@ import os
 import warnings
 
 from pathlib import Path
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -17,9 +18,10 @@ from opendecay.cli import (
     write_timeseries,
 )
 from opendecay.errors import ParseError, ValidationError
-from opendecay.evolution import IntegratorConfig
+from opendecay.evolution import IntegratorConfig, Trajectory
 from opendecay.linalg import expm, unvec, vec
 from opendecay.model import embed_state
+from opendecay.randmodel import MAX_ENTRIES
 
 SINGLE_DECAY = builtin_scenario_path("single-decay").read_text()
 
@@ -302,6 +304,21 @@ def test_parse_rejects_oversized_random_system():
         parse_config(json.dumps(doc))
 
 
+def test_main_exit_2_on_decay_space_beyond_limit(tmp_path, monkeypatch, capsys):
+    # d_f is bounded only from below by rank(Gamma); (1 + 10^6)^2 entries per
+    # enlarged-space matrix is a config error, raised before anything is built.
+    doc = json.loads(SINGLE_DECAY)
+    doc["system"]["d_f"] = 10**6
+    path = tmp_path / "huge.json"
+    path.write_text(json.dumps(doc))
+    monkeypatch.setattr(cli, "run_scenario", lambda *a, **k: pytest.fail("run started"))
+    assert main(["simulate", str(path), "--out", str(tmp_path / "out")]) == 2
+    err = capsys.readouterr().err
+    assert f"{(1 + 10**6) ** 2} entries" in err and "MAX_ENTRIES" in err
+    doc["system"]["d_f"] = int(MAX_ENTRIES**0.5) - 1  # (d_s + d_f)^2 = MAX_ENTRIES
+    assert parse_config(json.dumps(doc)).system.d_f == int(MAX_ENTRIES**0.5) - 1
+
+
 def test_main_exit_2_on_unknown_flag_check(tmp_path):
     assert main(["simulate", "single-decay", "--out", str(tmp_path), "--checks", "bogus"]) == 2
 
@@ -549,3 +566,66 @@ def test_cp_check_does_not_assemble_enlarged_liouvillian(monkeypatch):
     assert model.d_tot == 24
     assert "system_liouvillian" in vars(model)
     assert "liouvillian" not in vars(model)
+
+
+def test_all_checks_do_not_assemble_enlarged_liouvillian(monkeypatch):
+    # With every check, at d_s = 12 (d_tot = 24), no run path builds a
+    # d_tot^2 x d_tot^2 matrix: the enlarged Liouvillian stays unassembled.
+    contexts = []
+    make = cli._RunContext
+
+    def recording(cfg):
+        contexts.append(make(cfg))
+        return contexts[-1]
+
+    monkeypatch.setattr(cli, "_RunContext", recording)
+    text = json.dumps({
+        "name": "all-checks",
+        "random_system": {"seed": 42, "d_s": 12, "n_lindblad": 1},
+        "integrator": {"dt": 1e-3, "t_max": 0.05, "sample_stride": 10, "method": "rk4"},
+        "checks": list(cli.CHECK_NAMES),
+    })
+    result = run_scenario(parse_config(text), write=False)
+    assert [r.name for r in result.reports] == list(cli.CHECK_NAMES)
+    assert all(r.passed for r in result.reports)
+    (ctx,) = contexts
+    assert ctx.dec.null_dim == 0  # the asymptotics check propagates
+    assert ctx.model.d_tot == 24
+    assert "liouvillian" not in vars(ctx.model)
+
+
+def _full_liouvillian_asymptotics(m):
+    # The asymptotics check's propagation before it moved onto the
+    # block-diagonal subspace: expm of the whole enlarged Liouvillian.
+    horizon = 20.0 / float(m.dec.rates.min())
+    n = cli.ASYMPTOTICS_STEPS
+    step = expm(m.liouv.matrix * (horizon / n))
+    v = vec(embed_state(m.rho0, m.spec.d_f))
+    states = [unvec(v, m.model.d_tot)]
+    for _ in range(n):
+        v = step @ v
+        states.append(unvec(v, m.model.d_tot))
+    traj = Trajectory(times=np.arange(n + 1) * (horizon / n), states=states, d_s=m.spec.d_s)
+    return analysis.asymptotics_check(traj, m.dec, m.spec)
+
+
+def test_asymptotics_matches_full_liouvillian_loop(corpus):
+    checked = 0
+    for m in corpus:
+        if m.dec.null_dim > 0:
+            continue
+        checked += 1
+        ctx = SimpleNamespace(
+            dec=m.dec, spec=m.spec, model=m.model, cfg=SimpleNamespace(initial_state=m.rho0)
+        )
+        new = cli._check_asymptotics(ctx)
+        old = _full_liouvillian_asymptotics(m)
+        assert new.status == old.status == "pass"
+        # measured is the worst residual over its tolerance; the largest one,
+        # |1 - Tr rho_ff| / 1e-7, is rounding-level for most members after
+        # 200 steps, where the old loop alone is off by up to 1.4e-14
+        # (1.4e-7 in these units).  1e-6 allows 1e-13 on that gap.
+        assert abs(new.measured - old.measured) <= 1e-6
+        for key in ("final_ss_norm", "final_sf_norm", "final_ff_trace_gap", "bound_excess"):
+            assert abs(new.meta[key] - old.meta[key]) <= 1e-13
+    assert checked >= 3

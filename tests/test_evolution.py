@@ -2,25 +2,25 @@ import numpy as np
 import pytest
 
 from opendecay import evolution
-from opendecay.errors import DimensionError, GridError, NumericsError
+from opendecay.errors import ConstraintError, DimensionError, GridError, NumericsError
 from opendecay.evolution import (
     SUPEROP_MAX_DIM,
     BlockDensity,
     IntegratorConfig,
     Trajectory,
     closed_form_1d,
-    evolve_blocks,
     evolve_enlarged,
     evolve_wwa,
     integrate_rk4,
     propagate_exact,
     rho_ff_quadrature,
-    rhs_blocks,
     rhs_enlarged,
     rhs_wwa,
 )
+from opendecay.linalg import unvec, vec
 from opendecay.model import (
     Liouvillian,
+    MasterEquation,
     SystemSpec,
     assemble_liouvillian,
     build_decay_operator,
@@ -122,28 +122,70 @@ def test_rhs_enlarged_single_decay():
     assert np.allclose(deriv, np.diag([-0.5, 0.5]), atol=1e-15)
 
 
-def test_rhs_blocks_zero_coherence_stays_zero():
-    spec, rho0, decay, _ = random_member()
-    blocks = BlockDensity.from_full(embed_state(rho0, spec.d_f), spec.d_s)
-    deriv = rhs_blocks(blocks, spec, decay)
+def test_block_diagonal_state_keeps_zero_coherence():
+    # The enlarged equation maps a block-diagonal state to a block-diagonal
+    # derivative, so evolve_enlarged keeps the coherence blocks exactly zero.
+    spec, rho0, decay, model = random_member()
+    rho0_full = embed_state(rho0, spec.d_f)
+    deriv = BlockDensity.from_full(rhs_enlarged(rho0_full, model), spec.d_s)
     assert np.abs(deriv.rho_sf).max() == 0.0
     assert np.abs(deriv.rho_fs).max() == 0.0
+    traj = evolve_enlarged(model, rho0_full, IntegratorConfig(dt=1e-3, t_max=0.1, sample_stride=10))
+    for k in range(len(traj)):
+        assert np.abs(traj.blocks(k).rho_sf).max() == 0.0
+        assert np.abs(traj.blocks(k).rho_fs).max() == 0.0
 
 
-def test_rhs_blocks_single_decay_growth():
-    spec, decay, _ = single_decay(gamma=1.0)
-    blocks = BlockDensity.from_full(np.diag([0.3, 0.0]), 1)
-    deriv = rhs_blocks(blocks, spec, decay)
-    assert deriv.rho_ff[0, 0] == pytest.approx(0.3)
+def test_feed_single_decay_growth():
+    # rho_ff' = B rho_ss B†, with B = 1 for the unit decay rate.
+    _, _, model = single_decay(gamma=1.0)
+    assert model.feed(np.array([[0.3]]))[0, 0] == pytest.approx(0.3)
+    assert rhs_enlarged(np.diag([0.3, 0.0]), model)[1, 1] == pytest.approx(0.3)
 
 
-def test_rhs_blocks_matches_full_equation():
+def test_subspace_blocks_match_full_equation():
+    # On a block-diagonal state the enlarged equation is rho_ss' = L_ss rho_ss
+    # and rho_ff' = L_fs rho_ss, with zero coherence blocks.
     rng = np.random.default_rng(9)
     spec, _, decay, model = random_member(seed=6)
+    d_s, d_f = spec.d_s, spec.d_f
+    l_ss = model.system_liouvillian.matrix
     for _ in range(5):
-        rho = random_hermitian(model.d_tot, rng)
-        via_blocks = rhs_blocks(BlockDensity.from_full(rho, spec.d_s), spec, decay).to_full()
-        assert np.abs(via_blocks - rhs_enlarged(rho, model)).max() <= 1e-12
+        rho_ss, rho_ff = random_hermitian(d_s, rng), random_hermitian(d_f, rng)
+        zero = np.zeros((d_s, d_f))
+        full = BlockDensity(rho_ss=rho_ss, rho_sf=zero, rho_fs=zero.T, rho_ff=rho_ff).to_full()
+        deriv = BlockDensity.from_full(rhs_enlarged(full, model), d_s)
+        assert np.abs(deriv.rho_ss - unvec(l_ss @ vec(rho_ss), d_s)).max() <= 1e-12
+        fed = unvec(model.feed(vec(rho_ss)[:, None]), d_f)
+        assert np.abs(deriv.rho_ff - fed).max() <= 1e-12
+        assert np.abs(deriv.rho_ff - decay.matrix @ rho_ss @ decay.matrix.conj().T).max() <= 1e-12
+        assert np.abs(deriv.rho_sf).max() == 0.0
+
+
+def test_feed_is_block_of_full_liouvillian(corpus):
+    for m in corpus:
+        d_s, d_tot = m.spec.d_s, m.model.d_tot
+        idx = np.arange(d_tot * d_tot).reshape((d_tot, d_tot), order="F")
+        ss = idx[:d_s, :d_s].ravel(order="F")
+        ff = idx[d_s:, d_s:].ravel(order="F")
+        block = m.liouv.matrix[np.ix_(ff, ss)]
+        assert np.abs(m.model.feed(np.eye(d_s * d_s)) - block).max() <= 1e-14
+
+
+@pytest.mark.parametrize("d_s", [2, SUPEROP_MAX_DIM + 1])
+@pytest.mark.parametrize("block", ["sf", "fs"])
+def test_enlarged_rejects_coherent_initial_state(block, d_s):
+    # Within the hermiticity tolerance, so that the block check is what
+    # trips, and before any operator of the run is built.
+    spec, rho0, decay, model = random_member(d_s=d_s)
+    rho = embed_state(rho0, spec.d_f)
+    if block == "sf":
+        rho[0, d_s] = 1e-12
+    else:
+        rho[d_s, 0] = 1e-12
+    with pytest.raises(ConstraintError, match=f"initial state has a nonzero {block} block"):
+        evolve_enlarged(model, rho, IntegratorConfig(dt=1e-3, t_max=0.01))
+    assert "system_equation" not in vars(model)
 
 
 # -- RK4 integration --------------------------------------------------------------
@@ -298,7 +340,7 @@ def test_quadrature_matches_ode_route():
     # integrated block equation
     spec, rho0, decay, model = random_member(seed=14)
     cfg = IntegratorConfig(dt=5e-4, t_max=2.0, sample_stride=1)
-    traj = evolve_blocks(spec, decay, embed_state(rho0, spec.d_f), cfg)
+    traj = evolve_enlarged(model, embed_state(rho0, spec.d_f), cfg)
     ss = Trajectory(times=traj.times, states=tuple(traj.blocks(k).rho_ss for k in range(len(traj))))
     quad = rho_ff_quadrature(decay, ss)
     worst = max(
@@ -361,33 +403,52 @@ def test_superop_stepper_matches_direct_rk4_on_corpus(corpus):
     assert worst <= 1e-12
 
 
+@pytest.mark.parametrize("method", ["rk4", "exact"])
+def test_subspace_matches_full_liouvillian_on_corpus(corpus, method):
+    # The (ss, ff) stepper against the same method on the whole d_tot^2 x
+    # d_tot^2 Liouvillian.
+    cfg = IntegratorConfig(dt=1e-3, t_max=0.4, sample_stride=40, method=method)
+    worst = 0.0
+    for m in corpus:
+        rho0_full = embed_state(m.rho0, m.spec.d_f)
+        fast = evolve_enlarged(m.model, rho0_full, cfg)
+        oracle = evolution._evolve_linear(m.liouv, rho0_full, cfg)
+        assert np.array_equal(fast.times, oracle.times)
+        for a, b in zip(fast.states, oracle.states):
+            worst = max(worst, float(np.linalg.norm(a - b)))
+    assert worst <= 1e-12
+
+
 @pytest.mark.parametrize("above", [False, True])
 @pytest.mark.parametrize("space", ["enlarged", "wwa"])
 def test_direct_rk4_above_superop_threshold(monkeypatch, space, above):
-    # States at the threshold take the stepper, one past it the direct RK4;
-    # full-rank random models have d_tot = 2 d_s.
-    d_s = SUPEROP_MAX_DIM // (2 if space == "enlarged" else 1) + int(above)
+    # Systems with d_s at the threshold take the stepper, one past it the
+    # direct RK4, on either space; the direct RK4 calls the system-block
+    # equation's right-hand side four times per step.
+    d_s = SUPEROP_MAX_DIM + int(above)
     spec, rho0, decay, model = random_member(seed=15, d_s=d_s)
     if space == "enlarged":
-        evolve, target, name, rhs = evolve_enlarged, model, "rhs_enlarged", rhs_enlarged
-        rho0, dim = embed_state(rho0, spec.d_f), model.d_tot
+        evolve, target, rhs = evolve_enlarged, model, rhs_enlarged
+        rho0 = embed_state(rho0, spec.d_f)
     else:
-        evolve, target, name, rhs = evolve_wwa, spec, "rhs_wwa", rhs_wwa
-        dim = spec.d_s
-    assert (dim > SUPEROP_MAX_DIM) == above
+        evolve, target, rhs = evolve_wwa, spec, rhs_wwa
     calls = []
+    original = MasterEquation.rhs
 
-    def counting(rho, obj):
+    def counting(self, rho):
         calls.append(1)
-        return rhs(rho, obj)
+        return original(self, rho)
 
-    monkeypatch.setattr(evolution, name, counting)
+    monkeypatch.setattr(MasterEquation, "rhs", counting)
     cfg = IntegratorConfig(dt=1e-3, t_max=0.01)
     traj = evolve(target, rho0, cfg)
     assert len(calls) == (4 * cfg.n_steps if above else 0)
     if above:
         ref = integrate_rk4(lambda r: rhs(r, target), rho0, cfg)
-        assert all(np.array_equal(a, b) for a, b in zip(traj.states, ref.states))
+        worst = max(float(np.linalg.norm(a - b)) for a, b in zip(traj.states, ref.states))
+        # The system space runs integrate_rk4 itself; the enlarged space runs
+        # the same RK4 on its blocks, in other arithmetic.
+        assert worst == 0.0 if space == "wwa" else worst <= 1e-12
 
 
 @pytest.mark.parametrize("method", ["rk4", "exact"])
@@ -409,6 +470,30 @@ def test_superop_drift_monitor_trips_on_nan():
     cfg = IntegratorConfig(dt=5.0, t_max=5000.0)
     with pytest.raises(NumericsError, match="hermiticity drift nan"):
         evolve_enlarged(model, np.diag([1.0, 0.0]), cfg)
+
+
+@pytest.mark.parametrize("d", [1, evolution.FOLD_MAX_DIM + 1])
+def test_stepper_drift_monitor_sees_the_fed_block(d):
+    # The system block stays hermitian and the fed block does not: the drift
+    # is taken over both blocks, in the folded and in the split step.
+    q_ss = np.eye(d * d, dtype=complex)
+    q_fs = np.zeros((1, d * d), dtype=complex)
+    q_fs[0, 0] = 1j
+    h0 = np.zeros(d * d + 1)
+    h0[0] = 1.0
+    cfg = IntegratorConfig(dt=0.1, t_max=1.0)
+    with pytest.raises(NumericsError, match="hermiticity drift 2.000e[+]00 at step 1 exceeds"):
+        evolution._evolve_steps([q_ss, q_fs], h0, (d, 1), cfg)
+
+
+@pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning", "ignore:invalid:RuntimeWarning")
+def test_direct_block_drift_monitor_trips():
+    # Above the stepper's threshold; dt = 50 makes every RK4 step grow the
+    # state, and its rounding-level antihermitian part with it.
+    spec, rho0, decay, model = random_member(seed=15, d_s=SUPEROP_MAX_DIM + 1)
+    cfg = IntegratorConfig(dt=50.0, t_max=50.0 * 1000)
+    with pytest.raises(NumericsError, match="hermiticity drift .* at step [0-9]+ exceeds 1e-09"):
+        evolve_enlarged(model, embed_state(rho0, spec.d_f), cfg)
 
 
 def test_superop_rejects_nonhermitian_initial_state():

@@ -358,3 +358,34 @@ def test_system_liouvillian_rejects_coupling_into_system_block(override, named):
     assert _two_level_model().system_liouvillian.dim == 1
     with pytest.raises(ConstraintError, match=named):
         _two_level_model(**override).system_liouvillian
+
+
+_S = np.array([[1.0, 0.0], [0.0, 0.0]], dtype=complex)  # ss
+_SF = np.array([[0.0, 0.2], [0.0, 0.0]], dtype=complex)
+_FS = np.array([[0.0, 0.0], [0.2, 0.0]], dtype=complex)
+_FF = np.array([[0.0, 0.0], [0.0, 0.2]], dtype=complex)
+
+
+@pytest.mark.parametrize(
+    "override, named, block",
+    [
+        (dict(hamiltonian=_S + _SF + _SF.T), "generator", "sf"),
+        (dict(hamiltonian=_S + _FS), "generator", "fs"),
+        (dict(hamiltonian=_S + _FF), "generator", "ff"),
+        (dict(lindblad_ops=(_S + _SF,)), "Lindblad operator 0", "sf"),
+        (dict(lindblad_ops=(_S, _S + _FS)), "Lindblad operator 1", "fs"),
+        (dict(lindblad_ops=(_S + _FF,)), "Lindblad operator 0", "ff"),
+        (dict(decay_op=_FS + _S), "decay operator", "ss"),
+        (dict(decay_op=_FS + _SF), "decay operator", "sf"),
+        (dict(decay_op=_FS + _FF), "decay operator", "ff"),
+    ],
+)
+def test_subspace_rejects_every_block_that_leaves_it(override, named, block):
+    # Each operator and block that would couple the block-diagonal subspace
+    # to the coherences, or give the decay sector dynamics of its own.
+    model = _two_level_model(**override)
+    for build in (lambda: model.system_equation, lambda: model.feed(np.eye(1))):
+        with pytest.raises(ConstraintError, match=f"{named}.* has a nonzero {block} block"):
+            build()
+    with pytest.raises(ConstraintError, match=f"nonzero {block} block"):
+        evolve_enlarged(model, np.diag([1.0, 0.0]), IntegratorConfig(dt=1e-3, t_max=0.01))
