@@ -64,6 +64,7 @@ from .model import (
     decompose_gamma,
     embed_operators,
     embed_state,
+    feed_columns,
     validate_spec,
 )
 from .randmodel import MAX_ENTRIES, random_system
@@ -73,6 +74,10 @@ CHECK_NAMES = ("trace", "positivity", "cp", "equivalence", "asymptotics")
 CP_SAMPLE_TIMES = (0.1, 1.0, 5.0)
 # Steps of the exact propagation to the asymptotics horizon 20/gamma0.
 ASYMPTOTICS_STEPS = 200
+# Largest size in bytes of the two trajectories a run keeps, n_samples * 16 *
+# (d_tot^2 + d_s^2) for the complex enlarged and system-space states.  The
+# CSV table and the positivity check each hold about one more enlarged copy.
+MAX_TRAJECTORY_BYTES = 2**29
 
 __all__ = [
     "RunResult",
@@ -95,6 +100,16 @@ class ScenarioConfig:
     checks: tuple[str, ...]
     output: str
     seed: int | None = None
+
+    def __post_init__(self):
+        # Checked on every construction, so also after _apply_overrides.
+        n, d_s, d_f = self.integrator.n_samples, self.system.d_s, self.system.d_f
+        size = n * 16 * ((d_s + d_f) ** 2 + d_s**2)
+        if size > MAX_TRAJECTORY_BYTES:
+            raise ParseError(
+                f"config: {n} samples at d_s={d_s}, d_f={d_f} need {size} bytes of "
+                f"trajectories, more than MAX_TRAJECTORY_BYTES = {MAX_TRAJECTORY_BYTES}"
+            )
 
 
 @dataclass(eq=False)
@@ -368,8 +383,7 @@ def _check_positivity(ctx: _RunContext) -> analysis.VerificationReport:
 
 def _check_equivalence(ctx: _RunContext) -> analysis.VerificationReport:
     d_s = ctx.spec.d_s
-    delta = np.stack([s[:d_s, :d_s] for s in ctx.enlarged.states])
-    delta -= np.stack(ctx.wwa.states)
+    delta = ctx.enlarged.states[:, :d_s, :d_s] - ctx.wwa.states
     worst = float(np.linalg.norm(delta, axis=(1, 2)).max())
     return analysis.VerificationReport(
         name="equivalence",
@@ -434,10 +448,9 @@ def _format(x: float) -> str:
 
 def _sample_table(traj: Trajectory, d_s: int) -> tuple[tuple[float, ...], ...]:
     # Columns t, tr_rho_ss, tr_rho_ff, tr_total, delta (purity), min_eig.
-    rho = np.stack(traj.states)
-    tr_ss = np.trace(rho[:, :d_s, :d_s], axis1=1, axis2=2).real
-    tr_ff = np.trace(rho[:, d_s:, d_s:], axis1=1, axis2=2).real
-    rho += np.conj(np.swapaxes(rho, 1, 2))
+    tr_ss = np.trace(traj.states[:, :d_s, :d_s], axis1=1, axis2=2).real
+    tr_ff = np.trace(traj.states[:, d_s:, d_s:], axis1=1, axis2=2).real
+    rho = traj.states + np.conj(np.swapaxes(traj.states, 1, 2))
     rho *= 0.5
     delta = np.einsum("nij,nji->n", rho, rho).real
     min_eig = np.linalg.eigvalsh(rho)[:, 0]
@@ -520,7 +533,7 @@ def _subspace_generator_norm(model) -> float:
     # The generator on (vec rho_ss, vec rho_ff) is [[L_ss, 0], [L_fs, 0]];
     # its zero block column does not change the 2-norm.
     l_ss = model.system_liouvillian.matrix
-    l_fs = model.feed(np.eye(l_ss.shape[0]))
+    l_fs = feed_columns(model.decay_op[model.d_s :, : model.d_s], np.eye(l_ss.shape[0]))
     return float(np.linalg.norm(np.concatenate((l_ss, l_fs)), 2))
 
 

@@ -11,27 +11,32 @@ Both master equations are linear and autonomous, d vec(rho)/dt = L vec(rho),
 so one classical RK4 step is exactly the matrix polynomial
 P(dt L) = I + dt L + (dt L)^2/2 + (dt L)^3/6 + (dt L)^4/24.
 
-The enlarged space is evolved on its block-diagonal invariant subspace (see
-:mod:`opendecay.model`): in the coordinates (vec rho_ss, vec rho_ff) its
-generator is [[L_ss, 0], [L_fs, 0]], so a step of length h is
-[[E, 0], [Phi, I]], with d_s^2 + d_f^2 coordinates instead of d_tot^2.  The
-``rk4`` step has E = P(h L_ss) and Phi = h L_fs (I + a/2 + a^2/6 + a^3/24)
-for a = h L_ss; the ``exact`` step takes E and Phi from one expm of
-[[h L_ss, 0], [h L_fs, 0]] (Van Loan, IEEE Trans. Autom. Control 23, 395
-(1978)).
+One engine evolves both spaces.  The enlarged space is evolved on its
+block-diagonal invariant subspace (see :mod:`opendecay.model`): in the
+coordinates (vec rho_ss, vec rho_ff) its generator is [[L_ss, 0], [L_fs, 0]],
+where L_fs feeds rho_ff' = B rho_ss B† from the d_f x d_s decay block B, so a
+step of length h is [[E, 0], [Phi, I]], with d_s^2 + d_f^2 coordinates
+instead of d_tot^2.  The system space is the same engine with an empty decay
+sector, d_f = 0, and its own L_ss, built from H - (i/2) Gamma without B, so
+that the ``equivalence`` check still tests B†B = Gamma.  The ``rk4`` step has
+E = P(h L_ss) and Phi = h L_fs (I + a/2 + a^2/6 + a^3/24) for a = h L_ss; the
+``exact`` step takes E and Phi from one expm of [[h L_ss, 0], [h L_fs, 0]]
+(Van Loan, IEEE Trans. Autom. Control 23, 395 (1978)).
 
-For d_s <= SUPEROP_MAX_DIM, on either space, the ``rk4`` method builds its
-step once and then spends one real matvec per step; ``exact`` always does.
-Larger system blocks take the direct right-hand-side RK4, whose step costs
-O(d_s^3) instead of O(d_s^4); on the enlarged space it evolves rho_ss with
-the system-block equation and accumulates rho_ff from the RK4 stages.  The
-crossover, measured per step for a d x d state at one BLAS thread (2-core AMD
-EPYC, numpy 2.4.6, OpenBLAS 0.3.31) with the Liouvillian assembly and the
-build of P included: at d = 16 the stepper costs 37, 25 and 14 us over 500,
-1000 and 5000 steps against 44-47 us direct; at d = 18 it costs 65 and 43 us
-over 500 and 1000 steps against 50-52 us; at d = 20, 108 and 69 us against
-53-57 us.  16 is the largest size at which the stepper wins from 500 steps
-on.
+For d_s <= SUPEROP_MAX_DIM the ``rk4`` method builds its step once and then
+spends one real matvec per step; ``exact`` always does.  Larger system blocks
+take the direct right-hand-side RK4, whose step costs O(d_s^3) instead of
+O(d_s^4): it evolves rho_ss with the system-block equation and accumulates
+rho_ff from the RK4 stages.  The crossover, measured per step for a d x d
+state at one BLAS thread (2-core AMD EPYC, numpy 2.4.6, OpenBLAS 0.3.31)
+with the Liouvillian assembly and the build of P included: at d = 16 the
+stepper costs 37, 25 and 14 us over 500, 1000 and 5000 steps against
+44-47 us direct; at d = 18 it costs 65 and 43 us over 500 and 1000 steps
+against 50-52 us; at d = 20, 108 and 69 us against 53-57 us.  16 is the
+largest size at which the stepper wins from 500 steps on.
+
+A :class:`Trajectory` holds its states as one read-only (n, d, d) complex
+array, the one the engine fills.
 """
 
 from __future__ import annotations
@@ -50,6 +55,8 @@ from .model import (
     Liouvillian,
     SystemSpec,
     assemble_liouvillian_wwa,
+    decay_feed,
+    feed_columns,
 )
 
 # Allowed per-step hermiticity drift before the integrator aborts.
@@ -66,8 +73,7 @@ FOLD_MAX_DIM = 6
 # Largest step count t_max/dt an IntegratorConfig accepts.  A step costs
 # ~1 us (stepper, small d) to ~0.3 ms (direct RK4 on the enlarged space at
 # d_s = 30), so this caps one evolution at seconds to about an hour instead
-# of letting a tiny dt ask for unbounded work and a sample list of unbounded
-# length.
+# of letting a tiny dt ask for unbounded work.
 MAX_STEPS = 10**7
 
 __all__ = [
@@ -114,31 +120,34 @@ class BlockDensity:
     def to_full(self) -> np.ndarray:
         return np.block([[self.rho_ss, self.rho_sf], [self.rho_fs, self.rho_ff]])
 
-    @property
-    def total_trace(self) -> float:
-        return float(np.trace(self.rho_ss).real + np.trace(self.rho_ff).real)
-
 
 @dataclass(frozen=True)
 class Trajectory:
     """Sampled evolution: strictly increasing times and one state per time.
 
-    ``d_s`` is set for enlarged-space runs so samples can be addressed by
-    block; it stays ``None`` for system-space-only runs.
+    ``states`` is stored as one read-only (n, d, d) complex array, so that
+    code which writes into a sample fails instead of changing it.  ``d_s``
+    is set for enlarged-space runs so samples can be addressed by block; it
+    stays ``None`` for system-space-only runs.
     """
 
     times: np.ndarray
-    states: tuple[np.ndarray, ...]
+    states: np.ndarray
     d_s: int | None = None
 
     def __post_init__(self):
         object.__setattr__(self, "times", np.asarray(self.times, dtype=float))
-        object.__setattr__(self, "states", tuple(self.states))
+        # A view, so that an array the caller passed in stays writable.
+        states = np.asarray(self.states, dtype=np.complex128).view()
+        states.flags.writeable = False
+        object.__setattr__(self, "states", states)
         if self.times.ndim != 1:
             raise ValueError("times must be one-dimensional")
         if np.any(np.diff(self.times) <= 0):
             raise ValueError("times must be strictly increasing")
-        if len(self.states) != self.times.size:
+        if states.ndim != 3 or states.shape[1] != states.shape[2]:
+            raise ValueError(f"states must be an (n, d, d) array, got shape {states.shape}")
+        if len(states) != self.times.size:
             raise ValueError("states and times must have equal length")
 
     def __len__(self) -> int:
@@ -148,7 +157,7 @@ class Trajectory:
         if self.d_s is None:
             raise DimensionError("trajectory has no block structure (d_s unset)")
         # The integrators store finite complex arrays; skip from_full's check.
-        return BlockDensity._split(np.asarray(self.states[i]), self.d_s)
+        return BlockDensity._split(self.states[i], self.d_s)
 
 
 @dataclass(frozen=True)
@@ -188,12 +197,13 @@ class IntegratorConfig:
             return 0
         return max(1, int(round(self.t_max / self.dt)))
 
-    def sampled_steps(self) -> list[int]:
-        n = self.n_steps
-        ks = list(range(0, n + 1, self.sample_stride))
-        if ks[-1] != n:
-            ks.append(n)
-        return ks
+    @property
+    def n_samples(self) -> int:
+        """The number of samples, ceil(n_steps / sample_stride) + 1."""
+        return -(-self.n_steps // self.sample_stride) + 1
+
+    def sampled_steps(self) -> np.ndarray:
+        return np.minimum(np.arange(self.n_samples) * self.sample_stride, self.n_steps)
 
 
 def rhs_wwa(rho, spec: SystemSpec) -> np.ndarray:
@@ -209,43 +219,41 @@ def rhs_enlarged(rho, model: EnlargedModel) -> np.ndarray:
     return model.equation.rhs(rho)
 
 
-def _check_grid(cfg: IntegratorConfig) -> int:
+def _check_grid(cfg: IntegratorConfig) -> None:
+    # Called by each public integrator itself, so that stacklevel 3 names
+    # that integrator's caller.
     n = cfg.n_steps
     if abs(n * cfg.dt - cfg.t_max) > 1e-9 * max(1.0, cfg.t_max):
         warnings.warn(
             f"t_max={cfg.t_max!r} is not an integer multiple of dt={cfg.dt!r}; "
             f"integrating to {n * cfg.dt!r}",
-            stacklevel=4,
+            stacklevel=3,
         )
-    return n
 
 
-def _sample(advance, x0, cfg: IntegratorConfig, drift_tol, keep) -> np.ndarray:
+def _sample(advance, x0, cfg: IntegratorConfig, keep) -> np.ndarray:
     """The sampling loop shared by every integrator; returns the sample times.
 
     ``advance(x)`` moves the state ``x`` one ``dt`` forward and re-symmetrizes
     it, returning the new state and the hermiticity drift ||rho - rho†||_F it
-    had before symmetrization; a drift above ``drift_tol`` aborts the run.
-    ``keep(i, x)`` stores ``x`` as sample i of ``len(cfg.sampled_steps())``,
-    into an array the caller allocated, so that a run holds no object per
-    sample.
+    had before symmetrization; a drift above HERMITICITY_DRIFT_TOL aborts the
+    run.  ``keep(i, x)`` stores ``x`` as sample i of ``cfg.n_samples``, into
+    an array the caller allocated, so that a run holds no object per sample.
     """
-    n = _check_grid(cfg)
-    dt = cfg.dt
-    wanted = cfg.sampled_steps()
+    n, stride = cfg.n_steps, cfg.sample_stride
     x = x0
     keep(0, x)
-    wi = 1  # wanted[0] == 0 always
+    wi = 1
     for k in range(1, n + 1):
         x, drift = advance(x)
-        if not drift <= drift_tol:  # a NaN drift fails too
+        if not drift <= HERMITICITY_DRIFT_TOL:  # a NaN drift fails too
             raise NumericsError(
-                f"hermiticity drift {drift:.3e} at step {k} exceeds {drift_tol:g}"
+                f"hermiticity drift {drift:.3e} at step {k} exceeds {HERMITICITY_DRIFT_TOL:g}"
             )
-        if wi < len(wanted) and wanted[wi] == k:
+        if k % stride == 0 or k == n:
             keep(wi, x)
             wi += 1
-    return np.array(wanted) * dt
+    return cfg.sampled_steps() * cfg.dt
 
 
 def _rk4_stages(rhs, rho, dt: float):
@@ -261,19 +269,15 @@ def _symmetrized(rho):
     return 0.5 * (rho + rho_dag), float(np.linalg.norm(rho - rho_dag))
 
 
-def integrate_rk4(
-    rhs,
-    rho0,
-    cfg: IntegratorConfig,
-    d_s: int | None = None,
-    drift_tol: float = HERMITICITY_DRIFT_TOL,
-) -> Trajectory:
-    """Classical fixed-step fourth-order Runge-Kutta.
+def integrate_rk4(rhs, rho0, cfg: IntegratorConfig) -> Trajectory:
+    """Classical fixed-step fourth-order Runge-Kutta of any right-hand side.
 
     The state is re-symmetrized after every step; the pre-symmetrization
     hermiticity drift is monitored and a :class:`NumericsError` is raised if
-    it ever exceeds ``drift_tol``.
+    it ever exceeds HERMITICITY_DRIFT_TOL.  No run path uses it: it is the
+    oracle that the engine is tested against.
     """
+    _check_grid(cfg)
     dt = cfg.dt
 
     def advance(rho):
@@ -281,9 +285,9 @@ def integrate_rk4(
         return _symmetrized(rho + (dt / 6.0) * (k1 + 2.0 * (k2 + k3) + k4))
 
     rho = as_matrix(rho0)
-    states = np.empty((len(cfg.sampled_steps()),) + rho.shape, dtype=np.complex128)
-    times = _sample(advance, rho, cfg, drift_tol, states.__setitem__)
-    return Trajectory(times=times, states=tuple(states), d_s=d_s)
+    states = np.empty((cfg.n_samples,) + rho.shape, dtype=np.complex128)
+    times = _sample(advance, rho, cfg, states.__setitem__)
+    return Trajectory(times=times, states=states)
 
 
 def propagate_exact(liouv: Liouvillian, rho0, t: float) -> np.ndarray:
@@ -296,25 +300,12 @@ def propagate_exact(liouv: Liouvillian, rho0, t: float) -> np.ndarray:
     return unvec(expm(liouv.matrix * t) @ vec(rho), liouv.dim)
 
 
-def _rk4_polynomial(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    # I + a + a^2/2 + a^3/6 + a^4/24 in Horner form: for the linear
-    # autonomous equation dx/dt = L x with a = dt L, one classical RK4 step
-    # is exactly this matrix.  Also returns its inner factor
-    # I + a/2 + a^2/6 + a^3/24, which a fed block integrates with.
-    eye = np.eye(a.shape[0], dtype=np.complex128)
-    p = eye + a / 4.0
-    p = eye + (a @ p) / 3.0
-    p = eye + (a @ p) / 2.0
-    return eye + a @ p, p
-
-
-def _evolve_steps(
-    q: list, h0, dims: tuple[int, int], cfg: IntegratorConfig, d_s=None
-) -> Trajectory:
+def _evolve_steps(q: list, h0, dims: tuple[int, int], cfg: IntegratorConfig):
     """Sample h <- [[Q_ss, 0], [Q_fs, I]] h from h0, for the step blocks
-    ``q`` = [Q_ss] or [Q_ss, Q_fs] in the coordinates of
-    :class:`HermitianBasis`, of dimensions ``dims`` = (d, d_f); d_f is 0
-    without a fed block.  ``q`` is emptied once the step matrix is built.
+    ``q`` = [Q_ss, Q_fs] in the coordinates of :class:`HermitianBasis`, of
+    dimensions ``dims`` = (d, d_f); Q_fs has no rows when d_f is 0.  ``q``
+    is emptied once the step matrix is built.  Returns the sample times and
+    states.
 
     The state is held as its real coordinates h.  With Q = U^-1 step U for
     the basis U, one step maps h to Q h: Re(Q) h is the re-symmetrized next
@@ -355,62 +346,41 @@ def _evolve_steps(
             anti = y[n:]
             return y[:n], 2.0 * math.sqrt(anti @ anti)
 
-    hs = np.empty((len(cfg.sampled_steps()), n))
-    times = _sample(advance, h0, cfg, HERMITICITY_DRIFT_TOL, hs.__setitem__)
+    hs = np.empty((cfg.n_samples, n))
+    times = _sample(advance, h0, cfg, hs.__setitem__)
     states = np.zeros((hs.shape[0], d + d_f, d + d_f), dtype=np.complex128)
     states[:, :d, :d] = basis_ss.matrices(hs[:, :n_s])
     if d_f:
         states[:, d:, d:] = basis_ff.matrices(hs[:, n_s:])
-    return Trajectory(times=times, states=tuple(states), d_s=d_s)
+    return times, states
 
 
-def _require_hermitian_start(rho: np.ndarray) -> None:
+def _split_initial(rho0, d_s: int, d_f: int) -> tuple[np.ndarray, np.ndarray]:
+    # The engine evolves the block-diagonal subspace, so the initial state
+    # must lie in it; with d_f = 0 that is the whole system space.
+    d = d_s + d_f
+    rho = as_matrix(rho0)
+    if rho.shape != (d, d):
+        raise DimensionError(f"state has shape {rho.shape}, expected {(d, d)}")
     drift = float(np.linalg.norm(rho - rho.conj().T))
     if drift > HERMITICITY_DRIFT_TOL:
         raise NumericsError(
             f"initial state deviates from hermiticity by {drift:.3e} "
             f"(allowed {HERMITICITY_DRIFT_TOL:g})"
         )
-
-
-def _evolve_linear(liouv: Liouvillian, rho0, cfg: IntegratorConfig) -> Trajectory:
-    """Evolve d vec(rho)/dt = L vec(rho) with one precomputed step matrix:
-    expm(L dt) for the exact method, the RK4 polynomial of L dt otherwise."""
-    d = liouv.dim
-    rho = as_matrix(rho0)
-    if rho.shape != (d, d):
-        raise DimensionError(f"state has shape {rho.shape}, expected {(d, d)}")
-    _require_hermitian_start(rho)
-    a = liouv.matrix * cfg.dt
-    step = expm(a) if cfg.method == "exact" else _rk4_polynomial(a)[0]
-    del a
-    basis = HermitianBasis(d)
-    q = [basis.left_inverse(basis.right(step))]
-    del step
-    return _evolve_steps(q, basis.coords(rho), (d, 0), cfg)
-
-
-def _split_initial(model: EnlargedModel, rho0) -> tuple[np.ndarray, np.ndarray]:
-    # The enlarged space is evolved on its block-diagonal subspace, so the
-    # initial state must lie in it.
-    d, d_tot = model.d_s, model.d_tot
-    rho = as_matrix(rho0)
-    if rho.shape != (d_tot, d_tot):
-        raise DimensionError(f"state has shape {rho.shape}, expected {(d_tot, d_tot)}")
-    _require_hermitian_start(rho)
-    for name, block in (("sf", rho[:d, d:]), ("fs", rho[d:, :d])):
+    for name, block in (("sf", rho[:d_s, d_s:]), ("fs", rho[d_s:, :d_s])):
         if np.any(block):
             raise ConstraintError(
                 f"initial state has a nonzero {name} block; the enlarged space is "
                 "evolved on its block-diagonal subspace only"
             )
-    return rho[:d, :d], rho[d:, d:]
+    return rho[:d_s, :d_s], rho[d_s:, d_s:]
 
 
-def _subspace_step(model: EnlargedModel, h: float, route: str) -> list[np.ndarray]:
+def _step_blocks(l_ss: np.ndarray, b: np.ndarray, h: float, route: str) -> list[np.ndarray]:
     """[Q_ss, Q_fs]: the blocks of one step [[E, 0], [Phi, I]] of length h
-    on (vec rho_ss, vec rho_ff), built from the enlarged operators and
-    given in the coordinates of :class:`HermitianBasis`.
+    on (vec rho_ss, vec rho_ff), for the system-block Liouvillian ``l_ss``
+    and the decay block ``b``, in the coordinates of :class:`HermitianBasis`.
 
     ``rk4``: E = P(a), Phi = h L_fs (I + a/2 + a^2/6 + a^3/24), a = h L_ss.
     ``exact``: both from expm([[a, 0], [h L_fs, 0]]).  ``nonsingular``:
@@ -418,9 +388,8 @@ def _subspace_step(model: EnlargedModel, h: float, route: str) -> list[np.ndarra
     is invertible, at half the size of the augmented expm.  Its E and the
     solve are taken in real arithmetic, on the real form of L_ss.
     """
-    d_s, d_f = model.d_s, model.d_f
+    d_f, d_s = b.shape
     basis_s, basis_f = HermitianBasis(d_s), HermitianBasis(d_f)
-    l_ss = model.system_liouvillian.matrix
     n_s = l_ss.shape[0]
     if route == "nonsingular":
         gen = basis_s.real_form(l_ss)
@@ -429,18 +398,25 @@ def _subspace_step(model: EnlargedModel, h: float, route: str) -> list[np.ndarra
             y = np.linalg.solve(gen, q_ss - np.eye(n_s))  # U^-1 L_ss^-1 (E - I) U
         except np.linalg.LinAlgError as e:
             raise NumericsError(f"the system-block Liouvillian is singular: {e}") from e
-        return [q_ss, basis_f.left_inverse(model.feed(basis_s.left(y)))]
+        return [q_ss, basis_f.left_inverse(feed_columns(b, basis_s.left(y)))]
     a = l_ss * h
     if route == "rk4":
-        e, phi = _rk4_polynomial(a)
-        del a
-        phi = model.feed(phi)
+        # E = I + a + a^2/2 + a^3/6 + a^4/24 in Horner form: for the linear
+        # autonomous equation dx/dt = L x with a = dt L, one classical RK4
+        # step is exactly this matrix.  phi ends as its inner factor.
+        eye = np.eye(n_s, dtype=np.complex128)
+        phi = eye + a / 4.0
+        phi = eye + (a @ phi) / 3.0
+        phi = eye + (a @ phi) / 2.0
+        e = eye + a @ phi
+        del a, eye
+        phi = feed_columns(b, phi)
         phi *= h
     else:
         n = n_s + d_f * d_f
         aug = np.zeros((n, n), dtype=np.complex128)
         aug[:n_s, :n_s] = a
-        aug[n_s:, :n_s] = model.feed(np.eye(n_s)) * h
+        aug[n_s:, :n_s] = feed_columns(b, np.eye(n_s)) * h
         del a
         step = expm(aug)
         e, phi = step[:n_s, :n_s], step[n_s:, :n_s]
@@ -453,49 +429,58 @@ def _subspace_step(model: EnlargedModel, h: float, route: str) -> list[np.ndarra
     return [e, phi]
 
 
-def _evolve_subspace(model: EnlargedModel, rho0, cfg: IntegratorConfig, route: str) -> Trajectory:
-    rho_ss, rho_ff = _split_initial(model, rho0)
-    d_s, d_f = model.d_s, model.d_f
-    h0 = np.concatenate(
-        (HermitianBasis(d_s).coords(rho_ss), HermitianBasis(d_f).coords(rho_ff))
-    )
-    return _evolve_steps(_subspace_step(model, cfg.dt, route), h0, (d_s, d_f), cfg, d_s=d_s)
+def _evolve(equation, liouvillian, b: np.ndarray, x0, cfg: IntegratorConfig, route: str):
+    """The one engine: evolve the block-diagonal state ``x0`` = (rho_ss,
+    rho_ff) under the system-block ``equation``, with rho_ff' = B rho_ss B†
+    for the d_f x d_s decay block ``b``; d_f = 0 is the system space.
 
-
-def _evolve_blocks_rk4(model: EnlargedModel, rho0, cfg: IntegratorConfig) -> Trajectory:
-    """Direct RK4 on the subspace: rho_ss with the system-block equation,
-    rho_ff accumulated from the RK4 stages.  The stages of rho_ff' =
-    B rho_ss B† are B s_i B† for the stage states s_i of rho_ss, so its RK4
-    increment is B (h rho_ss + (h^2/6)(k1 + k2 + k3)) B†."""
-    rho_ss, rho_ff = _split_initial(model, rho0)
-    rhs = model.system_equation.rhs
-    d_s, d_f = model.d_s, model.d_f
-    b = model.decay_op[d_s:, :d_s]
-    b_dag = b.conj().T
+    ``rk4`` above SUPEROP_MAX_DIM runs the direct RK4: rho_ss by the
+    equation, and rho_ff by B (h rho_ss + (h^2/6)(k1 + k2 + k3)) B†, as the
+    stages of rho_ff' are B s_i B† for the stages s_i of rho_ss.  The other
+    routes run the stepper (:func:`_step_blocks`) on L_ss = ``liouvillian()``.
+    """
+    d_f, d = b.shape
     dt = cfg.dt
+    if route == "rk4" and d > SUPEROP_MAX_DIM:
+        rhs = equation.rhs
 
-    def advance(x):
-        r, f = x
-        k1, k2, k3, k4 = _rk4_stages(rhs, r, dt)
-        f = f + b @ (dt * r + (dt * dt / 6.0) * (k1 + k2 + k3)) @ b_dag
-        r, drift_ss = _symmetrized(r + (dt / 6.0) * (k1 + 2.0 * (k2 + k3) + k4))
-        f, drift_ff = _symmetrized(f)
-        return (r, f), math.hypot(drift_ss, drift_ff)
+        def advance(x):
+            r, f = x
+            k1, k2, k3, k4 = _rk4_stages(rhs, r, dt)
+            r_next, drift = _symmetrized(r + (dt / 6.0) * (k1 + 2.0 * (k2 + k3) + k4))
+            if d_f:  # an empty decay sector costs no work
+                fed = decay_feed(b, dt * r + (dt * dt / 6.0) * (k1 + k2 + k3))
+                f, drift_ff = _symmetrized(f + fed)
+                drift = math.hypot(drift, drift_ff)
+            return (r_next, f), drift
 
-    states = np.zeros((len(cfg.sampled_steps()), d_s + d_f, d_s + d_f), dtype=np.complex128)
+        states = np.zeros((cfg.n_samples, d + d_f, d + d_f), dtype=np.complex128)
 
-    def keep(i, x):
-        states[i, :d_s, :d_s], states[i, d_s:, d_s:] = x
+        def keep(i, x):
+            states[i, :d, :d], states[i, d:, d:] = x
 
-    times = _sample(advance, (rho_ss, rho_ff), cfg, HERMITICITY_DRIFT_TOL, keep)
-    return Trajectory(times=times, states=tuple(states), d_s=d_s)
+        times = _sample(advance, x0, cfg, keep)
+    else:
+        h0 = np.concatenate((HermitianBasis(d).coords(x0[0]), HermitianBasis(d_f).coords(x0[1])))
+        q = _step_blocks(liouvillian().matrix, b, dt, route)
+        times, states = _evolve_steps(q, h0, (d, d_f), cfg)
+    return Trajectory(times=times, states=states, d_s=d if d_f else None)
+
+
+def _evolve_model(model: EnlargedModel, rho0, cfg: IntegratorConfig, route: str) -> Trajectory:
+    # The initial state is checked before any operator of the run is built.
+    x0 = _split_initial(rho0, model.d_s, model.d_f)
+    b = model.decay_op[model.d_s :, : model.d_s]
+    return _evolve(model.system_equation, lambda: model.system_liouvillian, b, x0, cfg, route)
 
 
 def evolve_wwa(spec: SystemSpec, rho0, cfg: IntegratorConfig) -> Trajectory:
-    """Evolve the system-space master equation with the configured method."""
-    if cfg.method == "exact" or spec.d_s <= SUPEROP_MAX_DIM:
-        return _evolve_linear(assemble_liouvillian_wwa(spec), rho0, cfg)
-    return integrate_rk4(lambda r: rhs_wwa(r, spec), rho0, cfg)
+    """Evolve the system-space master equation with the configured method:
+    the engine with an empty decay sector."""
+    _check_grid(cfg)
+    x0 = _split_initial(rho0, spec.d_s, 0)
+    b = np.zeros((0, spec.d_s), dtype=np.complex128)
+    return _evolve(spec.equation, lambda: assemble_liouvillian_wwa(spec), b, x0, cfg, cfg.method)
 
 
 def evolve_enlarged(model: EnlargedModel, rho0, cfg: IntegratorConfig) -> Trajectory:
@@ -505,9 +490,8 @@ def evolve_enlarged(model: EnlargedModel, rho0, cfg: IntegratorConfig) -> Trajec
     :class:`ConstraintError` before any work.  The trajectory holds the full
     d_tot x d_tot states, with zero sf and fs blocks.
     """
-    if cfg.method == "exact" or model.d_s <= SUPEROP_MAX_DIM:
-        return _evolve_subspace(model, rho0, cfg, cfg.method)
-    return _evolve_blocks_rk4(model, rho0, cfg)
+    _check_grid(cfg)
+    return _evolve_model(model, rho0, cfg, cfg.method)
 
 
 def propagate_nonsingular(model: EnlargedModel, rho0, t_max: float, n_steps: int) -> Trajectory:
@@ -521,33 +505,32 @@ def propagate_nonsingular(model: EnlargedModel, rho0, t_max: float, n_steps: int
     it.
     """
     cfg = IntegratorConfig(dt=t_max / n_steps, t_max=t_max)
-    return _evolve_subspace(model, rho0, cfg, "nonsingular")
+    return _evolve_model(model, rho0, cfg, "nonsingular")
 
 
-def rho_ff_quadrature(decay: DecayOperator, traj: Trajectory) -> list[np.ndarray]:
+def rho_ff_quadrature(decay: DecayOperator, traj: Trajectory) -> np.ndarray:
     """Decay block by cumulative composite trapezoid over B rho_ss(t') B†.
 
     ``traj`` must hold the system-block trajectory on a uniform grid; the
-    result starts from a zero decay block.
+    result, one d_f x d_f block per sample, starts from a zero decay block.
     """
     times = traj.times
     b = decay.matrix
     if times.size == 1:
-        return [np.zeros((b.shape[0], b.shape[0]), dtype=np.complex128)]
+        return np.zeros((1, b.shape[0], b.shape[0]), dtype=np.complex128)
     diffs = np.diff(times)
     h = float(diffs[0])
     if np.any(np.abs(diffs - h) > 1e-9 * h):
         raise GridError("time grid is not uniform")
-    arr = np.stack([np.asarray(s, dtype=np.complex128) for s in traj.states])
-    if arr.shape[1:] != (b.shape[1], b.shape[1]):
+    if traj.states.shape[1:] != (b.shape[1], b.shape[1]):
         raise DimensionError(
-            f"system states have shape {arr.shape[1:]}, expected {(b.shape[1],) * 2}"
+            f"system states have shape {traj.states.shape[1:]}, expected {(b.shape[1],) * 2}"
         )
-    g = b[None, :, :] @ arr @ b.conj().T[None, :, :]
+    g = decay_feed(b, traj.states)
     cum = np.cumsum(g, axis=0)
     out = h * (cum - 0.5 * (g[0][None, :, :] + g))
     out[0] = 0.0
-    return [out[k] for k in range(out.shape[0])]
+    return out
 
 
 def closed_form_1d(rate: float, t: float) -> BlockDensity:

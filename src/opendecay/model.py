@@ -14,7 +14,7 @@ acts on it, and the decay operator B maps system states only into it.  So a
 block-diagonal state stays block-diagonal: rho_ss evolves alone under L_ss,
 built by the same formula from the d_s x d_s upper-left blocks of G and of the
 Lindblad operators (``EnlargedModel.system_liouvillian``), rho_sf stays zero,
-and rho_ff' = B rho_ss B† (``EnlargedModel.feed``).  Every run works on that
+and rho_ff' = B rho_ss B† (:func:`decay_feed`).  Every run works on that
 subspace; the d_tot^2 x d_tot^2 Liouvillian is assembled only as a test oracle.
 """
 
@@ -307,7 +307,7 @@ class EnlargedModel:
         equation leaves invariant when the decay sector is passive: every
         Lindblad operator and the generator live in the ss block, and the
         decay operator maps s to f only.  Then rho_ss evolves alone under
-        it, rho_sf stays zero and rho_ff' = B rho_ss B† (:meth:`feed`).
+        it, rho_sf stays zero and rho_ff' = B rho_ss B† (:func:`decay_feed`).
         Raises :class:`ConstraintError` naming the operator and the block
         that would leave the subspace.
 
@@ -350,24 +350,24 @@ class EnlargedModel:
         exp(tL) restricted to the system block is exp(t L_ss)."""
         return self.system_equation.liouvillian()
 
-    def feed(self, x) -> np.ndarray:
-        """L_fs @ x, for L_fs the ff <- ss block of :attr:`liouvillian`.
 
-        Each column of ``x`` (d_s^2 rows) is vec(rho_ss) and becomes
-        vec(B rho_ss B†), with B the fs block of the decay operator, through
-        two batched d x d products instead of the d_f^2 x d_s^2 Kronecker
-        matrix.  Raises :class:`ConstraintError` as
-        :attr:`system_equation` does.
-        """
-        self._require_closed()
-        d_s, d_f = self.d_s, self.d_f
-        b = self.decay_op[d_s:, :d_s]
-        x = np.asarray(x, dtype=np.complex128)
-        m = x.shape[1]
-        # Row j of x.T, read as d_s x d_s in C order, is rho_j^T; so
-        # conj(B) rho_j^T B^T = (B rho_j B†)^T, whose C-order rows are vec().
-        out = b.conj() @ x.T.reshape(m, d_s, d_s) @ b.T
-        return out.reshape(m, d_f * d_f).T
+def decay_feed(b: np.ndarray, rho) -> np.ndarray:
+    """B rho B† for the d_f x d_s decay block B, of one d_s x d_s matrix or
+    of each matrix in an (m, d_s, d_s) stack: rho_ff' on the block-diagonal
+    subspace."""
+    return b @ rho @ b.conj().T
+
+
+def feed_columns(b: np.ndarray, x) -> np.ndarray:
+    """L_fs @ x, for L_fs the ff <- ss block of the enlarged Liouvillian:
+    each column vec(rho_j) of ``x`` (d_s^2 rows) becomes vec(B rho_j B†),
+    by :func:`decay_feed` instead of the d_f^2 x d_s^2 Kronecker matrix."""
+    d_f, d_s = b.shape
+    x = np.asarray(x, dtype=np.complex128)
+    m = x.shape[1]
+    # Row j of x.T, read as d_s x d_s in C order, is rho_j^T; so
+    # conj(B) rho_j^T B^T = (B rho_j B†)^T, whose C-order rows are vec().
+    return decay_feed(b.conj(), x.T.reshape(m, d_s, d_s)).reshape(m, d_f * d_f).T
 
 
 def _embed_block(m: np.ndarray, d_s: int, d_f: int) -> np.ndarray:

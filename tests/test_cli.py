@@ -297,6 +297,31 @@ def test_parse_rejects_step_count_beyond_limit():
         parse_config(json.dumps(doc))
 
 
+def test_main_exit_2_on_trajectories_beyond_memory_budget(tmp_path, monkeypatch, capsys):
+    # d_s = 24 (d_tot = 48) sampled at every one of 10^7 steps: 10^7 + 1
+    # samples of 16 (48^2 + 24^2) bytes, rejected at parse time from the
+    # config and from the flags, before any evolution starts.
+    monkeypatch.setattr(cli, "run_scenario", lambda *a, **k: pytest.fail("run started"))
+    size = (10**7 + 1) * 16 * (48**2 + 24**2)
+    doc = {
+        "name": "huge",
+        "random_system": {"seed": 42, "d_s": 24, "n_lindblad": 1},
+        "integrator": {"dt": 1e-6, "t_max": 10.0, "sample_stride": 1},
+    }
+    path = tmp_path / "huge.json"
+    path.write_text(json.dumps(doc))
+    assert main(["simulate", str(path), "--out", str(tmp_path / "out")]) == 2
+    err = capsys.readouterr().err
+    assert f"need {size} bytes" in err and "MAX_TRAJECTORY_BYTES" in err
+    doc["integrator"] = {"dt": 1e-3, "t_max": 0.01, "sample_stride": 1}
+    path.write_text(json.dumps(doc))
+    flags = ["--dt", "1e-6", "--t-max", "10"]
+    assert main(["simulate", str(path), "--out", str(tmp_path / "out"), *flags]) == 2
+    err = capsys.readouterr().err
+    assert f"need {size} bytes" in err and "MAX_TRAJECTORY_BYTES" in err
+    assert not (tmp_path / "out").exists()
+
+
 def test_parse_rejects_oversized_random_system():
     doc = json.loads(builtin_scenario_path("random").read_text())
     doc["random_system"]["d_s"] = 600  # 1.44e6 entries
@@ -316,6 +341,8 @@ def test_main_exit_2_on_decay_space_beyond_limit(tmp_path, monkeypatch, capsys):
     err = capsys.readouterr().err
     assert f"{(1 + 10**6) ** 2} entries" in err and "MAX_ENTRIES" in err
     doc["system"]["d_f"] = int(MAX_ENTRIES**0.5) - 1  # (d_s + d_f)^2 = MAX_ENTRIES
+    # Two samples, so that the trajectories (32 MB) stay within their budget.
+    doc["integrator"]["sample_stride"] = 10**4
     assert parse_config(json.dumps(doc)).system.d_f == int(MAX_ENTRIES**0.5) - 1
 
 

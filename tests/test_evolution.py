@@ -27,6 +27,7 @@ from opendecay.model import (
     decompose_gamma,
     embed_operators,
     embed_state,
+    feed_columns,
 )
 from opendecay.randmodel import random_system
 
@@ -74,6 +75,25 @@ def test_config_degenerate_run():
 def test_trajectory_rejects_decreasing_times():
     with pytest.raises(ValueError):
         Trajectory(times=[0.0, 0.0], states=(np.eye(1), np.eye(1)))
+
+
+def test_trajectory_rejects_ragged_or_flat_states():
+    with pytest.raises(ValueError):
+        Trajectory(times=[0.0, 1.0], states=(np.eye(2), np.eye(3)))
+    with pytest.raises(ValueError, match="states must be an"):
+        Trajectory(times=[0.0, 1.0], states=np.eye(2))
+
+
+def test_trajectory_states_are_one_read_only_array():
+    # A check that wrote into the samples would change what later checks
+    # and the CSV see; it must fail instead.  The caller's array stays
+    # writable.
+    given = np.zeros((2, 1, 1), dtype=np.complex128)
+    traj = Trajectory(times=[0.0, 1.0], states=given)
+    assert traj.states.shape == (2, 1, 1) and traj.states.dtype == np.complex128
+    with pytest.raises(ValueError, match="read-only"):
+        traj.states[0] += 1.0
+    given[0] = 1.0
 
 
 def test_block_density_round_trip():
@@ -138,8 +158,8 @@ def test_block_diagonal_state_keeps_zero_coherence():
 
 def test_feed_single_decay_growth():
     # rho_ff' = B rho_ss B†, with B = 1 for the unit decay rate.
-    _, _, model = single_decay(gamma=1.0)
-    assert model.feed(np.array([[0.3]]))[0, 0] == pytest.approx(0.3)
+    _, decay, model = single_decay(gamma=1.0)
+    assert feed_columns(decay.matrix, np.array([[0.3]]))[0, 0] == pytest.approx(0.3)
     assert rhs_enlarged(np.diag([0.3, 0.0]), model)[1, 1] == pytest.approx(0.3)
 
 
@@ -156,7 +176,7 @@ def test_subspace_blocks_match_full_equation():
         full = BlockDensity(rho_ss=rho_ss, rho_sf=zero, rho_fs=zero.T, rho_ff=rho_ff).to_full()
         deriv = BlockDensity.from_full(rhs_enlarged(full, model), d_s)
         assert np.abs(deriv.rho_ss - unvec(l_ss @ vec(rho_ss), d_s)).max() <= 1e-12
-        fed = unvec(model.feed(vec(rho_ss)[:, None]), d_f)
+        fed = unvec(feed_columns(decay.matrix, vec(rho_ss)[:, None]), d_f)
         assert np.abs(deriv.rho_ff - fed).max() <= 1e-12
         assert np.abs(deriv.rho_ff - decay.matrix @ rho_ss @ decay.matrix.conj().T).max() <= 1e-12
         assert np.abs(deriv.rho_sf).max() == 0.0
@@ -169,7 +189,7 @@ def test_feed_is_block_of_full_liouvillian(corpus):
         ss = idx[:d_s, :d_s].ravel(order="F")
         ff = idx[d_s:, d_s:].ravel(order="F")
         block = m.liouv.matrix[np.ix_(ff, ss)]
-        assert np.abs(m.model.feed(np.eye(d_s * d_s)) - block).max() <= 1e-14
+        assert np.abs(feed_columns(m.decay.matrix, np.eye(d_s * d_s)) - block).max() <= 1e-14
 
 
 @pytest.mark.parametrize("d_s", [2, SUPEROP_MAX_DIM + 1])
@@ -405,16 +425,19 @@ def test_superop_stepper_matches_direct_rk4_on_corpus(corpus):
 
 @pytest.mark.parametrize("method", ["rk4", "exact"])
 def test_subspace_matches_full_liouvillian_on_corpus(corpus, method):
-    # The (ss, ff) stepper against the same method on the whole d_tot^2 x
-    # d_tot^2 Liouvillian.
+    # The (ss, ff) stepper against the same method on the whole enlarged
+    # space: RK4 of the d_tot x d_tot right-hand side, or the exact
+    # propagator of the d_tot^2 x d_tot^2 Liouvillian at each sample time.
     cfg = IntegratorConfig(dt=1e-3, t_max=0.4, sample_stride=40, method=method)
     worst = 0.0
     for m in corpus:
         rho0_full = embed_state(m.rho0, m.spec.d_f)
         fast = evolve_enlarged(m.model, rho0_full, cfg)
-        oracle = evolution._evolve_linear(m.liouv, rho0_full, cfg)
-        assert np.array_equal(fast.times, oracle.times)
-        for a, b in zip(fast.states, oracle.states):
+        if method == "rk4":
+            oracle = integrate_rk4(lambda r: rhs_enlarged(r, m.model), rho0_full, cfg).states
+        else:
+            oracle = [propagate_exact(m.liouv, rho0_full, t) for t in fast.times]
+        for a, b in zip(fast.states, oracle, strict=True):
             worst = max(worst, float(np.linalg.norm(a - b)))
     assert worst <= 1e-12
 
@@ -424,7 +447,8 @@ def test_subspace_matches_full_liouvillian_on_corpus(corpus, method):
 def test_direct_rk4_above_superop_threshold(monkeypatch, space, above):
     # Systems with d_s at the threshold take the stepper, one past it the
     # direct RK4, on either space; the direct RK4 calls the system-block
-    # equation's right-hand side four times per step.
+    # equation's right-hand side four times per step.  With its empty decay
+    # sector, the system space's direct RK4 is integrate_rk4's arithmetic.
     d_s = SUPEROP_MAX_DIM + int(above)
     spec, rho0, decay, model = random_member(seed=15, d_s=d_s)
     if space == "enlarged":
@@ -446,19 +470,22 @@ def test_direct_rk4_above_superop_threshold(monkeypatch, space, above):
     if above:
         ref = integrate_rk4(lambda r: rhs(r, target), rho0, cfg)
         worst = max(float(np.linalg.norm(a - b)) for a, b in zip(traj.states, ref.states))
-        # The system space runs integrate_rk4 itself; the enlarged space runs
-        # the same RK4 on its blocks, in other arithmetic.
+        # The enlarged space runs the same RK4 on its blocks, in other
+        # arithmetic.
         assert worst == 0.0 if space == "wwa" else worst <= 1e-12
 
 
 @pytest.mark.parametrize("method", ["rk4", "exact"])
 def test_superop_drift_monitor_trips(method):
     # d vec(rho)/dt = i vec(rho) turns rho into exp(it) rho, which is not
-    # hermitian: the drift after the first step is about 2 sin(dt).
+    # hermitian: the drift after the first step is about 2 sin(dt).  The
+    # engine with an empty decay sector, as the system space runs it; the
+    # stepper takes no right-hand side.
     liouv = Liouvillian(matrix=1j * np.eye(4), dim=2)
     cfg = IntegratorConfig(dt=0.1, t_max=1.0, method=method)
+    x0 = evolution._split_initial(np.eye(2) / 2, 2, 0)
     with pytest.raises(NumericsError, match="hermiticity drift .* at step 1 exceeds"):
-        evolution._evolve_linear(liouv, np.eye(2) / 2, cfg)
+        evolution._evolve(None, lambda: liouv, np.zeros((0, 2)), x0, cfg, method)
 
 
 @pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning", "ignore:invalid:RuntimeWarning")
@@ -501,3 +528,21 @@ def test_superop_rejects_nonhermitian_initial_state():
     cfg = IntegratorConfig(dt=1e-3, t_max=0.01)
     with pytest.raises(NumericsError, match="initial state deviates from hermiticity"):
         evolve_enlarged(model, np.array([[0.5, 0.1], [0.0, 0.5]]), cfg)
+
+
+@pytest.mark.parametrize("d_s", [SUPEROP_MAX_DIM, SUPEROP_MAX_DIM + 1])
+@pytest.mark.parametrize("method", ["rk4", "exact"])
+@pytest.mark.parametrize("space", ["enlarged", "wwa"])
+def test_grid_warning_names_the_caller(space, method, d_s):
+    # On the stepper and on the direct route, the warning points at the line
+    # that called the integrator, not into the library.
+    spec, rho0, decay, model = random_member(seed=15, d_s=d_s)
+    cfg = IntegratorConfig(dt=1e-3, t_max=0.0105, method=method)
+    with pytest.warns(UserWarning, match="not an integer multiple of dt") as record:
+        if space == "enlarged":
+            evolve_enlarged(model, embed_state(rho0, spec.d_f), cfg)
+        else:
+            evolve_wwa(spec, rho0, cfg)
+        integrate_rk4(lambda r: rhs_wwa(r, spec), rho0, cfg)
+    assert len(record) == 2
+    assert all(w.filename == __file__ for w in record)

@@ -384,8 +384,7 @@ def test_subspace_rejects_every_block_that_leaves_it(override, named, block):
     # Each operator and block that would couple the block-diagonal subspace
     # to the coherences, or give the decay sector dynamics of its own.
     model = _two_level_model(**override)
-    for build in (lambda: model.system_equation, lambda: model.feed(np.eye(1))):
-        with pytest.raises(ConstraintError, match=f"{named}.* has a nonzero {block} block"):
-            build()
+    with pytest.raises(ConstraintError, match=f"{named}.* has a nonzero {block} block"):
+        model.system_equation
     with pytest.raises(ConstraintError, match=f"nonzero {block} block"):
         evolve_enlarged(model, np.diag([1.0, 0.0]), IntegratorConfig(dt=1e-3, t_max=0.01))
