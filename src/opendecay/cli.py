@@ -75,8 +75,9 @@ CP_SAMPLE_TIMES = (0.1, 1.0, 5.0)
 # Steps of the exact propagation to the asymptotics horizon 20/gamma0.
 ASYMPTOTICS_STEPS = 200
 # Largest size in bytes of the two trajectories a run keeps, n_samples * 16 *
-# (d_tot^2 + d_s^2) for the complex enlarged and system-space states.  The
-# CSV table and the positivity check each hold about one more enlarged copy.
+# (2 d_s^2 + d_f^2) for the complex blocks of the enlarged run and the
+# system-space states.  The positivity check and the CSV table hold at most
+# one more copy of the enlarged run's blocks.
 MAX_TRAJECTORY_BYTES = 2**29
 
 __all__ = [
@@ -104,7 +105,7 @@ class ScenarioConfig:
     def __post_init__(self):
         # Checked on every construction, so also after _apply_overrides.
         n, d_s, d_f = self.integrator.n_samples, self.system.d_s, self.system.d_f
-        size = n * 16 * ((d_s + d_f) ** 2 + d_s**2)
+        size = n * 16 * (2 * d_s**2 + d_f**2)
         if size > MAX_TRAJECTORY_BYTES:
             raise ParseError(
                 f"config: {n} samples at d_s={d_s}, d_f={d_f} need {size} bytes of "
@@ -382,8 +383,7 @@ def _check_positivity(ctx: _RunContext) -> analysis.VerificationReport:
 
 
 def _check_equivalence(ctx: _RunContext) -> analysis.VerificationReport:
-    d_s = ctx.spec.d_s
-    delta = ctx.enlarged.states[:, :d_s, :d_s] - ctx.wwa.states
+    delta = ctx.enlarged.states - ctx.wwa.states
     worst = float(np.linalg.norm(delta, axis=(1, 2)).max())
     return analysis.VerificationReport(
         name="equivalence",
@@ -446,14 +446,14 @@ def _format(x: float) -> str:
     return f"{x:.17g}"
 
 
-def _sample_table(traj: Trajectory, d_s: int) -> tuple[tuple[float, ...], ...]:
-    # Columns t, tr_rho_ss, tr_rho_ff, tr_total, delta (purity), min_eig.
-    tr_ss = np.trace(traj.states[:, :d_s, :d_s], axis1=1, axis2=2).real
-    tr_ff = np.trace(traj.states[:, d_s:, d_s:], axis1=1, axis2=2).real
-    rho = traj.states + np.conj(np.swapaxes(traj.states, 1, 2))
-    rho *= 0.5
-    delta = np.einsum("nij,nji->n", rho, rho).real
-    min_eig = np.linalg.eigvalsh(rho)[:, 0]
+def _sample_table(traj: Trajectory) -> tuple[tuple[float, ...], ...]:
+    # Columns t, tr_rho_ss, tr_rho_ff, tr_total, delta (purity), min_eig of
+    # the block-diagonal enlarged state, from its two blocks.
+    ss, ff = traj.states, traj.decay
+    tr_ss = np.trace(ss, axis1=1, axis2=2).real
+    tr_ff = np.trace(ff, axis1=1, axis2=2).real
+    delta = np.einsum("nij,nji->n", ss, ss).real + np.einsum("nij,nji->n", ff, ff).real
+    min_eig = analysis.min_eigenvalues(ss, ff)
     cols = np.column_stack((traj.times, tr_ss, tr_ff, tr_ss + tr_ff, delta, min_eig))
     return tuple(map(tuple, cols.tolist()))
 
@@ -553,7 +553,7 @@ def run_scenario(cfg: ScenarioConfig, out_dir=None, write: bool = True) -> RunRe
     rho0_full = embed_state(cfg.initial_state, ctx.spec.d_f)
     ctx.enlarged = evolve_enlarged(ctx.model, rho0_full, cfg.integrator)
     ctx.wwa = evolve_wwa(ctx.spec, cfg.initial_state, cfg.integrator)
-    table = _sample_table(ctx.enlarged, ctx.spec.d_s)
+    table = _sample_table(ctx.enlarged)
     reports = tuple(CHECKS[name](ctx) for name in cfg.checks)
     exit_status = 0 if all(r.status != "fail" for r in reports) else 1
     result = RunResult(

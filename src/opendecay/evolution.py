@@ -35,8 +35,8 @@ stepper costs 37, 25 and 14 us over 500, 1000 and 5000 steps against
 against 50-52 us; at d = 20, 108 and 69 us against 53-57 us.  16 is the
 largest size at which the stepper wins from 500 steps on.
 
-A :class:`Trajectory` holds its states as one read-only (n, d, d) complex
-array, the one the engine fills.
+A :class:`Trajectory` holds the read-only (n, d, d) complex arrays the engine
+fills; for an enlarged-space run, its system and decay blocks.
 """
 
 from __future__ import annotations
@@ -104,11 +104,8 @@ class BlockDensity:
 
     @classmethod
     def from_full(cls, rho, d_s: int) -> "BlockDensity":
-        return cls._split(as_matrix(rho), d_s)
-
-    @classmethod
-    def _split(cls, a: np.ndarray, d_s: int) -> "BlockDensity":
-        if a.ndim != 2 or a.shape[0] != a.shape[1] or a.shape[0] < d_s:
+        a = as_matrix(rho)
+        if a.shape[0] != a.shape[1] or a.shape[0] < d_s:
             raise DimensionError(f"cannot split shape {a.shape} at d_s={d_s}")
         return cls(
             rho_ss=a[:d_s, :d_s],
@@ -121,43 +118,44 @@ class BlockDensity:
         return np.block([[self.rho_ss, self.rho_sf], [self.rho_fs, self.rho_ff]])
 
 
+def _read_only_stack(a, name: str, times: np.ndarray) -> np.ndarray:
+    # A view, so that an array the caller passed in stays writable.
+    a = np.asarray(a, dtype=np.complex128).view()
+    a.flags.writeable = False
+    if a.ndim != 3 or a.shape[1] != a.shape[2]:
+        raise ValueError(f"{name} must be an (n, d, d) array, got shape {a.shape}")
+    if len(a) != times.size:
+        raise ValueError(f"{name} and times must have equal length")
+    return a
+
+
 @dataclass(frozen=True)
 class Trajectory:
     """Sampled evolution: strictly increasing times and one state per time.
 
     ``states`` is stored as one read-only (n, d, d) complex array, so that
-    code which writes into a sample fails instead of changing it.  ``d_s``
-    is set for enlarged-space runs so samples can be addressed by block; it
-    stays ``None`` for system-space-only runs.
+    code which writes into a sample fails instead of changing it.  An
+    enlarged-space run holds its block-diagonal states as the (n, d_s, d_s)
+    system blocks in ``states`` and the (n, d_f, d_f) decay blocks, read-only
+    too, in ``decay``; any other trajectory has ``decay = None``.
     """
 
     times: np.ndarray
     states: np.ndarray
-    d_s: int | None = None
+    decay: np.ndarray | None = None
 
     def __post_init__(self):
         object.__setattr__(self, "times", np.asarray(self.times, dtype=float))
-        # A view, so that an array the caller passed in stays writable.
-        states = np.asarray(self.states, dtype=np.complex128).view()
-        states.flags.writeable = False
-        object.__setattr__(self, "states", states)
         if self.times.ndim != 1:
             raise ValueError("times must be one-dimensional")
         if np.any(np.diff(self.times) <= 0):
             raise ValueError("times must be strictly increasing")
-        if states.ndim != 3 or states.shape[1] != states.shape[2]:
-            raise ValueError(f"states must be an (n, d, d) array, got shape {states.shape}")
-        if len(states) != self.times.size:
-            raise ValueError("states and times must have equal length")
+        object.__setattr__(self, "states", _read_only_stack(self.states, "states", self.times))
+        if self.decay is not None:
+            object.__setattr__(self, "decay", _read_only_stack(self.decay, "decay", self.times))
 
     def __len__(self) -> int:
         return int(self.times.size)
-
-    def blocks(self, i: int) -> BlockDensity:
-        if self.d_s is None:
-            raise DimensionError("trajectory has no block structure (d_s unset)")
-        # The integrators store finite complex arrays; skip from_full's check.
-        return BlockDensity._split(self.states[i], self.d_s)
 
 
 @dataclass(frozen=True)
@@ -305,7 +303,7 @@ def _evolve_steps(q: list, h0, dims: tuple[int, int], cfg: IntegratorConfig):
     ``q`` = [Q_ss, Q_fs] in the coordinates of :class:`HermitianBasis`, of
     dimensions ``dims`` = (d, d_f); Q_fs has no rows when d_f is 0.  ``q``
     is emptied once the step matrix is built.  Returns the sample times and
-    states.
+    the system and decay blocks, the latter ``None`` when d_f is 0.
 
     The state is held as its real coordinates h.  With Q = U^-1 step U for
     the basis U, one step maps h to Q h: Re(Q) h is the re-symmetrized next
@@ -348,11 +346,8 @@ def _evolve_steps(q: list, h0, dims: tuple[int, int], cfg: IntegratorConfig):
 
     hs = np.empty((cfg.n_samples, n))
     times = _sample(advance, h0, cfg, hs.__setitem__)
-    states = np.zeros((hs.shape[0], d + d_f, d + d_f), dtype=np.complex128)
-    states[:, :d, :d] = basis_ss.matrices(hs[:, :n_s])
-    if d_f:
-        states[:, d:, d:] = basis_ff.matrices(hs[:, n_s:])
-    return times, states
+    decay = basis_ff.matrices(hs[:, n_s:]) if d_f else None
+    return times, basis_ss.matrices(hs[:, :n_s]), decay
 
 
 def _split_initial(rho0, d_s: int, d_f: int) -> tuple[np.ndarray, np.ndarray]:
@@ -454,17 +449,18 @@ def _evolve(equation, liouvillian, b: np.ndarray, x0, cfg: IntegratorConfig, rou
                 drift = math.hypot(drift, drift_ff)
             return (r_next, f), drift
 
-        states = np.zeros((cfg.n_samples, d + d_f, d + d_f), dtype=np.complex128)
+        states = np.empty((cfg.n_samples, d, d), dtype=np.complex128)
+        decay = np.empty((cfg.n_samples, d_f, d_f), dtype=np.complex128)
 
         def keep(i, x):
-            states[i, :d, :d], states[i, d:, d:] = x
+            states[i], decay[i] = x
 
         times = _sample(advance, x0, cfg, keep)
     else:
         h0 = np.concatenate((HermitianBasis(d).coords(x0[0]), HermitianBasis(d_f).coords(x0[1])))
         q = _step_blocks(liouvillian().matrix, b, dt, route)
-        times, states = _evolve_steps(q, h0, (d, d_f), cfg)
-    return Trajectory(times=times, states=states, d_s=d if d_f else None)
+        times, states, decay = _evolve_steps(q, h0, (d, d_f), cfg)
+    return Trajectory(times=times, states=states, decay=decay if d_f else None)
 
 
 def _evolve_model(model: EnlargedModel, rho0, cfg: IntegratorConfig, route: str) -> Trajectory:
@@ -487,8 +483,8 @@ def evolve_enlarged(model: EnlargedModel, rho0, cfg: IntegratorConfig) -> Trajec
     """Evolve the enlarged-space master equation with the configured method.
 
     ``rho0`` must be block-diagonal: a nonzero sf or fs block raises
-    :class:`ConstraintError` before any work.  The trajectory holds the full
-    d_tot x d_tot states, with zero sf and fs blocks.
+    :class:`ConstraintError` before any work.  The trajectory holds the
+    system blocks in ``states`` and the decay blocks in ``decay``.
     """
     _check_grid(cfg)
     return _evolve_model(model, rho0, cfg, cfg.method)
@@ -511,8 +507,8 @@ def propagate_nonsingular(model: EnlargedModel, rho0, t_max: float, n_steps: int
 def rho_ff_quadrature(decay: DecayOperator, traj: Trajectory) -> np.ndarray:
     """Decay block by cumulative composite trapezoid over B rho_ss(t') B†.
 
-    ``traj`` must hold the system-block trajectory on a uniform grid; the
-    result, one d_f x d_f block per sample, starts from a zero decay block.
+    ``traj.states`` must hold system blocks on a uniform grid, as every run
+    does; the result, one d_f x d_f block per sample, starts from zero.
     """
     times = traj.times
     b = decay.matrix

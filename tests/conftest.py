@@ -4,8 +4,10 @@ rank, up to 2 Lindblad operators, every fifth member rank-deficient)."""
 
 from types import SimpleNamespace
 
+import numpy as np
 import pytest
 
+from opendecay.evolution import Trajectory
 from opendecay.model import (
     assemble_liouvillian,
     assemble_liouvillian_wwa,
@@ -17,6 +19,23 @@ from opendecay.model import (
 from opendecay.randmodel import random_system
 
 CORPUS_SIZE = 25
+
+
+def split_oracle(times, full, d_s: int) -> tuple[Trajectory, float]:
+    """Full d_tot x d_tot oracle states as an enlarged-space trajectory held
+    by its two diagonal blocks, and the largest Frobenius norm of their sf
+    blocks, which that layout takes to be zero."""
+    full = np.asarray(full)
+    traj = Trajectory(times, full[:, :d_s, :d_s], decay=full[:, d_s:, d_s:])
+    return traj, float(np.linalg.norm(full[:, :d_s, d_s:], axis=(1, 2)).max())
+
+
+def enlarged_gap(a: Trajectory, b: Trajectory) -> float:
+    """Largest Frobenius distance between the block-diagonal states of two
+    enlarged-space trajectories, sample by sample, from their blocks."""
+    ss = np.linalg.norm(a.states - b.states, axis=(1, 2))
+    ff = np.linalg.norm(a.decay - b.decay, axis=(1, 2))
+    return float(np.hypot(ss, ff).max())
 
 
 def corpus_params(i: int) -> dict:

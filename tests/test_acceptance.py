@@ -12,6 +12,7 @@ from types import SimpleNamespace
 
 import numpy as np
 import pytest
+from conftest import enlarged_gap, split_oracle
 
 from opendecay.analysis import (
     apply_kraus,
@@ -24,7 +25,6 @@ from opendecay.analysis import (
 )
 from opendecay.evolution import (
     IntegratorConfig,
-    Trajectory,
     evolve_enlarged,
     evolve_wwa,
     propagate_exact,
@@ -79,8 +79,8 @@ def onedim_run():
 def test_01_single_decay_closed_form(onedim_run):
     traj = onedim_run.traj
     t = traj.times
-    ss = np.array([traj.blocks(k).rho_ss[0, 0].real for k in range(len(traj))])
-    ff = np.array([traj.blocks(k).rho_ff[0, 0].real for k in range(len(traj))])
+    ss = traj.states[:, 0, 0].real
+    ff = traj.decay[:, 0, 0].real
     err_ss = np.abs(ss - np.exp(-t)).max()
     err_ff = np.abs(ff - (1.0 - np.exp(-t))).max()
     ok = err_ss <= 1e-8 and err_ff <= 1e-8 and onedim_run.elapsed < 1.0
@@ -95,7 +95,7 @@ def test_02_equivalence_of_formulations(corpus_runs):
     worst = 0.0
     for run in corpus_runs.runs:
         for k in range(len(run.enlarged)):
-            delta = run.enlarged.blocks(k).rho_ss - run.wwa.states[k]
+            delta = run.enlarged.states[k] - run.wwa.states[k]
             worst = max(worst, frobenius(delta))
     ok = worst <= 1e-8 and corpus_runs.elapsed < 30.0
     report(
@@ -108,8 +108,8 @@ def test_02_equivalence_of_formulations(corpus_runs):
 def test_03_trace_conservation(corpus_runs):
     worst = 0.0
     for run in corpus_runs.runs:
-        for s in run.enlarged.states:
-            worst = max(worst, abs(float(np.trace(s).real) - 1.0))
+        for s, f in zip(run.enlarged.states, run.enlarged.decay):
+            worst = max(worst, abs(float((np.trace(s) + np.trace(f)).real) - 1.0))
     report("03 trace conservation", worst <= 1e-8, f"worst |Tr rho - 1|={worst:.2e}")
 
 
@@ -168,18 +168,17 @@ def test_06_nonsingular_decay_limits(corpus):
             v = step @ v
             times.append(k * horizon / n)
             states.append(unvec(v, m.model.d_tot))
-        traj = Trajectory(times=np.array(times), states=tuple(states), d_s=m.spec.d_s)
+        traj, sf = split_oracle(times, states, m.spec.d_s)
         for k in range(len(traj)):
-            tr = float(np.trace(traj.blocks(k).rho_ss).real)
+            tr = float(np.trace(traj.states[k]).real)
             worst_excess = max(
                 worst_excess, tr - tr0 * np.exp(-gamma0 * traj.times[k]) - 1e-8
             )
-        last = traj.blocks(len(traj) - 1)
         worst_limit = max(
             worst_limit,
-            frobenius(last.rho_ss),
-            frobenius(last.rho_sf),
-            abs(float(np.trace(last.rho_ff).real) - 1.0),
+            frobenius(traj.states[-1]),
+            sf,
+            abs(float(np.trace(traj.decay[-1]).real) - 1.0),
         )
         assert asymptotics_check(traj, m.dec, m.spec).status == "pass"
     ok = worst_excess <= 0.0 and worst_limit <= 1e-7 and checked >= 3
@@ -193,7 +192,7 @@ def test_06_nonsingular_decay_limits(corpus):
 def test_07_mixedness_curve(onedim_run):
     traj = onedim_run.traj
     t = traj.times
-    delta = np.array([mixedness(s) for s in traj.states])
+    delta = np.array([mixedness(s) + mixedness(f) for s, f in zip(traj.states, traj.decay)])
     x = np.exp(-t)
     err = np.abs(delta - (1.0 - 2.0 * x + 2.0 * x * x)).max()
     k_min = int(np.argmin(delta))
@@ -239,10 +238,9 @@ def test_09_oracle_agreement(corpus, corpus_runs):
     for run in corpus_runs.runs:
         m = run.member
         exact = evolve_enlarged(
-            m.model, run.enlarged.states[0], replace(CORPUS_CFG, method="exact")
+            m.model, embed_state(m.rho0, m.spec.d_f), replace(CORPUS_CFG, method="exact")
         )
-        for k in range(len(run.enlarged)):
-            worst = max(worst, frobenius(run.enlarged.states[k] - exact.states[k]))
+        worst = max(worst, enlarged_gap(run.enlarged, exact))
     # fourth-order convergence: measured where truncation dominates roundoff
     ratios = []
     for m in corpus[:10]:
@@ -252,9 +250,7 @@ def test_09_oracle_agreement(corpus, corpus_runs):
             rho0_full = embed_state(m.rho0, m.spec.d_f)
             rk = evolve_enlarged(m.model, rho0_full, cfg)
             ex = evolve_enlarged(m.model, rho0_full, replace(cfg, method="exact"))
-            errs.append(
-                max(frobenius(rk.states[k] - ex.states[k]) for k in range(len(rk)))
-            )
+            errs.append(enlarged_gap(rk, ex))
         ratios.append(errs[0] / errs[1])
     ok = worst <= 1e-8 and all(r >= 15.0 for r in ratios)
     report(
@@ -269,11 +265,7 @@ def test_10_decay_block_quadrature(corpus):
     worst = 0.0
     for m in corpus:
         traj = evolve_enlarged(m.model, embed_state(m.rho0, m.spec.d_f), cfg)
-        ss = Trajectory(
-            times=traj.times,
-            states=tuple(traj.blocks(k).rho_ss for k in range(len(traj))),
-        )
-        quad = rho_ff_quadrature(m.decay, ss)
+        quad = rho_ff_quadrature(m.decay, traj)
         for k in range(len(traj)):
-            worst = max(worst, frobenius(quad[k] - traj.blocks(k).rho_ff))
+            worst = max(worst, frobenius(quad[k] - traj.decay[k]))
     report("10 decay-block quadrature", worst <= 1e-6, f"worst residual={worst:.2e}")

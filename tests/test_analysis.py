@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+from conftest import split_oracle
 
 from opendecay.analysis import (
     ChoiMatrix,
@@ -13,8 +14,9 @@ from opendecay.analysis import (
     kraus_amplitude_damping,
     mixedness,
 )
-from opendecay.errors import NotHermitianError
+from opendecay.errors import DimensionError, NotHermitianError
 from opendecay.evolution import (
+    BlockDensity,
     IntegratorConfig,
     Trajectory,
     closed_form_1d,
@@ -44,11 +46,15 @@ def single_decay_model(m=1.0, gamma=1.0):
 
 def closed_form_trajectory(gamma=1.0, t_max=5.0, n=51):
     times = np.linspace(0.0, t_max, n)
-    states = tuple(closed_form_1d(gamma, t).to_full() for t in times)
-    return Trajectory(times=times, states=states, d_s=1)
+    blocks = [closed_form_1d(gamma, t) for t in times]
+    return Trajectory(
+        times=times, states=[b.rho_ss for b in blocks], decay=[b.rho_ff for b in blocks]
+    )
 
 
 def exact_trajectory(liouv, rho0, t_max, n, d_s):
+    # Held by its blocks; the full propagator keeps the sf block within the
+    # asymptotics check's limit tolerance.
     h = t_max / n
     from opendecay.linalg import expm
 
@@ -60,7 +66,9 @@ def exact_trajectory(liouv, rho0, t_max, n, d_s):
         v = step @ v
         times.append(k * h)
         states.append(unvec(v, liouv.dim))
-    return Trajectory(times=np.array(times), states=tuple(states), d_s=d_s)
+    traj, sf = split_oracle(times, states, d_s)
+    assert sf <= 1e-7
+    return traj
 
 
 # -- reports -------------------------------------------------------------------
@@ -124,6 +132,37 @@ def test_nan_sample_fails_trace_and_positivity():
         check_cp(ChoiMatrix(matrix=nan, dim=1))
 
 
+def test_positivity_and_trace_see_the_decay_block():
+    # The system blocks alone are positive and hold half the trace.
+    states = [np.diag([0.5, 0.0])] * 2
+    alone = Trajectory(times=[0.0, 0.1], states=states)
+    assert check_trace(alone).measured == pytest.approx(0.5)
+    assert check_positivity(alone, tol=0.0).status == "pass"
+    traj = Trajectory(times=[0.0, 0.1], states=states, decay=[np.diag([0.6, -0.1])] * 2)
+    assert check_trace(traj).measured == 0.0
+    report = check_positivity(traj)
+    assert report.status == "fail" and report.measured == pytest.approx(0.1)
+    assert report.meta["min_eigenvalue"] == pytest.approx(-0.1)
+
+
+def test_nan_decay_block_fails_trace_and_positivity(monkeypatch):
+    states = [np.diag([0.5, 0.0])] * 2
+    traj = Trajectory(times=[0.0, 0.1], states=states, decay=[[[0.5]], [[np.nan]]])
+    report = check_trace(traj)
+    assert report.status == "fail" and np.isnan(report.measured)
+    with pytest.raises(NotHermitianError, match=r"^sample 1 deviates from hermiticity by nan"):
+        check_positivity(traj)
+    # A NaN eigenvalue of the decay blocks alone fails the report too.
+    eigvalsh = np.linalg.eigvalsh
+    monkeypatch.setattr(
+        np.linalg, "eigvalsh",
+        lambda a: np.full(a.shape[:-1], np.nan) if a.shape[-1] == 1 else eigvalsh(a),
+    )
+    traj = Trajectory(times=[0.0, 0.1], states=states, decay=[[[0.5]]] * 2)
+    report = check_positivity(traj)
+    assert report.status == "fail" and np.isnan(report.measured)
+
+
 def test_nan_eigenvalue_fails_positivity_and_cp(monkeypatch):
     # An eigensolver that returns NaN must fail the report, not pass it at 0.
     monkeypatch.setattr(np.linalg, "eigvalsh", lambda a: np.full(a.shape[:-1], np.nan))
@@ -136,18 +175,19 @@ def test_nan_eigenvalue_fails_positivity_and_cp(monkeypatch):
 
 
 def test_positivity_batched_matches_per_sample_loop():
-    # Reference: the smallest eigenvalue of each sample and of its ss/ff
-    # blocks, one LAPACK call per matrix.
+    # Reference: the smallest eigenvalue of each full d_tot x d_tot sample,
+    # rebuilt from its blocks with zero coherences, one LAPACK call per
+    # matrix.
     spec, rho0 = random_system(21, d_s=3, n_lindblad=2)
     decay = build_decay_operator(decompose_gamma(spec.decay_matrix), spec.d_f)
     model = embed_operators(spec, decay)
     cfg = IntegratorConfig(dt=1e-3, t_max=1.0, sample_stride=50)
     traj = evolve_enlarged(model, embed_state(rho0, spec.d_f), cfg)
     worst = np.inf
-    for i in range(len(traj)):
-        blk = traj.blocks(i)
-        for part in (traj.states[i], blk.rho_ss, blk.rho_ff):
-            worst = min(worst, float(np.linalg.eigvalsh(0.5 * (part + part.conj().T))[0]))
+    zero = np.zeros((spec.d_s, spec.d_f))
+    for ss, ff in zip(traj.states, traj.decay):
+        full = BlockDensity(rho_ss=ss, rho_sf=zero, rho_fs=zero.T, rho_ff=ff).to_full()
+        worst = min(worst, float(np.linalg.eigvalsh(0.5 * (full + full.conj().T))[0]))
     assert check_positivity(traj).meta["min_eigenvalue"] == pytest.approx(worst, abs=1e-15)
 
 
@@ -241,7 +281,8 @@ def test_mixedness_matches_curve():
     traj = evolve_enlarged(model, np.diag([1.0, 0.0]), cfg)
     for k, t in enumerate(traj.times):
         x = np.exp(-gamma * t)
-        assert abs(mixedness(traj.states[k]) - (1 - 2 * x + 2 * x * x)) <= 1e-9
+        delta = mixedness(traj.states[k]) + mixedness(traj.decay[k])
+        assert abs(delta - (1 - 2 * x + 2 * x * x)) <= 1e-9
 
 
 def test_mixedness_rejects_nonhermitian():
@@ -264,10 +305,18 @@ def test_asymptotics_single_decay():
 def test_asymptotics_singular_not_applicable():
     spec = SystemSpec(d_s=2, d_f=1, hamiltonian=np.zeros((2, 2)), decay_matrix=np.diag([1.0, 0.0]))
     dec = decompose_gamma(spec.decay_matrix)
-    traj = Trajectory(times=[0.0], states=(np.zeros((3, 3)),), d_s=2)
+    traj = Trajectory(times=[0.0], states=(np.zeros((2, 2)),), decay=(np.zeros((1, 1)),))
     report = asymptotics_check(traj, dec, spec)
     assert report.status == "not_applicable"
     assert report.passed
+
+
+def test_asymptotics_requires_decay_blocks():
+    spec, model, liouv = single_decay_model(gamma=1.0)
+    traj = exact_trajectory(liouv, np.diag([1.0, 0.0]).astype(complex), 25.0, 200, d_s=1)
+    alone = Trajectory(times=traj.times, states=traj.states)
+    with pytest.raises(DimensionError, match="enlarged-space trajectory"):
+        asymptotics_check(alone, decompose_gamma(spec.decay_matrix), spec)
 
 
 def test_asymptotics_short_horizon_fails():
@@ -291,7 +340,7 @@ def test_asymptotics_exponential_bound_random_model():
     assert report.status == "pass"
     tr0 = float(np.trace(rho0).real)
     for k in range(len(traj)):
-        tr = float(np.trace(traj.blocks(k).rho_ss).real)
+        tr = float(np.trace(traj.states[k]).real)
         assert tr <= tr0 * np.exp(-gamma0 * traj.times[k]) + 1e-8
 
 

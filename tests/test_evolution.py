@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+from conftest import enlarged_gap, split_oracle
 
 from opendecay import evolution
 from opendecay.errors import ConstraintError, DimensionError, GridError, NumericsError
@@ -84,15 +85,26 @@ def test_trajectory_rejects_ragged_or_flat_states():
         Trajectory(times=[0.0, 1.0], states=np.eye(2))
 
 
+def test_trajectory_checks_decay_blocks():
+    states = np.zeros((2, 2, 2))
+    with pytest.raises(ValueError, match="decay and times must have equal length"):
+        Trajectory(times=[0.0, 1.0], states=states, decay=np.zeros((3, 1, 1)))
+    with pytest.raises(ValueError, match="decay must be an"):
+        Trajectory(times=[0.0, 1.0], states=states, decay=np.zeros((2, 1, 2)))
+
+
 def test_trajectory_states_are_one_read_only_array():
     # A check that wrote into the samples would change what later checks
     # and the CSV see; it must fail instead.  The caller's array stays
     # writable.
     given = np.zeros((2, 1, 1), dtype=np.complex128)
-    traj = Trajectory(times=[0.0, 1.0], states=given)
+    traj = Trajectory(times=[0.0, 1.0], states=given, decay=given)
     assert traj.states.shape == (2, 1, 1) and traj.states.dtype == np.complex128
+    assert traj.decay.shape == (2, 1, 1) and traj.decay.dtype == np.complex128
     with pytest.raises(ValueError, match="read-only"):
         traj.states[0] += 1.0
+    with pytest.raises(ValueError, match="read-only"):
+        traj.decay[0] += 1.0
     given[0] = 1.0
 
 
@@ -144,16 +156,15 @@ def test_rhs_enlarged_single_decay():
 
 def test_block_diagonal_state_keeps_zero_coherence():
     # The enlarged equation maps a block-diagonal state to a block-diagonal
-    # derivative, so evolve_enlarged keeps the coherence blocks exactly zero.
+    # derivative, so evolve_enlarged holds only the two diagonal blocks.
     spec, rho0, decay, model = random_member()
     rho0_full = embed_state(rho0, spec.d_f)
     deriv = BlockDensity.from_full(rhs_enlarged(rho0_full, model), spec.d_s)
     assert np.abs(deriv.rho_sf).max() == 0.0
     assert np.abs(deriv.rho_fs).max() == 0.0
     traj = evolve_enlarged(model, rho0_full, IntegratorConfig(dt=1e-3, t_max=0.1, sample_stride=10))
-    for k in range(len(traj)):
-        assert np.abs(traj.blocks(k).rho_sf).max() == 0.0
-        assert np.abs(traj.blocks(k).rho_fs).max() == 0.0
+    assert traj.states.shape == (len(traj), spec.d_s, spec.d_s)
+    assert traj.decay.shape == (len(traj), spec.d_f, spec.d_f)
 
 
 def test_feed_single_decay_growth():
@@ -217,7 +228,7 @@ def test_rk4_single_decay_half_life():
     t_half = np.log(2.0)
     cfg = IntegratorConfig(dt=t_half / 693, t_max=t_half, sample_stride=693)
     traj = evolve_enlarged(model, np.diag([1.0, 0.0]), cfg)
-    assert abs(traj.blocks(len(traj) - 1).rho_ss[0, 0].real - 0.5) <= 1e-9
+    assert abs(traj.states[-1, 0, 0].real - 0.5) <= 1e-9
 
 
 def test_rk4_zero_generator_constant():
@@ -231,34 +242,38 @@ def test_rk4_matches_exact_propagator():
     spec, rho0, decay, model = random_member(seed=7)
     liouv = assemble_liouvillian(model.hamiltonian, model.lindblad_ops, model.decay_op)
     cfg = IntegratorConfig(dt=1e-3, t_max=1.0, sample_stride=1000)
-    traj = evolve_enlarged(model, embed_state(rho0, spec.d_f), cfg)
-    exact = propagate_exact(liouv, traj.states[0], 1.0)
-    assert np.linalg.norm(traj.states[-1] - exact) <= 1e-8
+    rho0_full = embed_state(rho0, spec.d_f)
+    traj = evolve_enlarged(model, rho0_full, cfg)
+    exact = [propagate_exact(liouv, rho0_full, t) for t in traj.times]
+    exact, sf = split_oracle(traj.times, exact, spec.d_s)
+    assert enlarged_gap(traj, exact) <= 1e-8 and sf <= 1e-8
 
 
 def test_rk4_trace_and_hermiticity_preserved():
     spec, rho0, decay, model = random_member(seed=8, d_s=3, n_lindblad=2)
     cfg = IntegratorConfig(dt=1e-3, t_max=2.0, sample_stride=50)
     traj = evolve_enlarged(model, embed_state(rho0, spec.d_f), cfg)
-    traces = [float(np.trace(s).real) for s in traj.states]
+    traces = [float((np.trace(s) + np.trace(f)).real) for s, f in zip(traj.states, traj.decay)]
     assert max(abs(t - 1.0) for t in traces) <= 1e-8
-    for s in traj.states:
+    for s in (*traj.states, *traj.decay):
         assert np.linalg.norm(s - s.conj().T) <= 1e-10
 
 
 def test_rk4_coherence_block_decoupling():
+    # RK4 of the whole enlarged equation keeps the coherence block of a
+    # block-diagonal start at zero, which the block-held trajectories rely on.
     spec, rho0, decay, model = random_member(seed=9)
     cfg = IntegratorConfig(dt=1e-3, t_max=1.0, sample_stride=100)
-    traj = evolve_enlarged(model, embed_state(rho0, spec.d_f), cfg)
-    for k in range(len(traj)):
-        assert np.linalg.norm(traj.blocks(k).rho_sf) <= 1e-10
+    rho0_full = embed_state(rho0, spec.d_f)
+    full = integrate_rk4(lambda r: rhs_enlarged(r, model), rho0_full, cfg)
+    assert split_oracle(full.times, full.states, spec.d_s)[1] <= 1e-10
 
 
 def test_rk4_system_trace_monotone():
     spec, rho0, decay, model = random_member(seed=10, d_s=3, n_lindblad=1)
     cfg = IntegratorConfig(dt=1e-3, t_max=2.0, sample_stride=20)
     traj = evolve_enlarged(model, embed_state(rho0, spec.d_f), cfg)
-    tr = [float(np.trace(traj.blocks(k).rho_ss).real) for k in range(len(traj))]
+    tr = [float(np.trace(s).real) for s in traj.states]
     assert all(tr[k + 1] <= tr[k] + 1e-10 for k in range(len(tr) - 1))
 
 
@@ -286,10 +301,11 @@ def test_rk4_fourth_order_convergence():
     liouv = assemble_liouvillian(model.hamiltonian, model.lindblad_ops, model.decay_op)
     rho0_full = embed_state(rho0, spec.d_f)
     errs = []
+    exact, sf = split_oracle([0.0, 2.0], [rho0_full, propagate_exact(liouv, rho0_full, 2.0)], 3)
+    assert sf <= 1e-12
     for dt in (4e-3, 2e-3):
         cfg = IntegratorConfig(dt=dt, t_max=2.0, sample_stride=int(round(2.0 / dt)))
-        traj = evolve_enlarged(model, rho0_full, cfg)
-        errs.append(np.linalg.norm(traj.states[-1] - propagate_exact(liouv, rho0_full, 2.0)))
+        errs.append(enlarged_gap(evolve_enlarged(model, rho0_full, cfg), exact))
     assert errs[0] / errs[1] >= 15.0
 
 
@@ -328,8 +344,7 @@ def test_exact_method_trajectory_matches_rk4():
         model, rho0_full, IntegratorConfig(dt=1e-3, t_max=1.0, sample_stride=100, method="exact")
     )
     assert np.array_equal(rk.times, ex.times)
-    for k in range(len(rk)):
-        assert np.linalg.norm(rk.states[k] - ex.states[k]) <= 1e-8
+    assert enlarged_gap(rk, ex) <= 1e-8
 
 
 # -- decay-block quadrature ---------------------------------------------------------
@@ -339,11 +354,7 @@ def test_quadrature_single_decay():
     spec, decay, model = single_decay(gamma=1.0)
     cfg = IntegratorConfig(dt=1e-3, t_max=2.0, sample_stride=1)
     traj = evolve_enlarged(model, np.diag([1.0, 0.0]), cfg)
-    ss = Trajectory(
-        times=traj.times,
-        states=tuple(traj.blocks(k).rho_ss for k in range(len(traj))),
-    )
-    out = rho_ff_quadrature(decay, ss)
+    out = rho_ff_quadrature(decay, traj)
     for k, t in enumerate(traj.times):
         assert abs(out[k][0, 0].real - (1.0 - np.exp(-t))) <= 1e-6
 
@@ -361,11 +372,8 @@ def test_quadrature_matches_ode_route():
     spec, rho0, decay, model = random_member(seed=14)
     cfg = IntegratorConfig(dt=5e-4, t_max=2.0, sample_stride=1)
     traj = evolve_enlarged(model, embed_state(rho0, spec.d_f), cfg)
-    ss = Trajectory(times=traj.times, states=tuple(traj.blocks(k).rho_ss for k in range(len(traj))))
-    quad = rho_ff_quadrature(decay, ss)
-    worst = max(
-        np.linalg.norm(quad[k] - traj.blocks(k).rho_ff) for k in range(len(traj))
-    )
+    quad = rho_ff_quadrature(decay, traj)
+    worst = max(np.linalg.norm(quad[k] - traj.decay[k]) for k in range(len(traj)))
     assert worst <= 1e-6
 
 
@@ -406,20 +414,15 @@ def test_superop_stepper_matches_direct_rk4_on_corpus(corpus):
     for m in corpus:
         assert m.model.d_tot <= SUPEROP_MAX_DIM
         rho0_full = embed_state(m.rho0, m.spec.d_f)
-        pairs = (
-            (
-                evolve_enlarged(m.model, rho0_full, cfg),
-                integrate_rk4(lambda r: rhs_enlarged(r, m.model), rho0_full, cfg),
-            ),
-            (
-                evolve_wwa(m.spec, m.rho0, cfg),
-                integrate_rk4(lambda r: rhs_wwa(r, m.spec), m.rho0, cfg),
-            ),
-        )
-        for fast, direct in pairs:
-            assert np.array_equal(fast.times, direct.times)
-            for a, b in zip(fast.states, direct.states):
-                worst = max(worst, float(np.linalg.norm(a - b)))
+        fast = evolve_enlarged(m.model, rho0_full, cfg)
+        direct = integrate_rk4(lambda r: rhs_enlarged(r, m.model), rho0_full, cfg)
+        assert np.array_equal(fast.times, direct.times)
+        direct, sf = split_oracle(direct.times, direct.states, m.spec.d_s)
+        worst = max(worst, enlarged_gap(fast, direct), sf)
+        fast = evolve_wwa(m.spec, m.rho0, cfg)
+        direct = integrate_rk4(lambda r: rhs_wwa(r, m.spec), m.rho0, cfg)
+        assert np.array_equal(fast.times, direct.times)
+        worst = max(worst, float(np.linalg.norm(fast.states - direct.states, axis=(1, 2)).max()))
     assert worst <= 1e-12
 
 
@@ -437,8 +440,8 @@ def test_subspace_matches_full_liouvillian_on_corpus(corpus, method):
             oracle = integrate_rk4(lambda r: rhs_enlarged(r, m.model), rho0_full, cfg).states
         else:
             oracle = [propagate_exact(m.liouv, rho0_full, t) for t in fast.times]
-        for a, b in zip(fast.states, oracle, strict=True):
-            worst = max(worst, float(np.linalg.norm(a - b)))
+        oracle, sf = split_oracle(fast.times, oracle, m.spec.d_s)
+        worst = max(worst, enlarged_gap(fast, oracle), sf)
     assert worst <= 1e-12
 
 
@@ -469,10 +472,13 @@ def test_direct_rk4_above_superop_threshold(monkeypatch, space, above):
     assert len(calls) == (4 * cfg.n_steps if above else 0)
     if above:
         ref = integrate_rk4(lambda r: rhs(r, target), rho0, cfg)
-        worst = max(float(np.linalg.norm(a - b)) for a, b in zip(traj.states, ref.states))
-        # The enlarged space runs the same RK4 on its blocks, in other
-        # arithmetic.
-        assert worst == 0.0 if space == "wwa" else worst <= 1e-12
+        if space == "wwa":
+            assert np.array_equal(traj.states, ref.states)
+        else:
+            # The enlarged space runs the same RK4 on its blocks, in other
+            # arithmetic.
+            ref, sf = split_oracle(ref.times, ref.states, d_s)
+            assert max(enlarged_gap(traj, ref), sf) <= 1e-12
 
 
 @pytest.mark.parametrize("method", ["rk4", "exact"])

@@ -171,8 +171,7 @@ def test_gauge_freedom_same_system_trajectory():
     t1 = evolve_enlarged(embed_operators(spec, canonical), rho0_full, cfg)
     t2 = evolve_enlarged(embed_operators(spec, rotated), rho0_full, cfg)
     for k in range(len(t1)):
-        delta = t1.blocks(k).rho_ss - t2.blocks(k).rho_ss
-        assert np.linalg.norm(delta) <= 1e-9
+        assert np.linalg.norm(t1.states[k] - t2.states[k]) <= 1e-9
 
 
 # -- embed_operators -------------------------------------------------------------
