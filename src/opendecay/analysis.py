@@ -16,7 +16,7 @@ import numpy as np
 from .errors import DimensionError
 from .evolution import Trajectory
 from .linalg import frobenius, require_hermitian
-from .model import DEFAULT_HERMITICITY_TOL, GammaDecomposition, SystemSpec
+from .model import DEFAULT_HERMITICITY_TOL, GammaDecomposition
 
 TRACE_TARGET = 1.0  # the total trace the enlarged evolution conserves
 # Tolerances of the asymptotics check's exponential bound and final limits.
@@ -181,9 +181,7 @@ def mixedness(rho) -> float:
     return float(np.trace(sym @ sym).real)
 
 
-def asymptotics_check(
-    traj: Trajectory, dec: GammaDecomposition, spec: SystemSpec
-) -> VerificationReport:
+def asymptotics_check(traj: Trajectory, dec: GammaDecomposition) -> VerificationReport:
     """Decay limits for a non-singular decay matrix, on an enlarged run.
 
     Verifies the exponential bound Tr rho_ss(t) <= Tr rho_ss(0) *

@@ -421,13 +421,13 @@ def _check_cp(ctx: _RunContext) -> analysis.VerificationReport:
 
 def _check_asymptotics(ctx: _RunContext) -> analysis.VerificationReport:
     if ctx.dec.null_dim > 0:
-        return analysis.asymptotics_check(ctx.enlarged, ctx.dec, ctx.spec)
+        return analysis.asymptotics_check(ctx.enlarged, ctx.dec)
     # Reach 20/gamma0 with the exact propagator regardless of the configured
     # integrator; a fixed-step run to that horizon would be wasteful.
     horizon = 20.0 / float(ctx.dec.rates.min())
     rho0 = embed_state(ctx.cfg.initial_state, ctx.spec.d_f)
     traj = propagate_nonsingular(ctx.model, rho0, horizon, ASYMPTOTICS_STEPS)
-    return analysis.asymptotics_check(traj, ctx.dec, ctx.spec)
+    return analysis.asymptotics_check(traj, ctx.dec)
 
 
 CHECKS = {

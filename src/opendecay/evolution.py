@@ -24,16 +24,44 @@ E = P(h L_ss) and Phi = h L_fs (I + a/2 + a^2/6 + a^3/24) for a = h L_ss; the
 (Van Loan, IEEE Trans. Autom. Control 23, 395 (1978)).
 
 For d_s <= SUPEROP_MAX_DIM the ``rk4`` method builds its step once and then
-spends one real matvec per step; ``exact`` always does.  Larger system blocks
-take the direct right-hand-side RK4, whose step costs O(d_s^3) instead of
-O(d_s^4): it evolves rho_ss with the system-block equation and accumulates
-rho_ff from the RK4 stages.  The crossover, measured per step for a d x d
-state at one BLAS thread (2-core AMD EPYC, numpy 2.4.6, OpenBLAS 0.3.31)
-with the Liouvillian assembly and the build of P included: at d = 16 the
-stepper costs 37, 25 and 14 us over 500, 1000 and 5000 steps against
-44-47 us direct; at d = 18 it costs 65 and 43 us over 500 and 1000 steps
-against 50-52 us; at d = 20, 108 and 69 us against 53-57 us.  16 is the
-largest size at which the stepper wins from 500 steps on.
+advances a block of steps per real matvec; ``exact`` always does.  In the
+real coordinates (s, f) of :class:`HermitianBasis` a step is h <- Q h, and
+its real part [[E, 0], [Phi, I]] is the re-symmetrized next state, so j steps
+from (s, f) reach (E^j s, f + Phi (I + E + ... + E^(j-1)) s).  One matrix that
+stacks these rows for j = 1..B, built once with the powers by doubling, gives
+B states from one matvec.  The hermiticity drift of step j is 2 ||w Im Q
+E^(j-1) s|| for the column norms w of the basis; with R the triangular factor
+of the QR decomposition of w Im Q, ||w Im Q x|| = ||R x|| for every x, so B
+more blocks of d_s^2 rows, R E^(j-1), after all the state rows give every
+drift of the block as one contiguous slice, unchanged in exact arithmetic
+(the system space, whose w Im Q is square already, takes it as R).
+One dot product clears a block; only a block that fails it is replayed step
+by step, to name the step that fails.
+
+B is as many steps as fit in BLOCK_BYTES, and at least one.  Measured on the
+evolutions of the shipped scenarios, both spaces with ``rk4``, at one BLAS
+thread (2-core Intel Xeon, 48 KiB L1d and 2 MiB L2 per core, numpy 2.4.6,
+OpenBLAS 0.3.31), best of 5 to 15 on a shared host: single-decay,
+two-level-decay and random take 92, 103 and 51 ms at one step per matvec;
+3.6, 18 and 9.9 ms
+at 4 KiB; 1.4, 6.9 and 3.8 ms at 16 KiB; 1.3-2.0, 2.8-4.7 and 2.0-3.3 ms at
+64 KiB; and no less at 256 KiB (1.5-2.7, 2.2-4.0 and 1.7-2.8 ms) or 1 MiB.
+64 KiB is the smallest of these sizes at which all three reach that floor,
+where the Python cost per block is a small share.  Larger blocks still help
+at d_s 4 to 8 (d_s = 6, 1000 steps: 9.2-14 ms at 64 KiB, 4.8-7.4 ms at
+256 KiB), where a 64 KiB block of the enlarged space holds 10, 2 and 1
+steps at d_s = d_f = 4, 6 and 8.  From d_s = 8 on one step fills the block,
+so the matrix is the step itself, with d_s^2 drift rows.
+
+Larger system blocks take the direct right-hand-side RK4, whose step costs
+O(d_s^3) instead of O(d_s^4): it evolves rho_ss with the system-block
+equation and accumulates rho_ff from the RK4 stages.  The crossover, measured
+per step for a d x d system-space state on the same host, with the
+Liouvillian assembly and the build of the step included: at d = 16 the
+stepper costs 63, 53 and 32 us over 500, 1000 and 5000 steps against 85-116
+us direct; at d = 18, 106, 71 and 57 us against 85-106 us; at d = 20, 223,
+179 and 133 us against 130-146 us.  16 is the largest size at which the
+stepper wins from 500 steps on.
 
 A :class:`Trajectory` holds the read-only (n, d, d) complex arrays the engine
 fills; for an enlarged-space run, its system and decay blocks.
@@ -64,16 +92,13 @@ HERMITICITY_DRIFT_TOL = 1e-9
 # Largest system dimension d_s for which RK4 runs as one precomputed step
 # matrix; the module docstring gives the measured crossover.
 SUPEROP_MAX_DIM = 16
-# Largest d_s at which the enlarged stepper's matvec carries the zero and
-# identity blocks along, because one matvec costs less than the numpy calls
-# that skip them (see _evolve_steps).  Measured over 500 rk4 steps, build
-# included, carried against skipped: 3.3 against 4.6 ms at d_s = 4, 4.5
-# against 5.0 ms at 6, 7.1 against 7.0 ms at 8, 33 against 19 ms at 12.
-FOLD_MAX_DIM = 6
+# Size of the stepper's block matrix, which advances as many steps per
+# matvec as fit in it; the module docstring gives the measurements.
+BLOCK_BYTES = 64 * 1024
 # Largest step count t_max/dt an IntegratorConfig accepts.  A step costs
-# ~1 us (stepper, small d) to ~0.3 ms (direct RK4 on the enlarged space at
-# d_s = 30), so this caps one evolution at seconds to about an hour instead
-# of letting a tiny dt ask for unbounded work.
+# ~0.1-0.3 us (stepper in blocks, d_s <= 2) to ~0.3 ms (direct RK4 on the
+# enlarged space at d_s = 30), so this caps one evolution at about a second
+# to about an hour instead of letting a tiny dt ask for unbounded work.
 MAX_STEPS = 10**7
 
 __all__ = [
@@ -229,29 +254,49 @@ def _check_grid(cfg: IntegratorConfig) -> None:
         )
 
 
-def _sample(advance, x0, cfg: IntegratorConfig, keep) -> np.ndarray:
+def _sample(advance, x0, cfg: IntegratorConfig, outs: tuple, block: int = 1) -> np.ndarray:
     """The sampling loop shared by every integrator; returns the sample times.
 
-    ``advance(x)`` moves the state ``x`` one ``dt`` forward and re-symmetrizes
-    it, returning the new state and the hermiticity drift ||rho - rho†||_F it
-    had before symmetrization; a drift above HERMITICITY_DRIFT_TOL aborts the
-    run.  ``keep(i, x)`` stores ``x`` as sample i of ``cfg.n_samples``, into
-    an array the caller allocated, so that a run holds no object per sample.
+    ``advance(x, r)`` moves the state ``x`` forward by ``r`` <= ``block``
+    steps of ``dt``, re-symmetrizing after each, and returns ``(x_next,
+    rows, defect)``: the state after the last step; one array per array of
+    ``outs``, whose row j < r is the state after step j + 1; and a flat real
+    array of r equal parts, part j holding the hermiticity defect (rho -
+    rho†)/2 that step j + 1 left before symmetrization, or numbers of the
+    same norm.  Samples are copied from ``rows`` into ``outs``, except
+    sample 0, ``x0``, which the caller stores.
+
+    A drift ||rho - rho†||_F above HERMITICITY_DRIFT_TOL aborts the run.  One
+    dot product clears a whole block.  Only when it fails is the block
+    replayed one step at a time from ``x``, so that the error names the step
+    and the drift that a one-step loop would.
     """
     n, stride = cfg.n_steps, cfg.sample_stride
-    x = x0
-    keep(0, x)
-    wi = 1
-    for k in range(1, n + 1):
-        x, drift = advance(x)
-        if not drift <= HERMITICITY_DRIFT_TOL:  # a NaN drift fails too
-            raise NumericsError(
-                f"hermiticity drift {drift:.3e} at step {k} exceeds {HERMITICITY_DRIFT_TOL:g}"
-            )
-        if k % stride == 0 or k == n:
-            keep(wi, x)
-            wi += 1
-    return cfg.sampled_steps() * cfg.dt
+    steps = cfg.sampled_steps()
+    limit = (0.5 * HERMITICITY_DRIFT_TOL) ** 2
+    x, k, i = x0, 0, 1
+    while k < n:
+        r = min(block, n - k)
+        x_next, rows, defect = advance(x, r)
+        if not defect @ defect <= limit:  # a NaN fails too
+            y = x
+            for j in range(k + 1, k + r + 1):
+                y, _, one = advance(y, 1)
+                drift = 2.0 * math.sqrt(one @ one)
+                if not drift <= HERMITICITY_DRIFT_TOL:
+                    raise NumericsError(
+                        f"hermiticity drift {drift:.3e} at step {j} exceeds "
+                        f"{HERMITICITY_DRIFT_TOL:g}"
+                    )
+        k += r
+        hi = k // stride + 1 if k < n else steps.size  # samples at steps <= k
+        if hi > i:
+            at = steps[i:hi] - (k - r + 1)
+            for out, a in zip(outs, rows):
+                out[i:hi] = a[at]
+            i = hi
+        x = x_next
+    return steps * cfg.dt
 
 
 def _rk4_stages(rhs, rho, dt: float):
@@ -263,8 +308,10 @@ def _rk4_stages(rhs, rho, dt: float):
 
 
 def _symmetrized(rho):
+    # (rho + rho†)/2, and the defect (rho - rho†)/2 as real numbers of the
+    # same norm, for _sample.
     rho_dag = rho.conj().T
-    return 0.5 * (rho + rho_dag), float(np.linalg.norm(rho - rho_dag))
+    return 0.5 * (rho + rho_dag), (0.5 * (rho - rho_dag)).view(np.float64).ravel()
 
 
 def integrate_rk4(rhs, rho0, cfg: IntegratorConfig) -> Trajectory:
@@ -278,13 +325,15 @@ def integrate_rk4(rhs, rho0, cfg: IntegratorConfig) -> Trajectory:
     _check_grid(cfg)
     dt = cfg.dt
 
-    def advance(rho):
+    def advance(rho, _):  # one step per call
         k1, k2, k3, k4 = _rk4_stages(rhs, rho, dt)
-        return _symmetrized(rho + (dt / 6.0) * (k1 + 2.0 * (k2 + k3) + k4))
+        rho, defect = _symmetrized(rho + (dt / 6.0) * (k1 + 2.0 * (k2 + k3) + k4))
+        return rho, (rho[None],), defect
 
     rho = as_matrix(rho0)
     states = np.empty((cfg.n_samples,) + rho.shape, dtype=np.complex128)
-    times = _sample(advance, rho, cfg, states.__setitem__)
+    states[0] = rho
+    times = _sample(advance, rho, cfg, (states,))
     return Trajectory(times=times, states=states)
 
 
@@ -298,56 +347,91 @@ def propagate_exact(liouv: Liouvillian, rho0, t: float) -> np.ndarray:
     return unvec(expm(liouv.matrix * t) @ vec(rho), liouv.dim)
 
 
+def _block_matrix(q: list, w: np.ndarray, block: int) -> np.ndarray:
+    """The real matrix that advances the stepper ``block`` steps at once.
+
+    For the step blocks ``q`` = [Q_ss, Q_fs] of :func:`_step_blocks`, with E
+    = Re Q_ss and Phi = Re Q_fs, rows (j - 1) n .. j n - 1 of the result,
+    for j = 1..block, map the system coordinates s to the state after j
+    steps less the fed block's start, [E^j; Phi (I + E + ... + E^(j-1))] s.
+    The block * d_s^2 rows after all of those map s to R E^(j-1) s, half the
+    hermiticity drift of step j, for the triangular QR factor R of D = w Im
+    Q, or for D itself when it is square.  The powers come by doubling, in
+    place.  ``q`` is emptied.
+    """
+    q_ss, q_fs = q
+    q.clear()
+    n_s = q_ss.shape[0]
+    n = n_s + q_fs.shape[0]
+    m = np.empty((block * (n + n_s), n_s))
+    g = m[: block * n].reshape(block, n, n_s)
+    dr = m[block * n :].reshape(block, n_s, n_s)
+    g[0, :n_s] = q_ss.real
+    g[0, n_s:] = q_fs.real
+    defect = dr[0] if n == n_s else np.empty((n, n_s))
+    defect[:n_s] = q_ss.imag
+    defect[n_s:] = q_fs.imag
+    del q_ss, q_fs  # free the step blocks before the build
+    defect *= w[:, None]
+    if n > n_s:
+        # ||D x|| = ||R x|| for every x: the drift with d_s^2 rows, not n.
+        dr[0] = np.linalg.qr(defect, mode="r")
+    del defect
+    j = 1  # g and dr hold steps 1..j
+    while j < block:
+        c = min(j, block - j)
+        e_j = g[j - 1, :n_s]
+        # Step j + i is step i followed by j steps: [E^i E^j; F_j + F_i E^j]
+        # for the fed rows F_i, and R E^(i-1) E^j.
+        np.matmul(g[:c], e_j, out=g[j : j + c])
+        g[j : j + c, n_s:] += g[j - 1, n_s:]
+        np.matmul(dr[:c], e_j, out=dr[j : j + c])
+        j += c
+    return m
+
+
 def _evolve_steps(q: list, h0, dims: tuple[int, int], cfg: IntegratorConfig):
     """Sample h <- [[Q_ss, 0], [Q_fs, I]] h from h0, for the step blocks
     ``q`` = [Q_ss, Q_fs] in the coordinates of :class:`HermitianBasis`, of
     dimensions ``dims`` = (d, d_f); Q_fs has no rows when d_f is 0.  ``q``
     is emptied once the step matrix is built.  Returns the sample times and
-    the system and decay blocks, the latter ``None`` when d_f is 0.
+    the system and decay blocks.
 
-    The state is held as its real coordinates h.  With Q = U^-1 step U for
-    the basis U, one step maps h to Q h: Re(Q) h is the re-symmetrized next
-    state and Im(Q) h, scaled by the column norms w of U, has norm
-    ||rho - rho†||_F / 2 over both blocks.  So each step is one matvec with
-    the stacked real matrix [Re Q; w Im Q].  While d is small the identity
-    block rides along in that matrix, so that a step costs one matvec and
-    one norm in Python; above FOLD_MAX_DIM the matvec skips the zero and
-    identity blocks and the fed block is added on.
+    The state is held as its real coordinates h = (s, f).  With Q = U^-1
+    step U for the basis U, one step maps h to Q h: Re(Q) h is the
+    re-symmetrized next state and Im(Q) h, scaled by the column norms w of
+    U, has norm ||rho - rho†||_F / 2 over both blocks.  One matvec with the
+    matrix of :func:`_block_matrix` advances a block of B steps: it gives
+    the B states, to which f is added, and their B drifts, which are NaN
+    when a state inside the block is not finite.  B is as large as
+    BLOCK_BYTES allows, and at least 1.
     """
     d, d_f = dims
     n_s, n = d * d, d * d + d_f * d_f
     basis_ss, basis_ff = HermitianBasis(d), HermitianBasis(d_f)
     w = np.sqrt(np.concatenate((basis_ss.norms_sq, basis_ff.norms_sq)))
-    cols = np.empty((2 * n, n_s))
-    np.concatenate([block.real for block in q], out=cols[:n])
-    np.concatenate([block.imag for block in q], out=cols[n:])
-    cols[n:] *= w[:, None]
-    q.clear()  # free the blocks
+    block = max(1, min(cfg.n_steps, BLOCK_BYTES // (8 * (n + n_s) * n_s)))
+    m = _block_matrix(q, w, block)
+    rows = block * n
 
-    if d_f and d > FOLD_MAX_DIM:
-
-        def advance(h):
-            y = cols @ h[:n_s]
-            y[n_s:n] += h[n_s:]
-            anti = y[n:]
-            return y[:n], 2.0 * math.sqrt(anti @ anti)
-
-    else:
-        stacked = cols
-        if d_f:
-            stacked = np.zeros((2 * n, n))
-            stacked[:, :n_s] = cols
-            stacked[n_s:n, n_s:] = np.eye(n - n_s)
-
-        def advance(h):
-            y = stacked @ h
-            anti = y[n:]
-            return y[:n], 2.0 * math.sqrt(anti @ anti)
+    def advance(h, r):
+        y = m @ h[:n_s]
+        ys = y[:rows].reshape(block, n)
+        if d_f:  # the add costs 2 us even when empty
+            ys[:r, n_s:] += h[n_s:]
+        defect = y[rows : rows + r * n_s]
+        if r > 1:
+            inner = y[: (r - 1) * n]  # the states before the last
+            if not math.isfinite(inner @ inner):
+                # A one-step loop takes the drift after a state that is not
+                # finite as NaN; the drift rows, applied to h, miss that state.
+                defect = defect * math.nan
+        return ys[r - 1], (ys,), defect
 
     hs = np.empty((cfg.n_samples, n))
-    times = _sample(advance, h0, cfg, hs.__setitem__)
-    decay = basis_ff.matrices(hs[:, n_s:]) if d_f else None
-    return times, basis_ss.matrices(hs[:, :n_s]), decay
+    hs[0] = h0
+    times = _sample(advance, h0, cfg, (hs,), block)
+    return times, basis_ss.matrices(hs[:, :n_s]), basis_ff.matrices(hs[:, n_s:])
 
 
 def _split_initial(rho0, d_s: int, d_f: int) -> tuple[np.ndarray, np.ndarray]:
@@ -439,23 +523,20 @@ def _evolve(equation, liouvillian, b: np.ndarray, x0, cfg: IntegratorConfig, rou
     if route == "rk4" and d > SUPEROP_MAX_DIM:
         rhs = equation.rhs
 
-        def advance(x):
-            r, f = x
-            k1, k2, k3, k4 = _rk4_stages(rhs, r, dt)
-            r_next, drift = _symmetrized(r + (dt / 6.0) * (k1 + 2.0 * (k2 + k3) + k4))
+        def advance(x, _):  # one step per call
+            s, f = x
+            k1, k2, k3, k4 = _rk4_stages(rhs, s, dt)
+            s_next, defect = _symmetrized(s + (dt / 6.0) * (k1 + 2.0 * (k2 + k3) + k4))
             if d_f:  # an empty decay sector costs no work
-                fed = decay_feed(b, dt * r + (dt * dt / 6.0) * (k1 + k2 + k3))
-                f, drift_ff = _symmetrized(f + fed)
-                drift = math.hypot(drift, drift_ff)
-            return (r_next, f), drift
+                fed = decay_feed(b, dt * s + (dt * dt / 6.0) * (k1 + k2 + k3))
+                f, defect_ff = _symmetrized(f + fed)
+                defect = np.concatenate((defect, defect_ff))
+            return (s_next, f), (s_next[None], f[None]), defect
 
         states = np.empty((cfg.n_samples, d, d), dtype=np.complex128)
         decay = np.empty((cfg.n_samples, d_f, d_f), dtype=np.complex128)
-
-        def keep(i, x):
-            states[i], decay[i] = x
-
-        times = _sample(advance, x0, cfg, keep)
+        states[0], decay[0] = x0
+        times = _sample(advance, x0, cfg, (states, decay))
     else:
         h0 = np.concatenate((HermitianBasis(d).coords(x0[0]), HermitianBasis(d_f).coords(x0[1])))
         q = _step_blocks(liouvillian().matrix, b, dt, route)

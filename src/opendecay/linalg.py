@@ -116,7 +116,8 @@ class HermitianBasis:
     def matrices(self, coords: np.ndarray) -> np.ndarray:
         """The d x d matrices with real coordinates ``coords``, one per row."""
         v = coords * self.first + coords[:, self.kt] * self.second[self.kt]  # rows of (U h)^T
-        return v.reshape(-1, self.d, self.d).transpose(0, 2, 1)  # vec() stacks columns
+        # The row count is given, not inferred, so that d = 0 gives (n, 0, 0).
+        return v.reshape(len(coords), self.d, self.d).transpose(0, 2, 1)  # vec() stacks columns
 
 
 def frobenius(m) -> float:

@@ -180,7 +180,7 @@ def test_06_nonsingular_decay_limits(corpus):
             sf,
             abs(float(np.trace(traj.decay[-1]).real) - 1.0),
         )
-        assert asymptotics_check(traj, m.dec, m.spec).status == "pass"
+        assert asymptotics_check(traj, m.dec).status == "pass"
     ok = worst_excess <= 0.0 and worst_limit <= 1e-7 and checked >= 3
     report(
         "06 non-singular decay limits",

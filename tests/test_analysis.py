@@ -297,7 +297,7 @@ def test_asymptotics_single_decay():
     spec, model, liouv = single_decay_model(gamma=1.0)
     traj = exact_trajectory(liouv, np.diag([1.0, 0.0]).astype(complex), 25.0, 200, d_s=1)
     dec = decompose_gamma(spec.decay_matrix)
-    report = asymptotics_check(traj, dec, spec)
+    report = asymptotics_check(traj, dec)
     assert report.status == "pass"
     assert report.meta["final_ff_trace_gap"] <= 1e-7
 
@@ -306,7 +306,7 @@ def test_asymptotics_singular_not_applicable():
     spec = SystemSpec(d_s=2, d_f=1, hamiltonian=np.zeros((2, 2)), decay_matrix=np.diag([1.0, 0.0]))
     dec = decompose_gamma(spec.decay_matrix)
     traj = Trajectory(times=[0.0], states=(np.zeros((2, 2)),), decay=(np.zeros((1, 1)),))
-    report = asymptotics_check(traj, dec, spec)
+    report = asymptotics_check(traj, dec)
     assert report.status == "not_applicable"
     assert report.passed
 
@@ -316,13 +316,13 @@ def test_asymptotics_requires_decay_blocks():
     traj = exact_trajectory(liouv, np.diag([1.0, 0.0]).astype(complex), 25.0, 200, d_s=1)
     alone = Trajectory(times=traj.times, states=traj.states)
     with pytest.raises(DimensionError, match="enlarged-space trajectory"):
-        asymptotics_check(alone, decompose_gamma(spec.decay_matrix), spec)
+        asymptotics_check(alone, decompose_gamma(spec.decay_matrix))
 
 
 def test_asymptotics_short_horizon_fails():
     spec, model, liouv = single_decay_model(gamma=1.0)
     traj = exact_trajectory(liouv, np.diag([1.0, 0.0]).astype(complex), 5.0, 50, d_s=1)
-    report = asymptotics_check(traj, decompose_gamma(spec.decay_matrix), spec)
+    report = asymptotics_check(traj, decompose_gamma(spec.decay_matrix))
     assert report.status == "fail"
     assert not report.meta["horizon_ok"]
 
@@ -336,7 +336,7 @@ def test_asymptotics_exponential_bound_random_model():
     liouv = assemble_liouvillian(model.hamiltonian, model.lindblad_ops, model.decay_op)
     gamma0 = float(dec.rates.min())
     traj = exact_trajectory(liouv, embed_state(rho0, spec.d_f), 20.0 / gamma0, 200, d_s=2)
-    report = asymptotics_check(traj, dec, spec)
+    report = asymptotics_check(traj, dec)
     assert report.status == "pass"
     tr0 = float(np.trace(rho0).real)
     for k in range(len(traj)):

@@ -653,7 +653,7 @@ def _full_liouvillian_asymptotics(m):
         v = step @ v
         states.append(unvec(v, m.model.d_tot))
     traj, sf = split_oracle(np.arange(n + 1) * (horizon / n), states, m.spec.d_s)
-    return analysis.asymptotics_check(traj, m.dec, m.spec), sf
+    return analysis.asymptotics_check(traj, m.dec), sf
 
 
 def test_asymptotics_matches_full_liouvillian_loop(corpus):

@@ -24,6 +24,7 @@ from opendecay.model import (
     MasterEquation,
     SystemSpec,
     assemble_liouvillian,
+    assemble_liouvillian_wwa,
     build_decay_operator,
     decompose_gamma,
     embed_operators,
@@ -505,10 +506,20 @@ def test_superop_drift_monitor_trips_on_nan():
         evolve_enlarged(model, np.diag([1.0, 0.0]), cfg)
 
 
-@pytest.mark.parametrize("d", [1, evolution.FOLD_MAX_DIM + 1])
-def test_stepper_drift_monitor_sees_the_fed_block(d):
+@pytest.mark.parametrize(
+    "d, block_bytes",
+    [
+        pytest.param(1, 1, id="1"),
+        pytest.param(7, 1, id="7"),
+        pytest.param(1, 2**24, id="1-block"),
+        pytest.param(7, 2**24, id="7-block"),
+    ],
+)
+def test_stepper_drift_monitor_sees_the_fed_block(monkeypatch, d, block_bytes):
     # The system block stays hermitian and the fed block does not: the drift
-    # is taken over both blocks, in the folded and in the split step.
+    # is taken over both blocks, one step per matvec (block_bytes 1) and all
+    # ten steps in one.
+    monkeypatch.setattr(evolution, "BLOCK_BYTES", block_bytes)
     q_ss = np.eye(d * d, dtype=complex)
     q_fs = np.zeros((1, d * d), dtype=complex)
     q_fs[0, 0] = 1j
@@ -517,6 +528,99 @@ def test_stepper_drift_monitor_sees_the_fed_block(d):
     cfg = IntegratorConfig(dt=0.1, t_max=1.0)
     with pytest.raises(NumericsError, match="hermiticity drift 2.000e[+]00 at step 1 exceeds"):
         evolution._evolve_steps([q_ss, q_fs], h0, (d, 1), cfg)
+
+
+def run_route(space, route, cfg):
+    # The engine on one space by one route, for a d_s = 2 member whose
+    # decay matrix has full rank, so that L_ss is invertible.
+    spec, rho0, decay, model = random_member(seed=5, d_s=2)
+    if space == "enlarged":
+        return evolution._evolve_model(model, embed_state(rho0, spec.d_f), cfg, route)
+    x0 = evolution._split_initial(rho0, spec.d_s, 0)
+    return evolution._evolve(
+        spec.equation, lambda: assemble_liouvillian_wwa(spec), np.zeros((0, 2)), x0, cfg, route
+    )
+
+
+# At d_s = 2 a step takes 8 * (8 + 4) * 4 bytes of the enlarged stepper's
+# block matrix and 8 * (4 + 4) * 4 of the system space's, so BLOCK_BYTES
+# allows 170 and 256 steps per block, and 2688 bytes allow 7 and 10.
+@pytest.mark.parametrize(
+    "block_bytes, t_max, stride",
+    [
+        (evolution.BLOCK_BYTES, 1.003, 1),
+        (evolution.BLOCK_BYTES, 1.003, 3),
+        (evolution.BLOCK_BYTES, 1.003, 10),
+        (evolution.BLOCK_BYTES, 1.003, 250),  # stride above B
+        (2688, 0.1, 1),
+        (2688, 0.1, 3),
+        (2688, 0.1, 10),  # stride above B
+        (evolution.BLOCK_BYTES, 0.037, 10),  # fewer steps than BLOCK_BYTES allows
+        (evolution.BLOCK_BYTES, 0.0, 1),
+    ],
+)
+@pytest.mark.parametrize("route", ["rk4", "exact", "nonsingular"])
+@pytest.mark.parametrize("space", ["enlarged", "wwa"])
+def test_block_stepper_matches_one_step_per_matvec(
+    monkeypatch, space, route, block_bytes, t_max, stride
+):
+    # A block of B steps per matvec against one step per matvec: the same
+    # sample times, and states equal up to the rounding of the powers E^j.
+    cfg = IntegratorConfig(dt=1e-3, t_max=t_max, sample_stride=stride)
+    blocks = []
+    build = evolution._block_matrix
+
+    def spy(q, w, block):
+        blocks.append(block)
+        return build(q, w, block)
+
+    monkeypatch.setattr(evolution, "_block_matrix", spy)
+    monkeypatch.setattr(evolution, "BLOCK_BYTES", block_bytes)
+    blocked = run_route(space, route, cfg)
+    monkeypatch.setattr(evolution, "BLOCK_BYTES", 1)
+    single = run_route(space, route, cfg)
+    assert blocks[1] == 1 and (blocks[0] > 1 or cfg.n_steps <= 1)
+    assert len(blocked) == cfg.n_samples
+    assert np.array_equal(blocked.times, single.times)
+    assert np.array_equal(blocked.times, cfg.sampled_steps() * cfg.dt)
+    assert np.abs(blocked.states - single.states).max() <= 1e-12
+    if space == "enlarged":
+        assert np.abs(blocked.decay - single.decay).max() <= 1e-12
+    else:
+        assert blocked.decay is None and single.decay is None
+
+
+def drift_error(monkeypatch, block_bytes, q, h0, cfg) -> str:
+    monkeypatch.setattr(evolution, "BLOCK_BYTES", block_bytes)
+    with pytest.raises(NumericsError) as info:
+        evolution._evolve_steps([a.astype(complex) for a in q], h0, (1, 1), cfg)
+    return str(info.value)
+
+
+def test_block_stepper_names_the_first_drift_inside_a_block(monkeypatch):
+    # E = 2 and Im Q_ss = 1e-11: the drift of step j is 2e-11 * 2^(j-1),
+    # exact in both forms, and first exceeds 1e-9 at step 7 of the block of
+    # 10.
+    q = [np.array([[2.0 + 1e-11j]]), np.zeros((1, 1))]
+    h0 = np.array([1.0, 0.0])
+    cfg = IntegratorConfig(dt=0.1, t_max=1.0)
+    one = drift_error(monkeypatch, 1, q, h0, cfg)
+    assert one == "hermiticity drift 1.280e-09 at step 7 exceeds 1e-09"
+    assert drift_error(monkeypatch, 2**20, q, h0, cfg) == one
+
+
+@pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning", "ignore:invalid:RuntimeWarning")
+def test_block_stepper_names_the_first_nan_inside_a_block(monkeypatch):
+    # A real step has no drift, so a one-step loop fails only once the state
+    # is infinite: 2^1000 * 2^24 overflows at step 24 and the drift of step
+    # 25 is 0 * inf.  In a block of 40 the drift rows stay 0, and the
+    # infinite state inside the block still names step 25.
+    q = [np.array([[2.0]]), np.zeros((1, 1))]
+    h0 = np.array([2.0**1000, 0.0])
+    cfg = IntegratorConfig(dt=0.1, t_max=4.0)
+    one = drift_error(monkeypatch, 1, q, h0, cfg)
+    assert one == "hermiticity drift nan at step 25 exceeds 1e-09"
+    assert drift_error(monkeypatch, 2**20, q, h0, cfg) == one
 
 
 @pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning", "ignore:invalid:RuntimeWarning")

@@ -5,7 +5,7 @@ from opendecay import cli
 from opendecay.analysis import ChoiMatrix, check_cp, check_positivity, mixedness
 from opendecay.errors import DimensionError, NotHermitianError, ValidationError
 from opendecay.evolution import Trajectory
-from opendecay.linalg import as_matrix, expm, hermitian_eig, unvec, vec
+from opendecay.linalg import HermitianBasis, as_matrix, expm, hermitian_eig, unvec, vec
 from opendecay.model import (
     SystemSpec,
     build_decay_operator,
@@ -25,6 +25,21 @@ def random_complex(rows, cols, rng=RNG):
 def random_hermitian(d, rng=RNG):
     m = rng.uniform(-1, 1, (d, d)) + 1j * rng.uniform(-1, 1, (d, d))
     return 0.5 * (m + m.conj().T)
+
+
+# -- HermitianBasis -------------------------------------------------------------
+
+
+@pytest.mark.parametrize("d", [0, 1, 3])
+def test_hermitian_basis_matrices_invert_coords(d):
+    # d = 0 is the empty decay sector of a system-space run: (n, 0)
+    # coordinates give (n, 0, 0) matrices.
+    basis = HermitianBasis(d)
+    rhos = np.array([random_hermitian(d) for _ in range(3)]).reshape(3, d, d)
+    coords = np.array([basis.coords(rho) for rho in rhos]).reshape(3, d * d)
+    out = basis.matrices(coords)
+    assert out.shape == (3, d, d)
+    np.testing.assert_allclose(out, rhos, rtol=0, atol=1e-15)
 
 
 # -- as_matrix ------------------------------------------------------------------
