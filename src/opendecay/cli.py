@@ -359,8 +359,7 @@ class _RunContext:
         self.cfg = cfg
         self.spec = cfg.system
         self.dec = decompose_gamma(self.spec.decay_matrix)
-        self.decay = build_decay_operator(self.dec, self.spec.d_f)
-        self.model = embed_operators(self.spec, self.decay)
+        self.model = embed_operators(self.spec, build_decay_operator(self.dec, self.spec.d_f))
         self.enlarged: Trajectory | None = None
         self.wwa: Trajectory | None = None
 
@@ -517,14 +516,14 @@ def write_report(result: RunResult, path) -> None:
 
 
 def _liouvillian_norm_bound(model) -> float:
-    # L = -i I(x)G + i conj(G)(x)I + sum_k conj(K)(x)K, so the triangle
-    # inequality gives ||L||_2 <= 2||G||_2 + sum_k ||K||_2^2 from d_tot x d_tot
-    # norms.  The generator on the block-diagonal subspace is L restricted to
-    # it, so the bound holds for it too; its SVD is needed only when the
-    # bound cannot rule the step-size warning out.
-    eq = model.equation
+    # L = -i I(x)G + i conj(G)(x)I + sum_k conj(K)(x)K, so ||L||_2 <= 2||G||_2
+    # + sum_k ||K||_2^2; the padded G is diag(G_ss, 0) and the jumps are the
+    # A and B.  The bound holds for L restricted to the block-diagonal
+    # subspace too; that generator's SVD is needed only when the bound cannot
+    # rule the step-size warning out.
+    eq = model.system_equation
     bound = 2.0 * np.linalg.norm(eq.generator, 2)
-    for k in eq.jumps:
+    for k in eq.jumps + (model.decay.matrix,):
         bound += np.linalg.norm(k, 2) ** 2
     return float(bound)
 
@@ -533,7 +532,7 @@ def _subspace_generator_norm(model) -> float:
     # The generator on (vec rho_ss, vec rho_ff) is [[L_ss, 0], [L_fs, 0]];
     # its zero block column does not change the 2-norm.
     l_ss = model.system_liouvillian.matrix
-    l_fs = feed_columns(model.decay_op[model.d_s :, : model.d_s], np.eye(l_ss.shape[0]))
+    l_fs = feed_columns(model.decay.matrix, np.eye(l_ss.shape[0]))
     return float(np.linalg.norm(np.concatenate((l_ss, l_fs)), 2))
 
 

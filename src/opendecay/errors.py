@@ -19,8 +19,8 @@ class NotPSDError(ToolkitError):
 
 class ConstraintError(ToolkitError):
     """Supplied decay coefficients violate their defining constraint, or an
-    operator or initial state leaves the block-diagonal subspace that the
-    enlarged space is evolved on."""
+    initial state leaves the block-diagonal subspace that the enlarged space
+    is evolved on."""
 
 
 class GridError(ToolkitError):

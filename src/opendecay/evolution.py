@@ -539,7 +539,10 @@ def _evolve(equation, liouvillian, b: np.ndarray, x0, cfg: IntegratorConfig, rou
         times = _sample(advance, x0, cfg, (states, decay))
     else:
         h0 = np.concatenate((HermitianBasis(d).coords(x0[0]), HermitianBasis(d_f).coords(x0[1])))
-        q = _step_blocks(liouvillian().matrix, b, dt, route)
+        with np.errstate(over="ignore", invalid="ignore"):  # checked below
+            q = _step_blocks(liouvillian().matrix, b, dt, route)
+        if not all(np.isfinite(x).all() for x in q):
+            raise NumericsError(f"the {route} step of length {dt:g} is not finite")
         times, states, decay = _evolve_steps(q, h0, (d, d_f), cfg)
     return Trajectory(times=times, states=states, decay=decay if d_f else None)
 
@@ -547,7 +550,7 @@ def _evolve(equation, liouvillian, b: np.ndarray, x0, cfg: IntegratorConfig, rou
 def _evolve_model(model: EnlargedModel, rho0, cfg: IntegratorConfig, route: str) -> Trajectory:
     # The initial state is checked before any operator of the run is built.
     x0 = _split_initial(rho0, model.d_s, model.d_f)
-    b = model.decay_op[model.d_s :, : model.d_s]
+    b = model.decay.matrix
     return _evolve(model.system_equation, lambda: model.system_liouvillian, b, x0, cfg, route)
 
 

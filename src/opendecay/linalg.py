@@ -121,8 +121,15 @@ class HermitianBasis:
 
 
 def frobenius(m) -> float:
-    """Frobenius norm."""
-    return float(np.linalg.norm(np.asarray(m)))
+    """Frobenius norm.  Only a sum of squares that overflows (entries above
+    about 1.3e154) is taken again, scaled by the largest |entry|."""
+    a = np.asarray(m)
+    with np.errstate(over="ignore"):
+        norm = float(np.linalg.norm(a))
+    if norm == np.inf and np.isfinite(a).all():
+        scale = float(np.abs(a).max())
+        norm = scale * float(np.linalg.norm(a / scale))
+    return norm
 
 
 def _require_square(a: np.ndarray) -> None:

@@ -2,20 +2,21 @@
 
 Validates the physics input (hermitian Hamiltonian, positive semidefinite
 decay matrix, Lindblad operators), extracts the spectral data of the decay
-matrix, builds the decay operator that feeds the decay-product space, embeds
-everything on the direct sum of system and decay spaces, and assembles the
-corresponding Liouvillian superoperators in column-stacking convention.
+matrix, builds the decay operator B that feeds the decay-product space, and
+assembles Liouvillian superoperators in column-stacking convention.
 
 Both master equations have the form rho' = -i(G rho - rho G†) + sum_k K rho K†,
 whose Liouvillian is L = -i I(x)G + i conj(G)(x)I + sum_k conj(K)(x)K; one
-:class:`MasterEquation` holds G and the jumps K for every setting.  On the
-enlarged space the decay sector is passive: it has no Hamiltonian, no jump
-acts on it, and the decay operator B maps system states only into it.  So a
-block-diagonal state stays block-diagonal: rho_ss evolves alone under L_ss,
-built by the same formula from the d_s x d_s upper-left blocks of G and of the
-Lindblad operators (``EnlargedModel.system_liouvillian``), rho_sf stays zero,
-and rho_ff' = B rho_ss B† (:func:`decay_feed`).  Every run works on that
-subspace; the d_tot^2 x d_tot^2 Liouvillian is assembled only as a test oracle.
+:class:`MasterEquation` holds G and the jumps K for every setting.  The
+enlarged model (:class:`EnlargedModel`) is the pair (spec, B): on the direct
+sum of system and decay spaces the decay sector is passive, with no
+Hamiltonian and no jump acting on it, and the d_f x d_s matrix B maps system
+states only into it.  So a block-diagonal state stays block-diagonal: rho_ss
+evolves alone under L_ss, built by the same formula from G = H - (i/2)(B†B +
+sum A†A) and the Lindblad operators A (``EnlargedModel.system_liouvillian``),
+rho_sf stays zero, and rho_ff' = B rho_ss B† (:func:`decay_feed`).  Every run
+works on that subspace; the padded d_tot x d_tot operators and the d_tot^2 x
+d_tot^2 Liouvillian are derived from (spec, B) only for the test oracles.
 """
 
 from __future__ import annotations
@@ -26,7 +27,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .errors import ConstraintError, DimensionError, NotPSDError
+from .errors import ConstraintError, DimensionError, NotPSDError, NumericsError
 from .linalg import as_matrix, frobenius, hermitian_eig, require_hermitian
 
 DEFAULT_HERMITICITY_TOL = 1e-10
@@ -66,15 +67,21 @@ class MasterEquation:
 
         Folds every anticommutator of the master equation into one
         non-hermitian generator, so each right-hand side needs only
-        2 + 2*len(jumps) products.  ``loss`` is Gamma on the system space
-        and absent on the enlarged space, where B is one of the jumps.
+        2 + 2*len(jumps) products.  ``loss`` is Gamma on the system space,
+        B†B on the system block of the enlarged space, and absent on the
+        padded enlarged space, where B is one of the jumps.  Raises
+        :class:`NumericsError` when G overflows.
         """
         gram = np.zeros(hamiltonian.shape, dtype=np.complex128)
-        for k in jumps:
-            gram += k.conj().T @ k
-        if loss is not None:
-            gram = loss + gram
-        return cls(generator=hamiltonian - 0.5j * gram, jumps=tuple(jumps))
+        with np.errstate(over="ignore", invalid="ignore"):  # checked below
+            for k in jumps:
+                gram += k.conj().T @ k
+            if loss is not None:
+                gram = loss + gram
+            gen = hamiltonian - 0.5j * gram
+        if not np.isfinite(gen).all():
+            raise NumericsError("the generator G has entries that are not finite")
+        return cls(generator=gen, jumps=tuple(jumps))
 
     @cached_property
     def generator_adjoint(self) -> np.ndarray:
@@ -99,9 +106,12 @@ class MasterEquation:
         matrix of :meth:`rhs`."""
         gen = self.generator
         eye = np.eye(gen.shape[0], dtype=np.complex128)
-        mat = -1j * np.kron(eye, gen) + 1j * np.kron(gen.conj(), eye)
-        for k in self.jumps:
-            mat += np.kron(k.conj(), k)
+        with np.errstate(over="ignore", invalid="ignore"):  # checked below
+            mat = -1j * np.kron(eye, gen) + 1j * np.kron(gen.conj(), eye)
+            for k in self.jumps:
+                mat += np.kron(k.conj(), k)
+        if not np.isfinite(mat).all():
+            raise NumericsError("the Liouvillian has entries that are not finite")
         return Liouvillian(matrix=mat, dim=gen.shape[0])
 
 
@@ -270,21 +280,49 @@ def build_decay_operator(
 
 @dataclass(frozen=True)
 class EnlargedModel:
-    """Operators on the direct sum of system and decay spaces.
+    """The enlarged model: the system operators and the d_f x d_s decay
+    operator B (``decay.matrix``), which maps system states into decay
+    states.  The padded d_tot x d_tot operators are derived from them on
+    demand, for the test oracles and :func:`rhs_enlarged`; no run builds
+    them."""
 
-    System operators live in the upper-left block; ``decay_op`` carries the
-    decay map in the lower-left block and is nilpotent by construction.
-    """
+    spec: SystemSpec
+    decay: DecayOperator
 
-    d_s: int
-    d_f: int
-    hamiltonian: np.ndarray
-    lindblad_ops: tuple[np.ndarray, ...]
-    decay_op: np.ndarray
+    def __post_init__(self):
+        if self.decay.matrix.shape != (self.d_f, self.d_s):
+            raise DimensionError(
+                f"decay operator has shape {self.decay.matrix.shape}, "
+                f"expected {(self.d_f, self.d_s)}"
+            )
+
+    @property
+    def d_s(self) -> int:
+        return self.spec.d_s
+
+    @property
+    def d_f(self) -> int:
+        return self.spec.d_f
 
     @property
     def d_tot(self) -> int:
         return self.d_s + self.d_f
+
+    @cached_property
+    def hamiltonian(self) -> np.ndarray:
+        """diag(H, 0): the hermitian part only; the decay is carried by B."""
+        return _embed_block(self.spec.hamiltonian, self.d_s, self.d_f)
+
+    @cached_property
+    def lindblad_ops(self) -> tuple[np.ndarray, ...]:
+        return tuple(_embed_block(a, self.d_s, self.d_f) for a in self.spec.lindblad_ops)
+
+    @cached_property
+    def decay_op(self) -> np.ndarray:
+        """B in the lower-left block; nilpotent by construction."""
+        out = np.zeros((self.d_tot, self.d_tot), dtype=np.complex128)
+        out[self.d_s :, : self.d_s] = self.decay.matrix
+        return out
 
     @cached_property
     def equation(self) -> MasterEquation:
@@ -294,54 +332,20 @@ class EnlargedModel:
 
     @cached_property
     def liouvillian(self) -> Liouvillian:
-        """The enlarged-space Liouvillian, assembled once per model.  No run
-        path builds it; it is the d_tot^2 x d_tot^2 oracle of the tests."""
-        return assemble_liouvillian(self.hamiltonian, self.lindblad_ops, self.decay_op)
+        """The d_tot^2 x d_tot^2 enlarged-space Liouvillian: a test oracle."""
+        return self.equation.liouvillian()
 
     @cached_property
     def system_equation(self) -> MasterEquation:
-        """The equation of the system block: the d_s x d_s upper-left blocks
-        of the generator and of the Lindblad operators.
-
-        It is exact on the block-diagonal subspace, which the enlarged
-        equation leaves invariant when the decay sector is passive: every
-        Lindblad operator and the generator live in the ss block, and the
-        decay operator maps s to f only.  Then rho_ss evolves alone under
-        it, rho_sf stays zero and rho_ff' = B rho_ss B† (:func:`decay_feed`).
-        Raises :class:`ConstraintError` naming the operator and the block
-        that would leave the subspace.
-
-        The generator's block equals H - (i/2)(Gamma + sum A†A) only through
-        B†B = Gamma, which holds up to rounding and the eigenvalues that
-        :func:`decompose_gamma` drops.  It is built here from the enlarged
-        operators instead, so that the ``cp`` check certifies the map the
-        enlarged model generates without assuming that identity; the
-        ``equivalence`` check is the one that tests it.
-        """
-        self._require_closed()
-        d = self.d_s
-        return MasterEquation(
-            self.equation.generator[:d, :d], tuple(a[:d, :d] for a in self.lindblad_ops)
+        """The equation of the system block: G = H - (i/2)(B†B + sum A†A),
+        jumps A; the padded generator is diag(G, 0).  It takes B†B, not
+        Gamma, which B†B equals only up to rounding and the eigenvalues that
+        :func:`decompose_gamma` drops, so that the ``cp`` check certifies the
+        map the enlarged model generates and the ``equivalence`` check tests
+        B†B = Gamma."""
+        return MasterEquation.build(
+            self.spec.hamiltonian, self.spec.lindblad_ops, loss=self.decay.gram
         )
-
-    def _require_closed(self) -> None:
-        d = self.d_s
-        blocks = {
-            "ss": np.s_[:d, :d], "sf": np.s_[:d, d:], "fs": np.s_[d:, :d], "ff": np.s_[d:, d:]
-        }
-        outside = ("sf", "fs", "ff")
-        # Jumps first: a jump with a stray block also puts one into the
-        # generator through K†K, and the message should name the jump.
-        named = [(f"Lindblad operator {k}", a, outside) for k, a in enumerate(self.lindblad_ops)]
-        named.append(("decay operator", self.decay_op, ("ss", "sf", "ff")))
-        named.append(("generator H - (i/2) sum K†K", self.equation.generator, outside))
-        for name, op, zero in named:
-            for block in zero:
-                if np.any(op[blocks[block]]):
-                    raise ConstraintError(
-                        f"{name} has a nonzero {block} block; the block-diagonal "
-                        "subspace of the enlarged space is not closed"
-                    )
 
     @cached_property
     def system_liouvillian(self) -> Liouvillian:
@@ -385,27 +389,8 @@ def embed_state(rho_ss, d_f: int) -> np.ndarray:
 
 
 def embed_operators(spec: SystemSpec, decay: DecayOperator) -> EnlargedModel:
-    """Embed the system operators and the decay operator on the enlarged space.
-
-    The Hamiltonian block uses the hermitian part only; the decay is carried
-    entirely by the lower-left block of ``decay_op``.
-    """
-    if decay.matrix.shape != (spec.d_f, spec.d_s):
-        raise DimensionError(
-            f"decay operator has shape {decay.matrix.shape}, "
-            f"expected {(spec.d_f, spec.d_s)}"
-        )
-    cal_b = np.zeros((spec.d_s + spec.d_f,) * 2, dtype=np.complex128)
-    cal_b[spec.d_s :, : spec.d_s] = decay.matrix
-    return EnlargedModel(
-        d_s=spec.d_s,
-        d_f=spec.d_f,
-        hamiltonian=_embed_block(spec.hamiltonian, spec.d_s, spec.d_f),
-        lindblad_ops=tuple(
-            _embed_block(a, spec.d_s, spec.d_f) for a in spec.lindblad_ops
-        ),
-        decay_op=cal_b,
-    )
+    """The enlarged model of ``spec`` with the decay operator ``decay``."""
+    return EnlargedModel(spec, decay)
 
 
 @dataclass(frozen=True)

@@ -363,6 +363,77 @@ def test_main_exit_2_on_decay_space_beyond_limit(tmp_path, monkeypatch, capsys):
     assert parse_config(json.dumps(doc)).system.d_f == int(MAX_ENTRIES**0.5) - 1
 
 
+@pytest.mark.parametrize("method", ["rk4", "exact"])
+def test_main_exit_3_on_overflowing_operator(tmp_path, capsys, method):
+    # A finite Lindblad operator whose A†A overflows is a numerical error
+    # (exit 3) raised before any evolution, not an untyped crash (exit 1).
+    doc = json.loads(SINGLE_DECAY)
+    doc["system"]["A"] = [[[[1e160, 0.0]]]]
+    path = tmp_path / "huge.json"
+    path.write_text(json.dumps(doc))
+    assert main(["simulate", str(path), "--out", str(tmp_path / "out"), "--method", method]) == 3
+    assert "generator G has entries that are not finite" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
+def test_main_keeps_a_huge_decay_rate(tmp_path, capsys):
+    # Gamma = [[1e200]] is a decay, not a zero rate: exact certifies all five
+    # checks with B = [[1e100]], and an rk4 step of dt * 1e200 is not
+    # finite, a numerical error (exit 3).
+    doc = json.loads(SINGLE_DECAY)
+    doc["system"]["Gamma"] = [[[1e200, 0.0]]]
+    doc["integrator"] = {"dt": 1e-3, "t_max": 1.0, "sample_stride": 100}
+    path = tmp_path / "huge.json"
+    path.write_text(json.dumps(doc))
+    flags = ["--out", str(tmp_path / "out"), "--method"]
+    assert main(["simulate", str(path), *flags, "exact"]) == 0
+    out = capsys.readouterr().out
+    assert all(f"{name}: pass" in out for name in cli.CHECK_NAMES)
+    with pytest.warns(UserWarning, match="dt\\*\\|generator\\|"):
+        assert main(["simulate", str(path), *flags, "rk4"]) == 3
+    assert "rk4 step of length 0.001 is not finite" in capsys.readouterr().err
+
+
+def _kaon_config(method: str, dt: float, stride: int) -> str:
+    # Neutral kaons in the K0/K0bar basis, in units of Gamma_S, with the PDG
+    # ratios Gamma_S/Gamma_L = 570 and Delta m = 0.47 Gamma_S, from K0 to
+    # 20/Gamma_L: the stiff case of the paper's application.
+    g_s, g_l, dm = 1.0, 1.0 / 570.0, 0.47
+
+    def pairs(m):
+        return [[[x, 0.0] for x in row] for row in m]
+
+    return json.dumps({
+        "name": "kaon",
+        "system": {
+            "d_s": 2,
+            "d_f": 2,
+            "H": pairs([[0.0, -dm / 2], [-dm / 2, 0.0]]),
+            "Gamma": pairs([[(g_s + g_l) / 2, (g_s - g_l) / 2], [(g_s - g_l) / 2, (g_s + g_l) / 2]]),
+        },
+        "initial_state": pairs([[1.0, 0.0], [0.0, 0.0]]),
+        "integrator": {"dt": dt, "t_max": 20.0 / g_l, "sample_stride": stride, "method": method},
+        "checks": list(cli.CHECK_NAMES),
+    })
+
+
+def test_kaon_rk4_exceeds_the_step_bound(tmp_path, monkeypatch, capsys):
+    # rk4 at dt 1e-3 to 20/Gamma_L needs 1.14e7 steps: a config error.
+    monkeypatch.setattr(cli, "run_scenario", lambda *a, **k: pytest.fail("run started"))
+    path = tmp_path / "kaon.json"
+    path.write_text(_kaon_config("rk4", 1e-3, 100))
+    assert main(["simulate", str(path), "--out", str(tmp_path / "out")]) == 2
+    err = capsys.readouterr().err
+    assert "1.14e+07 steps" in err and "MAX_STEPS" in err
+
+
+def test_kaon_exact_certifies_all_checks():
+    # The exact step is exact at any dt, so dt = 1 reaches 20/Gamma_L.
+    result = run_scenario(parse_config(_kaon_config("exact", 1.0, 100)), write=False)
+    assert [r.name for r in result.reports] == list(cli.CHECK_NAMES)
+    assert all(r.status == "pass" for r in result.reports), result.reports
+
+
 def test_main_exit_2_on_unknown_flag_check(tmp_path):
     assert main(["simulate", "single-decay", "--out", str(tmp_path), "--checks", "bogus"]) == 2
 
@@ -591,8 +662,10 @@ def test_cp_report_fails_on_nan_eigenvalue(monkeypatch):
 
 
 def test_cp_check_does_not_assemble_enlarged_liouvillian(monkeypatch):
-    # d_s = 12 gives d_tot = 24, above the stepper's threshold: an rk4 run with
-    # only the cp check never needs the 576^2 enlarged Liouvillian.
+    # The model is held as (spec, B), and no run derives a padded d_tot x
+    # d_tot operator from it: not with the cp check alone at d_s = 12, nor
+    # with all five checks on the stepper (rk4 and exact at d_s = 2) or on
+    # the direct RK4 route (rk4 at d_s = 17, above SUPEROP_MAX_DIM).
     models = []
     embed = cli.embed_operators
 
@@ -601,18 +674,26 @@ def test_cp_check_does_not_assemble_enlarged_liouvillian(monkeypatch):
         return models[-1]
 
     monkeypatch.setattr(cli, "embed_operators", recording_embed)
-    text = json.dumps({
-        "name": "cp-only",
-        "random_system": {"seed": 42, "d_s": 12, "n_lindblad": 1},
-        "integrator": {"dt": 1e-3, "t_max": 0.05, "sample_stride": 10, "method": "rk4"},
-        "checks": ["cp"],
-    })
-    (rep,) = run_scenario(parse_config(text), write=False).reports
-    assert rep.status == "pass"
-    (model,) = models
-    assert model.d_tot == 24
-    assert "system_liouvillian" in vars(model)
-    assert "liouvillian" not in vars(model)
+    padded = {"equation", "liouvillian", "hamiltonian", "lindblad_ops", "decay_op"}
+    for d_s, method, checks in (
+        (12, "rk4", ["cp"]),
+        (2, "rk4", list(cli.CHECK_NAMES)),
+        (2, "exact", list(cli.CHECK_NAMES)),
+        (17, "rk4", list(cli.CHECK_NAMES)),
+    ):
+        text = json.dumps({
+            "name": "no-padding",
+            "random_system": {"seed": 42, "d_s": d_s, "n_lindblad": 1},
+            "integrator": {"dt": 1e-3, "t_max": 0.05, "sample_stride": 10, "method": method},
+            "checks": checks,
+        })
+        result = run_scenario(parse_config(text), write=False)
+        assert [r.name for r in result.reports] == checks
+        assert all(r.passed for r in result.reports)
+        model = models.pop()
+        assert model.d_tot == 2 * d_s
+        assert set(vars(model)) >= {"system_equation", "system_liouvillian"}
+        assert not padded & set(vars(model)), (d_s, method)
 
 
 def test_all_checks_do_not_assemble_enlarged_liouvillian(monkeypatch):

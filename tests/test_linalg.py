@@ -5,7 +5,7 @@ from opendecay import cli
 from opendecay.analysis import ChoiMatrix, check_cp, check_positivity, mixedness
 from opendecay.errors import DimensionError, NotHermitianError, ValidationError
 from opendecay.evolution import Trajectory
-from opendecay.linalg import HermitianBasis, as_matrix, expm, hermitian_eig, unvec, vec
+from opendecay.linalg import HermitianBasis, as_matrix, expm, frobenius, hermitian_eig, unvec, vec
 from opendecay.model import (
     SystemSpec,
     build_decay_operator,
@@ -49,6 +49,18 @@ def test_adjoint_rejects_nan():
     # Every operator and state enters through as_matrix, which rejects NaN.
     with pytest.raises(ValueError):
         as_matrix(np.array([[np.nan, 0], [0, 0]]))
+
+
+# -- frobenius ------------------------------------------------------------------
+
+
+def test_frobenius_rescales_only_when_the_sum_of_squares_overflows():
+    # Above about 1.3e154 the plain sum of squares is inf; the norm is not.
+    assert frobenius([[1e200]]) == 1e200
+    assert frobenius([[3e200, 4e200j]]) == pytest.approx(5e200, rel=1e-15)
+    assert frobenius(np.full((2, 2), 1e308)) == np.inf  # 2e308 is beyond the float range
+    m = random_complex(4, 4)
+    assert frobenius(m) == float(np.linalg.norm(m))
 
 
 # -- hermitian_eig ------------------------------------------------------------

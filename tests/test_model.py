@@ -6,12 +6,13 @@ from opendecay.errors import (
     DimensionError,
     NotHermitianError,
     NotPSDError,
+    NumericsError,
 )
 from opendecay.cli import CP_SAMPLE_TIMES
 from opendecay.evolution import IntegratorConfig, evolve_enlarged, rhs_enlarged, rhs_wwa
 from opendecay.linalg import expm, unvec, vec
 from opendecay.model import (
-    EnlargedModel,
+    MasterEquation,
     SystemSpec,
     assemble_liouvillian,
     assemble_liouvillian_wwa,
@@ -53,6 +54,14 @@ def test_validate_rejects_small_decay_space():
         validate_spec(spec)
 
 
+def test_validate_counts_huge_rates():
+    # ||Gamma||_F of 1.4e200 must not overflow the zero cut to inf, which
+    # would count both rates as zero.
+    spec = SystemSpec(d_s=2, d_f=1, hamiltonian=np.zeros((2, 2)), decay_matrix=1e200 * np.eye(2))
+    with pytest.raises(DimensionError, match="rank\\(Gamma\\)=2"):
+        validate_spec(spec)
+
+
 def test_validate_rejects_nonhermitian_h():
     spec = SystemSpec(
         d_s=2, d_f=2, hamiltonian=[[0.0, 1.0], [0.0, 0.0]], decay_matrix=np.eye(2)
@@ -89,6 +98,11 @@ def test_decompose_zero_matrix():
     dec = decompose_gamma(np.zeros((2, 2)))
     assert dec.rank == 0 and dec.null_dim == 2
     assert dec.rates.size == 0
+
+
+def test_decompose_keeps_a_huge_rate():
+    dec = decompose_gamma([[1e200]])
+    assert dec.rank == 1 and dec.rates[0] == 1e200
 
 
 def test_decompose_rejects_negative():
@@ -238,6 +252,16 @@ def test_liouvillian_zero_operators():
     assert np.array_equal(liouv.matrix, np.zeros((4, 4)))
 
 
+def test_master_equation_rejects_overflow():
+    # Finite operators whose generator or Liouvillian overflows: a typed
+    # numerical error instead of infs for later layers to trip on.
+    zero = np.zeros((1, 1), dtype=complex)
+    with pytest.raises(NumericsError, match="generator G"):
+        MasterEquation.build(zero, (np.array([[1e160 + 0j]]),))
+    with pytest.raises(NumericsError, match="Liouvillian"):
+        MasterEquation(zero, (np.array([[1e200 + 0j]]),)).liouvillian()
+
+
 def test_liouvillian_single_decay_action():
     spec = single_decay_spec(gamma=0.75)
     model = embed_operators(spec, build_decay_operator(decompose_gamma([[0.75]]), 1))
@@ -331,59 +355,3 @@ def test_system_propagator_is_system_block_of_full_propagator(corpus):
             full = expm(m.liouv.matrix * t)[np.ix_(ss, ss)]
             small = expm(m.model.system_liouvillian.matrix * t)
             assert np.abs(small - full).max() <= 1e-12
-
-
-def _two_level_model(**override):
-    parts = dict(
-        d_s=1,
-        d_f=1,
-        hamiltonian=np.diag([1.0, 0.0]).astype(complex),
-        lindblad_ops=(),
-        decay_op=np.array([[0.0, 0.0], [1.0, 0.0]], dtype=complex),
-    )
-    parts.update(override)
-    return EnlargedModel(**parts)
-
-
-@pytest.mark.parametrize(
-    "override, named",
-    [
-        (dict(hamiltonian=np.array([[1.0, 0.3], [0.3, 0.0]], dtype=complex)), "generator"),
-        (dict(lindblad_ops=(np.array([[0.0, 0.5], [0.0, 0.0]], dtype=complex),)), "Lindblad operator 0"),
-        (dict(decay_op=np.array([[0.0, 0.2], [1.0, 0.0]], dtype=complex)), "decay operator"),
-    ],
-)
-def test_system_liouvillian_rejects_coupling_into_system_block(override, named):
-    assert _two_level_model().system_liouvillian.dim == 1
-    with pytest.raises(ConstraintError, match=named):
-        _two_level_model(**override).system_liouvillian
-
-
-_S = np.array([[1.0, 0.0], [0.0, 0.0]], dtype=complex)  # ss
-_SF = np.array([[0.0, 0.2], [0.0, 0.0]], dtype=complex)
-_FS = np.array([[0.0, 0.0], [0.2, 0.0]], dtype=complex)
-_FF = np.array([[0.0, 0.0], [0.0, 0.2]], dtype=complex)
-
-
-@pytest.mark.parametrize(
-    "override, named, block",
-    [
-        (dict(hamiltonian=_S + _SF + _SF.T), "generator", "sf"),
-        (dict(hamiltonian=_S + _FS), "generator", "fs"),
-        (dict(hamiltonian=_S + _FF), "generator", "ff"),
-        (dict(lindblad_ops=(_S + _SF,)), "Lindblad operator 0", "sf"),
-        (dict(lindblad_ops=(_S, _S + _FS)), "Lindblad operator 1", "fs"),
-        (dict(lindblad_ops=(_S + _FF,)), "Lindblad operator 0", "ff"),
-        (dict(decay_op=_FS + _S), "decay operator", "ss"),
-        (dict(decay_op=_FS + _SF), "decay operator", "sf"),
-        (dict(decay_op=_FS + _FF), "decay operator", "ff"),
-    ],
-)
-def test_subspace_rejects_every_block_that_leaves_it(override, named, block):
-    # Each operator and block that would couple the block-diagonal subspace
-    # to the coherences, or give the decay sector dynamics of its own.
-    model = _two_level_model(**override)
-    with pytest.raises(ConstraintError, match=f"{named}.* has a nonzero {block} block"):
-        model.system_equation
-    with pytest.raises(ConstraintError, match=f"nonzero {block} block"):
-        evolve_enlarged(model, np.diag([1.0, 0.0]), IntegratorConfig(dt=1e-3, t_max=0.01))
