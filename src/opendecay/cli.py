@@ -23,8 +23,8 @@ Config schema (unknown keys are rejected)::
       "output": "out"
     }
 
-Exit codes: 0 success, 1 check failure, 2 config/parse error, 3 numerical
-error.
+Exit codes: 0 success, 1 check failure, 2 config/parse error or an output
+that cannot be written, 3 numerical error.
 """
 
 from __future__ import annotations
@@ -63,7 +63,6 @@ from .model import (
     build_decay_operator,
     decompose_gamma,
     embed_operators,
-    embed_state,
     feed_columns,
     validate_spec,
 )
@@ -424,8 +423,7 @@ def _check_asymptotics(ctx: _RunContext) -> analysis.VerificationReport:
     # Reach 20/gamma0 with the exact propagator regardless of the configured
     # integrator; a fixed-step run to that horizon would be wasteful.
     horizon = 20.0 / float(ctx.dec.rates.min())
-    rho0 = embed_state(ctx.cfg.initial_state, ctx.spec.d_f)
-    traj = propagate_nonsingular(ctx.model, rho0, horizon, ASYMPTOTICS_STEPS)
+    traj = propagate_nonsingular(ctx.model, ctx.cfg.initial_state, horizon, ASYMPTOTICS_STEPS)
     return analysis.asymptotics_check(traj, ctx.dec)
 
 
@@ -537,8 +535,9 @@ def _subspace_generator_norm(model) -> float:
 
 
 def run_scenario(cfg: ScenarioConfig, out_dir=None, write: bool = True) -> RunResult:
-    """Run both evolutions from the block-embedded initial state, execute the
-    requested checks, and (by default) write the CSV and report files."""
+    """Run both evolutions from the initial state, the enlarged one from
+    diag(rho0, 0), execute the requested checks, and (by default) write the
+    CSV and report files."""
     ctx = _RunContext(cfg)
     dt = cfg.integrator.dt
     if cfg.integrator.method == "rk4" and dt * _liouvillian_norm_bound(ctx.model) > 0.1:
@@ -549,8 +548,7 @@ def run_scenario(cfg: ScenarioConfig, out_dir=None, write: bool = True) -> RunRe
                 "fixed-step integration may be inaccurate",
                 stacklevel=2,
             )
-    rho0_full = embed_state(cfg.initial_state, ctx.spec.d_f)
-    ctx.enlarged = evolve_enlarged(ctx.model, rho0_full, cfg.integrator)
+    ctx.enlarged = evolve_enlarged(ctx.model, cfg.initial_state, cfg.integrator)
     ctx.wwa = evolve_wwa(ctx.spec, cfg.initial_state, cfg.integrator)
     table = _sample_table(ctx.enlarged)
     reports = tuple(CHECKS[name](ctx) for name in cfg.checks)
@@ -641,6 +639,9 @@ def main(argv=None) -> int:
         result = run_scenario(cfg, out_dir=args.out)
     except ConfigError as e:
         print(f"error: {e}", file=sys.stderr)
+        return 2
+    except OSError as e:  # only the output writes raise it
+        print(f"error: cannot write {e.filename2 or e.filename}: {e.strerror}", file=sys.stderr)
         return 2
     except NumericsError as e:
         print(f"numerical error: {e}", file=sys.stderr)

@@ -18,9 +18,7 @@ class NotPSDError(ToolkitError):
 
 
 class ConstraintError(ToolkitError):
-    """Supplied decay coefficients violate their defining constraint, or an
-    initial state leaves the block-diagonal subspace that the enlarged space
-    is evolved on."""
+    """Supplied decay coefficients violate their defining constraint."""
 
 
 class GridError(ToolkitError):

@@ -16,9 +16,11 @@ block-diagonal invariant subspace (see :mod:`opendecay.model`): in the
 coordinates (vec rho_ss, vec rho_ff) its generator is [[L_ss, 0], [L_fs, 0]],
 where L_fs feeds rho_ff' = B rho_ss B† from the d_f x d_s decay block B, so a
 step of length h is [[E, 0], [Phi, I]], with d_s^2 + d_f^2 coordinates
-instead of d_tot^2.  The system space is the same engine with an empty decay
-sector, d_f = 0, and its own L_ss, built from H - (i/2) Gamma without B, so
-that the ``equivalence`` check still tests B†B = Gamma.  The ``rk4`` step has
+instead of d_tot^2.  Every run starts from diag(rho_ss, 0), the paper's
+state with no decay products yet, so the engine and its entry points take
+only the d_s x d_s system block.  The system space is the same engine with
+an empty decay sector, d_f = 0, and its own L_ss, built from H - (i/2) Gamma
+without B, so that the ``equivalence`` check still tests B†B = Gamma.  The ``rk4`` step has
 E = P(h L_ss) and Phi = h L_fs (I + a/2 + a^2/6 + a^3/24) for a = h L_ss; the
 ``exact`` step takes E and Phi from one expm of [[h L_ss, 0], [h L_fs, 0]]
 (Van Loan, IEEE Trans. Autom. Control 23, 395 (1978)).
@@ -75,7 +77,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ConstraintError, DimensionError, GridError, NumericsError
+from .errors import DimensionError, GridError, NumericsError
 from .linalg import HermitianBasis, as_matrix, expm, unvec, vec
 from .model import (
     DecayOperator,
@@ -431,13 +433,15 @@ def _evolve_steps(q: list, h0, dims: tuple[int, int], cfg: IntegratorConfig):
     hs = np.empty((cfg.n_samples, n))
     hs[0] = h0
     times = _sample(advance, h0, cfg, (hs,), block)
+    if not np.isfinite(hs[-1]).all():
+        # A step's drift is read from the state before it, which leaves only
+        # the last state unchecked.
+        raise NumericsError(f"the state after step {cfg.n_steps} is not finite")
     return times, basis_ss.matrices(hs[:, :n_s]), basis_ff.matrices(hs[:, n_s:])
 
 
-def _split_initial(rho0, d_s: int, d_f: int) -> tuple[np.ndarray, np.ndarray]:
-    # The engine evolves the block-diagonal subspace, so the initial state
-    # must lie in it; with d_f = 0 that is the whole system space.
-    d = d_s + d_f
+def _check_initial(rho0, d: int) -> np.ndarray:
+    # The system block of the initial state; the decay block starts at zero.
     rho = as_matrix(rho0)
     if rho.shape != (d, d):
         raise DimensionError(f"state has shape {rho.shape}, expected {(d, d)}")
@@ -447,13 +451,7 @@ def _split_initial(rho0, d_s: int, d_f: int) -> tuple[np.ndarray, np.ndarray]:
             f"initial state deviates from hermiticity by {drift:.3e} "
             f"(allowed {HERMITICITY_DRIFT_TOL:g})"
         )
-    for name, block in (("sf", rho[:d_s, d_s:]), ("fs", rho[d_s:, :d_s])):
-        if np.any(block):
-            raise ConstraintError(
-                f"initial state has a nonzero {name} block; the enlarged space is "
-                "evolved on its block-diagonal subspace only"
-            )
-    return rho[:d_s, :d_s], rho[d_s:, d_s:]
+    return rho
 
 
 def _step_blocks(l_ss: np.ndarray, b: np.ndarray, h: float, route: str) -> list[np.ndarray]:
@@ -508,66 +506,67 @@ def _step_blocks(l_ss: np.ndarray, b: np.ndarray, h: float, route: str) -> list[
     return [e, phi]
 
 
-def _evolve(equation, liouvillian, b: np.ndarray, x0, cfg: IntegratorConfig, route: str):
-    """The one engine: evolve the block-diagonal state ``x0`` = (rho_ss,
-    rho_ff) under the system-block ``equation``, with rho_ff' = B rho_ss B†
+def _evolve(equation, liouvillian, b: np.ndarray, rho0, cfg: IntegratorConfig, route: str):
+    """The one engine: evolve diag(``rho0``, 0), for the checked system block
+    ``rho0``, under the system-block ``equation``, with rho_ff' = B rho_ss B†
     for the d_f x d_s decay block ``b``; d_f = 0 is the system space.
 
     ``rk4`` above SUPEROP_MAX_DIM runs the direct RK4: rho_ss by the
     equation, and rho_ff by B (h rho_ss + (h^2/6)(k1 + k2 + k3)) B†, as the
     stages of rho_ff' are B s_i B† for the stages s_i of rho_ss.  The other
     routes run the stepper (:func:`_step_blocks`) on L_ss = ``liouvillian()``.
+    A state that overflows ends in a NumericsError, not in numpy's warnings.
     """
     d_f, d = b.shape
     dt = cfg.dt
-    if route == "rk4" and d > SUPEROP_MAX_DIM:
-        rhs = equation.rhs
+    with np.errstate(over="ignore", invalid="ignore"):  # the checks below end it
+        if route == "rk4" and d > SUPEROP_MAX_DIM:
+            rhs = equation.rhs
 
-        def advance(x, _):  # one step per call
-            s, f = x
-            k1, k2, k3, k4 = _rk4_stages(rhs, s, dt)
-            s_next, defect = _symmetrized(s + (dt / 6.0) * (k1 + 2.0 * (k2 + k3) + k4))
-            if d_f:  # an empty decay sector costs no work
-                fed = decay_feed(b, dt * s + (dt * dt / 6.0) * (k1 + k2 + k3))
-                f, defect_ff = _symmetrized(f + fed)
-                defect = np.concatenate((defect, defect_ff))
-            return (s_next, f), (s_next[None], f[None]), defect
+            def advance(x, _):  # one step per call
+                s, f = x
+                k1, k2, k3, k4 = _rk4_stages(rhs, s, dt)
+                s_next, defect = _symmetrized(s + (dt / 6.0) * (k1 + 2.0 * (k2 + k3) + k4))
+                if d_f:  # an empty decay sector costs no work
+                    fed = decay_feed(b, dt * s + (dt * dt / 6.0) * (k1 + k2 + k3))
+                    f, defect_ff = _symmetrized(f + fed)
+                    defect = np.concatenate((defect, defect_ff))
+                return (s_next, f), (s_next[None], f[None]), defect
 
-        states = np.empty((cfg.n_samples, d, d), dtype=np.complex128)
-        decay = np.empty((cfg.n_samples, d_f, d_f), dtype=np.complex128)
-        states[0], decay[0] = x0
-        times = _sample(advance, x0, cfg, (states, decay))
-    else:
-        h0 = np.concatenate((HermitianBasis(d).coords(x0[0]), HermitianBasis(d_f).coords(x0[1])))
-        with np.errstate(over="ignore", invalid="ignore"):  # checked below
+            states = np.empty((cfg.n_samples, d, d), dtype=np.complex128)
+            decay = np.zeros((cfg.n_samples, d_f, d_f), dtype=np.complex128)
+            states[0] = rho0
+            times = _sample(advance, (rho0, decay[0]), cfg, (states, decay))
+        else:
+            h0 = np.concatenate((HermitianBasis(d).coords(rho0), np.zeros(d_f * d_f)))
             q = _step_blocks(liouvillian().matrix, b, dt, route)
-        if not all(np.isfinite(x).all() for x in q):
-            raise NumericsError(f"the {route} step of length {dt:g} is not finite")
-        times, states, decay = _evolve_steps(q, h0, (d, d_f), cfg)
+            if not all(np.isfinite(x).all() for x in q):
+                raise NumericsError(f"the {route} step of length {dt:g} is not finite")
+            times, states, decay = _evolve_steps(q, h0, (d, d_f), cfg)
     return Trajectory(times=times, states=states, decay=decay if d_f else None)
 
 
 def _evolve_model(model: EnlargedModel, rho0, cfg: IntegratorConfig, route: str) -> Trajectory:
     # The initial state is checked before any operator of the run is built.
-    x0 = _split_initial(rho0, model.d_s, model.d_f)
+    rho0 = _check_initial(rho0, model.d_s)
     b = model.decay.matrix
-    return _evolve(model.system_equation, lambda: model.system_liouvillian, b, x0, cfg, route)
+    return _evolve(model.system_equation, lambda: model.system_liouvillian, b, rho0, cfg, route)
 
 
 def evolve_wwa(spec: SystemSpec, rho0, cfg: IntegratorConfig) -> Trajectory:
     """Evolve the system-space master equation with the configured method:
     the engine with an empty decay sector."""
     _check_grid(cfg)
-    x0 = _split_initial(rho0, spec.d_s, 0)
+    rho0 = _check_initial(rho0, spec.d_s)
     b = np.zeros((0, spec.d_s), dtype=np.complex128)
-    return _evolve(spec.equation, lambda: assemble_liouvillian_wwa(spec), b, x0, cfg, cfg.method)
+    return _evolve(spec.equation, lambda: assemble_liouvillian_wwa(spec), b, rho0, cfg, cfg.method)
 
 
 def evolve_enlarged(model: EnlargedModel, rho0, cfg: IntegratorConfig) -> Trajectory:
-    """Evolve the enlarged-space master equation with the configured method.
-
-    ``rho0`` must be block-diagonal: a nonzero sf or fs block raises
-    :class:`ConstraintError` before any work.  The trajectory holds the
+    """Evolve the enlarged-space master equation with the configured method
+    from diag(``rho0``, 0): ``rho0`` is the d_s x d_s system block, and the
+    decay block starts at zero.  Any other shape raises
+    :class:`DimensionError` before any work.  The trajectory holds the
     system blocks in ``states`` and the decay blocks in ``decay``.
     """
     _check_grid(cfg)
@@ -575,8 +574,8 @@ def evolve_enlarged(model: EnlargedModel, rho0, cfg: IntegratorConfig) -> Trajec
 
 
 def propagate_nonsingular(model: EnlargedModel, rho0, t_max: float, n_steps: int) -> Trajectory:
-    """Exact propagation of a block-diagonal ``rho0`` on the enlarged space,
-    sampled at k t_max / n_steps for k = 0..n_steps.
+    """Exact propagation on the enlarged space from diag(``rho0``, 0), for the
+    system block ``rho0``, sampled at k t_max / n_steps for k = 0..n_steps.
 
     For a model whose system block decays completely, so that L_ss is
     invertible (a non-singular decay matrix): the fed block of each step

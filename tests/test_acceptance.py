@@ -55,7 +55,7 @@ def corpus_runs(corpus):
     t0 = time.perf_counter()
     runs = []
     for m in corpus:
-        enlarged = evolve_enlarged(m.model, embed_state(m.rho0, m.spec.d_f), CORPUS_CFG)
+        enlarged = evolve_enlarged(m.model, m.rho0, CORPUS_CFG)
         wwa = evolve_wwa(m.spec, m.rho0, CORPUS_CFG)
         runs.append(SimpleNamespace(member=m, enlarged=enlarged, wwa=wwa))
     elapsed = time.perf_counter() - t0
@@ -71,7 +71,7 @@ def onedim_run():
     model = embed_operators(spec, decay)
     cfg = IntegratorConfig(dt=1e-3, t_max=10.0, sample_stride=1)
     t0 = time.perf_counter()
-    traj = evolve_enlarged(model, np.diag([1.0, 0.0]), cfg)
+    traj = evolve_enlarged(model, [[1.0]], cfg)
     elapsed = time.perf_counter() - t0
     return SimpleNamespace(traj=traj, elapsed=elapsed, model=model, spec=spec)
 
@@ -237,9 +237,7 @@ def test_09_oracle_agreement(corpus, corpus_runs):
     worst = 0.0
     for run in corpus_runs.runs:
         m = run.member
-        exact = evolve_enlarged(
-            m.model, embed_state(m.rho0, m.spec.d_f), replace(CORPUS_CFG, method="exact")
-        )
+        exact = evolve_enlarged(m.model, m.rho0, replace(CORPUS_CFG, method="exact"))
         worst = max(worst, enlarged_gap(run.enlarged, exact))
     # fourth-order convergence: measured where truncation dominates roundoff
     ratios = []
@@ -247,9 +245,8 @@ def test_09_oracle_agreement(corpus, corpus_runs):
         errs = []
         for dt in (5e-2, 2.5e-2):
             cfg = IntegratorConfig(dt=dt, t_max=2.0, sample_stride=int(round(0.5 / dt)))
-            rho0_full = embed_state(m.rho0, m.spec.d_f)
-            rk = evolve_enlarged(m.model, rho0_full, cfg)
-            ex = evolve_enlarged(m.model, rho0_full, replace(cfg, method="exact"))
+            rk = evolve_enlarged(m.model, m.rho0, cfg)
+            ex = evolve_enlarged(m.model, m.rho0, replace(cfg, method="exact"))
             errs.append(enlarged_gap(rk, ex))
         ratios.append(errs[0] / errs[1])
     ok = worst <= 1e-8 and all(r >= 15.0 for r in ratios)
@@ -264,7 +261,7 @@ def test_10_decay_block_quadrature(corpus):
     cfg = IntegratorConfig(dt=1e-3, t_max=2.0, sample_stride=1)
     worst = 0.0
     for m in corpus:
-        traj = evolve_enlarged(m.model, embed_state(m.rho0, m.spec.d_f), cfg)
+        traj = evolve_enlarged(m.model, m.rho0, cfg)
         quad = rho_ff_quadrature(m.decay, traj)
         for k in range(len(traj)):
             worst = max(worst, frobenius(quad[k] - traj.decay[k]))

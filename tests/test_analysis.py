@@ -96,7 +96,7 @@ def test_positivity_random_trajectory():
     decay = build_decay_operator(decompose_gamma(spec.decay_matrix), spec.d_f)
     model = embed_operators(spec, decay)
     cfg = IntegratorConfig(dt=1e-3, t_max=2.0, sample_stride=100)
-    traj = evolve_enlarged(model, embed_state(rho0, spec.d_f), cfg)
+    traj = evolve_enlarged(model, rho0, cfg)
     assert check_positivity(traj, tol=1e-8).status == "pass"
 
 
@@ -182,7 +182,7 @@ def test_positivity_batched_matches_per_sample_loop():
     decay = build_decay_operator(decompose_gamma(spec.decay_matrix), spec.d_f)
     model = embed_operators(spec, decay)
     cfg = IntegratorConfig(dt=1e-3, t_max=1.0, sample_stride=50)
-    traj = evolve_enlarged(model, embed_state(rho0, spec.d_f), cfg)
+    traj = evolve_enlarged(model, rho0, cfg)
     worst = np.inf
     zero = np.zeros((spec.d_s, spec.d_f))
     for ss, ff in zip(traj.states, traj.decay):
@@ -278,7 +278,7 @@ def test_mixedness_matches_curve():
     gamma = 1.0
     cfg = IntegratorConfig(dt=1e-3, t_max=3.0, sample_stride=30)
     _, model, _ = single_decay_model(gamma=gamma)
-    traj = evolve_enlarged(model, np.diag([1.0, 0.0]), cfg)
+    traj = evolve_enlarged(model, [[1.0]], cfg)
     for k, t in enumerate(traj.times):
         x = np.exp(-gamma * t)
         delta = mixedness(traj.states[k]) + mixedness(traj.decay[k])

@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 from conftest import split_oracle
 
-from opendecay import analysis, cli
+from opendecay import analysis, cli, model as model_module
 from opendecay.cli import (
     builtin_scenario_path,
     main,
@@ -19,7 +19,7 @@ from opendecay.cli import (
     write_timeseries,
 )
 from opendecay.errors import ParseError, ValidationError
-from opendecay.evolution import BlockDensity, IntegratorConfig
+from opendecay.evolution import SUPEROP_MAX_DIM, BlockDensity, IntegratorConfig
 from opendecay.linalg import expm, unvec, vec
 from opendecay.model import embed_state
 from opendecay.randmodel import MAX_ENTRIES
@@ -394,6 +394,49 @@ def test_main_keeps_a_huge_decay_rate(tmp_path, capsys):
     assert "rk4 step of length 0.001 is not finite" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("route", ["stepper", "direct"])
+def test_main_exit_3_on_overflowing_state_without_runtime_warnings(tmp_path, capsys, route):
+    # A state that overflows ends in the drift monitor's numerical error:
+    # on the stepper (single-decay at dt = 5) and on the direct RK4 (d_s = 17
+    # with Gamma = 1e200 I).  The step-size warning is the only warning.
+    if route == "stepper":
+        config, flags, step = "single-decay", ["--dt", "5", "--t-max", "5000"], 273
+    else:
+        d = SUPEROP_MAX_DIM + 1
+        config, flags, step = str(tmp_path / "huge.json"), [], 1
+        pairs = cli._matrix_to_json
+        Path(config).write_text(json.dumps({
+            "name": "huge",
+            "system": {
+                "d_s": d, "d_f": d, "H": pairs(np.zeros((d, d))), "Gamma": pairs(1e200 * np.eye(d)),
+            },
+            "initial_state": pairs(np.diag([1.0] + [0.0] * (d - 1))),
+            "integrator": {"dt": 1e-3, "t_max": 0.01},
+            "checks": ["trace"],
+        }))
+    with pytest.warns(UserWarning, match="dt\\*\\|generator\\|") as record:
+        assert main(["simulate", config, "--out", str(tmp_path / "out"), *flags]) == 3
+    assert [w.category for w in record] == [UserWarning]
+    assert f"hermiticity drift nan at step {step} exceeds" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("case", ["under-a-file", "onto-a-directory"])
+def test_main_exit_2_on_unwritable_output(tmp_path, capsys, case):
+    # An output directory below a regular file, or an output file that is a
+    # directory, is named with exit 2, and no .tmp file is left behind.
+    if case == "under-a-file":
+        (tmp_path / "file").write_text("")
+        out = named = tmp_path / "file" / "sub"
+    else:
+        out = tmp_path / "out"
+        named = out / "single-decay_timeseries.csv"
+        named.mkdir(parents=True)
+    assert main(["simulate", "single-decay", "--out", str(out), "--t-max", "0.1"]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: cannot write {named}: ")
+    assert not list(tmp_path.rglob("*.tmp"))
+
+
 def _kaon_config(method: str, dt: float, stride: int) -> str:
     # Neutral kaons in the K0/K0bar basis, in units of Gamma_S, with the PDG
     # ratios Gamma_S/Gamma_L = 570 and Delta m = 0.47 Gamma_S, from K0 to
@@ -661,11 +704,42 @@ def test_cp_report_fails_on_nan_eigenvalue(monkeypatch):
     assert rep.status == "fail" and np.isnan(rep.measured)
 
 
+# The cp check alone at d_s = 12, and all five checks on the stepper (rk4 and
+# exact at d_s = 2) and on the direct RK4 route (rk4 at d_s = 17, above
+# SUPEROP_MAX_DIM).
+NO_PADDING_RUNS = (
+    (12, "rk4", ["cp"]),
+    (2, "rk4", list(cli.CHECK_NAMES)),
+    (2, "exact", list(cli.CHECK_NAMES)),
+    (17, "rk4", list(cli.CHECK_NAMES)),
+)
+
+
+def _no_padding_config(d_s: int, method: str, checks: list):
+    return parse_config(json.dumps({
+        "name": "no-padding",
+        "random_system": {"seed": 42, "d_s": d_s, "n_lindblad": 1},
+        "integrator": {"dt": 1e-3, "t_max": 0.05, "sample_stride": 10, "method": method},
+        "checks": checks,
+    }))
+
+
+def test_run_pads_no_array_to_the_enlarged_space(monkeypatch):
+    # Both evolutions and every check start from the d_s x d_s system block:
+    # no run pads a state or an operator to d_tot x d_tot.
+    def refuse(m, d_s, d_f):
+        raise AssertionError(f"a run padded a {m.shape} block to {d_s + d_f} x {d_s + d_f}")
+
+    monkeypatch.setattr(model_module, "_embed_block", refuse)
+    for d_s, method, checks in NO_PADDING_RUNS:
+        result = run_scenario(_no_padding_config(d_s, method, checks), write=False)
+        assert [r.name for r in result.reports] == checks
+        assert all(r.passed for r in result.reports), (d_s, method)
+
+
 def test_cp_check_does_not_assemble_enlarged_liouvillian(monkeypatch):
-    # The model is held as (spec, B), and no run derives a padded d_tot x
-    # d_tot operator from it: not with the cp check alone at d_s = 12, nor
-    # with all five checks on the stepper (rk4 and exact at d_s = 2) or on
-    # the direct RK4 route (rk4 at d_s = 17, above SUPEROP_MAX_DIM).
+    # The model is held as (spec, B), and no run of NO_PADDING_RUNS derives
+    # a padded d_tot x d_tot operator from it.
     models = []
     embed = cli.embed_operators
 
@@ -675,19 +749,8 @@ def test_cp_check_does_not_assemble_enlarged_liouvillian(monkeypatch):
 
     monkeypatch.setattr(cli, "embed_operators", recording_embed)
     padded = {"equation", "liouvillian", "hamiltonian", "lindblad_ops", "decay_op"}
-    for d_s, method, checks in (
-        (12, "rk4", ["cp"]),
-        (2, "rk4", list(cli.CHECK_NAMES)),
-        (2, "exact", list(cli.CHECK_NAMES)),
-        (17, "rk4", list(cli.CHECK_NAMES)),
-    ):
-        text = json.dumps({
-            "name": "no-padding",
-            "random_system": {"seed": 42, "d_s": d_s, "n_lindblad": 1},
-            "integrator": {"dt": 1e-3, "t_max": 0.05, "sample_stride": 10, "method": method},
-            "checks": checks,
-        })
-        result = run_scenario(parse_config(text), write=False)
+    for d_s, method, checks in NO_PADDING_RUNS:
+        result = run_scenario(_no_padding_config(d_s, method, checks), write=False)
         assert [r.name for r in result.reports] == checks
         assert all(r.passed for r in result.reports)
         model = models.pop()

@@ -1,9 +1,11 @@
+import warnings
+
 import numpy as np
 import pytest
 from conftest import enlarged_gap, split_oracle
 
 from opendecay import evolution
-from opendecay.errors import ConstraintError, DimensionError, GridError, NumericsError
+from opendecay.errors import DimensionError, GridError, NumericsError
 from opendecay.evolution import (
     SUPEROP_MAX_DIM,
     BlockDensity,
@@ -14,6 +16,7 @@ from opendecay.evolution import (
     evolve_wwa,
     integrate_rk4,
     propagate_exact,
+    propagate_nonsingular,
     rho_ff_quadrature,
     rhs_enlarged,
     rhs_wwa,
@@ -163,7 +166,7 @@ def test_block_diagonal_state_keeps_zero_coherence():
     deriv = BlockDensity.from_full(rhs_enlarged(rho0_full, model), spec.d_s)
     assert np.abs(deriv.rho_sf).max() == 0.0
     assert np.abs(deriv.rho_fs).max() == 0.0
-    traj = evolve_enlarged(model, rho0_full, IntegratorConfig(dt=1e-3, t_max=0.1, sample_stride=10))
+    traj = evolve_enlarged(model, rho0, IntegratorConfig(dt=1e-3, t_max=0.1, sample_stride=10))
     assert traj.states.shape == (len(traj), spec.d_s, spec.d_s)
     assert traj.decay.shape == (len(traj), spec.d_f, spec.d_f)
 
@@ -205,18 +208,17 @@ def test_feed_is_block_of_full_liouvillian(corpus):
 
 
 @pytest.mark.parametrize("d_s", [2, SUPEROP_MAX_DIM + 1])
-@pytest.mark.parametrize("block", ["sf", "fs"])
-def test_enlarged_rejects_coherent_initial_state(block, d_s):
-    # Within the hermiticity tolerance, so that the block check is what
-    # trips, and before any operator of the run is built.
+def test_enlarged_rejects_a_padded_initial_state(d_s):
+    # Both entry points take the d_s x d_s system block and start the decay
+    # block at zero; a d_tot x d_tot state is refused before any operator of
+    # the run is built.
     spec, rho0, decay, model = random_member(d_s=d_s)
     rho = embed_state(rho0, spec.d_f)
-    if block == "sf":
-        rho[0, d_s] = 1e-12
-    else:
-        rho[d_s, 0] = 1e-12
-    with pytest.raises(ConstraintError, match=f"initial state has a nonzero {block} block"):
+    expected = rf"state has shape \({model.d_tot}, {model.d_tot}\), expected \({d_s}, {d_s}\)"
+    with pytest.raises(DimensionError, match=expected):
         evolve_enlarged(model, rho, IntegratorConfig(dt=1e-3, t_max=0.01))
+    with pytest.raises(DimensionError, match=expected):
+        propagate_nonsingular(model, rho, 1.0, 10)
     assert "system_equation" not in vars(model)
 
 
@@ -228,7 +230,7 @@ def test_rk4_single_decay_half_life():
     spec, _, model = single_decay(gamma=1.0)
     t_half = np.log(2.0)
     cfg = IntegratorConfig(dt=t_half / 693, t_max=t_half, sample_stride=693)
-    traj = evolve_enlarged(model, np.diag([1.0, 0.0]), cfg)
+    traj = evolve_enlarged(model, [[1.0]], cfg)
     assert abs(traj.states[-1, 0, 0].real - 0.5) <= 1e-9
 
 
@@ -244,7 +246,7 @@ def test_rk4_matches_exact_propagator():
     liouv = assemble_liouvillian(model.hamiltonian, model.lindblad_ops, model.decay_op)
     cfg = IntegratorConfig(dt=1e-3, t_max=1.0, sample_stride=1000)
     rho0_full = embed_state(rho0, spec.d_f)
-    traj = evolve_enlarged(model, rho0_full, cfg)
+    traj = evolve_enlarged(model, rho0, cfg)
     exact = [propagate_exact(liouv, rho0_full, t) for t in traj.times]
     exact, sf = split_oracle(traj.times, exact, spec.d_s)
     assert enlarged_gap(traj, exact) <= 1e-8 and sf <= 1e-8
@@ -253,7 +255,7 @@ def test_rk4_matches_exact_propagator():
 def test_rk4_trace_and_hermiticity_preserved():
     spec, rho0, decay, model = random_member(seed=8, d_s=3, n_lindblad=2)
     cfg = IntegratorConfig(dt=1e-3, t_max=2.0, sample_stride=50)
-    traj = evolve_enlarged(model, embed_state(rho0, spec.d_f), cfg)
+    traj = evolve_enlarged(model, rho0, cfg)
     traces = [float((np.trace(s) + np.trace(f)).real) for s, f in zip(traj.states, traj.decay)]
     assert max(abs(t - 1.0) for t in traces) <= 1e-8
     for s in (*traj.states, *traj.decay):
@@ -273,7 +275,7 @@ def test_rk4_coherence_block_decoupling():
 def test_rk4_system_trace_monotone():
     spec, rho0, decay, model = random_member(seed=10, d_s=3, n_lindblad=1)
     cfg = IntegratorConfig(dt=1e-3, t_max=2.0, sample_stride=20)
-    traj = evolve_enlarged(model, embed_state(rho0, spec.d_f), cfg)
+    traj = evolve_enlarged(model, rho0, cfg)
     tr = [float(np.trace(s).real) for s in traj.states]
     assert all(tr[k + 1] <= tr[k] + 1e-10 for k in range(len(tr) - 1))
 
@@ -306,7 +308,7 @@ def test_rk4_fourth_order_convergence():
     assert sf <= 1e-12
     for dt in (4e-3, 2e-3):
         cfg = IntegratorConfig(dt=dt, t_max=2.0, sample_stride=int(round(2.0 / dt)))
-        errs.append(enlarged_gap(evolve_enlarged(model, rho0_full, cfg), exact))
+        errs.append(enlarged_gap(evolve_enlarged(model, rho0, cfg), exact))
     assert errs[0] / errs[1] >= 15.0
 
 
@@ -339,10 +341,9 @@ def test_propagate_exact_semigroup():
 
 def test_exact_method_trajectory_matches_rk4():
     spec, rho0, decay, model = random_member(seed=13)
-    rho0_full = embed_state(rho0, spec.d_f)
-    rk = evolve_enlarged(model, rho0_full, IntegratorConfig(dt=1e-3, t_max=1.0, sample_stride=100))
+    rk = evolve_enlarged(model, rho0, IntegratorConfig(dt=1e-3, t_max=1.0, sample_stride=100))
     ex = evolve_enlarged(
-        model, rho0_full, IntegratorConfig(dt=1e-3, t_max=1.0, sample_stride=100, method="exact")
+        model, rho0, IntegratorConfig(dt=1e-3, t_max=1.0, sample_stride=100, method="exact")
     )
     assert np.array_equal(rk.times, ex.times)
     assert enlarged_gap(rk, ex) <= 1e-8
@@ -354,7 +355,7 @@ def test_exact_method_trajectory_matches_rk4():
 def test_quadrature_single_decay():
     spec, decay, model = single_decay(gamma=1.0)
     cfg = IntegratorConfig(dt=1e-3, t_max=2.0, sample_stride=1)
-    traj = evolve_enlarged(model, np.diag([1.0, 0.0]), cfg)
+    traj = evolve_enlarged(model, [[1.0]], cfg)
     out = rho_ff_quadrature(decay, traj)
     for k, t in enumerate(traj.times):
         assert abs(out[k][0, 0].real - (1.0 - np.exp(-t))) <= 1e-6
@@ -372,7 +373,7 @@ def test_quadrature_matches_ode_route():
     # integrated block equation
     spec, rho0, decay, model = random_member(seed=14)
     cfg = IntegratorConfig(dt=5e-4, t_max=2.0, sample_stride=1)
-    traj = evolve_enlarged(model, embed_state(rho0, spec.d_f), cfg)
+    traj = evolve_enlarged(model, rho0, cfg)
     quad = rho_ff_quadrature(decay, traj)
     worst = max(np.linalg.norm(quad[k] - traj.decay[k]) for k in range(len(traj)))
     assert worst <= 1e-6
@@ -415,7 +416,7 @@ def test_superop_stepper_matches_direct_rk4_on_corpus(corpus):
     for m in corpus:
         assert m.model.d_tot <= SUPEROP_MAX_DIM
         rho0_full = embed_state(m.rho0, m.spec.d_f)
-        fast = evolve_enlarged(m.model, rho0_full, cfg)
+        fast = evolve_enlarged(m.model, m.rho0, cfg)
         direct = integrate_rk4(lambda r: rhs_enlarged(r, m.model), rho0_full, cfg)
         assert np.array_equal(fast.times, direct.times)
         direct, sf = split_oracle(direct.times, direct.states, m.spec.d_s)
@@ -436,7 +437,7 @@ def test_subspace_matches_full_liouvillian_on_corpus(corpus, method):
     worst = 0.0
     for m in corpus:
         rho0_full = embed_state(m.rho0, m.spec.d_f)
-        fast = evolve_enlarged(m.model, rho0_full, cfg)
+        fast = evolve_enlarged(m.model, m.rho0, cfg)
         if method == "rk4":
             oracle = integrate_rk4(lambda r: rhs_enlarged(r, m.model), rho0_full, cfg).states
         else:
@@ -457,9 +458,9 @@ def test_direct_rk4_above_superop_threshold(monkeypatch, space, above):
     spec, rho0, decay, model = random_member(seed=15, d_s=d_s)
     if space == "enlarged":
         evolve, target, rhs = evolve_enlarged, model, rhs_enlarged
-        rho0 = embed_state(rho0, spec.d_f)
+        full = embed_state(rho0, spec.d_f)
     else:
-        evolve, target, rhs = evolve_wwa, spec, rhs_wwa
+        evolve, target, rhs, full = evolve_wwa, spec, rhs_wwa, rho0
     calls = []
     original = MasterEquation.rhs
 
@@ -472,7 +473,7 @@ def test_direct_rk4_above_superop_threshold(monkeypatch, space, above):
     traj = evolve(target, rho0, cfg)
     assert len(calls) == (4 * cfg.n_steps if above else 0)
     if above:
-        ref = integrate_rk4(lambda r: rhs(r, target), rho0, cfg)
+        ref = integrate_rk4(lambda r: rhs(r, target), full, cfg)
         if space == "wwa":
             assert np.array_equal(traj.states, ref.states)
         else:
@@ -490,12 +491,11 @@ def test_superop_drift_monitor_trips(method):
     # stepper takes no right-hand side.
     liouv = Liouvillian(matrix=1j * np.eye(4), dim=2)
     cfg = IntegratorConfig(dt=0.1, t_max=1.0, method=method)
-    x0 = evolution._split_initial(np.eye(2) / 2, 2, 0)
+    rho0 = evolution._check_initial(np.eye(2) / 2, 2)
     with pytest.raises(NumericsError, match="hermiticity drift .* at step 1 exceeds"):
-        evolution._evolve(None, lambda: liouv, np.zeros((0, 2)), x0, cfg, method)
+        evolution._evolve(None, lambda: liouv, np.zeros((0, 2)), rho0, cfg, method)
 
 
-@pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning", "ignore:invalid:RuntimeWarning")
 def test_superop_drift_monitor_trips_on_nan():
     # At dt = 5 the RK4 polynomial of the single decay rate is
     # 1 - 5 + 25/2 - 125/6 + 625/24 > 1, so the stepper grows until it
@@ -503,7 +503,7 @@ def test_superop_drift_monitor_trips_on_nan():
     _, _, model = single_decay()
     cfg = IntegratorConfig(dt=5.0, t_max=5000.0)
     with pytest.raises(NumericsError, match="hermiticity drift nan"):
-        evolve_enlarged(model, np.diag([1.0, 0.0]), cfg)
+        evolve_enlarged(model, [[1.0]], cfg)
 
 
 @pytest.mark.parametrize(
@@ -535,10 +535,9 @@ def run_route(space, route, cfg):
     # decay matrix has full rank, so that L_ss is invertible.
     spec, rho0, decay, model = random_member(seed=5, d_s=2)
     if space == "enlarged":
-        return evolution._evolve_model(model, embed_state(rho0, spec.d_f), cfg, route)
-    x0 = evolution._split_initial(rho0, spec.d_s, 0)
+        return evolution._evolve_model(model, rho0, cfg, route)
     return evolution._evolve(
-        spec.equation, lambda: assemble_liouvillian_wwa(spec), np.zeros((0, 2)), x0, cfg, route
+        spec.equation, lambda: assemble_liouvillian_wwa(spec), np.zeros((0, 2)), rho0, cfg, route
     )
 
 
@@ -623,21 +622,80 @@ def test_block_stepper_names_the_first_nan_inside_a_block(monkeypatch):
     assert drift_error(monkeypatch, 2**20, q, h0, cfg) == one
 
 
-@pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning", "ignore:invalid:RuntimeWarning")
 def test_direct_block_drift_monitor_trips():
     # Above the stepper's threshold; dt = 50 makes every RK4 step grow the
     # state, and its rounding-level antihermitian part with it.
     spec, rho0, decay, model = random_member(seed=15, d_s=SUPEROP_MAX_DIM + 1)
     cfg = IntegratorConfig(dt=50.0, t_max=50.0 * 1000)
     with pytest.raises(NumericsError, match="hermiticity drift .* at step [0-9]+ exceeds 1e-09"):
-        evolve_enlarged(model, embed_state(rho0, spec.d_f), cfg)
+        evolve_enlarged(model, rho0, cfg)
+
+
+def decay_only(d, gamma, hamiltonian=None):
+    # H = 0 unless given, no Lindblad operators, d_f = rank of gamma.
+    gamma = np.asarray(gamma, dtype=float)
+    dec = decompose_gamma(gamma)
+    h = np.zeros((d, d)) if hamiltonian is None else hamiltonian
+    spec = SystemSpec(d_s=d, d_f=dec.rank, hamiltonian=h, decay_matrix=gamma)
+    return spec, embed_operators(spec, build_decay_operator(dec, dec.rank))
+
+
+@pytest.mark.parametrize("route", ["stepper", "direct"])
+def test_overflowing_state_ends_in_numerics_error_without_warnings(route):
+    # The stepper at dt = 5 grows the single decay until it overflows; the
+    # direct RK4 at d_s = 17 overflows in its first step on Gamma = 1e200 I.
+    # On either space the drift monitor ends the run, and numpy warns of
+    # none of it.
+    if route == "stepper":
+        spec, _, model = single_decay()
+        cfg, step = IntegratorConfig(dt=5.0, t_max=5000.0), 273
+    else:
+        d = SUPEROP_MAX_DIM + 1
+        spec, model = decay_only(d, 1e200 * np.eye(d))
+        cfg, step = IntegratorConfig(dt=1e-3, t_max=0.01), 1
+    rho0 = np.zeros((spec.d_s, spec.d_s))
+    rho0[0, 0] = 1.0
+    for evolve, target in ((evolve_enlarged, model), (evolve_wwa, spec)):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(NumericsError, match=f"hermiticity drift nan at step {step} "):
+                evolve(target, rho0, cfg)
+
+
+def test_stepper_refuses_a_last_state_that_overflows():
+    # With dt = 5 the single decay's state first overflows at step 272; the
+    # drift of step 273 would be NaN, but a run of 272 steps ends before it.
+    _, _, model = single_decay()
+    with pytest.raises(NumericsError, match="the state after step 272 is not finite"):
+        evolve_enlarged(model, [[1.0]], IntegratorConfig(dt=5.0, t_max=5.0 * 272))
+
+
+def test_nonsingular_refuses_a_dark_state():
+    # Gamma = diag(1, 0) with H = 0 leaves the second level undecayed, so
+    # L_ss has a zero eigenvalue and the fed block has no solve.
+    _, model = decay_only(2, np.diag([1.0, 0.0]))
+    with pytest.raises(NumericsError, match="the system-block Liouvillian is singular"):
+        propagate_nonsingular(model, np.diag([1.0, 0.0]), 10.0, 100)
+
+
+def test_nonsingular_propagates_a_singular_gamma_without_dark_state():
+    # The same singular Gamma with an H that mixes the two levels has no
+    # dark state: the system block decays completely, L_ss is invertible,
+    # and the solve agrees with the augmented expm of the exact method.
+    _, model = decay_only(2, np.diag([1.0, 0.0]), [[0.0, 0.3], [0.3, 0.1]])
+    rho0 = np.diag([1.0, 0.0])
+    traj = propagate_nonsingular(model, rho0, 20.0, 200)
+    exact = evolve_enlarged(model, rho0, IntegratorConfig(dt=0.1, t_max=20.0, method="exact"))
+    assert np.array_equal(traj.times, exact.times)
+    assert enlarged_gap(traj, exact) <= 1e-10
+    assert np.trace(traj.decay[-1]).real == pytest.approx(1.0 - np.trace(traj.states[-1]).real)
 
 
 def test_superop_rejects_nonhermitian_initial_state():
     _, _, model = single_decay()
     cfg = IntegratorConfig(dt=1e-3, t_max=0.01)
     with pytest.raises(NumericsError, match="initial state deviates from hermiticity"):
-        evolve_enlarged(model, np.array([[0.5, 0.1], [0.0, 0.5]]), cfg)
+        evolve_enlarged(model, [[1.0 + 0.1j]], cfg)
 
 
 @pytest.mark.parametrize("d_s", [SUPEROP_MAX_DIM, SUPEROP_MAX_DIM + 1])
@@ -650,7 +708,7 @@ def test_grid_warning_names_the_caller(space, method, d_s):
     cfg = IntegratorConfig(dt=1e-3, t_max=0.0105, method=method)
     with pytest.warns(UserWarning, match="not an integer multiple of dt") as record:
         if space == "enlarged":
-            evolve_enlarged(model, embed_state(rho0, spec.d_f), cfg)
+            evolve_enlarged(model, rho0, cfg)
         else:
             evolve_wwa(spec, rho0, cfg)
         integrate_rk4(lambda r: rhs_wwa(r, spec), rho0, cfg)
