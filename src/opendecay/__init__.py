@@ -21,7 +21,6 @@ from .analysis import (
     choi_matrix,
     choi_of_superoperator,
     kraus_amplitude_damping,
-    min_eigenvalues,
     mixedness,
 )
 from .cli import (

@@ -35,7 +35,6 @@ __all__ = [
     "choi_matrix",
     "choi_of_superoperator",
     "kraus_amplitude_damping",
-    "min_eigenvalues",
     "mixedness",
 ]
 
@@ -70,21 +69,12 @@ def _shortfall(low: float) -> float:
     return 0.0 if low >= 0 else -low
 
 
-def _diagonal_blocks(traj: Trajectory) -> tuple[np.ndarray, ...]:
-    return (traj.states,) if traj.decay is None else (traj.states, traj.decay)
-
-
-def min_eigenvalues(*blocks: np.ndarray) -> np.ndarray:
-    """Smallest eigenvalue of each sample of a block-diagonal state, from the
-    union of its hermitian (n, d, d) diagonal blocks' spectra; NaN stays NaN."""
-    return np.min([np.linalg.eigvalsh(b)[:, 0] for b in blocks], axis=0)
-
-
 def check_positivity(traj: Trajectory, tol: float = 1e-8) -> VerificationReport:
     """Smallest eigenvalue of every sample must stay above ``-tol``; for an
-    enlarged run, of the block-diagonal state its two blocks make up."""
-    sym = [require_hermitian(a, DEFAULT_HERMITICITY_TOL, "sample") for a in _diagonal_blocks(traj)]
-    worst = float(min_eigenvalues(*sym).min())
+    enlarged run, of the block-diagonal state its two blocks make up.  Reads
+    ``traj.min_eigenvalues``, whose hermiticity gate raises
+    :class:`NotHermitianError` on a sample that is not hermitian."""
+    worst = float(traj.min_eigenvalues.min())
     return _report(
         "positivity", _shortfall(worst), tol,
         min_eigenvalue=worst, n_samples=len(traj),
@@ -94,8 +84,7 @@ def check_positivity(traj: Trajectory, tol: float = 1e-8) -> VerificationReport:
 def check_trace(traj: Trajectory, tol: float = 1e-8) -> VerificationReport:
     """Largest deviation of the total trace from TRACE_TARGET across samples;
     for an enlarged run the total is the sum of its two blocks' traces."""
-    traces = sum(np.trace(a, axis1=1, axis2=2).real for a in _diagonal_blocks(traj))
-    worst = float(np.abs(traces - TRACE_TARGET).max())
+    worst = float(np.abs(traj.traces.sum(axis=0) - TRACE_TARGET).max())
     return _report("trace", worst, tol, target=TRACE_TARGET, n_samples=len(traj))
 
 
@@ -204,14 +193,14 @@ def asymptotics_check(traj: Trajectory, dec: GammaDecomposition) -> Verification
     gamma0 = float(dec.rates.min())
     horizon = 20.0 / gamma0
     t_end = float(traj.times[-1])
-    traces = np.trace(traj.states, axis1=1, axis2=2).real
+    traces, ff_traces = traj.traces
     tr0 = float(traces[0])
     excess = -np.inf
     for t, tr in zip(traj.times, traces):
         bound = tr0 * math.exp(-gamma0 * t) * (1.0 + 1e-6)
         excess = max(excess, float(tr) - bound)
     ss_norm = frobenius(traj.states[-1])
-    ff_gap = abs(float(np.trace(traj.decay[-1]).real) - 1.0)
+    ff_gap = abs(float(ff_traces[-1]) - 1.0)
     ratios = {
         "bound_excess": excess / ASYMPTOTICS_BOUND_TOL,
         "final_ss_norm": ss_norm / ASYMPTOTICS_LIMIT_TOL,

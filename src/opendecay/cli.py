@@ -75,8 +75,8 @@ CP_SAMPLE_TIMES = (0.1, 1.0, 5.0)
 ASYMPTOTICS_STEPS = 200
 # Largest size in bytes of the two trajectories a run keeps, n_samples * 16 *
 # (2 d_s^2 + d_f^2) for the complex blocks of the enlarged run and the
-# system-space states.  The positivity check and the CSV table hold at most
-# one more copy of the enlarged run's blocks.
+# system-space states.  The hermiticity gate of the smallest eigenvalues
+# holds at most one more copy of the enlarged run's blocks.
 MAX_TRAJECTORY_BYTES = 2**29
 
 __all__ = [
@@ -115,7 +115,7 @@ class ScenarioConfig:
 @dataclass(eq=False)
 class RunResult:
     name: str
-    table: tuple[tuple[float, ...], ...]
+    table: np.ndarray  # read-only (n, 6): the columns of write_timeseries
     reports: tuple[analysis.VerificationReport, ...]
     exit_status: int
     enlarged: Trajectory
@@ -363,33 +363,10 @@ class _RunContext:
         self.wwa: Trajectory | None = None
 
 
-def _restricted_propagator(basis: HermitianBasis, gen: np.ndarray, t: float) -> np.ndarray:
-    # rho_ss(0) -> system block of the exactly propagated enlarged state, as
-    # a d_s^2 x d_s^2 superoperator.  Nothing couples the decay sector back
-    # into the system block, so that block evolves on its own under the
-    # system Liouvillian; its real form ``gen`` is exponentiated in real
-    # arithmetic and taken back to vec() coordinates.
-    return basis.right_inverse(basis.left(expm(gen * t)))
-
-
-def _check_trace(ctx: _RunContext) -> analysis.VerificationReport:
-    return analysis.check_trace(ctx.enlarged, tol=1e-8)
-
-
-def _check_positivity(ctx: _RunContext) -> analysis.VerificationReport:
-    return analysis.check_positivity(ctx.enlarged, tol=1e-8)
-
-
 def _check_equivalence(ctx: _RunContext) -> analysis.VerificationReport:
     delta = ctx.enlarged.states - ctx.wwa.states
     worst = float(np.linalg.norm(delta, axis=(1, 2)).max())
-    return analysis.VerificationReport(
-        name="equivalence",
-        status="pass" if worst <= 1e-8 else "fail",
-        measured=worst,
-        tolerance=1e-8,
-        meta={"n_samples": len(ctx.enlarged)},
-    )
+    return analysis._report("equivalence", worst, 1e-8, n_samples=len(ctx.enlarged))
 
 
 def _check_cp(ctx: _RunContext) -> analysis.VerificationReport:
@@ -397,24 +374,19 @@ def _check_cp(ctx: _RunContext) -> analysis.VerificationReport:
     times = [t for t in CP_SAMPLE_TIMES if t <= t_max] or [max(t_max, 1e-3)]
     d_s = ctx.spec.d_s
     basis = HermitianBasis(d_s)
-    gen = basis.real_form(ctx.model.system_liouvillian.matrix)
-    reps = [
-        analysis.check_cp(
-            analysis.choi_of_superoperator(_restricted_propagator(basis, gen, t), d_s, t=t),
-            tol=1e-8,
-        )
-        for t in times
-    ]
+    gen = ctx.model.system_liouvillian.real_form
+    reps = []
+    for t in times:
+        # The propagator rho_ss(0) -> rho_ss(t) of the enlarged evolution, as
+        # a d_s^2 x d_s^2 superoperator.  Nothing couples the decay sector
+        # back into the system block, so it evolves on its own under L_ss;
+        # the real form is exponentiated and taken back to vec() coordinates.
+        prop = basis.right_inverse(basis.left(expm(gen * t)))
+        reps.append(analysis.check_cp(analysis.choi_of_superoperator(prop, d_s, t=t), tol=1e-8))
     # np.max and np.min keep a NaN, so the report fails.
     worst = float(np.max([r.measured for r in reps]))
     low = float(np.min([r.meta["min_eigenvalue"] for r in reps]))
-    return analysis.VerificationReport(
-        name="cp",
-        status="pass" if worst <= 1e-8 else "fail",
-        measured=worst,
-        tolerance=1e-8,
-        meta={"times": times, "min_eigenvalue": float(low)},
-    )
+    return analysis._report("cp", worst, 1e-8, times=times, min_eigenvalue=low)
 
 
 def _check_asymptotics(ctx: _RunContext) -> analysis.VerificationReport:
@@ -428,8 +400,8 @@ def _check_asymptotics(ctx: _RunContext) -> analysis.VerificationReport:
 
 
 CHECKS = {
-    "trace": _check_trace,
-    "positivity": _check_positivity,
+    "trace": lambda ctx: analysis.check_trace(ctx.enlarged, tol=1e-8),
+    "positivity": lambda ctx: analysis.check_positivity(ctx.enlarged, tol=1e-8),
     "cp": _check_cp,
     "equivalence": _check_equivalence,
     "asymptotics": _check_asymptotics,
@@ -439,20 +411,15 @@ CHECKS = {
 # -- running -----------------------------------------------------------------
 
 
-def _format(x: float) -> str:
-    return f"{x:.17g}"
-
-
-def _sample_table(traj: Trajectory) -> tuple[tuple[float, ...], ...]:
+def _sample_table(traj: Trajectory) -> np.ndarray:
     # Columns t, tr_rho_ss, tr_rho_ff, tr_total, delta (purity), min_eig of
-    # the block-diagonal enlarged state, from its two blocks.
-    ss, ff = traj.states, traj.decay
-    tr_ss = np.trace(ss, axis1=1, axis2=2).real
-    tr_ff = np.trace(ff, axis1=1, axis2=2).real
-    delta = np.einsum("nij,nji->n", ss, ss).real + np.einsum("nij,nji->n", ff, ff).real
-    min_eig = analysis.min_eigenvalues(ss, ff)
-    cols = np.column_stack((traj.times, tr_ss, tr_ff, tr_ss + tr_ff, delta, min_eig))
-    return tuple(map(tuple, cols.tolist()))
+    # the block-diagonal enlarged state, from the trajectory's cached arrays.
+    tr_ss, tr_ff = traj.traces
+    table = np.column_stack(
+        (traj.times, tr_ss, tr_ff, tr_ss + tr_ff, traj.purity, traj.min_eigenvalues)
+    )
+    table.flags.writeable = False
+    return table
 
 
 def _holds(path: Path, data: bytes) -> bool:
@@ -497,9 +464,10 @@ def _atomic_write(path: Path, text: str) -> None:
 def write_timeseries(result: RunResult, path) -> None:
     """CSV with header t,tr_rho_ss,tr_rho_ff,tr_total,delta,min_eig; one row
     per sample, 17-significant-digit floats, LF line endings, atomic write."""
+    # "%.17g" % x is f"{x:.17g}", one format per row instead of per value.
+    row = ",".join(["%.17g"] * 6)
     lines = ["t,tr_rho_ss,tr_rho_ff,tr_total,delta,min_eig"]
-    for row in result.table:
-        lines.append(",".join(_format(x) for x in row))
+    lines += [row % tuple(r) for r in result.table.tolist()]
     _atomic_write(Path(path), "\n".join(lines) + "\n")
 
 
@@ -509,7 +477,7 @@ def write_report(result: RunResult, path) -> None:
     lines = []
     for rep in result.reports:
         verdict = "fail" if rep.status == "fail" else "pass"
-        lines.append(f"{rep.name},{verdict},{_format(rep.measured)},{_format(rep.tolerance)}")
+        lines.append("%s,%s,%.17g,%.17g" % (rep.name, verdict, rep.measured, rep.tolerance))
     _atomic_write(Path(path), "\n".join(lines) + ("\n" if lines else ""))
 
 

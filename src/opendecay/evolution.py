@@ -66,7 +66,8 @@ us direct; at d = 18, 106, 71 and 57 us against 85-106 us; at d = 20, 223,
 stepper wins from 500 steps on.
 
 A :class:`Trajectory` holds the read-only (n, d, d) complex arrays the engine
-fills; for an enlarged-space run, its system and decay blocks.
+fills; for an enlarged-space run, its system and decay blocks.  It caches
+the per-sample numbers that the CSV table and the checks read.
 """
 
 from __future__ import annotations
@@ -74,12 +75,14 @@ from __future__ import annotations
 import math
 import warnings
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
 from .errors import DimensionError, GridError, NumericsError
-from .linalg import HermitianBasis, as_matrix, expm, unvec, vec
+from .linalg import HermitianBasis, as_matrix, expm, require_hermitian, unvec, vec
 from .model import (
+    DEFAULT_HERMITICITY_TOL,
     DecayOperator,
     EnlargedModel,
     Liouvillian,
@@ -145,10 +148,14 @@ class BlockDensity:
         return np.block([[self.rho_ss, self.rho_sf], [self.rho_fs, self.rho_ff]])
 
 
+def _read_only(a: np.ndarray) -> np.ndarray:
+    a.flags.writeable = False
+    return a
+
+
 def _read_only_stack(a, name: str, times: np.ndarray) -> np.ndarray:
     # A view, so that an array the caller passed in stays writable.
-    a = np.asarray(a, dtype=np.complex128).view()
-    a.flags.writeable = False
+    a = _read_only(np.asarray(a, dtype=np.complex128).view())
     if a.ndim != 3 or a.shape[1] != a.shape[2]:
         raise ValueError(f"{name} must be an (n, d, d) array, got shape {a.shape}")
     if len(a) != times.size:
@@ -164,7 +171,8 @@ class Trajectory:
     code which writes into a sample fails instead of changing it.  An
     enlarged-space run holds its block-diagonal states as the (n, d_s, d_s)
     system blocks in ``states`` and the (n, d_f, d_f) decay blocks, read-only
-    too, in ``decay``; any other trajectory has ``decay = None``.
+    too, in ``decay``; any other trajectory has ``decay = None``.  The
+    per-sample numbers below are computed on first use and cached, read-only.
     """
 
     times: np.ndarray
@@ -183,6 +191,29 @@ class Trajectory:
 
     def __len__(self) -> int:
         return int(self.times.size)
+
+    @property
+    def blocks(self) -> tuple[np.ndarray, ...]:
+        """The diagonal blocks: ``(states,)``, or ``(states, decay)``."""
+        return (self.states,) if self.decay is None else (self.states, self.decay)
+
+    @cached_property
+    def traces(self) -> np.ndarray:
+        """The real trace of each block of each sample, one row per block."""
+        return _read_only(np.array([np.trace(b, axis1=1, axis2=2).real for b in self.blocks]))
+
+    @cached_property
+    def purity(self) -> np.ndarray:
+        """Tr(rho^2) of each sample, the sum of its blocks' purities."""
+        return _read_only(np.sum([np.einsum("nij,nji->n", b, b).real for b in self.blocks], axis=0))
+
+    @cached_property
+    def min_eigenvalues(self) -> np.ndarray:
+        """The smallest eigenvalue of each sample, from the union of its
+        blocks' spectra (NaN stays NaN), after the hermiticity gate: a sample
+        that fails :func:`require_hermitian` raises, and nothing is cached."""
+        sym = [require_hermitian(b, DEFAULT_HERMITICITY_TOL, "sample") for b in self.blocks]
+        return _read_only(np.min([np.linalg.eigvalsh(b)[:, 0] for b in sym], axis=0))
 
 
 @dataclass(frozen=True)
@@ -454,9 +485,9 @@ def _check_initial(rho0, d: int) -> np.ndarray:
     return rho
 
 
-def _step_blocks(l_ss: np.ndarray, b: np.ndarray, h: float, route: str) -> list[np.ndarray]:
+def _step_blocks(liouv: Liouvillian, b: np.ndarray, h: float, route: str) -> list[np.ndarray]:
     """[Q_ss, Q_fs]: the blocks of one step [[E, 0], [Phi, I]] of length h
-    on (vec rho_ss, vec rho_ff), for the system-block Liouvillian ``l_ss``
+    on (vec rho_ss, vec rho_ff), for the system-block Liouvillian ``liouv``
     and the decay block ``b``, in the coordinates of :class:`HermitianBasis`.
 
     ``rk4``: E = P(a), Phi = h L_fs (I + a/2 + a^2/6 + a^3/24), a = h L_ss.
@@ -467,9 +498,10 @@ def _step_blocks(l_ss: np.ndarray, b: np.ndarray, h: float, route: str) -> list[
     """
     d_f, d_s = b.shape
     basis_s, basis_f = HermitianBasis(d_s), HermitianBasis(d_f)
+    l_ss = liouv.matrix
     n_s = l_ss.shape[0]
     if route == "nonsingular":
-        gen = basis_s.real_form(l_ss)
+        gen = liouv.real_form
         q_ss = expm(gen * h)
         try:
             y = np.linalg.solve(gen, q_ss - np.eye(n_s))  # U^-1 L_ss^-1 (E - I) U
@@ -539,7 +571,7 @@ def _evolve(equation, liouvillian, b: np.ndarray, rho0, cfg: IntegratorConfig, r
             times = _sample(advance, (rho0, decay[0]), cfg, (states, decay))
         else:
             h0 = np.concatenate((HermitianBasis(d).coords(rho0), np.zeros(d_f * d_f)))
-            q = _step_blocks(liouvillian().matrix, b, dt, route)
+            q = _step_blocks(liouvillian(), b, dt, route)
             if not all(np.isfinite(x).all() for x in q):
                 raise NumericsError(f"the {route} step of length {dt:g} is not finite")
             times, states, decay = _evolve_steps(q, h0, (d, d_f), cfg)

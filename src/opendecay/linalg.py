@@ -106,8 +106,9 @@ class HermitianBasis:
     def real_form(self, superop: np.ndarray) -> np.ndarray:
         """Re(U^-1 superop U) for a d^2 x d^2 superoperator.  For one that
         preserves hermiticity the imaginary part is rounding-level, and the
-        real matrix maps coordinates to coordinates."""
-        return self.left_inverse(self.right(superop)).real
+        real matrix maps coordinates to coordinates.  A copy, not a view, so
+        that a cached real form does not keep the complex product alive."""
+        return self.left_inverse(self.right(superop)).real.copy()
 
     def coords(self, rho: np.ndarray) -> np.ndarray:
         """Real coordinates of a hermitian d x d matrix."""

@@ -28,7 +28,7 @@ from functools import cached_property
 import numpy as np
 
 from .errors import ConstraintError, DimensionError, NotPSDError, NumericsError
-from .linalg import as_matrix, frobenius, hermitian_eig, require_hermitian
+from .linalg import HermitianBasis, as_matrix, frobenius, hermitian_eig, require_hermitian
 
 DEFAULT_HERMITICITY_TOL = 1e-10
 # Eigenvalues of the decay matrix at or below this (times max(1, ||Gamma||_F))
@@ -400,6 +400,13 @@ class Liouvillian:
 
     matrix: np.ndarray
     dim: int
+
+    @cached_property
+    def real_form(self) -> np.ndarray:
+        """The matrix in the real coordinates of :class:`HermitianBasis`, built
+        once: the ``cp`` check and the ``nonsingular`` step exponentiate the
+        real form of the cached ``EnlargedModel.system_liouvillian``."""
+        return HermitianBasis(self.dim).real_form(self.matrix)
 
 
 def assemble_liouvillian(hamiltonian, lindblad_ops=(), decay_op=None) -> Liouvillian:

@@ -11,6 +11,7 @@ from opendecay.analysis import (
     check_positivity,
     check_trace,
     choi_matrix,
+    choi_of_superoperator,
     kraus_amplitude_damping,
     mixedness,
 )
@@ -23,7 +24,7 @@ from opendecay.evolution import (
     evolve_enlarged,
     propagate_exact,
 )
-from opendecay.linalg import unvec, vec
+from opendecay.linalg import expm, unvec, vec
 from opendecay.model import (
     SystemSpec,
     assemble_liouvillian,
@@ -32,6 +33,7 @@ from opendecay.model import (
     decompose_gamma,
     embed_operators,
     embed_state,
+    feed_columns,
 )
 from opendecay.randmodel import random_system
 
@@ -56,8 +58,6 @@ def exact_trajectory(liouv, rho0, t_max, n, d_s):
     # Held by its blocks; the full propagator keeps the sf block within the
     # asymptotics check's limit tolerance.
     h = t_max / n
-    from opendecay.linalg import expm
-
     step = expm(liouv.matrix * h)
     v = vec(rho0)
     times = [0.0]
@@ -256,6 +256,56 @@ def test_choi_restricted_map_trace_non_increasing():
 
     choi = choi_matrix(restricted, 1)
     assert np.trace(choi.matrix).real <= 1.0 + 1e-9
+
+
+def test_choi_of_superoperator_matches_map_evaluation():
+    # The reshuffle of a superoperator's entries against the Choi matrix
+    # built by evaluating the map: a system-block propagator, the
+    # transposition (not CP) and the decay feed rho -> B rho B† (d_f != d_s).
+    spec, rho0 = random_system(19, d_s=3, n_lindblad=1, rank=2)
+    decay = build_decay_operator(decompose_gamma(spec.decay_matrix), spec.d_f)
+    model = embed_operators(spec, decay)
+    prop = expm(model.system_liouvillian.matrix * 0.7)
+    transpose = np.zeros((4, 4))
+    for i in range(2):
+        for j in range(2):
+            transpose[j + 2 * i, i + 2 * j] = 1.0  # vec(X^T) from vec(X)
+    b = decay.matrix
+    cases = [
+        (prop, 3, lambda rho: unvec(prop @ vec(rho), 3)),
+        (transpose, 2, lambda rho: rho.T),
+        (feed_columns(b, np.eye(9)), 3, lambda rho: b @ rho @ b.conj().T),
+    ]
+    for superop, d, apply in cases:
+        got = choi_of_superoperator(superop, d, t=0.7)
+        want = choi_matrix(apply, d, t=0.7)
+        assert got.dim == want.dim == d and got.t == 0.7
+        np.testing.assert_allclose(got.matrix, want.matrix, rtol=0, atol=1e-14)
+    assert check_cp(choi_of_superoperator(prop, 3)).status == "pass"
+    assert check_cp(choi_of_superoperator(transpose, 2)).meta["min_eigenvalue"] == -1.0
+
+
+def test_trajectory_caches_its_per_sample_numbers(monkeypatch):
+    traj = closed_form_trajectory(n=5)
+    eigvalsh, calls = np.linalg.eigvalsh, []
+    monkeypatch.setattr(np.linalg, "eigvalsh", lambda a: calls.append(a.shape) or eigvalsh(a))
+    first = check_positivity(traj)
+    assert check_positivity(traj) == first
+    assert calls == [(5, 1, 1), (5, 1, 1)]  # one stack per block, once
+    for a in (traj.traces, traj.purity, traj.min_eigenvalues):
+        assert not a.flags.writeable
+    assert traj.traces.shape == (2, 5) and traj.purity.shape == (5,)
+
+
+def test_failed_hermiticity_gate_caches_nothing():
+    bad = np.array([[0.5, 1.0], [0.0, 0.5]])
+    traj = Trajectory(times=[0.0], states=(bad,))
+    for _ in range(2):
+        with pytest.raises(NotHermitianError, match=r"^sample 0 deviates"):
+            check_positivity(traj)
+    assert "min_eigenvalues" not in vars(traj)
+    # The traces take no gate: the trace check still reports.
+    assert check_trace(traj).status == "pass"
 
 
 # -- mixedness -------------------------------------------------------------------

@@ -18,9 +18,9 @@ from opendecay.cli import (
     serialize_config,
     write_timeseries,
 )
-from opendecay.errors import ParseError, ValidationError
-from opendecay.evolution import SUPEROP_MAX_DIM, BlockDensity, IntegratorConfig
-from opendecay.linalg import expm, unvec, vec
+from opendecay.errors import NotHermitianError, ParseError, ValidationError
+from opendecay.evolution import SUPEROP_MAX_DIM, BlockDensity, IntegratorConfig, Trajectory
+from opendecay.linalg import HermitianBasis, expm, unvec, vec
 from opendecay.model import embed_state
 from opendecay.randmodel import MAX_ENTRIES
 
@@ -230,6 +230,88 @@ def test_report_file_format(tmp_path):
         name, verdict, measured, tolerance = line.split(",")
         assert verdict in ("pass", "fail")
         float(measured), float(tolerance)
+
+
+# Values whose 17-significant-digit form is easy to get wrong.
+AWKWARD_FLOATS = [
+    float("nan"), float("inf"), float("-inf"), -0.0, 5e-324, 0.1, 1 / 3, 2**53 + 1, 1e22,
+    -1.2345678901234567e-300,
+]
+
+
+def test_csv_rows_match_per_value_formatting(tmp_path):
+    # The writers format a row at a time; the bytes are those of formatting
+    # each value with f"{x:.17g}".
+    table = np.array(AWKWARD_FLOATS + [0.0, 1.0]).reshape(2, 6)
+    reports = tuple(
+        analysis.VerificationReport(f"r{i}", "pass", x, x) for i, x in enumerate(AWKWARD_FLOATS)
+    )
+    result = cli.RunResult("fmt", table, reports, 0, enlarged=None, wwa=None)
+    write_timeseries(result, tmp_path / "t.csv")
+    cli.write_report(result, tmp_path / "r.csv")
+    rows = [",".join(f"{x:.17g}" for x in row) for row in table.tolist()]
+    assert (tmp_path / "t.csv").read_text().splitlines()[1:] == rows
+    lines = [f"{r.name},pass,{r.measured:.17g},{r.tolerance:.17g}" for r in reports]
+    assert (tmp_path / "r.csv").read_text().splitlines() == lines
+    assert "nan,inf,-inf,-0,4.9406564584124654e-324,0.10000000000000001" in rows[0]
+
+
+def test_run_table_is_a_read_only_array():
+    result = run_scenario(short(parse_config(SINGLE_DECAY), checks=()), write=False)
+    assert result.table.shape == (len(result.enlarged), 6)
+    with pytest.raises(ValueError):
+        result.table[0, 0] = 1.0
+
+
+@pytest.mark.parametrize("name", ["single-decay", "two-level-decay", "random"])
+def test_run_takes_each_block_spectrum_once(monkeypatch, name):
+    # The min_eig column and the positivity check read one set of smallest
+    # eigenvalues: one eigvalsh of each block's stack of samples.
+    cfg = parse_config(builtin_scenario_path(name).read_text())
+    assert "positivity" in cfg.checks
+    eigvalsh, stacks = np.linalg.eigvalsh, []
+
+    def counting(a, *args, **kwargs):
+        if np.ndim(a) == 3:
+            stacks.append(a.shape)
+        return eigvalsh(a, *args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "eigvalsh", counting)
+    result = run_scenario(cfg, write=False)
+    assert stacks == [result.enlarged.states.shape, result.enlarged.decay.shape]
+
+
+def test_run_without_checks_gates_its_samples(monkeypatch):
+    # The min_eig column is taken after the hermiticity gate, as the
+    # positivity check is, so a run that asks for no check still has it.
+    evolve = cli.evolve_enlarged
+
+    def skewed(model, rho0, icfg):
+        traj = evolve(model, rho0, icfg)
+        states = traj.states.copy()
+        states[2, 0, 0] += 1j
+        return Trajectory(traj.times, states, decay=traj.decay)
+
+    monkeypatch.setattr(cli, "evolve_enlarged", skewed)
+    with pytest.raises(NotHermitianError, match=r"^sample 2 deviates from hermiticity"):
+        run_scenario(short(parse_config(SINGLE_DECAY), checks=()), write=False)
+
+
+def test_run_builds_the_system_real_form_once(monkeypatch):
+    # The cp check and the asymptotics check's nonsingular propagation both
+    # exponentiate the real form of L_ss; the model builds it once.
+    cfg = parse_config(builtin_scenario_path("random").read_text())
+    assert {"cp", "asymptotics"} <= set(cfg.checks)
+    real_form, calls = HermitianBasis.real_form, []
+
+    def counting(self, superop):
+        calls.append(superop.shape)
+        return real_form(self, superop)
+
+    monkeypatch.setattr(HermitianBasis, "real_form", counting)
+    result = run_scenario(short(cfg, t_max=1.0), write=False)
+    assert result.exit_status == 0
+    assert len(calls) == 1
 
 
 # -- command line ----------------------------------------------------------------

@@ -42,6 +42,59 @@ def test_hermitian_basis_matrices_invert_coords(d):
     np.testing.assert_allclose(out, rhos, rtol=0, atol=1e-15)
 
 
+def explicit_basis(d):
+    # U built column by column from its definition: column k = r + c d is
+    # vec(E_rr) on the diagonal, vec(E_rc + E_cr) for r < c and
+    # vec(i(E_cr - E_rc)) for r > c.
+    u = np.zeros((d * d, d * d), dtype=complex)
+    for k in range(d * d):
+        r, c = k % d, k // d
+        m = np.zeros((d, d), dtype=complex)
+        if r == c:
+            m[r, r] = 1.0
+        elif r < c:
+            m[r, c] = m[c, r] = 1.0
+        else:
+            m[c, r], m[r, c] = 1j, -1j
+        u[:, k] = m.reshape(-1, order="F")
+    return u
+
+
+@pytest.mark.parametrize("d", [1, 2, 3, 4])
+def test_hermitian_basis_changes_of_basis_match_explicit_matrix(d):
+    u = explicit_basis(d)
+    u_inv = np.linalg.inv(u)
+    basis = HermitianBasis(d)
+    np.testing.assert_array_equal(np.diag(u.conj().T @ u).real, basis.norms_sq)
+    m = random_complex(d * d, d * d)
+    for got, want in (
+        (basis.left(m), u @ m),
+        (basis.right(m), m @ u),
+        (basis.left_inverse(m), u_inv @ m),
+        (basis.right_inverse(m), m @ u_inv),
+    ):
+        np.testing.assert_allclose(got, want, rtol=0, atol=1e-14)
+    np.testing.assert_allclose(basis.left_inverse(basis.left(m)), m, rtol=0, atol=1e-14)
+    np.testing.assert_allclose(basis.right(basis.right_inverse(m)), m, rtol=0, atol=1e-14)
+
+
+@pytest.mark.parametrize("d", [1, 2, 3, 4])
+def test_hermitian_basis_real_form_of_a_liouvillian(d):
+    # A Liouvillian preserves hermiticity, so U^-1 L U is real up to
+    # rounding, and its real form maps coordinates to coordinates.
+    spec, rho0 = random_system(30 + d, d_s=d, n_lindblad=1)
+    liouv = spec.equation.liouvillian().matrix
+    u = explicit_basis(d)
+    full = np.linalg.solve(u, liouv @ u)
+    assert np.abs(full.imag).max() <= 1e-13
+    basis = HermitianBasis(d)
+    gen = basis.real_form(liouv)
+    assert gen.dtype == np.float64
+    np.testing.assert_allclose(gen, full.real, rtol=0, atol=1e-13)
+    rate = unvec(liouv @ vec(rho0), d)
+    np.testing.assert_allclose(gen @ basis.coords(rho0), basis.coords(rate), rtol=0, atol=1e-13)
+
+
 # -- as_matrix ------------------------------------------------------------------
 
 
