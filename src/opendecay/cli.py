@@ -63,7 +63,6 @@ from .model import (
     build_decay_operator,
     decompose_gamma,
     embed_operators,
-    feed_columns,
     validate_spec,
 )
 from .randmodel import MAX_ENTRIES, random_system
@@ -364,8 +363,13 @@ class _RunContext:
 
 
 def _check_equivalence(ctx: _RunContext) -> analysis.VerificationReport:
-    delta = ctx.enlarged.states - ctx.wwa.states
-    worst = float(np.linalg.norm(delta, axis=(1, 2)).max())
+    # Over chunks of about 256 KiB of samples, so that the temporaries stay
+    # small; each sample's norm is reduced on its own, so the worst one is
+    # that of the whole stack, and np.max keeps a NaN.
+    a, b = ctx.enlarged.states, ctx.wwa.states
+    k = max(1, 2**18 // a[0].nbytes)  # samples per chunk
+    chunks = (slice(i, i + k) for i in range(0, len(a), k))
+    worst = float(np.max([np.linalg.norm(a[c] - b[c], axis=(1, 2)).max() for c in chunks]))
     return analysis._report("equivalence", worst, 1e-8, n_samples=len(ctx.enlarged))
 
 
@@ -495,11 +499,14 @@ def _liouvillian_norm_bound(model) -> float:
 
 
 def _subspace_generator_norm(model) -> float:
-    # The generator on (vec rho_ss, vec rho_ff) is [[L_ss, 0], [L_fs, 0]];
-    # its zero block column does not change the 2-norm.
-    l_ss = model.system_liouvillian.matrix
-    l_fs = feed_columns(model.decay.matrix, np.eye(l_ss.shape[0]))
-    return float(np.linalg.norm(np.concatenate((l_ss, l_fs)), 2))
+    # The generator on (vec rho_ss, vec rho_ff) is [[L_ss, 0], [L_fs, 0]]; its
+    # zero block column does not change the 2-norm.  [L_ss; L_fs] is diag(U_s,
+    # U_f) G U_s^-1 for the real forms G and bases U of orthogonal columns of
+    # norms w, so its 2-norm is that of diag(w) G diag(w_s)^-1.
+    w_s = np.sqrt(HermitianBasis(model.d_s).norms_sq)
+    w = np.concatenate((w_s, np.sqrt(HermitianBasis(model.d_f).norms_sq)))
+    gen = np.concatenate((model.system_liouvillian.real_form, model.feed_real_form))
+    return float(np.linalg.norm(w[:, None] * gen / w_s, 2))
 
 
 def run_scenario(cfg: ScenarioConfig, out_dir=None, write: bool = True) -> RunResult:

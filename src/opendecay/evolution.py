@@ -26,34 +26,39 @@ E = P(h L_ss) and Phi = h L_fs (I + a/2 + a^2/6 + a^3/24) for a = h L_ss; the
 (Van Loan, IEEE Trans. Autom. Control 23, 395 (1978)).
 
 For d_s <= SUPEROP_MAX_DIM the ``rk4`` method builds its step once and then
-advances a block of steps per real matvec; ``exact`` always does.  In the
-real coordinates (s, f) of :class:`HermitianBasis` a step is h <- Q h, and
-its real part [[E, 0], [Phi, I]] is the re-symmetrized next state, so j steps
-from (s, f) reach (E^j s, f + Phi (I + E + ... + E^(j-1)) s).  One matrix that
-stacks these rows for j = 1..B, built once with the powers by doubling, gives
-B states from one matvec.  The hermiticity drift of step j is 2 ||w Im Q
-E^(j-1) s|| for the column norms w of the basis; with R the triangular factor
-of the QR decomposition of w Im Q, ||w Im Q x|| = ||R x|| for every x, so B
-more blocks of d_s^2 rows, R E^(j-1), after all the state rows give every
-drift of the block as one contiguous slice, unchanged in exact arithmetic
-(the system space, whose w Im Q is square already, takes it as R).
-One dot product clears a block; only a block that fails it is replayed step
-by step, to name the step that fails.
+advances a block of steps per real matvec; ``exact`` always does.  The
+generator maps hermitian matrices to hermitian matrices, so in the real
+coordinates (s, f) of :class:`HermitianBasis` its blocks are real matrices,
+the cached real forms of L_ss and L_fs, and every step is built from them in
+real arithmetic: the step [[E, 0], [Phi, I]] maps coordinates to coordinates
+and cannot leave the hermitian matrices, so it needs no re-symmetrization and
+leaves no drift to watch.  j steps from (s, f) reach (E^j s, f + Phi (I + E +
+... + E^(j-1)) s); one matrix that stacks these rows for j = 1..B, built once
+with the powers by doubling, gives B states from one matvec, and needs no
+drift rows.  Two checks stand in for the drift monitor of the direct route.
+At build time, the first step's drift to first order, dt ||X - X†||_F for X
+= L_ss rho0, relative to dt ||L_ss||_F ||rho0||_F where that exceeds 1 (the
+scale of its rounding), fails for a generator that does not preserve
+hermiticity, whose imaginary part in these coordinates the real form drops.
+Per block, a finiteness test of the states names the step after the first
+state that is not finite, as the drift of a one-step loop would.
 
-B is as many steps as fit in BLOCK_BYTES, and at least one.  Measured on the
-evolutions of the shipped scenarios, both spaces with ``rk4``, at one BLAS
-thread (2-core Intel Xeon, 48 KiB L1d and 2 MiB L2 per core, numpy 2.4.6,
-OpenBLAS 0.3.31), best of 5 to 15 on a shared host: single-decay,
-two-level-decay and random take 92, 103 and 51 ms at one step per matvec;
-3.6, 18 and 9.9 ms
-at 4 KiB; 1.4, 6.9 and 3.8 ms at 16 KiB; 1.3-2.0, 2.8-4.7 and 2.0-3.3 ms at
+B is as many steps as fit in BLOCK_BYTES, 65536 // (8 n n_s) for the n =
+d_s^2 + d_f^2 rows and n_s = d_s^2 columns of a step, and at least one: 4096,
+256, 16, 3 and 1 steps for the enlarged space at d_s = d_f = 1, 2, 4, 6 and
+8.  Measured on the evolutions of the shipped scenarios, both spaces with
+``rk4``, at one BLAS thread (2-core Intel Xeon, 48 KiB L1d and 2 MiB L2 per
+core, numpy 2.4.6, OpenBLAS 0.3.31), best of 5 to 15 on a shared host, when
+each step still carried d_s^2 drift rows: single-decay, two-level-decay and
+random take 92, 103 and 51 ms at one step per matvec; 3.6, 18 and 9.9 ms at
+4 KiB; 1.4, 6.9 and 3.8 ms at 16 KiB; 1.3-2.0, 2.8-4.7 and 2.0-3.3 ms at
 64 KiB; and no less at 256 KiB (1.5-2.7, 2.2-4.0 and 1.7-2.8 ms) or 1 MiB.
 64 KiB is the smallest of these sizes at which all three reach that floor,
 where the Python cost per block is a small share.  Larger blocks still help
-at d_s 4 to 8 (d_s = 6, 1000 steps: 9.2-14 ms at 64 KiB, 4.8-7.4 ms at
-256 KiB), where a 64 KiB block of the enlarged space holds 10, 2 and 1
-steps at d_s = d_f = 4, 6 and 8.  From d_s = 8 on one step fills the block,
-so the matrix is the step itself, with d_s^2 drift rows.
+at d_s 4 to 8: on the real step, both ``rk4`` evolutions of 1000 steps at
+stride 10 take 2.4-2.9, 6.2-7.0 and 17-23 ms at 64 KiB against 1.5-2.1,
+3.0-3.5 and 11 ms at 256 KiB, for d_s = 4, 6 and 8 (best and median of 15).
+From d_s = 8 on one step fills the block, so the matrix is the step itself.
 
 Larger system blocks take the direct right-hand-side RK4, whose step costs
 O(d_s^3) instead of O(d_s^4): it evolves rho_ss with the system-block
@@ -80,7 +85,7 @@ from functools import cached_property
 import numpy as np
 
 from .errors import DimensionError, GridError, NumericsError
-from .linalg import HermitianBasis, as_matrix, expm, require_hermitian, unvec, vec
+from .linalg import HermitianBasis, as_matrix, expm, frobenius, require_hermitian, unvec, vec
 from .model import (
     DEFAULT_HERMITICITY_TOL,
     DecayOperator,
@@ -89,7 +94,6 @@ from .model import (
     SystemSpec,
     assemble_liouvillian_wwa,
     decay_feed,
-    feed_columns,
 )
 
 # Allowed per-step hermiticity drift before the integrator aborts.
@@ -287,17 +291,24 @@ def _check_grid(cfg: IntegratorConfig) -> None:
         )
 
 
+def _check_drift(drift: float, step: int) -> None:
+    if not drift <= HERMITICITY_DRIFT_TOL:  # a NaN fails too
+        raise NumericsError(
+            f"hermiticity drift {drift:.3e} at step {step} exceeds {HERMITICITY_DRIFT_TOL:g}"
+        )
+
+
 def _sample(advance, x0, cfg: IntegratorConfig, outs: tuple, block: int = 1) -> np.ndarray:
     """The sampling loop shared by every integrator; returns the sample times.
 
     ``advance(x, r)`` moves the state ``x`` forward by ``r`` <= ``block``
-    steps of ``dt``, re-symmetrizing after each, and returns ``(x_next,
-    rows, defect)``: the state after the last step; one array per array of
-    ``outs``, whose row j < r is the state after step j + 1; and a flat real
-    array of r equal parts, part j holding the hermiticity defect (rho -
-    rho†)/2 that step j + 1 left before symmetrization, or numbers of the
-    same norm.  Samples are copied from ``rows`` into ``outs``, except
-    sample 0, ``x0``, which the caller stores.
+    steps of ``dt`` and returns ``(x_next, rows, defect)``: the state after
+    the last step; one array per array of ``outs``, whose row j < r is the
+    state after step j + 1; and a flat real array with the norm of the
+    hermiticity defects (rho - rho†)/2 that the r steps left before
+    symmetrization, NaN when a step starts from a state that is not finite
+    (a real step leaves none: zero, or NaN).  Samples are copied from
+    ``rows`` into ``outs``, except sample 0, ``x0``, which the caller stores.
 
     A drift ||rho - rho†||_F above HERMITICITY_DRIFT_TOL aborts the run.  One
     dot product clears a whole block.  Only when it fails is the block
@@ -315,12 +326,7 @@ def _sample(advance, x0, cfg: IntegratorConfig, outs: tuple, block: int = 1) -> 
             y = x
             for j in range(k + 1, k + r + 1):
                 y, _, one = advance(y, 1)
-                drift = 2.0 * math.sqrt(one @ one)
-                if not drift <= HERMITICITY_DRIFT_TOL:
-                    raise NumericsError(
-                        f"hermiticity drift {drift:.3e} at step {j} exceeds "
-                        f"{HERMITICITY_DRIFT_TOL:g}"
-                    )
+                _check_drift(2.0 * math.sqrt(one @ one), j)
         k += r
         hi = k // stride + 1 if k < n else steps.size  # samples at steps <= k
         if hi > i:
@@ -380,94 +386,72 @@ def propagate_exact(liouv: Liouvillian, rho0, t: float) -> np.ndarray:
     return unvec(expm(liouv.matrix * t) @ vec(rho), liouv.dim)
 
 
-def _block_matrix(q: list, w: np.ndarray, block: int) -> np.ndarray:
+def _block_matrix(q: list, block: int) -> np.ndarray:
     """The real matrix that advances the stepper ``block`` steps at once.
 
-    For the step blocks ``q`` = [Q_ss, Q_fs] of :func:`_step_blocks`, with E
-    = Re Q_ss and Phi = Re Q_fs, rows (j - 1) n .. j n - 1 of the result,
-    for j = 1..block, map the system coordinates s to the state after j
-    steps less the fed block's start, [E^j; Phi (I + E + ... + E^(j-1))] s.
-    The block * d_s^2 rows after all of those map s to R E^(j-1) s, half the
-    hermiticity drift of step j, for the triangular QR factor R of D = w Im
-    Q, or for D itself when it is square.  The powers come by doubling, in
+    For the step blocks ``q`` = [E, Phi] of :func:`_step_blocks`, rows (j -
+    1) n .. j n - 1 of the result, for j = 1..block, map the system
+    coordinates s to the state after j steps less the fed block's start,
+    [E^j; Phi (I + E + ... + E^(j-1))] s.  The powers come by doubling, in
     place.  ``q`` is emptied.
     """
-    q_ss, q_fs = q
+    e, phi = q
     q.clear()
-    n_s = q_ss.shape[0]
-    n = n_s + q_fs.shape[0]
-    m = np.empty((block * (n + n_s), n_s))
-    g = m[: block * n].reshape(block, n, n_s)
-    dr = m[block * n :].reshape(block, n_s, n_s)
-    g[0, :n_s] = q_ss.real
-    g[0, n_s:] = q_fs.real
-    defect = dr[0] if n == n_s else np.empty((n, n_s))
-    defect[:n_s] = q_ss.imag
-    defect[n_s:] = q_fs.imag
-    del q_ss, q_fs  # free the step blocks before the build
-    defect *= w[:, None]
-    if n > n_s:
-        # ||D x|| = ||R x|| for every x: the drift with d_s^2 rows, not n.
-        dr[0] = np.linalg.qr(defect, mode="r")
-    del defect
-    j = 1  # g and dr hold steps 1..j
+    n_s = e.shape[0]
+    n = n_s + phi.shape[0]
+    m = np.empty((block * n, n_s))
+    g = m.reshape(block, n, n_s)
+    g[0, :n_s] = e
+    g[0, n_s:] = phi
+    del e, phi  # free the step blocks before the build
+    j = 1  # g holds steps 1..j
     while j < block:
         c = min(j, block - j)
         e_j = g[j - 1, :n_s]
         # Step j + i is step i followed by j steps: [E^i E^j; F_j + F_i E^j]
-        # for the fed rows F_i, and R E^(i-1) E^j.
+        # for the fed rows F_i.
         np.matmul(g[:c], e_j, out=g[j : j + c])
         g[j : j + c, n_s:] += g[j - 1, n_s:]
-        np.matmul(dr[:c], e_j, out=dr[j : j + c])
         j += c
     return m
 
 
 def _evolve_steps(q: list, h0, dims: tuple[int, int], cfg: IntegratorConfig):
-    """Sample h <- [[Q_ss, 0], [Q_fs, I]] h from h0, for the step blocks
-    ``q`` = [Q_ss, Q_fs] in the coordinates of :class:`HermitianBasis`, of
-    dimensions ``dims`` = (d, d_f); Q_fs has no rows when d_f is 0.  ``q``
-    is emptied once the step matrix is built.  Returns the sample times and
-    the system and decay blocks.
+    """Sample h <- [[E, 0], [Phi, I]] h from h0, for the real step blocks
+    ``q`` = [E, Phi] in the coordinates of :class:`HermitianBasis`, of
+    dimensions ``dims`` = (d, d_f); Phi has no rows when d_f is 0.  ``q`` is
+    emptied once the step matrix is built.  Returns the sample times and the
+    system and decay blocks.
 
-    The state is held as its real coordinates h = (s, f).  With Q = U^-1
-    step U for the basis U, one step maps h to Q h: Re(Q) h is the
-    re-symmetrized next state and Im(Q) h, scaled by the column norms w of
-    U, has norm ||rho - rho†||_F / 2 over both blocks.  One matvec with the
-    matrix of :func:`_block_matrix` advances a block of B steps: it gives
-    the B states, to which f is added, and their B drifts, which are NaN
-    when a state inside the block is not finite.  B is as large as
-    BLOCK_BYTES allows, and at least 1.
+    The state is held as its real coordinates h = (s, f).  One matvec with
+    the matrix of :func:`_block_matrix` advances a block of B steps, to whose
+    fed rows f is added.  A real step leaves no hermiticity drift, so a block
+    reports only whether a step started from a state that is not finite: h
+    or a state of the block before the last.  B is as large as BLOCK_BYTES
+    allows, and at least 1.
     """
     d, d_f = dims
     n_s, n = d * d, d * d + d_f * d_f
-    basis_ss, basis_ff = HermitianBasis(d), HermitianBasis(d_f)
-    w = np.sqrt(np.concatenate((basis_ss.norms_sq, basis_ff.norms_sq)))
-    block = max(1, min(cfg.n_steps, BLOCK_BYTES // (8 * (n + n_s) * n_s)))
-    m = _block_matrix(q, w, block)
-    rows = block * n
+    block = max(1, min(cfg.n_steps, BLOCK_BYTES // (8 * n * n_s)))
+    m = _block_matrix(q, block)
 
     def advance(h, r):
         y = m @ h[:n_s]
-        ys = y[:rows].reshape(block, n)
+        ys = y.reshape(block, n)
         if d_f:  # the add costs 2 us even when empty
             ys[:r, n_s:] += h[n_s:]
-        defect = y[rows : rows + r * n_s]
-        if r > 1:
-            inner = y[: (r - 1) * n]  # the states before the last
-            if not math.isfinite(inner @ inner):
-                # A one-step loop takes the drift after a state that is not
-                # finite as NaN; the drift rows, applied to h, miss that state.
-                defect = defect * math.nan
-        return ys[r - 1], (ys,), defect
+        # isfinite, not a dot product, which overflows on a finite state.
+        finite = np.isfinite(h).all() and np.isfinite(y[: (r - 1) * n]).all()
+        return ys[r - 1], (ys,), np.array([0.0 if finite else math.nan])
 
     hs = np.empty((cfg.n_samples, n))
     hs[0] = h0
     times = _sample(advance, h0, cfg, (hs,), block)
     if not np.isfinite(hs[-1]).all():
-        # A step's drift is read from the state before it, which leaves only
-        # the last state unchecked.
+        # Only the states a step starts from are tested, which leaves the
+        # last one unchecked.
         raise NumericsError(f"the state after step {cfg.n_steps} is not finite")
+    basis_ss, basis_ff = HermitianBasis(d), HermitianBasis(d_f)
     return times, basis_ss.matrices(hs[:, :n_s]), basis_ff.matrices(hs[:, n_s:])
 
 
@@ -485,60 +469,44 @@ def _check_initial(rho0, d: int) -> np.ndarray:
     return rho
 
 
-def _step_blocks(liouv: Liouvillian, b: np.ndarray, h: float, route: str) -> list[np.ndarray]:
-    """[Q_ss, Q_fs]: the blocks of one step [[E, 0], [Phi, I]] of length h
-    on (vec rho_ss, vec rho_ff), for the system-block Liouvillian ``liouv``
-    and the decay block ``b``, in the coordinates of :class:`HermitianBasis`.
+def _step_blocks(l_ss: np.ndarray, l_fs: np.ndarray, h: float, route: str) -> list[np.ndarray]:
+    """[E, Phi]: the blocks of one step [[E, 0], [Phi, I]] of length h on
+    the real coordinates (s, f) of :class:`HermitianBasis`, for the real
+    forms ``l_ss`` of L_ss and ``l_fs`` of L_fs; float64 throughout.
 
     ``rk4``: E = P(a), Phi = h L_fs (I + a/2 + a^2/6 + a^3/24), a = h L_ss.
     ``exact``: both from expm([[a, 0], [h L_fs, 0]]).  ``nonsingular``:
     E = expm(a) and Phi = L_fs L_ss^-1 (E - I), by a solve; exact when L_ss
-    is invertible, at half the size of the augmented expm.  Its E and the
-    solve are taken in real arithmetic, on the real form of L_ss.
+    is invertible, at half the size of the augmented expm.
     """
-    d_f, d_s = b.shape
-    basis_s, basis_f = HermitianBasis(d_s), HermitianBasis(d_f)
-    l_ss = liouv.matrix
     n_s = l_ss.shape[0]
-    if route == "nonsingular":
-        gen = liouv.real_form
-        q_ss = expm(gen * h)
-        try:
-            y = np.linalg.solve(gen, q_ss - np.eye(n_s))  # U^-1 L_ss^-1 (E - I) U
-        except np.linalg.LinAlgError as e:
-            raise NumericsError(f"the system-block Liouvillian is singular: {e}") from e
-        return [q_ss, basis_f.left_inverse(feed_columns(b, basis_s.left(y)))]
     a = l_ss * h
+    if route == "nonsingular":
+        e = expm(a)
+        try:
+            y = np.linalg.solve(l_ss, e - np.eye(n_s))
+        except np.linalg.LinAlgError as err:
+            raise NumericsError(f"the system-block Liouvillian is singular: {err}") from err
+        return [e, l_fs @ y]
     if route == "rk4":
         # E = I + a + a^2/2 + a^3/6 + a^4/24 in Horner form: for the linear
         # autonomous equation dx/dt = L x with a = dt L, one classical RK4
         # step is exactly this matrix.  phi ends as its inner factor.
-        eye = np.eye(n_s, dtype=np.complex128)
+        eye = np.eye(n_s)
         phi = eye + a / 4.0
         phi = eye + (a @ phi) / 3.0
         phi = eye + (a @ phi) / 2.0
-        e = eye + a @ phi
-        del a, eye
-        phi = feed_columns(b, phi)
-        phi *= h
-    else:
-        n = n_s + d_f * d_f
-        aug = np.zeros((n, n), dtype=np.complex128)
-        aug[:n_s, :n_s] = a
-        aug[n_s:, :n_s] = feed_columns(b, np.eye(n_s)) * h
-        del a
-        step = expm(aug)
-        e, phi = step[:n_s, :n_s], step[n_s:, :n_s]
-    # One side of one block at a time, each replacing its input, so that the
-    # build holds few d_s^2 x d_s^2 arrays at once.
-    e = basis_s.right(e)
-    e = basis_s.left_inverse(e)
-    phi = basis_s.right(phi)
-    phi = basis_f.left_inverse(phi)
-    return [e, phi]
+        return [eye + a @ phi, (l_fs * h) @ phi]
+    n = n_s + l_fs.shape[0]
+    aug = np.zeros((n, n))
+    aug[:n_s, :n_s] = a
+    aug[n_s:, :n_s] = l_fs * h
+    del a
+    step = expm(aug)
+    return [step[:n_s, :n_s], step[n_s:, :n_s]]
 
 
-def _evolve(equation, liouvillian, b: np.ndarray, rho0, cfg: IntegratorConfig, route: str):
+def _evolve(equation, generators, b: np.ndarray, rho0, cfg: IntegratorConfig, route: str):
     """The one engine: evolve diag(``rho0``, 0), for the checked system block
     ``rho0``, under the system-block ``equation``, with rho_ff' = B rho_ss B†
     for the d_f x d_s decay block ``b``; d_f = 0 is the system space.
@@ -546,8 +514,11 @@ def _evolve(equation, liouvillian, b: np.ndarray, rho0, cfg: IntegratorConfig, r
     ``rk4`` above SUPEROP_MAX_DIM runs the direct RK4: rho_ss by the
     equation, and rho_ff by B (h rho_ss + (h^2/6)(k1 + k2 + k3)) B†, as the
     stages of rho_ff' are B s_i B† for the stages s_i of rho_ss.  The other
-    routes run the stepper (:func:`_step_blocks`) on L_ss = ``liouvillian()``.
-    A state that overflows ends in a NumericsError, not in numpy's warnings.
+    routes run the stepper (:func:`_step_blocks`) on ``generators()``, the
+    pair (L_ss, the real form of L_fs), after the first-order drift of the
+    first step, dt ||X - X†||_F for X = L_ss rho0, shows that L_ss preserves
+    hermiticity.  A state that overflows ends in a NumericsError, not in
+    numpy's warnings.
     """
     d_f, d = b.shape
     dt = cfg.dt
@@ -570,9 +541,18 @@ def _evolve(equation, liouvillian, b: np.ndarray, rho0, cfg: IntegratorConfig, r
             states[0] = rho0
             times = _sample(advance, (rho0, decay[0]), cfg, (states, decay))
         else:
+            liouv, l_fs = generators()
+            # The first step's drift to first order, from the hermitian
+            # state the stepper starts at (the real step itself has none),
+            # relative to dt ||L_ss||_F ||rho||_F where that exceeds 1: the
+            # scale of the matvec's rounding, which a long step magnifies.
+            rho = 0.5 * (rho0 + rho0.conj().T)
+            x = unvec(liouv.matrix @ vec(rho), d)
+            scale = max(1.0, dt * frobenius(liouv.matrix) * frobenius(rho))
+            _check_drift(dt * frobenius(x - x.conj().T) / scale, 1)
             h0 = np.concatenate((HermitianBasis(d).coords(rho0), np.zeros(d_f * d_f)))
-            q = _step_blocks(liouvillian(), b, dt, route)
-            if not all(np.isfinite(x).all() for x in q):
+            q = _step_blocks(liouv.real_form, l_fs, dt, route)
+            if not all(np.isfinite(blk).all() for blk in q):
                 raise NumericsError(f"the {route} step of length {dt:g} is not finite")
             times, states, decay = _evolve_steps(q, h0, (d, d_f), cfg)
     return Trajectory(times=times, states=states, decay=decay if d_f else None)
@@ -581,8 +561,8 @@ def _evolve(equation, liouvillian, b: np.ndarray, rho0, cfg: IntegratorConfig, r
 def _evolve_model(model: EnlargedModel, rho0, cfg: IntegratorConfig, route: str) -> Trajectory:
     # The initial state is checked before any operator of the run is built.
     rho0 = _check_initial(rho0, model.d_s)
-    b = model.decay.matrix
-    return _evolve(model.system_equation, lambda: model.system_liouvillian, b, rho0, cfg, route)
+    pair = lambda: (model.system_liouvillian, model.feed_real_form)
+    return _evolve(model.system_equation, pair, model.decay.matrix, rho0, cfg, route)
 
 
 def evolve_wwa(spec: SystemSpec, rho0, cfg: IntegratorConfig) -> Trajectory:
@@ -591,7 +571,8 @@ def evolve_wwa(spec: SystemSpec, rho0, cfg: IntegratorConfig) -> Trajectory:
     _check_grid(cfg)
     rho0 = _check_initial(rho0, spec.d_s)
     b = np.zeros((0, spec.d_s), dtype=np.complex128)
-    return _evolve(spec.equation, lambda: assemble_liouvillian_wwa(spec), b, rho0, cfg, cfg.method)
+    pair = lambda: (assemble_liouvillian_wwa(spec), np.zeros((0, spec.d_s**2)))
+    return _evolve(spec.equation, pair, b, rho0, cfg, cfg.method)
 
 
 def evolve_enlarged(model: EnlargedModel, rho0, cfg: IntegratorConfig) -> Trajectory:

@@ -354,6 +354,14 @@ class EnlargedModel:
         exp(tL) restricted to the system block is exp(t L_ss)."""
         return self.system_equation.liouvillian()
 
+    @cached_property
+    def feed_real_form(self) -> np.ndarray:
+        """Re(U_f^-1 L_fs U_s), d_f^2 x d_s^2, built once: L_fs, the ff <- ss
+        block of :attr:`liouvillian`, in the coordinates of :class:`HermitianBasis`."""
+        basis_s, basis_f = HermitianBasis(self.d_s), HermitianBasis(self.d_f)
+        fed = feed_columns(self.decay.matrix, basis_s.left(np.eye(self.d_s**2)))
+        return basis_f.left_inverse(fed).real.copy()
+
 
 def decay_feed(b: np.ndarray, rho) -> np.ndarray:
     """B rho B† for the d_f x d_s decay block B, of one d_s x d_s matrix or
@@ -404,8 +412,10 @@ class Liouvillian:
     @cached_property
     def real_form(self) -> np.ndarray:
         """The matrix in the real coordinates of :class:`HermitianBasis`, built
-        once: the ``cp`` check and the ``nonsingular`` step exponentiate the
-        real form of the cached ``EnlargedModel.system_liouvillian``."""
+        once.  Every step of the engine is built from it, with
+        ``EnlargedModel.feed_real_form`` for the fed block, and the ``cp``
+        check exponentiates that of the cached
+        ``EnlargedModel.system_liouvillian``."""
         return HermitianBasis(self.dim).real_form(self.matrix)
 
 

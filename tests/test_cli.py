@@ -2,6 +2,7 @@ import json
 import os
 import warnings
 
+from dataclasses import replace
 from pathlib import Path
 from types import SimpleNamespace
 
@@ -9,7 +10,7 @@ import numpy as np
 import pytest
 from conftest import split_oracle
 
-from opendecay import analysis, cli, model as model_module
+from opendecay import analysis, cli, evolution, model as model_module
 from opendecay.cli import (
     builtin_scenario_path,
     main,
@@ -21,7 +22,7 @@ from opendecay.cli import (
 from opendecay.errors import NotHermitianError, ParseError, ValidationError
 from opendecay.evolution import SUPEROP_MAX_DIM, BlockDensity, IntegratorConfig, Trajectory
 from opendecay.linalg import HermitianBasis, expm, unvec, vec
-from opendecay.model import embed_state
+from opendecay.model import embed_state, feed_columns
 from opendecay.randmodel import MAX_ENTRIES
 
 SINGLE_DECAY = builtin_scenario_path("single-decay").read_text()
@@ -29,8 +30,6 @@ SINGLE_DECAY = builtin_scenario_path("single-decay").read_text()
 
 def short(cfg, **kw):
     """Copy of a parsed config with a shorter integrator for fast tests."""
-    from dataclasses import replace
-
     integ = IntegratorConfig(
         dt=kw.get("dt", 1e-3),
         t_max=kw.get("t_max", 1.0),
@@ -201,8 +200,6 @@ def test_run_outputs_deterministic(tmp_path):
 
 def test_write_timeseries_degenerate_run(tmp_path):
     cfg = parse_config(SINGLE_DECAY)
-    from dataclasses import replace
-
     cfg = replace(
         cfg, integrator=IntegratorConfig(dt=1e-3, t_max=0.0), checks=()
     )
@@ -298,20 +295,29 @@ def test_run_without_checks_gates_its_samples(monkeypatch):
 
 
 def test_run_builds_the_system_real_form_once(monkeypatch):
-    # The cp check and the asymptotics check's nonsingular propagation both
-    # exponentiate the real form of L_ss; the model builds it once.
+    # The enlarged run's step, the cp check and the asymptotics check's
+    # nonsingular propagation all take the real form of the model's L_ss;
+    # the model builds it once.  The system-space run builds the real form
+    # of its own generator: two builds in all, one per generator.
     cfg = parse_config(builtin_scenario_path("random").read_text())
     assert {"cp", "asymptotics"} <= set(cfg.checks)
     real_form, calls = HermitianBasis.real_form, []
+    assemble, wwa = evolution.assemble_liouvillian_wwa, []
 
     def counting(self, superop):
-        calls.append(superop.shape)
+        calls.append(superop)
         return real_form(self, superop)
 
+    def assembling(spec):
+        wwa.append(assemble(spec))
+        return wwa[-1]
+
     monkeypatch.setattr(HermitianBasis, "real_form", counting)
+    monkeypatch.setattr(evolution, "assemble_liouvillian_wwa", assembling)
     result = run_scenario(short(cfg, t_max=1.0), write=False)
     assert result.exit_status == 0
-    assert len(calls) == 1
+    assert len(wwa) == 1 and len(calls) == 2
+    assert [m is wwa[0].matrix for m in calls].count(True) == 1
 
 
 # -- command line ----------------------------------------------------------------
@@ -745,6 +751,32 @@ def test_step_size_warning(dt, warns):
         run_scenario(cfg, write=False)
     messages = [str(w.message) for w in caught]
     assert any("dt*|generator|" in m for m in messages) == warns
+
+
+def test_step_size_norm_from_the_real_forms_matches_the_complex_generator(corpus):
+    # The 2-norm of the complex [L_ss; L_fs], built here only as the oracle,
+    # against the one the step-size warning takes from the cached real forms.
+    for m in corpus:
+        l_ss = m.model.system_liouvillian.matrix
+        l_fs = feed_columns(m.decay.matrix, np.eye(l_ss.shape[0]))
+        want = np.linalg.norm(np.concatenate((l_ss, l_fs)), 2)
+        assert abs(cli._subspace_generator_norm(m.model) - want) <= 1e-12 * want
+
+
+@pytest.mark.parametrize("stride", [None, 1])
+@pytest.mark.parametrize("name", ["single-decay", "two-level-decay", "random"])
+def test_equivalence_norm_equals_the_unchunked_norm(name, stride):
+    # The check takes the norms over chunks of samples; the measured value is
+    # bit-identical to the norm of the whole difference, at the shipped
+    # stride and at stride 1, where the d_s = 2 runs span several chunks.
+    cfg = parse_config(builtin_scenario_path(name).read_text())
+    if stride is not None:
+        cfg = short(cfg, t_max=cfg.integrator.t_max, sample_stride=stride)
+    cfg = replace(cfg, checks=("equivalence",))
+    result = run_scenario(cfg, write=False)
+    (rep,) = result.reports
+    delta = result.enlarged.states - result.wwa.states
+    assert rep.measured == float(np.linalg.norm(delta, axis=(1, 2)).max())
 
 
 def _full_propagator_cp(ctx):

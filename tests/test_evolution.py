@@ -493,7 +493,7 @@ def test_superop_drift_monitor_trips(method):
     cfg = IntegratorConfig(dt=0.1, t_max=1.0, method=method)
     rho0 = evolution._check_initial(np.eye(2) / 2, 2)
     with pytest.raises(NumericsError, match="hermiticity drift .* at step 1 exceeds"):
-        evolution._evolve(None, lambda: liouv, np.zeros((0, 2)), rho0, cfg, method)
+        evolution._evolve(None, lambda: (liouv, np.zeros((0, 4))), np.zeros((0, 2)), rho0, cfg, method)
 
 
 def test_superop_drift_monitor_trips_on_nan():
@@ -506,28 +506,28 @@ def test_superop_drift_monitor_trips_on_nan():
         evolve_enlarged(model, [[1.0]], cfg)
 
 
-@pytest.mark.parametrize(
-    "d, block_bytes",
-    [
-        pytest.param(1, 1, id="1"),
-        pytest.param(7, 1, id="7"),
-        pytest.param(1, 2**24, id="1-block"),
-        pytest.param(7, 2**24, id="7-block"),
-    ],
-)
-def test_stepper_drift_monitor_sees_the_fed_block(monkeypatch, d, block_bytes):
-    # The system block stays hermitian and the fed block does not: the drift
-    # is taken over both blocks, one step per matvec (block_bytes 1) and all
-    # ten steps in one.
-    monkeypatch.setattr(evolution, "BLOCK_BYTES", block_bytes)
-    q_ss = np.eye(d * d, dtype=complex)
-    q_fs = np.zeros((1, d * d), dtype=complex)
-    q_fs[0, 0] = 1j
-    h0 = np.zeros(d * d + 1)
-    h0[0] = 1.0
-    cfg = IntegratorConfig(dt=0.1, t_max=1.0)
-    with pytest.raises(NumericsError, match="hermiticity drift 2.000e[+]00 at step 1 exceeds"):
-        evolution._evolve_steps([q_ss, q_fs], h0, (d, 1), cfg)
+def test_a_long_step_does_not_trip_the_build_time_drift_check():
+    # Gamma with rates 1, 1e-3 and 1e-10: the asymptotics horizon 20/gamma_min
+    # in 200 steps makes dt = 1e9, and the matvec's rounding, times dt,
+    # exceeds 1e-9 although L_ss preserves hermiticity.  The check scales it
+    # by dt ||L_ss||_F ||rho0||_F, so neither long-step route trips it.
+    v = np.array([1.0, 0.6 - 0.3j, -0.2 + 0.7j])
+    rho0 = np.outer(v, v.conj()) / (v.conj() @ v).real
+    unscaled = []
+    for seed in range(12):
+        rng = np.random.default_rng(seed)
+        q, _ = np.linalg.qr(rng.normal(size=(3, 3)) + 1j * rng.normal(size=(3, 3)))
+        gamma = (q * [1.0, 1e-3, 1e-10]) @ q.conj().T
+        gamma = 0.5 * (gamma + gamma.conj().T)
+        h = rng.normal(size=(3, 3)) + 1j * rng.normal(size=(3, 3))
+        spec = SystemSpec(d_s=3, d_f=3, hamiltonian=0.5 * (h + h.conj().T), decay_matrix=gamma)
+        model = embed_operators(spec, build_decay_operator(decompose_gamma(gamma), 3))
+        x = unvec(model.system_liouvillian.matrix @ vec(rho0), 3)
+        unscaled.append(1e9 * np.linalg.norm(x - x.conj().T))
+        traj = propagate_nonsingular(model, rho0, 2e11, 200)
+        exact = evolve_enlarged(model, rho0, IntegratorConfig(dt=1e9, t_max=2e11, method="exact"))
+        assert enlarged_gap(traj, exact) <= 1e-10
+    assert max(unscaled) > 1e-9
 
 
 def run_route(space, route, cfg):
@@ -537,23 +537,29 @@ def run_route(space, route, cfg):
     if space == "enlarged":
         return evolution._evolve_model(model, rho0, cfg, route)
     return evolution._evolve(
-        spec.equation, lambda: assemble_liouvillian_wwa(spec), np.zeros((0, 2)), rho0, cfg, route
+        spec.equation,
+        lambda: (assemble_liouvillian_wwa(spec), np.zeros((0, 4))),
+        np.zeros((0, 2)),
+        rho0,
+        cfg,
+        route,
     )
 
 
-# At d_s = 2 a step takes 8 * (8 + 4) * 4 bytes of the enlarged stepper's
-# block matrix and 8 * (4 + 4) * 4 of the system space's, so BLOCK_BYTES
-# allows 170 and 256 steps per block, and 2688 bytes allow 7 and 10.
+# At d_s = 2 a step takes 8 * 8 * 4 bytes of the enlarged stepper's block
+# matrix and 8 * 4 * 4 of the system space's, so BLOCK_BYTES allows 256 and
+# 512 steps per block, and 2688 bytes allow 10 and 21.
 @pytest.mark.parametrize(
     "block_bytes, t_max, stride",
     [
         (evolution.BLOCK_BYTES, 1.003, 1),
         (evolution.BLOCK_BYTES, 1.003, 3),
         (evolution.BLOCK_BYTES, 1.003, 10),
-        (evolution.BLOCK_BYTES, 1.003, 250),  # stride above B
+        (evolution.BLOCK_BYTES, 1.003, 250),  # stride just below B
         (2688, 0.1, 1),
         (2688, 0.1, 3),
-        (2688, 0.1, 10),  # stride above B
+        (2688, 0.1, 10),  # stride at B (enlarged)
+        (2688, 0.1, 25),  # stride above B
         (evolution.BLOCK_BYTES, 0.037, 10),  # fewer steps than BLOCK_BYTES allows
         (evolution.BLOCK_BYTES, 0.0, 1),
     ],
@@ -569,9 +575,9 @@ def test_block_stepper_matches_one_step_per_matvec(
     blocks = []
     build = evolution._block_matrix
 
-    def spy(q, w, block):
+    def spy(q, block):
         blocks.append(block)
-        return build(q, w, block)
+        return build(q, block)
 
     monkeypatch.setattr(evolution, "_block_matrix", spy)
     monkeypatch.setattr(evolution, "BLOCK_BYTES", block_bytes)
@@ -592,28 +598,16 @@ def test_block_stepper_matches_one_step_per_matvec(
 def drift_error(monkeypatch, block_bytes, q, h0, cfg) -> str:
     monkeypatch.setattr(evolution, "BLOCK_BYTES", block_bytes)
     with pytest.raises(NumericsError) as info:
-        evolution._evolve_steps([a.astype(complex) for a in q], h0, (1, 1), cfg)
+        evolution._evolve_steps(list(q), h0, (1, 1), cfg)
     return str(info.value)
-
-
-def test_block_stepper_names_the_first_drift_inside_a_block(monkeypatch):
-    # E = 2 and Im Q_ss = 1e-11: the drift of step j is 2e-11 * 2^(j-1),
-    # exact in both forms, and first exceeds 1e-9 at step 7 of the block of
-    # 10.
-    q = [np.array([[2.0 + 1e-11j]]), np.zeros((1, 1))]
-    h0 = np.array([1.0, 0.0])
-    cfg = IntegratorConfig(dt=0.1, t_max=1.0)
-    one = drift_error(monkeypatch, 1, q, h0, cfg)
-    assert one == "hermiticity drift 1.280e-09 at step 7 exceeds 1e-09"
-    assert drift_error(monkeypatch, 2**20, q, h0, cfg) == one
 
 
 @pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning", "ignore:invalid:RuntimeWarning")
 def test_block_stepper_names_the_first_nan_inside_a_block(monkeypatch):
     # A real step has no drift, so a one-step loop fails only once the state
     # is infinite: 2^1000 * 2^24 overflows at step 24 and the drift of step
-    # 25 is 0 * inf.  In a block of 40 the drift rows stay 0, and the
-    # infinite state inside the block still names step 25.
+    # 25 is NaN.  In a block of 40 the finiteness test of the block's states
+    # still names step 25.
     q = [np.array([[2.0]]), np.zeros((1, 1))]
     h0 = np.array([2.0**1000, 0.0])
     cfg = IntegratorConfig(dt=0.1, t_max=4.0)
@@ -676,6 +670,34 @@ def test_nonsingular_refuses_a_dark_state():
     _, model = decay_only(2, np.diag([1.0, 0.0]))
     with pytest.raises(NumericsError, match="the system-block Liouvillian is singular"):
         propagate_nonsingular(model, np.diag([1.0, 0.0]), 10.0, 100)
+
+
+def test_every_step_is_built_in_float64(monkeypatch):
+    # The steps are built from the real forms of L_ss and L_fs: every expm
+    # of a run, on either space and every route, is of a float64 matrix,
+    # and so are the step blocks.
+    inputs, blocks = [], []
+    real_expm, step_blocks = evolution.expm, evolution._step_blocks
+
+    def spy_expm(m):
+        inputs.append(np.asarray(m).dtype)
+        return real_expm(m)
+
+    def spy_step_blocks(*args):
+        q = step_blocks(*args)
+        blocks.extend(a.dtype for a in q)
+        return q
+
+    monkeypatch.setattr(evolution, "expm", spy_expm)
+    monkeypatch.setattr(evolution, "_step_blocks", spy_step_blocks)
+    spec, rho0, decay, model = random_member(seed=5, d_s=2)
+    for method in ("rk4", "exact"):
+        cfg = IntegratorConfig(dt=1e-3, t_max=0.01, method=method)
+        evolve_enlarged(model, rho0, cfg)
+        evolve_wwa(spec, rho0, cfg)
+    propagate_nonsingular(model, rho0, 1.0, 10)
+    assert len(inputs) == 3 and len(blocks) == 10
+    assert set(inputs) == set(blocks) == {np.dtype(np.float64)}
 
 
 def test_nonsingular_propagates_a_singular_gamma_without_dark_state():
