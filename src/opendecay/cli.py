@@ -378,7 +378,7 @@ def _check_cp(ctx: _RunContext) -> analysis.VerificationReport:
     times = [t for t in CP_SAMPLE_TIMES if t <= t_max] or [max(t_max, 1e-3)]
     d_s = ctx.spec.d_s
     basis = HermitianBasis(d_s)
-    gen = ctx.model.system_liouvillian.real_form
+    gen = ctx.model.system_equation.real_form[: d_s * d_s]  # L_ss
     reps = []
     for t in times:
         # The propagator rho_ss(0) -> rho_ss(t) of the enlarged evolution, as
@@ -501,12 +501,11 @@ def _liouvillian_norm_bound(model) -> float:
 def _subspace_generator_norm(model) -> float:
     # The generator on (vec rho_ss, vec rho_ff) is [[L_ss, 0], [L_fs, 0]]; its
     # zero block column does not change the 2-norm.  [L_ss; L_fs] is diag(U_s,
-    # U_f) G U_s^-1 for the real forms G and bases U of orthogonal columns of
+    # U_f) G U_s^-1 for its real form G and bases U of orthogonal columns of
     # norms w, so its 2-norm is that of diag(w) G diag(w_s)^-1.
     w_s = np.sqrt(HermitianBasis(model.d_s).norms_sq)
     w = np.concatenate((w_s, np.sqrt(HermitianBasis(model.d_f).norms_sq)))
-    gen = np.concatenate((model.system_liouvillian.real_form, model.feed_real_form))
-    return float(np.linalg.norm(w[:, None] * gen / w_s, 2))
+    return float(np.linalg.norm(w[:, None] * model.system_equation.real_form / w_s, 2))
 
 
 def run_scenario(cfg: ScenarioConfig, out_dir=None, write: bool = True) -> RunResult:

@@ -28,17 +28,19 @@ E = P(h L_ss) and Phi = h L_fs (I + a/2 + a^2/6 + a^3/24) for a = h L_ss; the
 For d_s <= SUPEROP_MAX_DIM the ``rk4`` method builds its step once and then
 advances a block of steps per real matvec; ``exact`` always does.  The
 generator maps hermitian matrices to hermitian matrices, so in the real
-coordinates (s, f) of :class:`HermitianBasis` its blocks are real matrices,
-the cached real forms of L_ss and L_fs, and every step is built from them in
-real arithmetic: the step [[E, 0], [Phi, I]] maps coordinates to coordinates
-and cannot leave the hermitian matrices, so it needs no re-symmetrization and
-leaves no drift to watch.  j steps from (s, f) reach (E^j s, f + Phi (I + E +
-... + E^(j-1)) s); one matrix that stacks these rows for j = 1..B, built once
-with the powers by doubling, gives B states from one matvec, and needs no
-drift rows.  Two checks stand in for the drift monitor of the direct route.
-At build time, the first step's drift to first order, dt ||X - X†||_F for X
-= L_ss rho0, relative to dt ||L_ss||_F ||rho0||_F where that exceeds 1 (the
-scale of its rounding), fails for a generator that does not preserve
+coordinates (s, f) of :class:`HermitianBasis` it is one real matrix
+[L_ss; L_fs], ``MasterEquation.real_form`` of the system-block equation,
+built once per equation from its action on the basis matrices, and every
+step is built from it in real arithmetic: the step [[E, 0], [Phi, I]] maps
+coordinates to coordinates and cannot leave the hermitian matrices, so it
+needs no re-symmetrization and leaves no drift to watch.  j steps from (s,
+f) reach (E^j s, f + Phi (I + E + ... + E^(j-1)) s); one matrix that stacks
+these rows for j = 1..B, built once with the powers by doubling, gives B
+states from one matvec, and needs no drift rows.  Two checks stand in for
+the drift monitor of the direct route.  At build time, the first step's
+drift to first order, dt ||X - X†||_F for X = L_ss rho0 from the equation's
+right-hand side, relative to dt ||L_ss||_F ||rho0||_F where that exceeds 1
+(the scale of its rounding), fails for a generator that does not preserve
 hermiticity, whose imaginary part in these coordinates the real form drops.
 Per block, a finiteness test of the states names the step after the first
 state that is not finite, as the drift of a one-step loop would.
@@ -92,7 +94,6 @@ from .model import (
     EnlargedModel,
     Liouvillian,
     SystemSpec,
-    assemble_liouvillian_wwa,
     decay_feed,
 )
 
@@ -215,9 +216,11 @@ class Trajectory:
     def min_eigenvalues(self) -> np.ndarray:
         """The smallest eigenvalue of each sample, from the union of its
         blocks' spectra (NaN stays NaN), after the hermiticity gate: a sample
-        that fails :func:`require_hermitian` raises, and nothing is cached."""
-        sym = [require_hermitian(b, DEFAULT_HERMITICITY_TOL, "sample") for b in self.blocks]
-        return _read_only(np.min([np.linalg.eigvalsh(b)[:, 0] for b in sym], axis=0))
+        that fails :func:`require_hermitian` raises, and nothing is cached.
+        One block at a time, gated and then reduced, so that one symmetrized
+        copy is held at once."""
+        gate = lambda b: require_hermitian(b, DEFAULT_HERMITICITY_TOL, "sample")
+        return _read_only(np.min([np.linalg.eigvalsh(gate(b))[:, 0] for b in self.blocks], axis=0))
 
 
 @dataclass(frozen=True)
@@ -246,6 +249,8 @@ class IntegratorConfig:
             raise ValueError(
                 f"t_max/dt = {self.t_max / self.dt:.6g} steps exceeds MAX_STEPS = {MAX_STEPS}"
             )
+        if isinstance(self.sample_stride, bool) or not isinstance(self.sample_stride, int):
+            raise ValueError(f"sample_stride must be an integer, got {self.sample_stride!r}")
         if self.sample_stride < 1:
             raise ValueError("sample_stride must be at least 1")
         if self.method not in ("rk4", "exact"):
@@ -506,20 +511,21 @@ def _step_blocks(l_ss: np.ndarray, l_fs: np.ndarray, h: float, route: str) -> li
     return [step[:n_s, :n_s], step[n_s:, :n_s]]
 
 
-def _evolve(equation, generators, b: np.ndarray, rho0, cfg: IntegratorConfig, route: str):
+def _evolve(equation, rho0, cfg: IntegratorConfig, route: str):
     """The one engine: evolve diag(``rho0``, 0), for the checked system block
     ``rho0``, under the system-block ``equation``, with rho_ff' = B rho_ss B†
-    for the d_f x d_s decay block ``b``; d_f = 0 is the system space.
+    for its d_f x d_s feed B; d_f = 0 is the system space.
 
     ``rk4`` above SUPEROP_MAX_DIM runs the direct RK4: rho_ss by the
     equation, and rho_ff by B (h rho_ss + (h^2/6)(k1 + k2 + k3)) B†, as the
     stages of rho_ff' are B s_i B† for the stages s_i of rho_ss.  The other
-    routes run the stepper (:func:`_step_blocks`) on ``generators()``, the
-    pair (L_ss, the real form of L_fs), after the first-order drift of the
-    first step, dt ||X - X†||_F for X = L_ss rho0, shows that L_ss preserves
+    routes run the stepper (:func:`_step_blocks`) on the equation's real
+    form [L_ss; L_fs], after the first-order drift of the first step, dt
+    ||X - X†||_F for X = L_ss rho0, shows that the equation preserves
     hermiticity.  A state that overflows ends in a NumericsError, not in
     numpy's warnings.
     """
+    b = equation.feed
     d_f, d = b.shape
     dt = cfg.dt
     with np.errstate(over="ignore", invalid="ignore"):  # the checks below end it
@@ -541,17 +547,22 @@ def _evolve(equation, generators, b: np.ndarray, rho0, cfg: IntegratorConfig, ro
             states[0] = rho0
             times = _sample(advance, (rho0, decay[0]), cfg, (states, decay))
         else:
-            liouv, l_fs = generators()
+            gen, n_s = equation.real_form, d * d
             # The first step's drift to first order, from the hermitian
             # state the stepper starts at (the real step itself has none),
             # relative to dt ||L_ss||_F ||rho||_F where that exceeds 1: the
-            # scale of the matvec's rounding, which a long step magnifies.
+            # scale of the step's rounding, which a long step magnifies.
+            # L_ss = U R U^-1 for the real block R and the basis U of
+            # orthogonal columns of norms w, so ||L_ss||_F = ||diag(w) R
+            # diag(w)^-1||_F.
+            basis = HermitianBasis(d)
             rho = 0.5 * (rho0 + rho0.conj().T)
-            x = unvec(liouv.matrix @ vec(rho), d)
-            scale = max(1.0, dt * frobenius(liouv.matrix) * frobenius(rho))
+            x = equation.rhs(rho)
+            w = np.sqrt(basis.norms_sq)
+            scale = max(1.0, dt * frobenius(w[:, None] * gen[:n_s] / w) * frobenius(rho))
             _check_drift(dt * frobenius(x - x.conj().T) / scale, 1)
-            h0 = np.concatenate((HermitianBasis(d).coords(rho0), np.zeros(d_f * d_f)))
-            q = _step_blocks(liouv.real_form, l_fs, dt, route)
+            h0 = np.concatenate((basis.coords(rho0), np.zeros(d_f * d_f)))
+            q = _step_blocks(gen[:n_s], gen[n_s:], dt, route)
             if not all(np.isfinite(blk).all() for blk in q):
                 raise NumericsError(f"the {route} step of length {dt:g} is not finite")
             times, states, decay = _evolve_steps(q, h0, (d, d_f), cfg)
@@ -561,8 +572,7 @@ def _evolve(equation, generators, b: np.ndarray, rho0, cfg: IntegratorConfig, ro
 def _evolve_model(model: EnlargedModel, rho0, cfg: IntegratorConfig, route: str) -> Trajectory:
     # The initial state is checked before any operator of the run is built.
     rho0 = _check_initial(rho0, model.d_s)
-    pair = lambda: (model.system_liouvillian, model.feed_real_form)
-    return _evolve(model.system_equation, pair, model.decay.matrix, rho0, cfg, route)
+    return _evolve(model.system_equation, rho0, cfg, route)
 
 
 def evolve_wwa(spec: SystemSpec, rho0, cfg: IntegratorConfig) -> Trajectory:
@@ -570,9 +580,7 @@ def evolve_wwa(spec: SystemSpec, rho0, cfg: IntegratorConfig) -> Trajectory:
     the engine with an empty decay sector."""
     _check_grid(cfg)
     rho0 = _check_initial(rho0, spec.d_s)
-    b = np.zeros((0, spec.d_s), dtype=np.complex128)
-    pair = lambda: (assemble_liouvillian_wwa(spec), np.zeros((0, spec.d_s**2)))
-    return _evolve(spec.equation, pair, b, rho0, cfg, cfg.method)
+    return _evolve(spec.equation, rho0, cfg, cfg.method)
 
 
 def evolve_enlarged(model: EnlargedModel, rho0, cfg: IntegratorConfig) -> Trajectory:

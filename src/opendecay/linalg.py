@@ -81,21 +81,6 @@ class HermitianBasis:
         out += self.first[:, None] * m
         return out
 
-    def right(self, m: np.ndarray) -> np.ndarray:
-        """m @ U."""
-        out = m[:, self.kt]
-        out *= self.second
-        out += m * self.first
-        return out
-
-    def left_inverse(self, m: np.ndarray) -> np.ndarray:
-        """U^-1 @ m = U† m / norms_sq."""
-        out = m[self.kt]
-        out *= self.second.conj()[:, None]
-        out += self.first.conj()[:, None] * m
-        out /= self.norms_sq[:, None]
-        return out
-
     def right_inverse(self, m: np.ndarray) -> np.ndarray:
         """m @ U^-1 = m U† / norms_sq."""
         scale = self.second.conj() / self.norms_sq
@@ -103,16 +88,15 @@ class HermitianBasis:
         out += m * (self.first.conj() / self.norms_sq)
         return out
 
-    def real_form(self, superop: np.ndarray) -> np.ndarray:
-        """Re(U^-1 superop U) for a d^2 x d^2 superoperator.  For one that
-        preserves hermiticity the imaginary part is rounding-level, and the
-        real matrix maps coordinates to coordinates.  A copy, not a view, so
-        that a cached real form does not keep the complex product alive."""
-        return self.left_inverse(self.right(superop)).real.copy()
-
     def coords(self, rho: np.ndarray) -> np.ndarray:
-        """Real coordinates of a hermitian d x d matrix."""
-        return self.left_inverse(rho.reshape(-1, 1, order="F"))[:, 0].real
+        """Real coordinates of a hermitian d x d matrix, or of each matrix in
+        an (n, d, d) stack, one row per matrix: Re(U^-1 vec(rho)), where
+        U^-1 = U† / norms_sq."""
+        v = np.swapaxes(rho, -1, -2).reshape(rho.shape[:-2] + (self.d * self.d,))  # vec()
+        out = v[..., self.kt] * self.second.conj()
+        out += self.first.conj() * v
+        out /= self.norms_sq
+        return out.real
 
     def matrices(self, coords: np.ndarray) -> np.ndarray:
         """The d x d matrices with real coordinates ``coords``, one per row."""
@@ -151,14 +135,15 @@ def require_hermitian(a: np.ndarray, tol: float, where: str = "matrix") -> np.nd
 
     Raises :class:`NotHermitianError` naming the first matrix whose deviation
     ||a - a†||_F exceeds ``tol * max(1, ||a||_F)``; the bound is scaled so
-    that tiny and large inputs are judged consistently, and a NaN deviation
-    fails.
+    that tiny and large inputs are judged consistently, and a deviation that
+    is NaN or overflows fails, without numpy's warnings.
     """
-    half = np.conj(np.swapaxes(a, -1, -2))
-    half -= a  # a† - a, worked on in place to keep one temporary
-    dev = _frobenius_each(half)
-    bound = tol * np.maximum(1.0, _frobenius_each(a))
-    bad = np.flatnonzero(~(dev <= bound))
+    with np.errstate(over="ignore", invalid="ignore"):  # judged below
+        half = np.conj(np.swapaxes(a, -1, -2))
+        half -= a  # a† - a, worked on in place to keep one temporary
+        dev = _frobenius_each(half)
+        bound = tol * np.maximum(1.0, _frobenius_each(a))
+    bad = np.flatnonzero(~(dev <= bound) | (dev == np.inf))
     if bad.size:
         i = int(bad[0])
         name = where if a.ndim == 2 else f"{where} {i}"

@@ -12,11 +12,15 @@ enlarged model (:class:`EnlargedModel`) is the pair (spec, B): on the direct
 sum of system and decay spaces the decay sector is passive, with no
 Hamiltonian and no jump acting on it, and the d_f x d_s matrix B maps system
 states only into it.  So a block-diagonal state stays block-diagonal: rho_ss
-evolves alone under L_ss, built by the same formula from G = H - (i/2)(B†B +
-sum A†A) and the Lindblad operators A (``EnlargedModel.system_liouvillian``),
-rho_sf stays zero, and rho_ff' = B rho_ss B† (:func:`decay_feed`).  Every run
-works on that subspace; the padded d_tot x d_tot operators and the d_tot^2 x
-d_tot^2 Liouvillian are derived from (spec, B) only for the test oracles.
+evolves alone under L_ss, the Liouvillian of G = H - (i/2)(B†B + sum A†A)
+and the Lindblad operators A (``EnlargedModel.system_equation``), rho_sf
+stays zero, and rho_ff' = L_fs rho_ss = B rho_ss B† (:func:`decay_feed`).
+Every run works on that subspace, with the generator
+``MasterEquation.real_form``: [L_ss; L_fs] as one real matrix in the
+coordinates of :class:`HermitianBasis`, taken from the equation's action on
+the basis matrices.  The Kronecker Liouvillians, the padded d_tot x d_tot
+operators and the d_tot^2 x d_tot^2 Liouvillian are derived from (spec, B)
+only for the test oracles.
 """
 
 from __future__ import annotations
@@ -56,20 +60,28 @@ __all__ = [
 @dataclass(frozen=True)
 class MasterEquation:
     """rho' = -i(G rho - rho G†) + sum_k K rho K† for a generator G and
-    jump operators K, all d x d."""
+    jump operators K, all d x d, which feeds rho_ff' = F rho F† into a decay
+    sector through the d_f x d matrix ``feed`` F; without one, d_f = 0."""
 
     generator: np.ndarray
     jumps: tuple[np.ndarray, ...]
+    feed: np.ndarray | None = None
+
+    def __post_init__(self):
+        if self.feed is None:
+            empty = np.zeros((0, self.generator.shape[0]), dtype=np.complex128)
+            object.__setattr__(self, "feed", empty)
 
     @classmethod
-    def build(cls, hamiltonian: np.ndarray, jumps, loss=None) -> MasterEquation:
+    def build(cls, hamiltonian: np.ndarray, jumps, loss=None, feed=None) -> MasterEquation:
         """G = H - (i/2)(loss + sum_k K†K).
 
         Folds every anticommutator of the master equation into one
         non-hermitian generator, so each right-hand side needs only
         2 + 2*len(jumps) products.  ``loss`` is Gamma on the system space,
         B†B on the system block of the enlarged space, and absent on the
-        padded enlarged space, where B is one of the jumps.  Raises
+        padded enlarged space, where B is one of the jumps.  ``feed`` is B
+        on the system block of the enlarged space.  Raises
         :class:`NumericsError` when G overflows.
         """
         gram = np.zeros(hamiltonian.shape, dtype=np.complex128)
@@ -81,7 +93,7 @@ class MasterEquation:
             gen = hamiltonian - 0.5j * gram
         if not np.isfinite(gen).all():
             raise NumericsError("the generator G has entries that are not finite")
-        return cls(generator=gen, jumps=tuple(jumps))
+        return cls(generator=gen, jumps=tuple(jumps), feed=feed)
 
     @cached_property
     def generator_adjoint(self) -> np.ndarray:
@@ -92,18 +104,45 @@ class MasterEquation:
         return tuple((k, k.conj().T) for k in self.jumps)
 
     def rhs(self, rho) -> np.ndarray:
-        """The derivative rho' of a d x d state."""
+        """The derivative rho' of a d x d state, or of each state in an
+        (n, d, d) stack."""
         rho = np.asarray(rho, dtype=np.complex128)
-        if rho.shape != self.generator.shape:
+        if rho.shape[-2:] != self.generator.shape:
             raise DimensionError(f"state has shape {rho.shape}, expected {self.generator.shape}")
         out = -1j * (self.generator @ rho - rho @ self.generator_adjoint)
         for k, k_dag in self.jump_pairs:
             out += k @ rho @ k_dag
         return out
 
+    @cached_property
+    def real_form(self) -> np.ndarray:
+        """[L_ss; L_fs], the map rho -> (rhs(rho), F rho F†), as one real
+        (d^2 + d_f^2) x d^2 matrix in the coordinates of :class:`HermitianBasis`,
+        built once: column k holds the coordinates of the images of the k-th
+        basis matrix.  The map preserves hermiticity, so the imaginary parts
+        that the coordinates drop are rounding.  Every run takes its steps,
+        the ``cp`` check and the step-size norm from this matrix."""
+        d, d_f = self.generator.shape[0], self.feed.shape[0]
+        basis, basis_f = HermitianBasis(d), HermitianBasis(d_f)
+        n_s = d * d
+        out = np.empty((n_s + d_f * d_f, n_s))
+        # Chunks of basis matrices whose stacks of images take about 512 KiB:
+        # at d = d_f = 12, 16, 30 and 40 (one BLAS thread, 2 MiB of L2) the
+        # build took 2.8-2.9, 6.8-7.2, 61-70 and 222-243 ms.  1 MiB chunks
+        # took 9.2 ms at d = 16; 256 KiB chunks raised the peak RSS of the
+        # d = 30 ``exact`` all-checks run from 223 to 273 MB.
+        k = max(1, 2**19 // (16 * max(n_s, d_f * d_f)))
+        for i in range(0, n_s, k):
+            j = min(i + k, n_s)
+            u = basis.matrices(np.eye(j - i, n_s, i))  # basis matrices i .. j - 1
+            out[:n_s, i:j] = basis.coords(self.rhs(u)).T
+            out[n_s:, i:j] = basis_f.coords(decay_feed(self.feed, u)).T
+        return out
+
     def liouvillian(self) -> Liouvillian:
         """L = -i I(x)G + i conj(G)(x)I + sum_k conj(K)(x)K: the column-stacking
-        matrix of :meth:`rhs`."""
+        matrix of :meth:`rhs`.  No run builds it: it is the test oracle of
+        :attr:`real_form`."""
         gen = self.generator
         eye = np.eye(gen.shape[0], dtype=np.complex128)
         with np.errstate(over="ignore", invalid="ignore"):  # checked below
@@ -338,29 +377,18 @@ class EnlargedModel:
     @cached_property
     def system_equation(self) -> MasterEquation:
         """The equation of the system block: G = H - (i/2)(B†B + sum A†A),
-        jumps A; the padded generator is diag(G, 0).  It takes B†B, not
-        Gamma, which B†B equals only up to rounding and the eigenvalues that
-        :func:`decompose_gamma` drops, so that the ``cp`` check certifies the
-        map the enlarged model generates and the ``equivalence`` check tests
-        B†B = Gamma."""
+        jumps A, feed B; the padded generator is diag(G, 0).  It takes B†B,
+        not Gamma, which B†B equals only up to rounding and the eigenvalues
+        that :func:`decompose_gamma` drops, so that the ``cp`` check
+        certifies the map the enlarged model generates and the
+        ``equivalence`` check tests B†B = Gamma.  Its
+        :attr:`MasterEquation.real_form` holds the blocks L_ss and L_fs of
+        :attr:`liouvillian`; exp(tL) restricted to the system block is
+        exp(t L_ss)."""
         return MasterEquation.build(
-            self.spec.hamiltonian, self.spec.lindblad_ops, loss=self.decay.gram
+            self.spec.hamiltonian, self.spec.lindblad_ops, loss=self.decay.gram,
+            feed=self.decay.matrix,
         )
-
-    @cached_property
-    def system_liouvillian(self) -> Liouvillian:
-        """L_ss: the d_s^2 x d_s^2 Liouvillian of :attr:`system_equation`,
-        the system block of :attr:`liouvillian` without assembling it.
-        exp(tL) restricted to the system block is exp(t L_ss)."""
-        return self.system_equation.liouvillian()
-
-    @cached_property
-    def feed_real_form(self) -> np.ndarray:
-        """Re(U_f^-1 L_fs U_s), d_f^2 x d_s^2, built once: L_fs, the ff <- ss
-        block of :attr:`liouvillian`, in the coordinates of :class:`HermitianBasis`."""
-        basis_s, basis_f = HermitianBasis(self.d_s), HermitianBasis(self.d_f)
-        fed = feed_columns(self.decay.matrix, basis_s.left(np.eye(self.d_s**2)))
-        return basis_f.left_inverse(fed).real.copy()
 
 
 def decay_feed(b: np.ndarray, rho) -> np.ndarray:
@@ -368,18 +396,6 @@ def decay_feed(b: np.ndarray, rho) -> np.ndarray:
     of each matrix in an (m, d_s, d_s) stack: rho_ff' on the block-diagonal
     subspace."""
     return b @ rho @ b.conj().T
-
-
-def feed_columns(b: np.ndarray, x) -> np.ndarray:
-    """L_fs @ x, for L_fs the ff <- ss block of the enlarged Liouvillian:
-    each column vec(rho_j) of ``x`` (d_s^2 rows) becomes vec(B rho_j B†),
-    by :func:`decay_feed` instead of the d_f^2 x d_s^2 Kronecker matrix."""
-    d_f, d_s = b.shape
-    x = np.asarray(x, dtype=np.complex128)
-    m = x.shape[1]
-    # Row j of x.T, read as d_s x d_s in C order, is rho_j^T; so
-    # conj(B) rho_j^T B^T = (B rho_j B†)^T, whose C-order rows are vec().
-    return decay_feed(b.conj(), x.T.reshape(m, d_s, d_s)).reshape(m, d_f * d_f).T
 
 
 def _embed_block(m: np.ndarray, d_s: int, d_f: int) -> np.ndarray:
@@ -408,15 +424,6 @@ class Liouvillian:
 
     matrix: np.ndarray
     dim: int
-
-    @cached_property
-    def real_form(self) -> np.ndarray:
-        """The matrix in the real coordinates of :class:`HermitianBasis`, built
-        once.  Every step of the engine is built from it, with
-        ``EnlargedModel.feed_real_form`` for the fed block, and the ``cp``
-        check exponentiates that of the cached
-        ``EnlargedModel.system_liouvillian``."""
-        return HermitianBasis(self.dim).real_form(self.matrix)
 
 
 def assemble_liouvillian(hamiltonian, lindblad_ops=(), decay_op=None) -> Liouvillian:

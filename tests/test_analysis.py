@@ -33,7 +33,6 @@ from opendecay.model import (
     decompose_gamma,
     embed_operators,
     embed_state,
-    feed_columns,
 )
 from opendecay.randmodel import random_system
 
@@ -265,7 +264,7 @@ def test_choi_of_superoperator_matches_map_evaluation():
     spec, rho0 = random_system(19, d_s=3, n_lindblad=1, rank=2)
     decay = build_decay_operator(decompose_gamma(spec.decay_matrix), spec.d_f)
     model = embed_operators(spec, decay)
-    prop = expm(model.system_liouvillian.matrix * 0.7)
+    prop = expm(model.system_equation.liouvillian().matrix * 0.7)
     transpose = np.zeros((4, 4))
     for i in range(2):
         for j in range(2):
@@ -274,7 +273,7 @@ def test_choi_of_superoperator_matches_map_evaluation():
     cases = [
         (prop, 3, lambda rho: unvec(prop @ vec(rho), 3)),
         (transpose, 2, lambda rho: rho.T),
-        (feed_columns(b, np.eye(9)), 3, lambda rho: b @ rho @ b.conj().T),
+        (np.kron(b.conj(), b), 3, lambda rho: b @ rho @ b.conj().T),
     ]
     for superop, d, apply in cases:
         got = choi_of_superoperator(superop, d, t=0.7)
@@ -297,7 +296,7 @@ def test_trajectory_caches_its_per_sample_numbers(monkeypatch):
     assert traj.traces.shape == (2, 5) and traj.purity.shape == (5,)
 
 
-def test_failed_hermiticity_gate_caches_nothing():
+def test_failed_hermiticity_gate_caches_nothing(monkeypatch):
     bad = np.array([[0.5, 1.0], [0.0, 0.5]])
     traj = Trajectory(times=[0.0], states=(bad,))
     for _ in range(2):
@@ -306,6 +305,17 @@ def test_failed_hermiticity_gate_caches_nothing():
     assert "min_eigenvalues" not in vars(traj)
     # The traces take no gate: the trace check still reports.
     assert check_trace(traj).status == "pass"
+    # A skewed decay block: the blocks are gated and reduced one at a time,
+    # so the system blocks' eigenvalues are taken before the decay gate
+    # fails, and still nothing is cached.
+    eigvalsh, calls = np.linalg.eigvalsh, []
+    monkeypatch.setattr(np.linalg, "eigvalsh", lambda a: calls.append(a.shape) or eigvalsh(a))
+    good = np.diag([0.5, 0.0])
+    traj = Trajectory(times=[0.0, 0.1], states=[good, good], decay=[[[0.5]], [[0.5 + 1j]]])
+    with pytest.raises(NotHermitianError, match=r"^sample 1 deviates"):
+        check_positivity(traj)
+    assert calls == [(2, 2, 2)]
+    assert "min_eigenvalues" not in vars(traj)
 
 
 # -- mixedness -------------------------------------------------------------------

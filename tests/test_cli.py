@@ -3,6 +3,7 @@ import os
 import warnings
 
 from dataclasses import replace
+from functools import cached_property
 from pathlib import Path
 from types import SimpleNamespace
 
@@ -10,7 +11,7 @@ import numpy as np
 import pytest
 from conftest import split_oracle
 
-from opendecay import analysis, cli, evolution, model as model_module
+from opendecay import analysis, cli, model as model_module
 from opendecay.cli import (
     builtin_scenario_path,
     main,
@@ -21,8 +22,8 @@ from opendecay.cli import (
 )
 from opendecay.errors import NotHermitianError, ParseError, ValidationError
 from opendecay.evolution import SUPEROP_MAX_DIM, BlockDensity, IntegratorConfig, Trajectory
-from opendecay.linalg import HermitianBasis, expm, unvec, vec
-from opendecay.model import embed_state, feed_columns
+from opendecay.linalg import expm, unvec, vec
+from opendecay.model import MasterEquation, embed_state
 from opendecay.randmodel import MAX_ENTRIES
 
 SINGLE_DECAY = builtin_scenario_path("single-decay").read_text()
@@ -296,28 +297,25 @@ def test_run_without_checks_gates_its_samples(monkeypatch):
 
 def test_run_builds_the_system_real_form_once(monkeypatch):
     # The enlarged run's step, the cp check and the asymptotics check's
-    # nonsingular propagation all take the real form of the model's L_ss;
-    # the model builds it once.  The system-space run builds the real form
-    # of its own generator: two builds in all, one per generator.
+    # nonsingular propagation all take the real form of the model's
+    # system-block equation, which is built once.  The system-space run
+    # builds the real form of its own equation: two builds in all, one per
+    # equation.
     cfg = parse_config(builtin_scenario_path("random").read_text())
     assert {"cp", "asymptotics"} <= set(cfg.checks)
-    real_form, calls = HermitianBasis.real_form, []
-    assemble, wwa = evolution.assemble_liouvillian_wwa, []
+    build, built = MasterEquation.real_form.func, []
 
-    def counting(self, superop):
-        calls.append(superop)
-        return real_form(self, superop)
+    def counting(self):
+        built.append(self)
+        return build(self)
 
-    def assembling(spec):
-        wwa.append(assemble(spec))
-        return wwa[-1]
-
-    monkeypatch.setattr(HermitianBasis, "real_form", counting)
-    monkeypatch.setattr(evolution, "assemble_liouvillian_wwa", assembling)
+    spy = cached_property(counting)
+    spy.__set_name__(MasterEquation, "real_form")
+    monkeypatch.setattr(MasterEquation, "real_form", spy)
     result = run_scenario(short(cfg, t_max=1.0), write=False)
     assert result.exit_status == 0
-    assert len(wwa) == 1 and len(calls) == 2
-    assert [m is wwa[0].matrix for m in calls].count(True) == 1
+    assert len(built) == 2 and built[0] is not built[1]
+    assert sorted(e.feed.shape[0] for e in built) == [0, cfg.system.d_f]
 
 
 # -- command line ----------------------------------------------------------------
@@ -755,10 +753,10 @@ def test_step_size_warning(dt, warns):
 
 def test_step_size_norm_from_the_real_forms_matches_the_complex_generator(corpus):
     # The 2-norm of the complex [L_ss; L_fs], built here only as the oracle,
-    # against the one the step-size warning takes from the cached real forms.
+    # against the one the step-size warning takes from the cached real form.
     for m in corpus:
-        l_ss = m.model.system_liouvillian.matrix
-        l_fs = feed_columns(m.decay.matrix, np.eye(l_ss.shape[0]))
+        l_ss = m.model.system_equation.liouvillian().matrix
+        l_fs = np.kron(m.decay.matrix.conj(), m.decay.matrix)
         want = np.linalg.norm(np.concatenate((l_ss, l_fs)), 2)
         assert abs(cli._subspace_generator_norm(m.model) - want) <= 1e-12 * want
 
@@ -869,8 +867,35 @@ def test_cp_check_does_not_assemble_enlarged_liouvillian(monkeypatch):
         assert all(r.passed for r in result.reports)
         model = models.pop()
         assert model.d_tot == 2 * d_s
-        assert set(vars(model)) >= {"system_equation", "system_liouvillian"}
+        assert "system_equation" in vars(model)
+        assert "real_form" in vars(model.system_equation)
         assert not padded & set(vars(model)), (d_s, method)
+
+
+def test_no_run_builds_a_kronecker_liouvillian(monkeypatch):
+    # Every run takes its generator from the real form, which applies the
+    # equation to the basis matrices: no run of NO_PADDING_RUNS, and no
+    # shipped scenario with every check under rk4 or exact, builds the
+    # Kronecker Liouvillian of any equation.
+    calls = []
+    liouvillian = MasterEquation.liouvillian
+
+    def counting(self):
+        calls.append(self.generator.shape)
+        return liouvillian(self)
+
+    monkeypatch.setattr(MasterEquation, "liouvillian", counting)
+    configs = [_no_padding_config(*run) for run in NO_PADDING_RUNS]
+    for name in ("single-decay", "two-level-decay", "random"):
+        cfg = parse_config(builtin_scenario_path(name).read_text())
+        for method in ("rk4", "exact"):
+            integ = replace(cfg.integrator, method=method)
+            configs.append(replace(cfg, integrator=integ, checks=cli.CHECK_NAMES))
+    for cfg in configs:
+        result = run_scenario(cfg, write=False)
+        assert [r.name for r in result.reports] == list(cfg.checks)
+        assert all(r.passed for r in result.reports), (cfg.name, cfg.integrator.method)
+    assert calls == []
 
 
 def test_all_checks_do_not_assemble_enlarged_liouvillian(monkeypatch):

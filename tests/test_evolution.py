@@ -23,16 +23,13 @@ from opendecay.evolution import (
 )
 from opendecay.linalg import unvec, vec
 from opendecay.model import (
-    Liouvillian,
     MasterEquation,
     SystemSpec,
     assemble_liouvillian,
-    assemble_liouvillian_wwa,
     build_decay_operator,
     decompose_gamma,
     embed_operators,
     embed_state,
-    feed_columns,
 )
 from opendecay.randmodel import random_system
 
@@ -64,6 +61,11 @@ def test_config_rejects_bad_values():
         IntegratorConfig(dt=2.0, t_max=1.0)
     with pytest.raises(ValueError):
         IntegratorConfig(dt=0.1, t_max=1.0, sample_stride=0)
+    # A stride that is not an int fails here, not later in the engine, and a
+    # bool is not taken as 1.
+    for stride in (2.5, 2.0, True):
+        with pytest.raises(ValueError, match="sample_stride must be an integer"):
+            IntegratorConfig(dt=0.1, t_max=1.0, sample_stride=stride)
     with pytest.raises(ValueError):
         IntegratorConfig(dt=0.1, t_max=1.0, method="euler")
     for dt, t_max in ((np.nan, 1.0), (np.inf, np.inf), (1e-3, np.nan), (1e-3, np.inf)):
@@ -172,9 +174,10 @@ def test_block_diagonal_state_keeps_zero_coherence():
 
 
 def test_feed_single_decay_growth():
-    # rho_ff' = B rho_ss B†, with B = 1 for the unit decay rate.
+    # rho_ff' = B rho_ss B†, with B = 1 for the unit decay rate: the fed row
+    # of the real form [L_ss; L_fs] is 1.
     _, decay, model = single_decay(gamma=1.0)
-    assert feed_columns(decay.matrix, np.array([[0.3]]))[0, 0] == pytest.approx(0.3)
+    assert (model.system_equation.real_form[1:] @ [0.3])[0] == pytest.approx(0.3)
     assert rhs_enlarged(np.diag([0.3, 0.0]), model)[1, 1] == pytest.approx(0.3)
 
 
@@ -184,14 +187,15 @@ def test_subspace_blocks_match_full_equation():
     rng = np.random.default_rng(9)
     spec, _, decay, model = random_member(seed=6)
     d_s, d_f = spec.d_s, spec.d_f
-    l_ss = model.system_liouvillian.matrix
+    l_ss = model.system_equation.liouvillian().matrix
+    l_fs = np.kron(decay.matrix.conj(), decay.matrix)
     for _ in range(5):
         rho_ss, rho_ff = random_hermitian(d_s, rng), random_hermitian(d_f, rng)
         zero = np.zeros((d_s, d_f))
         full = BlockDensity(rho_ss=rho_ss, rho_sf=zero, rho_fs=zero.T, rho_ff=rho_ff).to_full()
         deriv = BlockDensity.from_full(rhs_enlarged(full, model), d_s)
         assert np.abs(deriv.rho_ss - unvec(l_ss @ vec(rho_ss), d_s)).max() <= 1e-12
-        fed = unvec(feed_columns(decay.matrix, vec(rho_ss)[:, None]), d_f)
+        fed = unvec(l_fs @ vec(rho_ss), d_f)
         assert np.abs(deriv.rho_ff - fed).max() <= 1e-12
         assert np.abs(deriv.rho_ff - decay.matrix @ rho_ss @ decay.matrix.conj().T).max() <= 1e-12
         assert np.abs(deriv.rho_sf).max() == 0.0
@@ -204,7 +208,8 @@ def test_feed_is_block_of_full_liouvillian(corpus):
         ss = idx[:d_s, :d_s].ravel(order="F")
         ff = idx[d_s:, d_s:].ravel(order="F")
         block = m.liouv.matrix[np.ix_(ff, ss)]
-        assert np.abs(feed_columns(m.decay.matrix, np.eye(d_s * d_s)) - block).max() <= 1e-14
+        b = m.decay.matrix
+        assert np.abs(np.kron(b.conj(), b) - block).max() <= 1e-14
 
 
 @pytest.mark.parametrize("d_s", [2, SUPEROP_MAX_DIM + 1])
@@ -452,8 +457,10 @@ def test_subspace_matches_full_liouvillian_on_corpus(corpus, method):
 def test_direct_rk4_above_superop_threshold(monkeypatch, space, above):
     # Systems with d_s at the threshold take the stepper, one past it the
     # direct RK4, on either space; the direct RK4 calls the system-block
-    # equation's right-hand side four times per step.  With its empty decay
-    # sector, the system space's direct RK4 is integrate_rk4's arithmetic.
+    # equation's right-hand side four times per step, the stepper a fixed
+    # number of times (the real form's build and the drift check), however
+    # many steps it takes.  With its empty decay sector, the system space's
+    # direct RK4 is integrate_rk4's arithmetic.
     d_s = SUPEROP_MAX_DIM + int(above)
     spec, rho0, decay, model = random_member(seed=15, d_s=d_s)
     if space == "enlarged":
@@ -471,29 +478,42 @@ def test_direct_rk4_above_superop_threshold(monkeypatch, space, above):
     monkeypatch.setattr(MasterEquation, "rhs", counting)
     cfg = IntegratorConfig(dt=1e-3, t_max=0.01)
     traj = evolve(target, rho0, cfg)
-    assert len(calls) == (4 * cfg.n_steps if above else 0)
-    if above:
-        ref = integrate_rk4(lambda r: rhs(r, target), full, cfg)
-        if space == "wwa":
-            assert np.array_equal(traj.states, ref.states)
-        else:
-            # The enlarged space runs the same RK4 on its blocks, in other
-            # arithmetic.
-            ref, sf = split_oracle(ref.times, ref.states, d_s)
-            assert max(enlarged_gap(traj, ref), sf) <= 1e-12
+    if not above:
+        # A fresh model, whose real form is not cached yet, over ten times
+        # the steps.
+        built = len(calls)
+        calls.clear()
+        spec, _, _, model = random_member(seed=15, d_s=d_s)
+        evolve(model if space == "enlarged" else spec, rho0, IntegratorConfig(dt=1e-3, t_max=0.1))
+        assert len(calls) == built > 0
+        return
+    assert len(calls) == 4 * cfg.n_steps
+    ref = integrate_rk4(lambda r: rhs(r, target), full, cfg)
+    if space == "wwa":
+        assert np.array_equal(traj.states, ref.states)
+    else:
+        # The enlarged space runs the same RK4 on its blocks, in other
+        # arithmetic.
+        ref, sf = split_oracle(ref.times, ref.states, d_s)
+        assert max(enlarged_gap(traj, ref), sf) <= 1e-12
 
 
 @pytest.mark.parametrize("method", ["rk4", "exact"])
 def test_superop_drift_monitor_trips(method):
-    # d vec(rho)/dt = i vec(rho) turns rho into exp(it) rho, which is not
-    # hermitian: the drift after the first step is about 2 sin(dt).  The
-    # engine with an empty decay sector, as the system space runs it; the
-    # stepper takes no right-hand side.
-    liouv = Liouvillian(matrix=1j * np.eye(4), dim=2)
+    # rho' = i rho turns rho into exp(it) rho, which is not hermitian: the
+    # drift after the first step is about 2 sin(dt).  The engine with an
+    # empty decay sector, as the system space runs it, on a stub equation
+    # whose right-hand side is i rho; its real form drops the imaginary
+    # part that makes the drift, and the build-time check sees it.
+    class Rotating(MasterEquation):
+        def rhs(self, rho):
+            return 1j * np.asarray(rho, dtype=np.complex128)
+
+    equation = Rotating(np.zeros((2, 2), dtype=np.complex128), ())
     cfg = IntegratorConfig(dt=0.1, t_max=1.0, method=method)
     rho0 = evolution._check_initial(np.eye(2) / 2, 2)
     with pytest.raises(NumericsError, match="hermiticity drift .* at step 1 exceeds"):
-        evolution._evolve(None, lambda: (liouv, np.zeros((0, 4))), np.zeros((0, 2)), rho0, cfg, method)
+        evolution._evolve(equation, rho0, cfg, method)
 
 
 def test_superop_drift_monitor_trips_on_nan():
@@ -522,7 +542,7 @@ def test_a_long_step_does_not_trip_the_build_time_drift_check():
         h = rng.normal(size=(3, 3)) + 1j * rng.normal(size=(3, 3))
         spec = SystemSpec(d_s=3, d_f=3, hamiltonian=0.5 * (h + h.conj().T), decay_matrix=gamma)
         model = embed_operators(spec, build_decay_operator(decompose_gamma(gamma), 3))
-        x = unvec(model.system_liouvillian.matrix @ vec(rho0), 3)
+        x = unvec(model.system_equation.liouvillian().matrix @ vec(rho0), 3)
         unscaled.append(1e9 * np.linalg.norm(x - x.conj().T))
         traj = propagate_nonsingular(model, rho0, 2e11, 200)
         exact = evolve_enlarged(model, rho0, IntegratorConfig(dt=1e9, t_max=2e11, method="exact"))
@@ -536,14 +556,7 @@ def run_route(space, route, cfg):
     spec, rho0, decay, model = random_member(seed=5, d_s=2)
     if space == "enlarged":
         return evolution._evolve_model(model, rho0, cfg, route)
-    return evolution._evolve(
-        spec.equation,
-        lambda: (assemble_liouvillian_wwa(spec), np.zeros((0, 4))),
-        np.zeros((0, 2)),
-        rho0,
-        cfg,
-        route,
-    )
+    return evolution._evolve(spec.equation, rho0, cfg, route)
 
 
 # At d_s = 2 a step takes 8 * 8 * 4 bytes of the enlarged stepper's block

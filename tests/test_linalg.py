@@ -5,8 +5,18 @@ from opendecay import cli
 from opendecay.analysis import ChoiMatrix, check_cp, check_positivity, mixedness
 from opendecay.errors import DimensionError, NotHermitianError, ValidationError
 from opendecay.evolution import Trajectory
-from opendecay.linalg import HermitianBasis, as_matrix, expm, frobenius, hermitian_eig, unvec, vec
+from opendecay.linalg import (
+    HermitianBasis,
+    as_matrix,
+    expm,
+    frobenius,
+    hermitian_eig,
+    require_hermitian,
+    unvec,
+    vec,
+)
 from opendecay.model import (
+    MasterEquation,
     SystemSpec,
     build_decay_operator,
     decompose_gamma,
@@ -67,32 +77,52 @@ def test_hermitian_basis_changes_of_basis_match_explicit_matrix(d):
     basis = HermitianBasis(d)
     np.testing.assert_array_equal(np.diag(u.conj().T @ u).real, basis.norms_sq)
     m = random_complex(d * d, d * d)
-    for got, want in (
-        (basis.left(m), u @ m),
-        (basis.right(m), m @ u),
-        (basis.left_inverse(m), u_inv @ m),
-        (basis.right_inverse(m), m @ u_inv),
-    ):
+    for got, want in ((basis.left(m), u @ m), (basis.right_inverse(m), m @ u_inv)):
         np.testing.assert_allclose(got, want, rtol=0, atol=1e-14)
-    np.testing.assert_allclose(basis.left_inverse(basis.left(m)), m, rtol=0, atol=1e-14)
-    np.testing.assert_allclose(basis.right(basis.right_inverse(m)), m, rtol=0, atol=1e-14)
+    np.testing.assert_allclose(basis.right_inverse(m) @ u, m, rtol=0, atol=1e-14)
+    # The coordinates of a stack, one row per matrix, and of each matrix.
+    rhos = np.array([random_hermitian(d) for _ in range(3)])
+    want = (u_inv @ rhos.transpose(0, 2, 1).reshape(3, d * d).T).T
+    assert np.abs(want.imag).max() <= 1e-15
+    np.testing.assert_allclose(basis.coords(rhos), want.real, rtol=0, atol=1e-15)
+    for rho, row in zip(rhos, basis.coords(rhos)):
+        assert np.array_equal(basis.coords(rho), row)
 
 
 @pytest.mark.parametrize("d", [1, 2, 3, 4])
 def test_hermitian_basis_real_form_of_a_liouvillian(d):
     # A Liouvillian preserves hermiticity, so U^-1 L U is real up to
-    # rounding, and its real form maps coordinates to coordinates.
+    # rounding; the equation's real form, built from its action on the basis
+    # matrices, is that matrix and maps coordinates to coordinates.  With a
+    # feed F of d_f rows it has the rows U_f^-1 (conj(F) (x) F) U below.
     spec, rho0 = random_system(30 + d, d_s=d, n_lindblad=1)
     liouv = spec.equation.liouvillian().matrix
     u = explicit_basis(d)
     full = np.linalg.solve(u, liouv @ u)
     assert np.abs(full.imag).max() <= 1e-13
     basis = HermitianBasis(d)
-    gen = basis.real_form(liouv)
-    assert gen.dtype == np.float64
+    gen = spec.equation.real_form
+    assert gen.dtype == np.float64 and gen.shape == (d * d, d * d)
     np.testing.assert_allclose(gen, full.real, rtol=0, atol=1e-13)
     rate = unvec(liouv @ vec(rho0), d)
     np.testing.assert_allclose(gen @ basis.coords(rho0), basis.coords(rate), rtol=0, atol=1e-13)
+    feed = random_complex(2, d)
+    fed = MasterEquation(spec.equation.generator, spec.equation.jumps, feed).real_form
+    fed_full = np.linalg.solve(explicit_basis(2), np.kron(feed.conj(), feed) @ u)
+    assert np.abs(fed_full.imag).max() <= 1e-13
+    assert np.array_equal(fed[: d * d], gen)
+    np.testing.assert_allclose(fed[d * d :], fed_full.real, rtol=0, atol=1e-13)
+
+
+def test_hermiticity_gate_refuses_a_deviation_that_overflows():
+    # ||a - a†||_F of [[1 + 9e307i]] overflows, and so does ||a||_F: the gate
+    # fails the matrix instead of passing inf <= inf, and numpy warns of
+    # nothing (warnings are errors under pytest).
+    a = np.array([[1.0 + 9e307j]])
+    with pytest.raises(NotHermitianError, match="deviates from hermiticity by inf"):
+        require_hermitian(a, 1e-9)
+    with pytest.raises(ValidationError, match="initial_state deviates from hermiticity"):
+        cli._validate_initial_state(a, 1)
 
 
 # -- as_matrix ------------------------------------------------------------------

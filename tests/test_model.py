@@ -10,7 +10,7 @@ from opendecay.errors import (
 )
 from opendecay.cli import CP_SAMPLE_TIMES
 from opendecay.evolution import IntegratorConfig, evolve_enlarged, rhs_enlarged, rhs_wwa
-from opendecay.linalg import expm, unvec, vec
+from opendecay.linalg import HermitianBasis, expm, unvec, vec
 from opendecay.model import (
     MasterEquation,
     SystemSpec,
@@ -340,8 +340,30 @@ def test_system_liouvillian_is_system_block(corpus):
     for m in corpus:
         ss = system_block_index(m.spec.d_s, m.model.d_tot)
         block = m.liouv.matrix[np.ix_(ss, ss)]
-        assert m.model.system_liouvillian.dim == m.spec.d_s
-        assert np.abs(m.model.system_liouvillian.matrix - block).max() <= 1e-14
+        l_ss = m.model.system_equation.liouvillian()
+        assert l_ss.dim == m.spec.d_s
+        assert np.abs(l_ss.matrix - block).max() <= 1e-14
+
+
+def test_real_form_is_the_subspace_block_of_the_full_liouvillian(corpus):
+    # The cached real form of the system-block equation against [U_s^-1 L_ss
+    # U_s; U_f^-1 L_fs U_s], taken from the Kronecker oracle of the whole
+    # enlarged space, and the system space's against its own Liouvillian.
+    for m in corpus:
+        d_s, d_f, d_tot = m.spec.d_s, m.spec.d_f, m.model.d_tot
+        idx = np.arange(d_tot * d_tot).reshape((d_tot, d_tot), order="F")
+        ss, ff = idx[:d_s, :d_s].ravel(order="F"), idx[d_s:, d_s:].ravel(order="F")
+        u_s = HermitianBasis(d_s).left(np.eye(d_s * d_s))
+        u_f = HermitianBasis(d_f).left(np.eye(d_f * d_f))
+        want = np.concatenate((
+            np.linalg.solve(u_s, m.liouv.matrix[np.ix_(ss, ss)] @ u_s),
+            np.linalg.solve(u_f, m.liouv.matrix[np.ix_(ff, ss)] @ u_s),
+        ))
+        wwa = np.linalg.solve(u_s, m.liouv_wwa.matrix @ u_s)
+        for got, full in ((m.model.system_equation.real_form, want), (m.spec.equation.real_form, wwa)):
+            assert got.dtype == np.float64 and got.shape == full.shape
+            assert np.abs(full.imag).max() <= 1e-13
+            assert np.abs(got - full.real).max() <= 1e-13
 
 
 def test_system_propagator_is_system_block_of_full_propagator(corpus):
@@ -351,5 +373,5 @@ def test_system_propagator_is_system_block_of_full_propagator(corpus):
         ss = system_block_index(m.spec.d_s, m.model.d_tot)
         for t in CP_SAMPLE_TIMES:
             full = expm(m.liouv.matrix * t)[np.ix_(ss, ss)]
-            small = expm(m.model.system_liouvillian.matrix * t)
+            small = expm(m.model.system_equation.liouvillian().matrix * t)
             assert np.abs(small - full).max() <= 1e-12
