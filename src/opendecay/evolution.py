@@ -26,41 +26,69 @@ E = P(h L_ss) and Phi = h L_fs (I + a/2 + a^2/6 + a^3/24) for a = h L_ss; the
 (Van Loan, IEEE Trans. Autom. Control 23, 395 (1978)).
 
 For d_s <= SUPEROP_MAX_DIM the ``rk4`` method builds its step once and then
-advances a block of steps per real matvec; ``exact`` always does.  The
-generator maps hermitian matrices to hermitian matrices, so in the real
-coordinates (s, f) of :class:`HermitianBasis` it is one real matrix
+advances a block of sample intervals per real matvec; ``exact`` always
+does.  The generator maps hermitian matrices to hermitian matrices, so in
+the real coordinates (s, f) of :class:`HermitianBasis` it is one real matrix
 [L_ss; L_fs], ``MasterEquation.real_form`` of the system-block equation,
 built once per equation from its action on the basis matrices, and every
 step is built from it in real arithmetic: the step [[E, 0], [Phi, I]] maps
 coordinates to coordinates and cannot leave the hermitian matrices, so it
 needs no re-symmetrization and leaves no drift to watch.  j steps from (s,
-f) reach (E^j s, f + Phi (I + E + ... + E^(j-1)) s); one matrix that stacks
-these rows for j = 1..B, built once with the powers by doubling, gives B
-states from one matvec, and needs no drift rows.  Two checks stand in for
-the drift monitor of the direct route.  At build time, the first step's
-drift to first order, dt ||X - X†||_F for X = L_ss rho0 from the equation's
-right-hand side, relative to dt ||L_ss||_F ||rho0||_F where that exceeds 1
-(the scale of its rounding), fails for a generator that does not preserve
-hermiticity, whose imaginary part in these coordinates the real form drops.
-Per block, a finiteness test of the states names the step after the first
-state that is not finite, as the drift of a one-step loop would.
+f) reach (E^j s, f + Phi_j s), Phi_j = Phi (I + E + ... + E^(j-1)).  The
+stepper goes in units of u steps: u = S = ``sample_stride`` when the jump
+pays (below), else u = 1.  The unit's pair [E^u; Phi_u] comes from the
+one-step pair by binary powering, where a steps and then b steps make
+[E^b E^a, Phi_a + Phi_b E^a] (powers by squaring, as in Higham, SIAM J.
+Matrix Anal. Appl. 26, 1179 (2005)); the short last interval of n_steps mod
+S steps gets its own pair the same way.  One matrix stacks the rows
+[E^(ju); Phi_(ju)] of the states after j = 1..B units, built once from the
+unit's pair with the powers by doubling, so one matvec gives B states, B
+samples when u = S, and applies the fed rows once per unit.  Two checks
+stand in for the drift monitor of the direct route.  At build time, the
+first step's drift to first order, dt ||X - X†||_F for X = L_ss rho0 from
+the equation's right-hand side, relative to dt ||L_ss||_F ||rho0||_F where
+that exceeds 1 (the scale of its rounding), fails for a generator that does
+not preserve hermiticity, whose imaginary part in these coordinates the
+real form drops.  Per block, every state the block reaches is tested for
+finiteness; when one fails, the first unit that reached a state that is not
+finite is replayed one step at a time from the state before it, with the
+one-step pair rebuilt, so that the error names the step that a one-step
+loop would: the NaN drift of the step that starts from that state, or the
+last state of the run.
 
-B is as many steps as fit in BLOCK_BYTES, 65536 // (8 n n_s) for the n =
-d_s^2 + d_f^2 rows and n_s = d_s^2 columns of a step, and at least one: 4096,
-256, 16, 3 and 1 steps for the enlarged space at d_s = d_f = 1, 2, 4, 6 and
-8.  Measured on the evolutions of the shipped scenarios, both spaces with
-``rk4``, at one BLAS thread (2-core Intel Xeon, 48 KiB L1d and 2 MiB L2 per
-core, numpy 2.4.6, OpenBLAS 0.3.31), best of 5 to 15 on a shared host, when
-each step still carried d_s^2 drift rows: single-decay, two-level-decay and
-random take 92, 103 and 51 ms at one step per matvec; 3.6, 18 and 9.9 ms at
-4 KiB; 1.4, 6.9 and 3.8 ms at 16 KiB; 1.3-2.0, 2.8-4.7 and 2.0-3.3 ms at
-64 KiB; and no less at 256 KiB (1.5-2.7, 2.2-4.0 and 1.7-2.8 ms) or 1 MiB.
-64 KiB is the smallest of these sizes at which all three reach that floor,
-where the Python cost per block is a small share.  Larger blocks still help
-at d_s 4 to 8: on the real step, both ``rk4`` evolutions of 1000 steps at
-stride 10 take 2.4-2.9, 6.2-7.0 and 17-23 ms at 64 KiB against 1.5-2.1,
-3.0-3.5 and 11 ms at 256 KiB, for d_s = 4, 6 and 8 (best and median of 15).
-From d_s = 8 on one step fills the block, so the matrix is the step itself.
+B is as many units as fit in BLOCK_BYTES, 65536 // (8 n n_s) for the n =
+d_s^2 + d_f^2 rows and n_s = d_s^2 columns of a unit, and at least one:
+4096, 256, 16, 3 and 1 samples (steps, when the run does not jump) for the
+enlarged space at d_s = d_f = 1, 2, 4, 6 and 8.  Measured when a unit was
+always a step, on the evolutions of the shipped scenarios, both spaces
+with ``rk4``, at one BLAS thread (2-core Intel Xeon, 48 KiB L1d and 2 MiB
+L2 per core, numpy 2.4.6, OpenBLAS 0.3.31), best of 5 to 15 on a shared
+host, when each step still carried d_s^2 drift rows: single-decay,
+two-level-decay and random take 92, 103 and 51 ms at one step per matvec;
+3.6, 18 and 9.9 ms at 4 KiB; 1.4, 6.9 and 3.8 ms at 16 KiB; 1.3-2.0,
+2.8-4.7 and 2.0-3.3 ms at 64 KiB; and no less at 256 KiB (1.5-2.7, 2.2-4.0
+and 1.7-2.8 ms) or 1 MiB.  64 KiB is the smallest of these sizes at which
+all three reach that floor, where the Python cost per block is a small
+share.  Larger blocks still help at d_s 4 to 8: on the real step, both
+``rk4`` evolutions of 1000 steps at stride 10 take 2.4-2.9, 6.2-7.0 and
+17-23 ms at 64 KiB against 1.5-2.1, 3.0-3.5 and 11 ms at 256 KiB, for d_s =
+4, 6 and 8 (best and median of 15).  From d_s = 8 on one unit fills the
+block, so the matrix is the unit's pair itself.
+
+The jump pays when the powering's P = bit_length(S) + popcount(S) - 2
+products, each with the flops of d_s^2 matvecs of the step, take less time
+than the S - 1 matvecs it saves in each of the run's I intervals: P d_s^2 <
+PRODUCT_SPEEDUP I (S - 1), where the fed rows scale both sides alike (S is
+taken at most n_steps, the longest interval a run has).
+PRODUCT_SPEEDUP = 8 is the measured speed of a product per flop over that
+of a matvec.  On the stepper alone (enlarged space with d_f = d_s, the
+one-step pair built beforehand, on the host above, best of 5, of 2 from d_s
+= 24), for S of 2 to 250 and I of 1 to 100, the jump breaks even at x = I
+(S - 1) / (P d_s^2) of about 0.15 at d_s = 12, 0.25 at 16, 0.11 at 24 and
+0.11 at 30; at d_s = 2 and 6 it is never slower by more than 0.003 ms.  The
+rule jumps from x = 1/8.  At d_s = 30 and S = 50, 10 intervals (x = 0.08)
+take 306 ms one step per matvec and 337 ms with the jump; 30 intervals (x =
+0.23) take 891 and 362 ms.
 
 Larger system blocks take the direct right-hand-side RK4, whose step costs
 O(d_s^3) instead of O(d_s^4): it evolves rho_ss with the system-block
@@ -102,9 +130,15 @@ HERMITICITY_DRIFT_TOL = 1e-9
 # Largest system dimension d_s for which RK4 runs as one precomputed step
 # matrix; the module docstring gives the measured crossover.
 SUPEROP_MAX_DIM = 16
-# Size of the stepper's block matrix, which advances as many steps per
-# matvec as fit in it; the module docstring gives the measurements.
+# Size of the stepper's block matrix, which advances as many units (steps,
+# or sample intervals) per matvec as fit in it; the module docstring gives
+# the measurements.
 BLOCK_BYTES = 64 * 1024
+# How many times faster per flop the products that power the step run than
+# the stepper's matvecs, in the rule that decides whether a matvec row of
+# the stepper is a step or a whole sample interval (_jump_pays); the module
+# docstring gives the measurements.
+PRODUCT_SPEEDUP = 8
 # Largest step count t_max/dt an IntegratorConfig accepts.  A step costs
 # ~0.1-0.3 us (stepper in blocks, d_s <= 2) to ~0.3 ms (direct RK4 on the
 # enlarged space at d_s = 30), so this caps one evolution at about a second
@@ -303,43 +337,35 @@ def _check_drift(drift: float, step: int) -> None:
         )
 
 
-def _sample(advance, x0, cfg: IntegratorConfig, outs: tuple, block: int = 1) -> np.ndarray:
+def _sample(
+    advance, x0, cfg: IntegratorConfig, outs: tuple, block: int = 1, jump: int = 1
+) -> np.ndarray:
     """The sampling loop shared by every integrator; returns the sample times.
 
-    ``advance(x, r)`` moves the state ``x`` forward by ``r`` <= ``block``
-    steps of ``dt`` and returns ``(x_next, rows, defect)``: the state after
-    the last step; one array per array of ``outs``, whose row j < r is the
-    state after step j + 1; and a flat real array with the norm of the
-    hermiticity defects (rho - rho†)/2 that the r steps left before
-    symmetrization, NaN when a step starts from a state that is not finite
-    (a real step leaves none: zero, or NaN).  Samples are copied from
-    ``rows`` into ``outs``, except sample 0, ``x0``, which the caller stores.
-
-    A drift ||rho - rho†||_F above HERMITICITY_DRIFT_TOL aborts the run.  One
-    dot product clears a whole block.  Only when it fails is the block
-    replayed one step at a time from ``x``, so that the error names the step
-    and the drift that a one-step loop would.
+    The run goes in units of ``jump`` steps of ``dt``, where ``jump`` is 1 or
+    ``cfg.sample_stride``, and ends with a short unit of the n_steps mod
+    ``jump`` steps left, if any.  ``advance(x, k, r)`` moves the state ``x`` after
+    step ``k`` forward by ``r`` <= ``block`` whole units, or by the short
+    unit with r = 1, and returns ``(x_next, rows)``: the state after them,
+    and one array per array of ``outs`` whose row j < r is the state after
+    unit j + 1.  It raises :class:`NumericsError` for a step that fails the
+    integrator's monitor.  Samples are copied from ``rows`` into ``outs``,
+    except sample 0, ``x0``, which the caller stores.
     """
     n, stride = cfg.n_steps, cfg.sample_stride
     steps = cfg.sampled_steps()
-    limit = (0.5 * HERMITICITY_DRIFT_TOL) ** 2
     x, k, i = x0, 0, 1
     while k < n:
-        r = min(block, n - k)
-        x_next, rows, defect = advance(x, r)
-        if not defect @ defect <= limit:  # a NaN fails too
-            y = x
-            for j in range(k + 1, k + r + 1):
-                y, _, one = advance(y, 1)
-                _check_drift(2.0 * math.sqrt(one @ one), j)
-        k += r
-        hi = k // stride + 1 if k < n else steps.size  # samples at steps <= k
+        r = min(block, (n - k) // jump) or 1  # the short unit goes alone
+        x, rows = advance(x, k, r)
+        end = min(k + r * jump, n)
+        hi = end // stride + 1 if end < n else steps.size  # samples at steps <= end
         if hi > i:
-            at = steps[i:hi] - (k - r + 1)
+            at = (steps[i:hi] - k - 1) // jump
             for out, a in zip(outs, rows):
                 out[i:hi] = a[at]
             i = hi
-        x = x_next
+        k = end
     return steps * cfg.dt
 
 
@@ -353,9 +379,14 @@ def _rk4_stages(rhs, rho, dt: float):
 
 def _symmetrized(rho):
     # (rho + rho†)/2, and the defect (rho - rho†)/2 as real numbers of the
-    # same norm, for _sample.
+    # same norm, for _check_defect.
     rho_dag = rho.conj().T
     return 0.5 * (rho + rho_dag), (0.5 * (rho - rho_dag)).view(np.float64).ravel()
+
+
+def _check_defect(defect: np.ndarray, step: int) -> None:
+    # The drift ||rho - rho†||_F of a step is twice the defect's norm.
+    _check_drift(2.0 * math.sqrt(defect @ defect), step)
 
 
 def integrate_rk4(rhs, rho0, cfg: IntegratorConfig) -> Trajectory:
@@ -369,10 +400,11 @@ def integrate_rk4(rhs, rho0, cfg: IntegratorConfig) -> Trajectory:
     _check_grid(cfg)
     dt = cfg.dt
 
-    def advance(rho, _):  # one step per call
+    def advance(rho, k, _):  # one step per call
         k1, k2, k3, k4 = _rk4_stages(rhs, rho, dt)
         rho, defect = _symmetrized(rho + (dt / 6.0) * (k1 + 2.0 * (k2 + k3) + k4))
-        return rho, (rho[None],), defect
+        _check_defect(defect, k + 1)
+        return rho, (rho[None],)
 
     rho = as_matrix(rho0)
     states = np.empty((cfg.n_samples,) + rho.shape, dtype=np.complex128)
@@ -391,71 +423,132 @@ def propagate_exact(liouv: Liouvillian, rho0, t: float) -> np.ndarray:
     return unvec(expm(liouv.matrix * t) @ vec(rho), liouv.dim)
 
 
-def _block_matrix(q: list, block: int) -> np.ndarray:
-    """The real matrix that advances the stepper ``block`` steps at once.
+def _then(first: np.ndarray, then: np.ndarray, n_s: int, out=None) -> np.ndarray:
+    """The stacked pair of the steps of ``first`` followed by those of
+    ``then``, for stacked pairs [E_a; F_a] and [E_b; F_b] of n_s columns:
+    [E_b E_a; F_a + F_b E_a], F being the fed rows.  ``then`` may be a stack
+    of pairs, and the result is written to ``out`` when given."""
+    out = np.matmul(then, first[:n_s], out=out)
+    out[..., n_s:, :] += first[n_s:]
+    return out
 
-    For the step blocks ``q`` = [E, Phi] of :func:`_step_blocks`, rows (j -
-    1) n .. j n - 1 of the result, for j = 1..block, map the system
-    coordinates s to the state after j steps less the fed block's start,
-    [E^j; Phi (I + E + ... + E^(j-1))] s.  The powers come by doubling, in
-    place.  ``q`` is emptied.
+
+def _block_matrix(pair: np.ndarray, block: int) -> np.ndarray:
+    """The real matrix that advances the stepper ``block`` units at once.
+
+    For the stacked pair [E_u; Phi_u] of a unit of u steps, rows (j - 1) n
+    .. j n - 1 of the result, for j = 1..block, map the system coordinates s
+    to the state after j units less the fed block's start, [E_u^j; Phi_u (I
+    + E_u + ... + E_u^(j-1))] s.  The powers come by doubling, in place.  A
+    block of one unit is ``pair`` itself.
     """
-    e, phi = q
-    q.clear()
-    n_s = e.shape[0]
-    n = n_s + phi.shape[0]
+    if block == 1:
+        return pair
+    n, n_s = pair.shape
     m = np.empty((block * n, n_s))
     g = m.reshape(block, n, n_s)
-    g[0, :n_s] = e
-    g[0, n_s:] = phi
-    del e, phi  # free the step blocks before the build
-    j = 1  # g holds steps 1..j
+    g[0] = pair
+    j = 1  # g holds units 1..j
     while j < block:
         c = min(j, block - j)
-        e_j = g[j - 1, :n_s]
-        # Step j + i is step i followed by j steps: [E^i E^j; F_j + F_i E^j]
-        # for the fed rows F_i.
-        np.matmul(g[:c], e_j, out=g[j : j + c])
-        g[j : j + c, n_s:] += g[j - 1, n_s:]
+        # Unit j + i is unit i after j units.
+        _then(g[j - 1], g[:c], n_s, out=g[j : j + c])
         j += c
     return m
 
 
-def _evolve_steps(q: list, h0, dims: tuple[int, int], cfg: IntegratorConfig):
-    """Sample h <- [[E, 0], [Phi, I]] h from h0, for the real step blocks
-    ``q`` = [E, Phi] in the coordinates of :class:`HermitianBasis`, of
-    dimensions ``dims`` = (d, d_f); Phi has no rows when d_f is 0.  ``q`` is
-    emptied once the step matrix is built.  Returns the sample times and the
-    system and decay blocks.
+def _step_powers(square: np.ndarray, counts: tuple) -> list:
+    """The stacked pairs [E^c; Phi (I + E + ... + E^(c-1))], one per count c
+    of ``counts`` (None where c is 0), by binary powering of the stacked
+    one-step pair ``square`` = [E; Phi].
 
-    The state is held as its real coordinates h = (s, f).  One matvec with
-    the matrix of :func:`_block_matrix` advances a block of B steps, to whose
-    fed rows f is added.  A real step leaves no hermiticity drift, so a block
-    reports only whether a step started from a state that is not finite: h
-    or a state of the block before the last.  B is as large as BLOCK_BYTES
-    allows, and at least 1.
+    The squares are shared: the counts take the bit length of the largest,
+    less one, squarings, and one product more per further set bit of each
+    count.  A count of 1 returns the one-step pair itself.
+    """
+    n_s = square.shape[1]
+    pairs = [None] * len(counts)
+    bit = 1
+    while True:
+        for i, c in enumerate(counts):
+            if c & bit:
+                pairs[i] = square if pairs[i] is None else _then(pairs[i], square, n_s)
+        bit <<= 1
+        if bit > max(counts):
+            return pairs
+        square = _then(square, square, n_s)
+
+
+def _jump_pays(d: int, steps: int, intervals: int) -> bool:
+    """Whether a matvec row of the stepper should be a whole sample interval
+    of ``steps`` steps rather than one step, for a run of ``intervals``
+    intervals at d_s = ``d``.  The powering takes bit_length + popcount - 2
+    products, each with the flops of d^2 matvecs at PRODUCT_SPEEDUP times
+    their rate; the jump saves steps - 1 matvecs per interval.  The fed rows
+    scale both sides alike, so d_f drops out."""
+    products = steps.bit_length() + steps.bit_count() - 2
+    return steps > 1 and products * d * d < PRODUCT_SPEEDUP * intervals * (steps - 1)
+
+
+def _evolve_steps(build, h0, dims: tuple[int, int], cfg: IntegratorConfig):
+    """Sample h <- [[E, 0], [Phi, I]] h from h0, for the stacked real step
+    [E; Phi] that ``build()`` returns, in the coordinates of
+    :class:`HermitianBasis`, of dimensions ``dims`` = (d, d_f); Phi has no
+    rows when d_f is 0.  Returns the sample times and the system and decay
+    blocks.
+
+    The state is held as its real coordinates h = (s, f).  Each unit of
+    ``jump`` steps, one sample interval when :func:`_jump_pays` and else a
+    single step, is one row block of the matrix of :func:`_block_matrix`,
+    built from the unit's pair; the short last interval has its own pair.
+    One matvec advances a block of B units, to whose fed rows f is added; B
+    is as large as BLOCK_BYTES allows, and at least 1.  A real step leaves
+    no hermiticity drift, so the monitor is a finiteness test of every state
+    a block reaches.  When it fails, the first unit that reached a state
+    that is not finite is replayed one step at a time from the state before
+    it, with the one-step pair rebuilt, so that the error names the step
+    that a one-step loop would.
     """
     d, d_f = dims
     n_s, n = d * d, d * d + d_f * d_f
-    block = max(1, min(cfg.n_steps, BLOCK_BYTES // (8 * n * n_s)))
-    m = _block_matrix(q, block)
+    n_steps, stride = cfg.n_steps, cfg.sample_stride
+    jump = stride if _jump_pays(d, min(stride, n_steps), cfg.n_samples - 1) else 1
+    full, tail = divmod(n_steps, jump)
+    block = max(1, min(full, BLOCK_BYTES // (8 * n * n_s)))
+    m, m_tail = _step_powers(build(), (jump if full else 0, tail))
+    if full:
+        m = _block_matrix(m, block)
 
-    def advance(h, r):
-        y = m @ h[:n_s]
-        ys = y.reshape(block, n)
+    def step(mat, h, r=1):  # the first r units of ``mat`` from h
+        ys = (mat @ h[:n_s]).reshape(-1, n)[:r]
         if d_f:  # the add costs 2 us even when empty
-            ys[:r, n_s:] += h[n_s:]
+            ys[:, n_s:] += h[n_s:]
+        return ys
+
+    def advance(h, k, r):
+        ys = step(m if k + jump <= n_steps else m_tail, h, r)
         # isfinite, not a dot product, which overflows on a finite state.
-        finite = np.isfinite(h).all() and np.isfinite(y[: (r - 1) * n]).all()
-        return ys[r - 1], (ys,), np.array([0.0 if finite else math.nan])
+        if not np.isfinite(ys).all():
+            fail(h, k, ys)
+        return ys[-1], (ys,)
+
+    def fail(h, k, ys):
+        j = int(np.flatnonzero(~np.isfinite(ys).all(axis=1))[0])
+        y, k = (h if j == 0 else ys[j - 1]), k + j * jump
+        pair = build()
+        for i in range(k + 1, min(k + jump, n_steps) + 1):
+            y = step(pair, y)[0]
+            if not np.isfinite(y).all():
+                if i < n_steps:  # the next step starts from it
+                    _check_drift(math.nan, i + 1)
+                break
+        # The last state of the run, or a unit's state that only the jump
+        # took past the largest float.
+        raise NumericsError(f"the state after step {i} is not finite")
 
     hs = np.empty((cfg.n_samples, n))
     hs[0] = h0
-    times = _sample(advance, h0, cfg, (hs,), block)
-    if not np.isfinite(hs[-1]).all():
-        # Only the states a step starts from are tested, which leaves the
-        # last one unchecked.
-        raise NumericsError(f"the state after step {cfg.n_steps} is not finite")
+    times = _sample(advance, h0, cfg, (hs,), block, jump)
     basis_ss, basis_ff = HermitianBasis(d), HermitianBasis(d_f)
     return times, basis_ss.matrices(hs[:, :n_s]), basis_ff.matrices(hs[:, n_s:])
 
@@ -532,7 +625,7 @@ def _evolve(equation, rho0, cfg: IntegratorConfig, route: str):
         if route == "rk4" and d > SUPEROP_MAX_DIM:
             rhs = equation.rhs
 
-            def advance(x, _):  # one step per call
+            def advance(x, k, _):  # one step per call
                 s, f = x
                 k1, k2, k3, k4 = _rk4_stages(rhs, s, dt)
                 s_next, defect = _symmetrized(s + (dt / 6.0) * (k1 + 2.0 * (k2 + k3) + k4))
@@ -540,7 +633,8 @@ def _evolve(equation, rho0, cfg: IntegratorConfig, route: str):
                     fed = decay_feed(b, dt * s + (dt * dt / 6.0) * (k1 + k2 + k3))
                     f, defect_ff = _symmetrized(f + fed)
                     defect = np.concatenate((defect, defect_ff))
-                return (s_next, f), (s_next[None], f[None]), defect
+                _check_defect(defect, k + 1)
+                return (s_next, f), (s_next[None], f[None])
 
             states = np.empty((cfg.n_samples, d, d), dtype=np.complex128)
             decay = np.zeros((cfg.n_samples, d_f, d_f), dtype=np.complex128)
@@ -562,10 +656,14 @@ def _evolve(equation, rho0, cfg: IntegratorConfig, route: str):
             scale = max(1.0, dt * frobenius(w[:, None] * gen[:n_s] / w) * frobenius(rho))
             _check_drift(dt * frobenius(x - x.conj().T) / scale, 1)
             h0 = np.concatenate((basis.coords(rho0), np.zeros(d_f * d_f)))
-            q = _step_blocks(gen[:n_s], gen[n_s:], dt, route)
-            if not all(np.isfinite(blk).all() for blk in q):
-                raise NumericsError(f"the {route} step of length {dt:g} is not finite")
-            times, states, decay = _evolve_steps(q, h0, (d, d_f), cfg)
+
+            def build():  # the stacked step [E; Phi]
+                pair = np.vstack(_step_blocks(gen[:n_s], gen[n_s:], dt, route))
+                if not np.isfinite(pair).all():
+                    raise NumericsError(f"the {route} step of length {dt:g} is not finite")
+                return pair
+
+            times, states, decay = _evolve_steps(build, h0, (d, d_f), cfg)
     return Trajectory(times=times, states=states, decay=decay if d_f else None)
 
 

@@ -561,7 +561,8 @@ def run_route(space, route, cfg):
 
 # At d_s = 2 a step takes 8 * 8 * 4 bytes of the enlarged stepper's block
 # matrix and 8 * 4 * 4 of the system space's, so BLOCK_BYTES allows 256 and
-# 512 steps per block, and 2688 bytes allow 10 and 21.
+# 512 units (steps, or sample intervals) per block, and 2688 bytes allow 10
+# and 21.
 @pytest.mark.parametrize(
     "block_bytes, t_max, stride",
     [
@@ -582,8 +583,10 @@ def run_route(space, route, cfg):
 def test_block_stepper_matches_one_step_per_matvec(
     monkeypatch, space, route, block_bytes, t_max, stride
 ):
-    # A block of B steps per matvec against one step per matvec: the same
-    # sample times, and states equal up to the rounding of the powers E^j.
+    # A block of B units per matvec against one unit per matvec: the same
+    # sample times, and states equal up to the rounding of the powers.  Every
+    # run here jumps a sample interval per unit, so a run has n_steps //
+    # stride whole units, and a short one for the rest.
     cfg = IntegratorConfig(dt=1e-3, t_max=t_max, sample_stride=stride)
     blocks = []
     build = evolution._block_matrix
@@ -595,9 +598,11 @@ def test_block_stepper_matches_one_step_per_matvec(
     monkeypatch.setattr(evolution, "_block_matrix", spy)
     monkeypatch.setattr(evolution, "BLOCK_BYTES", block_bytes)
     blocked = run_route(space, route, cfg)
+    calls = len(blocks)
     monkeypatch.setattr(evolution, "BLOCK_BYTES", 1)
     single = run_route(space, route, cfg)
-    assert blocks[1] == 1 and (blocks[0] > 1 or cfg.n_steps <= 1)
+    assert blocks[calls:] == [1] * calls
+    assert calls == 0 or blocks[0] > 1 or cfg.n_steps // stride <= 1
     assert len(blocked) == cfg.n_samples
     assert np.array_equal(blocked.times, single.times)
     assert np.array_equal(blocked.times, cfg.sampled_steps() * cfg.dt)
@@ -608,10 +613,79 @@ def test_block_stepper_matches_one_step_per_matvec(
         assert blocked.decay is None and single.decay is None
 
 
+def spy_jumps(monkeypatch) -> list:
+    # The units the stepper builds its pairs for: (jump, tail) per run, where
+    # jump is 1 when the run takes one step per matvec row.
+    counts, powers = [], evolution._step_powers
+
+    def spy(q, c):
+        counts.append(tuple(c))
+        return powers(q, c)
+
+    monkeypatch.setattr(evolution, "_step_powers", spy)
+    return counts
+
+
+# 1003 steps leave tails of 1, 3, 3 and 310 at strides 3, 10, 250 and 693; on
+# 500 steps a stride of 693 is one short unit and one of 500 one whole unit;
+# 2688 bytes hold 10 units of the enlarged stepper.
+@pytest.mark.parametrize(
+    "block_bytes, t_max, stride",
+    [
+        (evolution.BLOCK_BYTES, 1.003, 1),
+        (evolution.BLOCK_BYTES, 1.003, 3),
+        (evolution.BLOCK_BYTES, 1.003, 10),
+        (evolution.BLOCK_BYTES, 1.003, 250),
+        (evolution.BLOCK_BYTES, 1.003, 693),
+        (evolution.BLOCK_BYTES, 1.0, 10),  # no tail
+        (evolution.BLOCK_BYTES, 0.5, 693),  # stride above n_steps
+        (evolution.BLOCK_BYTES, 0.5, 500),  # stride at n_steps
+        (evolution.BLOCK_BYTES, 0.0, 10),
+        (2688, 0.1, 3),
+        (2688, 0.253, 10),
+    ],
+)
+@pytest.mark.parametrize("route", ["rk4", "exact", "nonsingular"])
+@pytest.mark.parametrize("space", ["enlarged", "wwa"])
+def test_stride_run_samples_the_stride_one_run(
+    monkeypatch, space, route, block_bytes, t_max, stride
+):
+    # A run that jumps a sample interval per matvec row against every
+    # stride-th sample, and the final one, of the run at stride 1.
+    counts = spy_jumps(monkeypatch)
+    monkeypatch.setattr(evolution, "BLOCK_BYTES", block_bytes)
+    cfg = IntegratorConfig(dt=1e-3, t_max=t_max, sample_stride=stride)
+    strided = run_route(space, route, cfg)
+    one = run_route(space, route, IntegratorConfig(dt=1e-3, t_max=t_max))
+    n = cfg.n_steps
+    assert counts == [(stride if n >= stride else 0, n % stride), (min(n, 1), 0)]
+    at = cfg.sampled_steps()
+    assert np.array_equal(strided.times, one.times[at])
+    assert np.abs(strided.states - one.states[at]).max() <= 1e-12
+    if space == "enlarged":
+        assert np.abs(strided.decay - one.decay[at]).max() <= 1e-12
+
+
+@pytest.mark.parametrize(
+    "t_max, stride, jumps", [(0.5, 10, True), (0.05, 50, False), (0.05, 10**6, False)]
+)
+def test_the_jump_is_built_only_where_it_pays(monkeypatch, t_max, stride, jumps):
+    # At d_s = 12 the powering takes bit_length + popcount - 2 products of
+    # the flops of 144 matvecs each: 4 at stride 10, paid back by 50
+    # intervals of 9 matvecs saved; 7 for 50 steps, not paid back by one
+    # interval of 49, however long the stride.
+    counts = spy_jumps(monkeypatch)
+    spec, rho0, decay, model = random_member(seed=5, d_s=12)
+    cfg = IntegratorConfig(dt=1e-3, t_max=t_max, sample_stride=stride)
+    traj = evolve_enlarged(model, rho0, cfg)
+    assert counts == [(stride, 0) if jumps else (1, 0)]
+    assert np.array_equal(traj.times, cfg.sampled_steps() * cfg.dt)
+
+
 def drift_error(monkeypatch, block_bytes, q, h0, cfg) -> str:
     monkeypatch.setattr(evolution, "BLOCK_BYTES", block_bytes)
     with pytest.raises(NumericsError) as info:
-        evolution._evolve_steps(list(q), h0, (1, 1), cfg)
+        evolution._evolve_steps(lambda: np.vstack(q), h0, (1, 1), cfg)
     return str(info.value)
 
 
@@ -675,6 +749,26 @@ def test_stepper_refuses_a_last_state_that_overflows():
     _, _, model = single_decay()
     with pytest.raises(NumericsError, match="the state after step 272 is not finite"):
         evolve_enlarged(model, [[1.0]], IntegratorConfig(dt=5.0, t_max=5.0 * 272))
+
+
+@pytest.mark.parametrize("stride", [7, 10])
+def test_a_stride_run_names_the_step_that_overflows(monkeypatch, stride):
+    # A run that jumps 7 or 10 steps per matvec row replays the interval in
+    # which the single decay's state overflows one step at a time, and names
+    # the same step as the runs above; numpy warns of none of it.
+    counts = spy_jumps(monkeypatch)
+    spec, _, model = single_decay()
+    for t_max, message in (
+        (5000.0, "hermiticity drift nan at step 273 "),
+        (5.0 * 272, "the state after step 272 is not finite"),
+    ):
+        cfg = IntegratorConfig(dt=5.0, t_max=t_max, sample_stride=stride)
+        for evolve, target in ((evolve_enlarged, model), (evolve_wwa, spec)):
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                with pytest.raises(NumericsError, match=message):
+                    evolve(target, [[1.0]], cfg)
+    assert len(counts) == 4 and all(jump == stride for jump, _ in counts)
 
 
 def test_nonsingular_refuses_a_dark_state():
