@@ -30,7 +30,7 @@ advances a block of sample intervals per real matvec; ``exact`` always
 does.  The generator maps hermitian matrices to hermitian matrices, so in
 the real coordinates (s, f) of :class:`HermitianBasis` it is one real matrix
 [L_ss; L_fs], ``MasterEquation.real_form`` of the system-block equation,
-built once per equation from its action on the basis matrices, and every
+built once per equation from the columns of its operators, and every
 step is built from it in real arithmetic: the step [[E, 0], [Phi, I]] maps
 coordinates to coordinates and cannot leave the hermitian matrices, so it
 needs no re-symmetrization and leaves no drift to watch.  j steps from (s,

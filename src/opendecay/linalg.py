@@ -62,8 +62,10 @@ class HermitianBasis:
     and the real and imaginary parts of its upper triangle.  Column k has
     ``first[k]`` at row k and ``second[k]`` at row ``kt[k]``, the vec index
     of the transposed entry, and no other entry; each is 0, 1 or +-i, so the
-    changes of basis below are gathers that round at most once per entry,
-    and U itself is never built.
+    changes of basis below are two scaled copies that round at most once per
+    entry, and U itself is never built.  The permutation ``kt`` is a
+    transpose of the d x d index grid, so it is applied as a reshape and a
+    swap of axes, not a gather.
     """
 
     def __init__(self, d: int):
@@ -75,16 +77,25 @@ class HermitianBasis:
         self.second = np.where(row < col, 1.0, np.where(row > col, 1j, 0.0))
         self.norms_sq = np.where(row == col, 1.0, 2.0)  # squared column norms
 
+    def _swap(self, m: np.ndarray, axis: int) -> np.ndarray:
+        # m with the index k of ``axis`` (0 or -1) taken to kt[k], in a copy.
+        d = self.d
+        if axis == 0:
+            grid = m.reshape((d, d) + m.shape[1:]).swapaxes(0, 1)
+        else:
+            grid = m.reshape(m.shape[:-1] + (d, d)).swapaxes(-1, -2)
+        return grid.reshape(m.shape)
+
     def left(self, m: np.ndarray) -> np.ndarray:
         """U @ m."""
-        out = m[self.kt] * self.second[self.kt][:, None]
+        out = self._swap(m, 0) * self.second[self.kt][:, None]
         out += self.first[:, None] * m
         return out
 
     def right_inverse(self, m: np.ndarray) -> np.ndarray:
         """m @ U^-1 = m U† / norms_sq."""
         scale = self.second.conj() / self.norms_sq
-        out = m[:, self.kt] * scale[self.kt]
+        out = self._swap(m, -1) * scale[self.kt]
         out += m * (self.first.conj() / self.norms_sq)
         return out
 
@@ -92,15 +103,16 @@ class HermitianBasis:
         """Real coordinates of a hermitian d x d matrix, or of each matrix in
         an (n, d, d) stack, one row per matrix: Re(U^-1 vec(rho)), where
         U^-1 = U† / norms_sq."""
-        v = np.swapaxes(rho, -1, -2).reshape(rho.shape[:-2] + (self.d * self.d,))  # vec()
-        out = v[..., self.kt] * self.second.conj()
-        out += self.first.conj() * v
+        shape = rho.shape[:-2] + (self.d * self.d,)
+        # vec(rho)[kt] is vec(rho^T), which is rho's rows laid end to end.
+        out = rho.reshape(shape) * self.second.conj()
+        out += self.first.conj() * np.swapaxes(rho, -1, -2).reshape(shape)  # vec()
         out /= self.norms_sq
         return out.real
 
     def matrices(self, coords: np.ndarray) -> np.ndarray:
         """The d x d matrices with real coordinates ``coords``, one per row."""
-        v = coords * self.first + coords[:, self.kt] * self.second[self.kt]  # rows of (U h)^T
+        v = coords * self.first + self._swap(coords, -1) * self.second[self.kt]  # rows of (U h)^T
         # The row count is given, not inferred, so that d = 0 gives (n, 0, 0).
         return v.reshape(len(coords), self.d, self.d).transpose(0, 2, 1)  # vec() stacks columns
 

@@ -17,14 +17,15 @@ and the Lindblad operators A (``EnlargedModel.system_equation``), rho_sf
 stays zero, and rho_ff' = L_fs rho_ss = B rho_ss B† (:func:`decay_feed`).
 Every run works on that subspace, with the generator
 ``MasterEquation.real_form``: [L_ss; L_fs] as one real matrix in the
-coordinates of :class:`HermitianBasis`, taken from the equation's action on
-the basis matrices.  The Kronecker Liouvillians, the padded d_tot x d_tot
-operators and the d_tot^2 x d_tot^2 Liouvillian are derived from (spec, B)
-only for the test oracles.
+coordinates of :class:`HermitianBasis`, built in O(d^4) from the columns of
+G, the jumps and the feed.  The Kronecker Liouvillians, the padded
+d_tot x d_tot operators and the d_tot^2 x d_tot^2 Liouvillian are derived
+from (spec, B) only for the test oracles.
 """
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 from functools import cached_property
@@ -119,24 +120,46 @@ class MasterEquation:
         """[L_ss; L_fs], the map rho -> (rhs(rho), F rho F†), as one real
         (d^2 + d_f^2) x d^2 matrix in the coordinates of :class:`HermitianBasis`,
         built once: column k holds the coordinates of the images of the k-th
-        basis matrix.  The map preserves hermiticity, so the imaginary parts
-        that the coordinates drop are rounding.  Every run takes its steps,
-        the ``cp`` check and the step-size norm from this matrix."""
+        basis matrix.  Every run takes its steps, the ``cp`` check and the
+        step-size norm from this matrix.
+
+        The k-th basis matrix is u = f E_rc + s E_cr, with s = conj(f) off
+        the diagonal and s = 0 on it, so its images are sums of outer
+        products of operator columns, O(d^2) work per column and no matrix
+        product: G u = f G[:, r] e_c^T + s G[:, c] e_r^T, and K u K† =
+        f K[:, r] K[:, c]† + s K[:, c] K[:, r]†, the same for F.  A matrix Y
+        and Y† have the same coordinates, so each image Y + Y† is taken as
+        the coordinates of 2Y: of -2i G u + sum_k g K[:, r] K[:, c]† for
+        the rhs, with g = f norms_sq, and of g F[:, r] F[:, c]† for the
+        feed.  The map preserves hermiticity, so the imaginary parts that
+        the coordinates drop are rounding."""
         d, d_f = self.generator.shape[0], self.feed.shape[0]
         basis, basis_f = HermitianBasis(d), HermitianBasis(d_f)
         n_s = d * d
         out = np.empty((n_s + d_f * d_f, n_s))
+        ks = np.arange(n_s)
+        rows, cols = ks % d, ks // d
+        weights = basis.norms_sq * basis.first
+        gen_cols = -2j * self.generator.T  # row r is -2i G[:, r]
+        jump_cols = [(k.T, k.T.conj()) for k in self.jumps]
+        feed_cols = (self.feed.T, self.feed.T.conj())
         # Chunks of basis matrices whose stacks of images take about 512 KiB:
         # at d = d_f = 12, 16, 30 and 40 (one BLAS thread, 2 MiB of L2) the
-        # build took 2.8-2.9, 6.8-7.2, 61-70 and 222-243 ms.  1 MiB chunks
-        # took 9.2 ms at d = 16; 256 KiB chunks raised the peak RSS of the
-        # d = 30 ``exact`` all-checks run from 223 to 273 MB.
+        # build took 0.9, 2.4, 16 and 52 ms, and 0.6, 1.3, 17 and 63 ms in
+        # 128 KiB chunks.  Chunks below 512 KiB of a build from products
+        # raised the peak RSS of the d = 30 ``exact`` all-checks run from 223
+        # to 273 MB, a heap effect not measured again for this build.
         k = max(1, 2**19 // (16 * max(n_s, d_f * d_f)))
         for i in range(0, n_s, k):
             j = min(i + k, n_s)
-            u = basis.matrices(np.eye(j - i, n_s, i))  # basis matrices i .. j - 1
-            out[:n_s, i:j] = basis.coords(self.rhs(u)).T
-            out[n_s:, i:j] = basis_f.coords(decay_feed(self.feed, u)).T
+            r, c, g = rows[i:j], cols[i:j], weights[i:j]
+            z = _outer_sum(jump_cols, r, c, g, d)
+            at = np.arange(j - i)
+            z[at, :, c] += basis.first[i:j, None] * gen_cols[r]
+            z[at, :, r] += basis.second[i:j, None] * gen_cols[c]
+            out[:n_s, i:j] = basis.coords(z).T
+            if d_f:
+                out[n_s:, i:j] = basis_f.coords(_outer_sum((feed_cols,), r, c, g, d_f)).T
         return out
 
     def liouvillian(self) -> Liouvillian:
@@ -259,8 +282,15 @@ def decompose_gamma(gamma, zero_tol: float = DEFAULT_ZERO_TOL) -> GammaDecomposi
     lam = eig.eigenvalues
     if lam[0] < -cut:
         raise NotPSDError(f"decay matrix has eigenvalue {lam[0]:.3e} < -{cut:.3e}")
-    keep = [j for j in range(lam.size) if lam[j] > cut]
-    order = sorted(keep, key=lambda j: (-lam[j], _lex_key(eig.eigenvectors[:, j])))
+    # Descending rate, then the eigenvectors' lexicographic order among
+    # exactly equal rates; the keys are built only for those ties.
+    by_rate = sorted((j for j in range(lam.size) if lam[j] > cut), key=lambda j: -lam[j])
+    order = []
+    for _, tie in itertools.groupby(by_rate, key=lambda j: lam[j]):
+        tie = list(tie)
+        if len(tie) > 1:
+            tie.sort(key=lambda j: _lex_key(eig.eigenvectors[:, j]))
+        order += tie
     rates = np.array([lam[j] for j in order], dtype=float)
     modes = eig.eigenvectors[:, order]
     return GammaDecomposition(
@@ -396,6 +426,15 @@ def decay_feed(b: np.ndarray, rho) -> np.ndarray:
     of each matrix in an (m, d_s, d_s) stack: rho_ff' on the block-diagonal
     subspace."""
     return b @ rho @ b.conj().T
+
+
+def _outer_sum(cols, r, c, g, d: int) -> np.ndarray:
+    # The stack of sum_k g[m] K[:, r[m]] K[:, c[m]]†, one d x d matrix per
+    # entry m, from the pairs (K^T, conj(K^T)) in ``cols``.
+    out = np.zeros((len(r), d, d), dtype=np.complex128)
+    for kt, kt_conj in cols:
+        out += (g[:, None] * kt[r])[:, :, None] * kt_conj[c][:, None, :]
+    return out
 
 
 def _embed_block(m: np.ndarray, d_s: int, d_f: int) -> np.ndarray:

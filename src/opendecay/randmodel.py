@@ -2,7 +2,9 @@
 
 Random matrices come from a SplitMix-style 64-bit generator (the standard
 reference constants) with Box-Muller sampling, so a given seed reproduces the
-same model in any implementation of the same scheme.
+same model in any implementation of the same scheme.  :class:`SplitMix64` is
+the reference stream; a matrix is drawn from it at once, bit-identical to
+drawing it entry by entry.
 """
 
 from __future__ import annotations
@@ -23,9 +25,10 @@ _MIX2 = 0x94D049BB133111EB
 # Generated operator entries are rescaled to this peak magnitude (well inside
 # the unit bound) to keep generator norms modest for fixed-step integration.
 DEFAULT_MAX_ENTRY = 0.5
-# Most complex entries one random_system call may draw.  Each costs two
-# pure-Python Gaussians (~0.7 us each), so the cap keeps generation near a
-# second however large a config asks d_s or n_lindblad to be.
+# Most complex entries one random_system call may draw.  Each costs about
+# 0.26 us (one numpy mix of its two states and one Box-Muller pair through
+# ``math``), so the cap keeps generation near a quarter of a second however
+# large a config asks d_s or n_lindblad to be.
 MAX_ENTRIES = 10**6
 
 
@@ -60,6 +63,42 @@ class SplitMix64:
 
 
 def _gaussian_matrix(rng: SplitMix64, rows: int, cols: int) -> np.ndarray:
+    """The next rows x cols complex entries of ``rng``, row by row, each
+    (g1 + i g2) / sqrt(2) for the two Gaussians of one Box-Muller pair.
+
+    While no u is 0, entry m takes the uniforms of states seed + k * golden
+    for k = 2m + 1 and 2m + 2, so all of them are mixed at once as a uint64
+    array.  Box-Muller then runs per pair through ``math``, since numpy's
+    log, cos and sin may differ from it in the last bit, so every entry
+    equals the scalar stream's.  A u of exactly 0, which the scalar stream
+    skips, sends the whole matrix to the scalar stream from the same state.
+    The stream must not be halfway through a pair, as random_system's never
+    is.
+    """
+    n = rows * cols
+    z = np.arange(1, 2 * n + 1, dtype=np.uint64)
+    z *= np.uint64(_GOLDEN)
+    z += np.uint64(rng._state)
+    z ^= z >> np.uint64(30)
+    z *= np.uint64(_MIX1)
+    z ^= z >> np.uint64(27)
+    z *= np.uint64(_MIX2)
+    z ^= z >> np.uint64(31)
+    uniforms = (z >> np.uint64(11)).astype(np.float64) * 2.0**-53
+    u, v = uniforms[0::2], uniforms[1::2]
+    if not u.all():
+        return _scalar_gaussian_matrix(rng, rows, cols)
+    rng._state = (rng._state + 2 * n * _GOLDEN) & _MASK
+    r = np.sqrt(-2.0 * np.fromiter(map(math.log, u.tolist()), np.float64, n))
+    angle = (2.0 * math.pi * v).tolist()
+    scale = math.sqrt(2.0)
+    out = np.empty((rows, cols), dtype=np.complex128)
+    out.real = (r * np.fromiter(map(math.cos, angle), np.float64, n) / scale).reshape(rows, cols)
+    out.imag = (r * np.fromiter(map(math.sin, angle), np.float64, n) / scale).reshape(rows, cols)
+    return out
+
+
+def _scalar_gaussian_matrix(rng: SplitMix64, rows: int, cols: int) -> np.ndarray:
     out = np.empty((rows, cols), dtype=np.complex128)
     for i in range(rows):
         for j in range(cols):

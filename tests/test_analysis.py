@@ -362,6 +362,29 @@ def test_asymptotics_single_decay():
     assert report.meta["final_ff_trace_gap"] <= 1e-7
 
 
+@pytest.mark.parametrize(
+    "ss_final, ff_final, status",
+    [(0.0, 1.0 - 1e-6, "pass"), (2e-7, 1.0 - 2e-7, "fail"), (1e-30, 1.0 - 4.4e-16, "pass")],
+)
+def test_asymptotics_final_gap_is_the_system_trace(ss_final, ff_final, status):
+    # The final trace gap is Tr rho_ss, not |1 - Tr rho_ff|: a deficit of the
+    # total trace is the trace check's, and a rounding-level 1 - Tr rho_ff
+    # no longer sets ``measured``, which the |1 - Tr rho_ff| rule read as 10,
+    # 20 and 4.4e-9 here.
+    dec = decompose_gamma(np.array([[1.0]]))
+    traj = Trajectory(
+        times=[0.0, 25.0],
+        states=(np.array([[1.0]]), np.array([[ss_final]])),
+        decay=(np.array([[0.0]]), np.array([[ff_final]])),
+    )
+    report = asymptotics_check(traj, dec)
+    assert report.status == status
+    assert report.meta["final_ss_trace"] == ss_final
+    assert report.meta["final_ff_trace_gap"] == abs(ff_final - 1.0)
+    excess = max(-1e-6, ss_final - np.exp(-25.0) * (1.0 + 1e-6))
+    assert report.measured == pytest.approx(max(excess / 1e-8, ss_final / 1e-7), rel=1e-9)
+
+
 def test_asymptotics_singular_not_applicable():
     spec = SystemSpec(d_s=2, d_f=1, hamiltonian=np.zeros((2, 2)), decay_matrix=np.diag([1.0, 0.0]))
     dec = decompose_gamma(spec.decay_matrix)

@@ -807,6 +807,28 @@ def test_cp_report_matches_full_propagator(name):
     assert abs(rep.meta["min_eigenvalue"] - low) <= 1e-12
 
 
+def test_powered_cp_propagators_match_direct_expm(corpus, monkeypatch):
+    # E(1) = E(0.1)^10 and E(5) = E(1)^5 by binary powering, from one expm,
+    # against an expm at each time; a ratio that is not an integer (0.25 /
+    # 0.1) takes its own expm.
+    calls = []
+
+    def counted(m):
+        calls.append(m.shape)
+        return expm(m)
+
+    monkeypatch.setattr(cli, "expm", counted)
+    for m in corpus:
+        d_s = m.spec.d_s
+        gen = m.model.system_equation.real_form[: d_s * d_s]
+        for times, n_expm in ((cli.CP_SAMPLE_TIMES, 1), ((0.1, 0.25, 0.5), 2)):
+            calls.clear()
+            for t, prop in zip(times, cli._cp_propagators(gen, times)):
+                want = expm(gen * t)
+                assert np.linalg.norm(prop - want) <= 1e-12 * np.linalg.norm(want)
+            assert len(calls) == n_expm
+
+
 def test_cp_report_fails_on_nan_eigenvalue(monkeypatch):
     # An eigensolver that returns NaN must fail the run's cp report, not pass
     # it at 0 when the per-time reports are folded.
@@ -873,8 +895,8 @@ def test_cp_check_does_not_assemble_enlarged_liouvillian(monkeypatch):
 
 
 def test_no_run_builds_a_kronecker_liouvillian(monkeypatch):
-    # Every run takes its generator from the real form, which applies the
-    # equation to the basis matrices: no run of NO_PADDING_RUNS, and no
+    # Every run takes its generator from the real form, which is built from
+    # the columns of the equation's operators: no run of NO_PADDING_RUNS, and no
     # shipped scenario with every check under rk4 or exact, builds the
     # Kronecker Liouvillian of any equation.
     calls = []
@@ -954,11 +976,11 @@ def test_asymptotics_matches_full_liouvillian_loop(corpus):
         # The block-held trajectories take the sf block to be zero; the full
         # propagation keeps it within the tolerance of the meta comparison.
         assert sf <= 1e-13
-        # measured is the worst residual over its tolerance; the largest one,
-        # |1 - Tr rho_ff| / 1e-7, is rounding-level for most members after
-        # 200 steps, where the old loop alone is off by up to 1.4e-14
-        # (1.4e-7 in these units).  1e-6 allows 1e-13 on that gap.
+        # measured is the worst residual over its tolerance.  |1 - Tr rho_ff|,
+        # kept in meta, is rounding-level for most members after 200 steps,
+        # where the old loop alone is off by up to 1.4e-14 (1.4e-7 in units
+        # of 1e-7).  1e-6 allows 1e-13 on any residual.
         assert abs(new.measured - old.measured) <= 1e-6
-        for key in ("final_ss_norm", "final_ff_trace_gap", "bound_excess"):
+        for key in ("final_ss_norm", "final_ss_trace", "final_ff_trace_gap", "bound_excess"):
             assert abs(new.meta[key] - old.meta[key]) <= 1e-13
     assert checked >= 3

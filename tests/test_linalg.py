@@ -92,8 +92,8 @@ def test_hermitian_basis_changes_of_basis_match_explicit_matrix(d):
 @pytest.mark.parametrize("d", [1, 2, 3, 4])
 def test_hermitian_basis_real_form_of_a_liouvillian(d):
     # A Liouvillian preserves hermiticity, so U^-1 L U is real up to
-    # rounding; the equation's real form, built from its action on the basis
-    # matrices, is that matrix and maps coordinates to coordinates.  With a
+    # rounding; the equation's real form, built from the columns of its
+    # operators, is that matrix and maps coordinates to coordinates.  With a
     # feed F of d_f rows it has the rows U_f^-1 (conj(F) (x) F) U below.
     spec, rho0 = random_system(30 + d, d_s=d, n_lindblad=1)
     liouv = spec.equation.liouvillian().matrix

@@ -10,8 +10,9 @@ from opendecay.errors import (
 )
 from opendecay.cli import CP_SAMPLE_TIMES
 from opendecay.evolution import IntegratorConfig, evolve_enlarged, rhs_enlarged, rhs_wwa
-from opendecay.linalg import HermitianBasis, expm, unvec, vec
+from opendecay.linalg import HermitianBasis, expm, hermitian_eig, unvec, vec
 from opendecay.model import (
+    DEFAULT_ZERO_TOL,
     MasterEquation,
     SystemSpec,
     assemble_liouvillian,
@@ -107,6 +108,47 @@ def test_decompose_keeps_a_huge_rate():
 def test_decompose_rejects_negative():
     with pytest.raises(NotPSDError):
         decompose_gamma(np.diag([1.0, -0.5]))
+
+
+def _tuple_key_order(gamma):
+    # The reference order: one sort by (-rate, rounded eigenvector entries)
+    # over every kept eigenvalue, with the keys built for every column.
+    eig = hermitian_eig(gamma)
+    lam, vecs = eig.eigenvalues, eig.eigenvectors
+    cut = DEFAULT_ZERO_TOL * max(1.0, float(np.linalg.norm(gamma)))
+
+    def key(j):
+        col = vecs[:, j]
+        return -lam[j], tuple((round(float(z.real), 12), round(float(z.imag), 12)) for z in col)
+
+    order = sorted((j for j in range(lam.size) if lam[j] > cut), key=key)
+    return lam[order], vecs[:, order]
+
+
+def _rotated(rates, seed):
+    rng = np.random.default_rng(seed)
+    n = len(rates)
+    q, _ = np.linalg.qr(rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n)))
+    g = q @ np.diag(rates) @ q.conj().T
+    return 0.5 * (g + g.conj().T)
+
+
+@pytest.mark.parametrize(
+    "gamma",
+    [
+        np.eye(4),
+        np.diag([2.0, 1.0, 2.0, 1.0, 0.0, 1.0]),
+        np.diag([0.5, 0.5, 0.25]) + 0j,
+        _rotated([1.0, 1.0, 1.0, 0.5, 0.5], 3),
+        _rotated([2.0, 2.0, 0.0, 0.0], 4),
+    ],
+    ids=["identity", "repeated", "repeated-complex", "rotated-degenerate", "rotated-singular"],
+)
+def test_decompose_gamma_orders_ties_as_the_tuple_key_sort(gamma):
+    dec = decompose_gamma(gamma)
+    rates, modes = _tuple_key_order(gamma)
+    assert np.array_equal(dec.rates, rates)
+    assert np.array_equal(dec.modes, modes)
 
 
 def test_decompose_reconstruction_property():
@@ -375,3 +417,38 @@ def test_system_propagator_is_system_block_of_full_propagator(corpus):
             full = expm(m.liouv.matrix * t)[np.ix_(ss, ss)]
             small = expm(m.model.system_equation.liouvillian().matrix * t)
             assert np.abs(small - full).max() <= 1e-12
+
+
+@pytest.mark.parametrize(
+    "d, d_f, n_jumps",
+    [(1, 1, 0), (1, 2, 3), (2, 3, 3), (5, 2, 0), (12, 7, 3), (16, 16, 0), (20, 4, 3), (20, 20, 0)],
+)
+def test_real_form_from_operator_columns_matches_the_kronecker_oracle(monkeypatch, d, d_f, n_jumps):
+    # real_form takes its columns from operator columns, with no right-hand
+    # side evaluated; it must equal U^-1 L U over U^-1 (conj(F) kron F) U of
+    # the Kronecker Liouvillian L and the feed F, for d_f != d too.
+    rng = np.random.default_rng(100 * d + n_jumps)
+
+    def op(rows, cols=d):
+        z = rng.normal(size=(rows, cols)) + 1j * rng.normal(size=(rows, cols))
+        return 0.5 * z / np.sqrt(cols)
+
+    h = op(d)
+    feed = op(d_f)
+    eq = MasterEquation.build(0.5 * (h + h.conj().T), [op(d) for _ in range(n_jumps)],
+                              loss=feed.conj().T @ feed, feed=feed)
+
+    def no_rhs(self, rho):
+        raise AssertionError("real_form evaluated the right-hand side")
+
+    monkeypatch.setattr(MasterEquation, "rhs", no_rhs)
+    got = eq.real_form
+    basis, basis_f = HermitianBasis(d), HermitianBasis(d_f)
+    u = basis.left(np.eye(d * d))
+    want = np.concatenate((
+        basis.right_inverse(np.eye(d * d)) @ eq.liouvillian().matrix @ u,
+        basis_f.right_inverse(np.eye(d_f * d_f)) @ np.kron(feed.conj(), feed) @ u,
+    ))
+    assert got.dtype == np.float64 and got.shape == want.shape
+    assert np.abs(want.imag).max() <= 1e-13
+    assert np.abs(got - want.real).max() <= 1e-13
