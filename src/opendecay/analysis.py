@@ -248,17 +248,17 @@ class KrausPair:
         resid = frobenius(
             self.m0.conj().T @ self.m0 + self.m1.conj().T @ self.m1 - np.eye(2)
         )
-        if resid > 1e-12:
+        if not resid <= 1e-12:  # a NaN fails too
             raise ValueError(f"Kraus normalization residual {resid:.3e}")
 
 
 def kraus_amplitude_damping(rate: float, t: float) -> KrausPair:
     """Kraus pair of the single decay channel at time ``t`` with damping
     probability p = 1 - exp(-rate * t)."""
-    if rate < 0:
-        raise ValueError("rate must be non-negative")
-    if t < 0:
-        raise ValueError("t must be non-negative")
+    if not 0 <= rate < math.inf:  # a NaN fails too
+        raise ValueError("rate must be non-negative and finite")
+    if not 0 <= t < math.inf:
+        raise ValueError("t must be non-negative and finite")
     p = -math.expm1(-rate * t)
     m0 = np.array([[math.sqrt(1.0 - p), 0.0], [0.0, 1.0]], dtype=np.complex128)
     m1 = np.array([[0.0, 0.0], [math.sqrt(p), 0.0]], dtype=np.complex128)

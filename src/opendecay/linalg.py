@@ -5,6 +5,12 @@ convention is column stacking, vec([[a, b], [c, d]]) = (a, c, b, d), for
 which vec(A X B) = (B^T kron A) vec(X).  :class:`HermitianBasis` gives
 hermitian matrices real coordinates, in which a map that preserves
 hermiticity, such as a Liouvillian, is a real matrix.
+
+:func:`expm` is the one matrix exponential.  Besides a square matrix it
+takes a stacked pair [A; C], which stands for the block matrix [[A, 0], [C,
+0]] of a generator whose second sector is passive, and returns the first
+block column [E; Phi] of its exponential without building the block
+matrix.  Pairs compose by :func:`_then`, which the stepper's powers use too.
 """
 
 from __future__ import annotations
@@ -198,33 +204,58 @@ def hermitian_eig(m, tol: float = 1e-10) -> HermitianEigen:
 _PADE6 = (1.0, 1.0 / 2.0, 5.0 / 44.0, 1.0 / 66.0, 1.0 / 792.0, 1.0 / 15840.0, 1.0 / 665280.0)
 
 
-def expm(m) -> np.ndarray:
-    """Matrix exponential by scaling and squaring.
+def _then(first: np.ndarray, then: np.ndarray, n: int, out=None) -> np.ndarray:
+    """The composition of stacked pairs of n columns: [E_b E_a; F_a + F_b
+    E_a] for ``first`` = [E_a; F_a] followed by ``then`` = [E_b; F_b], the
+    first block column of [[E_b, 0], [F_b, I]] [[E_a, 0], [F_a, I]].  A
+    square pair has no F rows, and its composition is the product E_b E_a.
+    ``then`` may be a stack of pairs, and the result is written to ``out``
+    when given."""
+    out = np.matmul(then, first[:n], out=out)
+    out[..., n:, :] += first[n:]
+    return out
 
-    The input is halved until its 1-norm is at most 0.5, a diagonal Pade
+
+def expm(m) -> np.ndarray:
+    """Matrix exponential by scaling and squaring, of a square A or of a
+    stacked pair [A; C] of n columns, A being n x n.
+
+    The pair stands for the block matrix M = [[A, 0], [C, 0]], whose
+    exponential is [[E, 0], [Phi, I]]; the result is its first block column
+    [E; Phi], and E = exp(A) alone for a square input.  M is never built
+    (Van Loan, IEEE Trans. Autom. Control 23, 395 (1978)).  The input is
+    halved until its 1-norm, that of M, is at most 0.5, a diagonal Pade
     approximant of order 6 is evaluated, and the result is squared back up.
-    A real input stays real, at a quarter of the complex cost.
+    Every power M^k, k >= 1, is [[A^k, 0], [C A^(k-1), 0]], so each is the
+    stacked product x @ y[:n] of two lower powers, and the identity is the
+    pair [I; 0].  The denominator is then [[D, 0], [D_C, I]] and the
+    numerator [[N, 0], [N_C, I]], so E = D^-1 N by one solve of n columns,
+    and Phi = N_C - D_C E.  Each squaring is the composition :func:`_then`
+    of the pair with itself (Higham, SIAM J. Matrix Anal. Appl. 26, 1179
+    (2005)).  A real input stays real, at a quarter of the complex cost.
     """
     a = as_matrix(m, np.float64 if np.isrealobj(m) else np.complex128)
-    _require_square(a)
-    n = a.shape[0]
+    n = a.shape[1]
+    if a.shape[0] < n:
+        raise DimensionError(f"expected a square matrix or a stacked pair, got shape {a.shape}")
     norm = float(np.linalg.norm(a, 1)) if n else 0.0
     squarings = 0
     if norm > 0.5:
         squarings = int(np.ceil(np.log2(norm / 0.5)))
         a = a / (2.0**squarings)
-    eye = np.eye(n, dtype=a.dtype)
+    eye = np.eye(*a.shape, dtype=a.dtype)
     c = _PADE6
-    a2 = a @ a
-    a4 = a2 @ a2
-    odd = a @ (c[1] * eye + c[3] * a2 + c[5] * a4)
+    a2 = a @ a[:n]
+    a4 = a2 @ a2[:n]
+    odd = a @ (c[1] * eye[:n] + c[3] * a2[:n] + c[5] * a4[:n])
     del a
-    even = c[0] * eye + c[2] * a2 + c[4] * a4 + c[6] * (a2 @ a4)
+    even = c[0] * eye + c[2] * a2 + c[4] * a4 + c[6] * (a2 @ a4[:n])
     # Drop the powers before the solve, which holds two more n x n arrays.
     del eye, a2, a4
-    num, den = even + odd, even - odd
+    pair, den = even + odd, even - odd  # the numerator becomes [E; Phi]
     del even, odd
-    result = np.linalg.solve(den, num)
+    pair[:n] = np.linalg.solve(den[:n], pair[:n])
+    pair[n:] -= den[n:] @ pair[:n]
     for _ in range(squarings):
-        result = result @ result
-    return result
+        pair = _then(pair, pair, n)
+    return pair

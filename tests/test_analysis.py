@@ -4,6 +4,7 @@ from conftest import split_oracle
 
 from opendecay.analysis import (
     ChoiMatrix,
+    KrausPair,
     VerificationReport,
     apply_kraus,
     asymptotics_check,
@@ -460,6 +461,23 @@ def test_apply_kraus_reproduces_closed_form():
         pair = kraus_amplitude_damping(1.0, t)
         out = apply_kraus(np.diag([1.0, 0.0]), pair)
         assert np.abs(out - closed_form_1d(1.0, t).to_full()).max() <= 1e-12
+
+
+def test_kraus_pair_rejects_nan_operators():
+    # A NaN residual fails the normalization, as a large one does.
+    with pytest.raises(ValueError, match="Kraus normalization residual nan"):
+        KrausPair(m0=np.full((2, 2), np.nan), m1=np.zeros((2, 2)), prob=0.5)
+
+
+@pytest.mark.parametrize(
+    "rate, t",
+    [(np.nan, 1.0), (1.0, np.nan), (np.inf, 0.0), (np.inf, 1.0), (1.0, np.inf), (-1.0, 1.0)],
+    ids=["nan-rate", "nan-t", "inf-rate-at-zero", "inf-rate", "inf-t", "negative-rate"],
+)
+def test_kraus_rejects_non_finite_or_negative_inputs(rate, t):
+    # An infinite rate at t = 0 would give p = NaN through inf * 0.
+    with pytest.raises(ValueError, match="must be non-negative and finite"):
+        kraus_amplitude_damping(rate, t)
 
 
 def test_apply_kraus_identity_at_p_zero():

@@ -410,6 +410,17 @@ def test_closed_form_half_life():
     assert blocks.rho_ff[0, 0] == pytest.approx(0.5)
 
 
+@pytest.mark.parametrize(
+    "rate, t",
+    [(np.nan, 1.0), (1.0, np.nan), (np.inf, 0.0), (np.inf, 1.0), (1.0, np.inf), (-1.0, 1.0)],
+    ids=["nan-rate", "nan-t", "inf-rate-at-zero", "inf-rate", "inf-t", "negative-rate"],
+)
+def test_closed_form_rejects_non_finite_or_negative_inputs(rate, t):
+    # An infinite rate at t = 0 would give exp(-inf * 0) = NaN.
+    with pytest.raises(ValueError, match="must be non-negative and finite"):
+        closed_form_1d(rate, t)
+
+
 # -- superoperator RK4 stepper ----------------------------------------------------------
 
 
@@ -450,6 +461,30 @@ def test_subspace_matches_full_liouvillian_on_corpus(corpus, method):
         oracle, sf = split_oracle(fast.times, oracle, m.spec.d_s)
         worst = max(worst, enlarged_gap(fast, oracle), sf)
     assert worst <= 1e-12
+
+
+def test_exact_with_more_fed_rows_than_columns_matches_full_liouvillian():
+    # d_f = 5 > d_s = 2: the stacked pair h [L_ss; L_fs] has 4 + 25 rows
+    # and 4 columns, and B has zero rows past its rank.  The exact stepper
+    # against the exact propagator of the padded 49 x 49 Liouvillian.
+    spec, rho0 = random_system(21, d_s=2, n_lindblad=1)
+    spec = SystemSpec(
+        d_s=2,
+        d_f=5,
+        hamiltonian=spec.hamiltonian,
+        decay_matrix=spec.decay_matrix,
+        lindblad_ops=spec.lindblad_ops,
+    )
+    model = embed_operators(spec, build_decay_operator(decompose_gamma(spec.decay_matrix), 5))
+    assert np.abs(model.decay.matrix[2:]).max() == 0.0
+    liouv = assemble_liouvillian(model.hamiltonian, model.lindblad_ops, model.decay_op)
+    cfg = IntegratorConfig(dt=0.01, t_max=2.0, sample_stride=20, method="exact")
+    traj = evolve_enlarged(model, rho0, cfg)
+    rho0_full = embed_state(rho0, 5)
+    oracle = [propagate_exact(liouv, rho0_full, t) for t in traj.times]
+    oracle, sf = split_oracle(traj.times, oracle, 2)
+    assert traj.decay.shape[1:] == (5, 5)
+    assert enlarged_gap(traj, oracle) <= 1e-12 and sf <= 1e-12
 
 
 @pytest.mark.parametrize("above", [False, True])
@@ -782,8 +817,8 @@ def test_nonsingular_refuses_a_dark_state():
 def test_every_step_is_built_in_float64(monkeypatch):
     # The steps are built from the real forms of L_ss and L_fs: every expm
     # of a run, on either space and every route, is of a float64 matrix,
-    # and so are the step blocks.
-    inputs, blocks = [], []
+    # and so is every stacked step pair [E; Phi].
+    inputs, pairs = [], []
     real_expm, step_blocks = evolution.expm, evolution._step_blocks
 
     def spy_expm(m):
@@ -791,9 +826,9 @@ def test_every_step_is_built_in_float64(monkeypatch):
         return real_expm(m)
 
     def spy_step_blocks(*args):
-        q = step_blocks(*args)
-        blocks.extend(a.dtype for a in q)
-        return q
+        pair = step_blocks(*args)
+        pairs.append(pair.dtype)
+        return pair
 
     monkeypatch.setattr(evolution, "expm", spy_expm)
     monkeypatch.setattr(evolution, "_step_blocks", spy_step_blocks)
@@ -803,14 +838,14 @@ def test_every_step_is_built_in_float64(monkeypatch):
         evolve_enlarged(model, rho0, cfg)
         evolve_wwa(spec, rho0, cfg)
     propagate_nonsingular(model, rho0, 1.0, 10)
-    assert len(inputs) == 3 and len(blocks) == 10
-    assert set(inputs) == set(blocks) == {np.dtype(np.float64)}
+    assert len(inputs) == 3 and len(pairs) == 5
+    assert set(inputs) == set(pairs) == {np.dtype(np.float64)}
 
 
 def test_nonsingular_propagates_a_singular_gamma_without_dark_state():
     # The same singular Gamma with an H that mixes the two levels has no
     # dark state: the system block decays completely, L_ss is invertible,
-    # and the solve agrees with the augmented expm of the exact method.
+    # and the solve agrees with the stacked expm of the exact method.
     _, model = decay_only(2, np.diag([1.0, 0.0]), [[0.0, 0.3], [0.3, 0.1]])
     rho0 = np.diag([1.0, 0.0])
     traj = propagate_nonsingular(model, rho0, 20.0, 200)

@@ -300,10 +300,29 @@ def test_expm_matches_scipy_on_stiff_liouvillians(d_s, seed, scale):
         lindblad_ops=tuple(a * np.sqrt(scale) for a in spec.lindblad_ops),
     )
     decay = build_decay_operator(decompose_gamma(spec.decay_matrix), spec.d_f)
-    liouv = embed_operators(spec, decay).liouvillian.matrix
+    model = embed_operators(spec, decay)
+    liouv = model.liouvillian.matrix
+    # The real pair [L_ss; L_fs] of the system-block equation, against the
+    # first n_s columns of the exponential of [[L_ss, 0], [L_fs, 0]].
+    pair = model.system_equation.real_form
+    n_s, n = pair.shape[1], pair.shape[0]
+    aug = np.zeros((n, n))
+    aug[:, :n_s] = pair
     for t in (0.1, 1.0):
         ref = sl.expm(liouv * t)
         assert np.linalg.norm(expm(liouv * t) - ref) <= 1e-12 * np.linalg.norm(ref)
+        ref = sl.expm(aug * t)[:, :n_s]
+        out = expm(pair * t)
+        assert out.shape == (n, n_s) and out.dtype == np.float64
+        assert np.linalg.norm(out - ref) <= 1e-12 * np.linalg.norm(ref)
+
+
+@pytest.mark.parametrize("shape", [(3, 4), (4,)], ids=["wide", "one-dimensional"])
+def test_expm_rejects_wide_and_one_dimensional_input(shape):
+    # A matrix with fewer rows than columns is neither square nor a
+    # stacked pair [A; C].
+    with pytest.raises(DimensionError):
+        expm(np.zeros(shape))
 
 
 # -- vec / unvec --------------------------------------------------------------
