@@ -180,6 +180,13 @@ def asymptotics_check(traj: Trajectory, dec: GammaDecomposition) -> Verification
     worst residual divided by its tolerance, so the report fails exactly when
     measured > 1.  ``meta`` also keeps |1 - Tr rho_ff|.  Returns a
     ``not_applicable`` report when the decay matrix is singular.
+
+    The limit ratios only shape ``measured``; they decide no verdict of
+    their own.  For a trace-one start whose run reaches 20/gamma0 and whose
+    final system block is positive semidefinite, the bound at the last
+    sample is at most e^-20 (1 + 1e-6) ~ 2.1e-9, and ||rho_ss||_F <=
+    Tr rho_ss, so a final norm or trace above 1e-7 already exceeds the bound
+    by more than its 1e-8 tolerance and fails ``bound_excess``.
     """
     if dec.null_dim > 0:
         return VerificationReport(

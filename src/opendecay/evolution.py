@@ -255,10 +255,25 @@ class Trajectory:
         """The smallest eigenvalue of each sample, from the union of its
         blocks' spectra (NaN stays NaN), after the hermiticity gate: a sample
         that fails :func:`require_hermitian` raises, and nothing is cached.
-        One block at a time, gated and then reduced, so that one symmetrized
-        copy is held at once."""
+        One block at a time, gated and then reduced by
+        :func:`_smallest_eigenvalues`, so that one symmetrized copy is held
+        at once."""
         gate = lambda b: require_hermitian(b, DEFAULT_HERMITICITY_TOL, "sample")
-        return _read_only(np.min([np.linalg.eigvalsh(gate(b))[:, 0] for b in self.blocks], axis=0))
+        return _read_only(np.min([_smallest_eigenvalues(gate(b)) for b in self.blocks], axis=0))
+
+
+def _smallest_eigenvalues(h: np.ndarray) -> np.ndarray:
+    """The smallest eigenvalue of each matrix of a hermitian (n, d, d) stack.
+
+    A 2 x 2 stack takes the closed form m - hypot((a - d)/2, |b|), with
+    m = (a + d)/2, for the blocks [[a, b], [b*, d]]: the entries are halved
+    before they are summed, so that no finite block overflows.  Every other
+    size takes one ``eigvalsh`` of the stack.
+    """
+    if h.shape[1:] != (2, 2):
+        return np.linalg.eigvalsh(h)[:, 0]
+    a, d = 0.5 * h[:, 0, 0].real, 0.5 * h[:, 1, 1].real
+    return (a + d) - np.hypot(a - d, np.abs(h[:, 0, 1]))
 
 
 @dataclass(frozen=True)

@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 from conftest import split_oracle
 
+from opendecay import evolution
 from opendecay.analysis import (
     ChoiMatrix,
     KrausPair,
@@ -165,7 +166,9 @@ def test_nan_decay_block_fails_trace_and_positivity(monkeypatch):
 
 def test_nan_eigenvalue_fails_positivity_and_cp(monkeypatch):
     # An eigensolver that returns NaN must fail the report, not pass it at 0.
+    # A 2 x 2 sample stack takes the closed form, so both solvers are patched.
     monkeypatch.setattr(np.linalg, "eigvalsh", lambda a: np.full(a.shape[:-1], np.nan))
+    monkeypatch.setattr(evolution, "_smallest_eigenvalues", lambda a: np.full(len(a), np.nan))
     state = np.diag([0.5, 0.5])
     for report in (
         check_positivity(Trajectory(times=[0.0], states=(state,))),
@@ -309,8 +312,10 @@ def test_failed_hermiticity_gate_caches_nothing(monkeypatch):
     # A skewed decay block: the blocks are gated and reduced one at a time,
     # so the system blocks' eigenvalues are taken before the decay gate
     # fails, and still nothing is cached.
-    eigvalsh, calls = np.linalg.eigvalsh, []
-    monkeypatch.setattr(np.linalg, "eigvalsh", lambda a: calls.append(a.shape) or eigvalsh(a))
+    smallest, calls = evolution._smallest_eigenvalues, []
+    monkeypatch.setattr(
+        evolution, "_smallest_eigenvalues", lambda a: calls.append(a.shape) or smallest(a)
+    )
     good = np.diag([0.5, 0.0])
     traj = Trajectory(times=[0.0, 0.1], states=[good, good], decay=[[[0.5]], [[0.5 + 1j]]])
     with pytest.raises(NotHermitianError, match=r"^sample 1 deviates"):
