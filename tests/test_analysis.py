@@ -391,6 +391,28 @@ def test_asymptotics_final_gap_is_the_system_trace(ss_final, ff_final, status):
     assert report.measured == pytest.approx(max(excess / 1e-8, ss_final / 1e-7), rel=1e-9)
 
 
+def _decaying_trajectory(nan_at):
+    # Six samples of a single decay to the horizon 20/gamma0 = 20, with a
+    # NaN system block at sample ``nan_at``.
+    times = np.linspace(0.0, 25.0, 6)
+    ss = np.exp(-times)
+    ss[nan_at] = np.nan
+    return Trajectory(
+        times=times,
+        states=tuple(np.array([[x]]) for x in ss),
+        decay=tuple(np.array([[1.0 - x]]) for x in np.exp(-times)),
+    )
+
+
+@pytest.mark.parametrize("nan_at", [2, 5], ids=["inner-sample", "final-sample"])
+def test_asymptotics_fails_on_nan_system_trace(nan_at):
+    # A NaN trace is neither within the bound nor emptied; the worst values
+    # are taken with NaN-keeping reductions, so measured is NaN and fails.
+    report = asymptotics_check(_decaying_trajectory(nan_at), decompose_gamma(np.array([[1.0]])))
+    assert report.status == "fail"
+    assert np.isnan(report.measured)
+
+
 def test_asymptotics_singular_not_applicable():
     spec = SystemSpec(d_s=2, d_f=1, hamiltonian=np.zeros((2, 2)), decay_matrix=np.diag([1.0, 0.0]))
     dec = decompose_gamma(spec.decay_matrix)
