@@ -235,6 +235,9 @@ def parse_config(text: str, seed: int | None = None) -> ScenarioConfig:
     name = raw["name"]
     if not isinstance(name, str) or not name:
         raise ParseError("config.name: expected a non-empty string")
+    # The outputs are <out>/<name>_*.csv, so the name must not leave <out>.
+    if any(c in name for c in "/\\\0") or name in (".", ".."):
+        raise ParseError(f"config.name: {name!r} is not a plain file name")
 
     used_seed: int | None = None
     if "system" in raw:

@@ -28,10 +28,11 @@ step is :func:`opendecay.linalg.expm` of the stacked pair h [L_ss; L_fs],
 which works on pairs throughout and never builds the (d_s^2 + d_f^2)^2
 block matrix (Van Loan, IEEE Trans. Autom. Control 23, 395 (1978)).
 
-For d_s <= SUPEROP_MAX_DIM the ``rk4`` method builds its step once and then
-advances a block of sample intervals per real matvec; ``exact`` always
-does.  The generator maps hermitian matrices to hermitian matrices, so in
-the real coordinates (s, f) of :class:`HermitianBasis` it is one real matrix
+The stepper builds the run's step once and then advances a block of sample
+intervals per real matvec: ``exact`` and ``nonsingular`` always, ``rk4``
+where the cost rule (below) prices it cheaper than the direct RK4.  The
+generator maps hermitian matrices to hermitian matrices, so in the real
+coordinates (s, f) of :class:`HermitianBasis` it is one real matrix
 [L_ss; L_fs], ``MasterEquation.real_form`` of the system-block equation,
 built once per equation from the columns of its operators, and every
 step is built from it in real arithmetic: the step [[E, 0], [Phi, I]] maps
@@ -39,8 +40,8 @@ coordinates to coordinates and cannot leave the hermitian matrices, so it
 needs no re-symmetrization and leaves no drift to watch.  j steps from (s,
 f) reach (E^j s, f + Phi_j s), Phi_j = Phi (I + E + ... + E^(j-1)).  The
 stepper goes in units of u steps: u = S = ``sample_stride`` when the jump
-pays (below), else u = 1.  The unit's pair [E^u; Phi_u] comes from the
-one-step pair by binary powering, where a steps and then b steps make
+pays (by the cost rule), else u = 1.  The unit's pair [E^u; Phi_u] comes
+from the one-step pair by binary powering, where a steps and then b steps make
 [E^b E^a; Phi_a + Phi_b E^a], the pair composition that ``expm`` squares
 with too (powers by squaring, as in Higham, SIAM J. Matrix Anal. Appl. 26,
 1179 (2005)); the short last interval of n_steps mod S steps gets its own
@@ -79,30 +80,48 @@ share.  Larger blocks still help at d_s 4 to 8: on the real step, both
 4, 6 and 8 (best and median of 15).  From d_s = 8 on one unit fills the
 block, so the matrix is the unit's pair itself.
 
-The jump pays when the powering's P = bit_length(S) + popcount(S) - 2
-products, each with the flops of d_s^2 matvecs of the step, take less time
-than the S - 1 matvecs it saves in each of the run's I intervals: P d_s^2 <
-PRODUCT_SPEEDUP I (S - 1), where the fed rows scale both sides alike (S is
-taken at most n_steps, the longest interval a run has).
-PRODUCT_SPEEDUP = 8 is the measured speed of a product per flop over that
-of a matvec.  On the stepper alone (enlarged space with d_f = d_s, the
-one-step pair built beforehand, on the host above, best of 5, of 2 from d_s
-= 24), for S of 2 to 250 and I of 1 to 100, the jump breaks even at x = I
-(S - 1) / (P d_s^2) of about 0.15 at d_s = 12, 0.25 at 16, 0.11 at 24 and
-0.11 at 30; at d_s = 2 and 6 it is never slower by more than 0.003 ms.  The
-rule jumps from x = 1/8.  At d_s = 30 and S = 50, 10 intervals (x = 0.08)
-take 306 ms one step per matvec and 337 ms with the jump; 30 intervals (x =
-0.23) take 891 and 362 ms.
+One cost rule, :func:`_plan`, decides how a run goes.  From d_s, d_f, the
+step count, the stride, the interval count and the route, it prices one
+step per matvec row, one sample interval per row and, for ``rk4`` only, the
+direct RK4, in multiply-adds at the rate of the stepper's matvecs, and takes
+the cheapest; ``exact`` and ``nonsingular`` only pick the unit.
 
-Larger system blocks take the direct right-hand-side RK4, whose step costs
-O(d_s^3) instead of O(d_s^4): it evolves rho_ss with the system-block
-equation and accumulates rho_ff from the RK4 stages.  The crossover, measured
-per step for a d x d system-space state on the same host, with the
-Liouvillian assembly and the build of the step included: at d = 16 the
-stepper costs 63, 53 and 32 us over 500, 1000 and 5000 steps against 85-116
-us direct; at d = 18, 106, 71 and 57 us against 85-106 us; at d = 20, 223,
-179 and 133 us against 130-146 us.  16 is the largest size at which the
-stepper wins from 500 steps on.
+Without a short interval the jump pays when P d_s^2 < PRODUCT_SPEEDUP I (S -
+1): the fed rows scale both sides alike.  PRODUCT_SPEEDUP = 8 is the
+measured speed of a product per flop over that of a matvec.  On the stepper
+alone (enlarged space with d_f = d_s, the one-step pair built beforehand, on
+the host above, best of 5, of 2 from d_s = 24), for S of 2 to 250 and I of
+1 to 100, the jump breaks even at x = I (S - 1) / (P d_s^2) of about 0.15 at
+d_s = 12, 0.25 at 16, 0.11 at 24 and 0.11 at 30; at d_s = 2 and 6 it is
+never slower by more than 0.003 ms.  The rule jumps from x = 1/8.  At d_s =
+30 and S = 50, 10 intervals (x = 0.08) take 306 ms one step per matvec and
+337 ms with the jump; 30 intervals (x = 0.23) take 891 and 362 ms.
+
+The direct RK4 evolves rho_ss with the system-block equation and
+accumulates rho_ff from the RK4 stages: O(d_s^3) work per step against the
+stepper's O(d_s^4) matvec, but call-bound.  Per step and evolution, on the
+host above, it takes 74-92 us at d_s = 8, 81-108 us at 12 and 16, and
+133-270 us at 20 and 24, while the stepper's matvecs of pairs too large for
+L2 (d_s >= 24) run at 2.0-2.7 multiply-adds per ns.  DIRECT_STEP = 250000
+multiply-adds, about 100 us at that rate, is its fixed term; 8 d_s^3 is
+the 64 d_s^3 real multiply-adds of its four stages' complex d_s x d_s
+products (G rho, rho G†, and K rho K† for one jump) at the products' rate.
+Priced by those products alone, d_s = 16 at stride 1 would go direct.
+Both evolutions (seed 42, dt = 1e-3, the real forms built beforehand, best
+of 3 per run) by either route, and the route the rule takes and the fixed
+threshold d_s <= 16 that it replaced took; the stepper runs at the unit
+that the rule gives it, and the rows at d_s = 17, 24 and 30 are medians
+of 5 alternating pairs of the rule against the threshold:
+
+    d_s  t_max  S    direct    stepper           rule     threshold
+    16   1      1    229 ms    73 ms (1 step)    stepper  stepper
+    17   0.5    10   102 ms    29 ms (jump)      stepper  direct
+    24   5      50   1555 ms   331 ms (jump)     stepper  direct
+    30   5      50   2151 ms   894 ms (jump)     stepper  direct
+    40   5      50   3.6 s     5.6 s (jump)      direct   direct
+    24   0.05   10   21 ms     125 ms (1 step)   direct   direct
+    40   0.05   10   47 ms     1.7 s (1 step)    direct   direct
+    24   1      1    445 ms    557 ms (1 step)   direct   direct
 
 A :class:`Trajectory` holds the read-only (n, d, d) complex arrays the engine
 fills; for an enlarged-space run, its system and decay blocks.  It caches
@@ -131,16 +150,17 @@ from .model import (
 
 # Allowed per-step hermiticity drift before the integrator aborts.
 HERMITICITY_DRIFT_TOL = 1e-9
-# Largest system dimension d_s for which RK4 runs as one precomputed step
-# matrix; the module docstring gives the measured crossover.
-SUPEROP_MAX_DIM = 16
+# Fixed cost of one step of the direct RK4, the Python and numpy calls of
+# its four stages, in multiply-adds at the rate of the stepper's matvecs;
+# the cost rule (_plan) prices the direct route with it, and the module
+# docstring gives the measurements.
+DIRECT_STEP = 250_000
 # Size of the stepper's block matrix, which advances as many units (steps,
 # or sample intervals) per matvec as fit in it; the module docstring gives
 # the measurements.
 BLOCK_BYTES = 64 * 1024
-# How many times faster per flop the products that power the step run than
-# the stepper's matvecs, in the rule that decides whether a matvec row of
-# the stepper is a step or a whole sample interval (_jump_pays); the module
+# How many times faster per flop the stepper's products (its build and
+# powering) run than its matvecs, in the cost rule (_plan); the module
 # docstring gives the measurements.
 PRODUCT_SPEEDUP = 8
 # Largest step count t_max/dt an IntegratorConfig accepts.  A step costs
@@ -226,6 +246,8 @@ class Trajectory:
         object.__setattr__(self, "times", np.asarray(self.times, dtype=float))
         if self.times.ndim != 1:
             raise ValueError("times must be one-dimensional")
+        if not np.isfinite(self.times).all():
+            raise ValueError("times must be finite")
         if np.any(np.diff(self.times) <= 0):
             raise ValueError("times must be strictly increasing")
         object.__setattr__(self, "states", _read_only_stack(self.states, "states", self.times))
@@ -488,18 +510,51 @@ def _step_powers(square: np.ndarray, counts: tuple) -> list:
         square = _then(square, square, n_s)
 
 
-def _jump_pays(d: int, steps: int, intervals: int) -> bool:
-    """Whether a matvec row of the stepper should be a whole sample interval
-    of ``steps`` steps rather than one step, for a run of ``intervals``
-    intervals at d_s = ``d``.  The powering takes bit_length + popcount - 2
-    products, each with the flops of d^2 matvecs at PRODUCT_SPEEDUP times
-    their rate; the jump saves steps - 1 matvecs per interval.  The fed rows
-    scale both sides alike, so d_f drops out."""
-    products = steps.bit_length() + steps.bit_count() - 2
-    return steps > 1 and products * d * d < PRODUCT_SPEEDUP * intervals * (steps - 1)
+def _plan(d: int, d_f: int, cfg: IntegratorConfig, route: str) -> int:
+    """The one cost rule: how a run of the engine goes, as the number of
+    steps that one matvec row of the stepper advances, 1 or
+    ``cfg.sample_stride``, or 0 for the direct RK4, which only ``rk4`` has.
+
+    Every way is priced in multiply-adds at the rate of the stepper's
+    matvecs, for the n = d^2 + d_f^2 rows and n_s = d^2 columns of a unit's
+    pair, over the N steps of the run in I sample intervals of S = min(stride,
+    N) steps:
+
+    - one step per row: N matvecs, N n n_s;
+    - one interval per row: I matvecs, and P products of n n_s^2 at
+      PRODUCT_SPEEDUP times the matvecs' rate, for the P = bit_length(S) +
+      popcount(S) - 2 of the powering and popcount(N mod S) - 1 more for a
+      short last interval;
+    - the direct RK4: N (DIRECT_STEP + 8 d^3), where 8 d^3 is the 64 d^3
+      real multiply-adds of its four stages' four complex d x d products
+      (G rho, rho G† and K rho K† of one jump) at PRODUCT_SPEEDUP.
+
+    The stepper takes the cheaper unit; ``rk4`` takes the direct RK4 where it
+    costs less than that unit plus the step build, whose products take (2
+    n_s + n) n_s^2 multiply-adds at the products' rate.  ``exact`` and ``nonsingular`` only pick the unit:
+    their build is the same for both.  Neither route counts the real form
+    [L_ss; L_fs], O(d^4) work cached per equation and shared with the ``cp``
+    check.  A run of no steps takes the stepper, whose build-time check of
+    the equation then runs on every route.
+    """
+    steps = cfg.n_steps
+    if not steps:
+        return 1
+    n_s, n = d * d, d * d + d_f * d_f
+    stride = min(cfg.sample_stride, steps)
+    tail = steps % stride
+    products = stride.bit_length() + stride.bit_count() - 2 + max(tail.bit_count() - 1, 0)
+    one = steps * n * n_s
+    jump = products * n * n_s * n_s / PRODUCT_SPEEDUP + (cfg.n_samples - 1) * n * n_s
+    unit = cfg.sample_stride if jump < one else 1
+    if route != "rk4":
+        return unit
+    build = (2 * n_s + n) * n_s * n_s / PRODUCT_SPEEDUP
+    direct = steps * (DIRECT_STEP + 64 * d**3 / PRODUCT_SPEEDUP)
+    return 0 if direct < build + min(one, jump) else unit
 
 
-def _evolve_steps(build, h0, dims: tuple[int, int], cfg: IntegratorConfig):
+def _evolve_steps(build, h0, dims: tuple[int, int], cfg: IntegratorConfig, jump: int):
     """Sample h <- [[E, 0], [Phi, I]] h from h0, for the stacked real step
     [E; Phi] that ``build()`` returns, in the coordinates of
     :class:`HermitianBasis`, of dimensions ``dims`` = (d, d_f); Phi has no
@@ -507,8 +562,8 @@ def _evolve_steps(build, h0, dims: tuple[int, int], cfg: IntegratorConfig):
     blocks.
 
     The state is held as its real coordinates h = (s, f).  Each unit of
-    ``jump`` steps, one sample interval when :func:`_jump_pays` and else a
-    single step, is one row block of the matrix of :func:`_block_matrix`,
+    ``jump`` steps, the sample stride or a single step as :func:`_plan`
+    chose, is one row block of the matrix of :func:`_block_matrix`,
     built from the unit's pair; the short last interval has its own pair.
     One matvec advances a block of B units, to whose fed rows f is added; B
     is as large as BLOCK_BYTES allows, and at least 1.  A real step leaves
@@ -520,8 +575,7 @@ def _evolve_steps(build, h0, dims: tuple[int, int], cfg: IntegratorConfig):
     """
     d, d_f = dims
     n_s, n = d * d, d * d + d_f * d_f
-    n_steps, stride = cfg.n_steps, cfg.sample_stride
-    jump = stride if _jump_pays(d, min(stride, n_steps), cfg.n_samples - 1) else 1
+    n_steps = cfg.n_steps
     full, tail = divmod(n_steps, jump)
     block = max(1, min(full, BLOCK_BYTES // (8 * n * n_s)))
     m, m_tail = _step_powers(build(), (jump if full else 0, tail))
@@ -618,20 +672,22 @@ def _evolve(equation, rho0, cfg: IntegratorConfig, route: str):
     ``rho0``, under the system-block ``equation``, with rho_ff' = B rho_ss B†
     for its d_f x d_s feed B; d_f = 0 is the system space.
 
-    ``rk4`` above SUPEROP_MAX_DIM runs the direct RK4: rho_ss by the
+    The cost rule :func:`_plan` picks how the run goes.  The direct RK4,
+    for ``rk4`` runs it prices cheaper than the stepper: rho_ss by the
     equation, and rho_ff by B (h rho_ss + (h^2/6)(k1 + k2 + k3)) B†, as the
-    stages of rho_ff' are B s_i B† for the stages s_i of rho_ss.  The other
-    routes run the stepper (:func:`_step_blocks`) on the equation's real
-    form [L_ss; L_fs], after the first-order drift of the first step, dt
-    ||X - X†||_F for X = L_ss rho0, shows that the equation preserves
-    hermiticity.  A state that overflows ends in a NumericsError, not in
-    numpy's warnings.
+    stages of rho_ff' are B s_i B† for the stages s_i of rho_ss.  Otherwise
+    the stepper (:func:`_step_blocks`, :func:`_evolve_steps`) in the unit
+    the rule chose, on the equation's real form [L_ss; L_fs], after the
+    first-order drift of the first step, dt ||X - X†||_F for X = L_ss rho0,
+    shows that the equation preserves hermiticity.  A state that overflows
+    ends in a NumericsError, not in numpy's warnings.
     """
     b = equation.feed
     d_f, d = b.shape
     dt = cfg.dt
+    unit = _plan(d, d_f, cfg, route)
     with np.errstate(over="ignore", invalid="ignore"):  # the checks below end it
-        if route == "rk4" and d > SUPEROP_MAX_DIM:
+        if not unit:
             rhs = equation.rhs
 
             def advance(x, k, _):  # one step per call
@@ -672,7 +728,7 @@ def _evolve(equation, rho0, cfg: IntegratorConfig, route: str):
                     raise NumericsError(f"the {route} step of length {dt:g} is not finite")
                 return pair
 
-            times, states, decay = _evolve_steps(build, h0, (d, d_f), cfg)
+            times, states, decay = _evolve_steps(build, h0, (d, d_f), cfg, unit)
     return Trajectory(times=times, states=states, decay=decay if d_f else None)
 
 

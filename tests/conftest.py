@@ -7,6 +7,7 @@ from types import SimpleNamespace
 import numpy as np
 import pytest
 
+from opendecay import evolution
 from opendecay.evolution import Trajectory
 from opendecay.model import (
     assemble_liouvillian,
@@ -28,6 +29,18 @@ def split_oracle(times, full, d_s: int) -> tuple[Trajectory, float]:
     full = np.asarray(full)
     traj = Trajectory(times, full[:, :d_s, :d_s], decay=full[:, d_s:, d_s:])
     return traj, float(np.linalg.norm(full[:, :d_s, d_s:], axis=(1, 2)).max())
+
+
+def pin_route(monkeypatch, unit: int) -> None:
+    """Make every ``rk4`` run take ``unit`` steps per stepper row, or the
+    direct RK4 for unit 0, whatever the cost rule ``evolution._plan``
+    prices; ``exact`` and ``nonsingular`` runs keep the rule's unit."""
+    plan = evolution._plan
+    monkeypatch.setattr(
+        evolution,
+        "_plan",
+        lambda d, d_f, cfg, route: unit if route == "rk4" else plan(d, d_f, cfg, route),
+    )
 
 
 def enlarged_gap(a: Trajectory, b: Trajectory) -> float:

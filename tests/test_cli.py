@@ -9,7 +9,7 @@ from types import SimpleNamespace
 
 import numpy as np
 import pytest
-from conftest import split_oracle
+from conftest import pin_route, split_oracle
 
 from opendecay import analysis, cli, evolution, model as model_module
 from opendecay.cli import (
@@ -21,7 +21,7 @@ from opendecay.cli import (
     write_timeseries,
 )
 from opendecay.errors import NotHermitianError, ParseError, ValidationError
-from opendecay.evolution import SUPEROP_MAX_DIM, BlockDensity, IntegratorConfig, Trajectory
+from opendecay.evolution import BlockDensity, IntegratorConfig, Trajectory
 from opendecay.linalg import expm, unvec, vec
 from opendecay.model import MasterEquation, embed_state
 from opendecay.randmodel import MAX_ENTRIES
@@ -88,6 +88,16 @@ def test_parse_rejects_unknown_check():
     doc["checks"] = ["positivity", "unitarity"]
     with pytest.raises(ParseError, match="unknown check"):
         parse_config(json.dumps(doc))
+
+
+@pytest.mark.parametrize("name", ["../escape", "a/b", "a\\b", "a\0b", ".", ".."])
+def test_parse_rejects_name_that_is_not_a_plain_file_name(name):
+    doc = json.loads(SINGLE_DECAY)
+    doc["name"] = name
+    with pytest.raises(ParseError, match="config.name"):
+        parse_config(json.dumps(doc))
+    doc["name"] = "ok..name"
+    assert parse_config(json.dumps(doc)).name == "ok..name"
 
 
 def test_parse_rejects_bad_json_with_location():
@@ -480,14 +490,18 @@ def test_main_keeps_a_huge_decay_rate(tmp_path, capsys):
 
 
 @pytest.mark.parametrize("route", ["stepper", "direct"])
-def test_main_exit_3_on_overflowing_state_without_runtime_warnings(tmp_path, capsys, route):
+def test_main_exit_3_on_overflowing_state_without_runtime_warnings(
+    monkeypatch, tmp_path, capsys, route
+):
     # A state that overflows ends in the drift monitor's numerical error:
     # on the stepper (single-decay at dt = 5) and on the direct RK4 (d_s = 17
-    # with Gamma = 1e200 I).  The step-size warning is the only warning.
+    # with Gamma = 1e200 I, pinned to it).  The step-size warning is the only
+    # warning.
     if route == "stepper":
         config, flags, step = "single-decay", ["--dt", "5", "--t-max", "5000"], 273
     else:
-        d = SUPEROP_MAX_DIM + 1
+        pin_route(monkeypatch, 0)
+        d = 17
         config, flags, step = str(tmp_path / "huge.json"), [], 1
         pairs = cli._matrix_to_json
         Path(config).write_text(json.dumps({
@@ -838,13 +852,14 @@ def test_cp_report_fails_on_nan_eigenvalue(monkeypatch):
 
 
 # The cp check alone at d_s = 12, and all five checks on the stepper (rk4 and
-# exact at d_s = 2) and on the direct RK4 route (rk4 at d_s = 17, above
-# SUPEROP_MAX_DIM).
+# exact at d_s = 2) and on the direct RK4 route (rk4 at d_s = 17, pinned to
+# it).  The last field pins the rk4 route (0 for the direct RK4), or is None
+# for the cost rule's choice.
 NO_PADDING_RUNS = (
-    (12, "rk4", ["cp"]),
-    (2, "rk4", list(cli.CHECK_NAMES)),
-    (2, "exact", list(cli.CHECK_NAMES)),
-    (17, "rk4", list(cli.CHECK_NAMES)),
+    (12, "rk4", ["cp"], None),
+    (2, "rk4", list(cli.CHECK_NAMES), None),
+    (2, "exact", list(cli.CHECK_NAMES), None),
+    (17, "rk4", list(cli.CHECK_NAMES), 0),
 )
 
 
@@ -857,6 +872,13 @@ def _no_padding_config(d_s: int, method: str, checks: list):
     }))
 
 
+def _run_pinned(monkeypatch, cfg, unit):
+    with monkeypatch.context() as m:
+        if unit is not None:
+            pin_route(m, unit)
+        return run_scenario(cfg, write=False)
+
+
 def test_run_pads_no_array_to_the_enlarged_space(monkeypatch):
     # Both evolutions and every check start from the d_s x d_s system block:
     # no run pads a state or an operator to d_tot x d_tot.
@@ -864,8 +886,8 @@ def test_run_pads_no_array_to_the_enlarged_space(monkeypatch):
         raise AssertionError(f"a run padded a {m.shape} block to {d_s + d_f} x {d_s + d_f}")
 
     monkeypatch.setattr(model_module, "_embed_block", refuse)
-    for d_s, method, checks in NO_PADDING_RUNS:
-        result = run_scenario(_no_padding_config(d_s, method, checks), write=False)
+    for d_s, method, checks, unit in NO_PADDING_RUNS:
+        result = _run_pinned(monkeypatch, _no_padding_config(d_s, method, checks), unit)
         assert [r.name for r in result.reports] == checks
         assert all(r.passed for r in result.reports), (d_s, method)
 
@@ -882,8 +904,8 @@ def test_cp_check_does_not_assemble_enlarged_liouvillian(monkeypatch):
 
     monkeypatch.setattr(cli, "embed_operators", recording_embed)
     padded = {"equation", "liouvillian", "hamiltonian", "lindblad_ops", "decay_op"}
-    for d_s, method, checks in NO_PADDING_RUNS:
-        result = run_scenario(_no_padding_config(d_s, method, checks), write=False)
+    for d_s, method, checks, unit in NO_PADDING_RUNS:
+        result = _run_pinned(monkeypatch, _no_padding_config(d_s, method, checks), unit)
         assert [r.name for r in result.reports] == checks
         assert all(r.passed for r in result.reports)
         model = models.pop()
@@ -906,14 +928,14 @@ def test_no_run_builds_a_kronecker_liouvillian(monkeypatch):
         return liouvillian(self)
 
     monkeypatch.setattr(MasterEquation, "liouvillian", counting)
-    configs = [_no_padding_config(*run) for run in NO_PADDING_RUNS]
+    configs = [(_no_padding_config(*run[:3]), run[3]) for run in NO_PADDING_RUNS]
     for name in ("single-decay", "two-level-decay", "random"):
         cfg = parse_config(builtin_scenario_path(name).read_text())
         for method in ("rk4", "exact"):
             integ = replace(cfg.integrator, method=method)
-            configs.append(replace(cfg, integrator=integ, checks=cli.CHECK_NAMES))
-    for cfg in configs:
-        result = run_scenario(cfg, write=False)
+            configs.append((replace(cfg, integrator=integ, checks=cli.CHECK_NAMES), None))
+    for cfg, unit in configs:
+        result = _run_pinned(monkeypatch, cfg, unit)
         assert [r.name for r in result.reports] == list(cfg.checks)
         assert all(r.passed for r in result.reports), (cfg.name, cfg.integrator.method)
     assert calls == []

@@ -46,7 +46,12 @@ def random_system_configs(draw):
         rnode["rank"] = rank
     dt = draw(st.floats(1e-4, 1.0))
     return {
-        "name": draw(st.text(min_size=1, max_size=8)),
+        # One plain file-name component, as parse_config requires.
+        "name": draw(
+            st.text(st.characters(exclude_characters="/\\\0"), min_size=1, max_size=8).filter(
+                lambda name: name not in (".", "..")
+            )
+        ),
         "random_system": rnode,
         "integrator": {
             "dt": dt,

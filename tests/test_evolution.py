@@ -2,12 +2,11 @@ import warnings
 
 import numpy as np
 import pytest
-from conftest import enlarged_gap, split_oracle
+from conftest import enlarged_gap, pin_route, split_oracle
 
 from opendecay import evolution
 from opendecay.errors import DimensionError, GridError, NumericsError
 from opendecay.evolution import (
-    SUPEROP_MAX_DIM,
     BlockDensity,
     IntegratorConfig,
     Trajectory,
@@ -82,6 +81,9 @@ def test_config_degenerate_run():
 def test_trajectory_rejects_decreasing_times():
     with pytest.raises(ValueError):
         Trajectory(times=[0.0, 0.0], states=(np.eye(1), np.eye(1)))
+    for last in (np.nan, np.inf):
+        with pytest.raises(ValueError, match="times must be finite"):
+            Trajectory(times=[0.0, last], states=(np.eye(1), np.eye(1)))
 
 
 def test_trajectory_rejects_ragged_or_flat_states():
@@ -212,11 +214,12 @@ def test_feed_is_block_of_full_liouvillian(corpus):
         assert np.abs(np.kron(b.conj(), b) - block).max() <= 1e-14
 
 
-@pytest.mark.parametrize("d_s", [2, SUPEROP_MAX_DIM + 1])
-def test_enlarged_rejects_a_padded_initial_state(d_s):
+@pytest.mark.parametrize("d_s", [2, 17])
+def test_enlarged_rejects_a_padded_initial_state(monkeypatch, d_s):
     # Both entry points take the d_s x d_s system block and start the decay
     # block at zero; a d_tot x d_tot state is refused before any operator of
-    # the run is built.
+    # the run is built, on the stepper (d_s = 2) and the direct RK4 (17).
+    pin_route(monkeypatch, 1 if d_s == 2 else 0)
     spec, rho0, decay, model = random_member(d_s=d_s)
     rho = embed_state(rho0, spec.d_f)
     expected = rf"state has shape \({model.d_tot}, {model.d_tot}\), expected \({d_s}, {d_s}\)"
@@ -430,7 +433,8 @@ def test_superop_stepper_matches_direct_rk4_on_corpus(corpus):
     cfg = IntegratorConfig(dt=1e-3, t_max=0.4, sample_stride=40)
     worst = 0.0
     for m in corpus:
-        assert m.model.d_tot <= SUPEROP_MAX_DIM
+        assert evolution._plan(m.spec.d_s, m.spec.d_f, cfg, "rk4") > 0
+        assert evolution._plan(m.spec.d_s, 0, cfg, "rk4") > 0
         rho0_full = embed_state(m.rho0, m.spec.d_f)
         fast = evolve_enlarged(m.model, m.rho0, cfg)
         direct = integrate_rk4(lambda r: rhs_enlarged(r, m.model), rho0_full, cfg)
@@ -490,13 +494,14 @@ def test_exact_with_more_fed_rows_than_columns_matches_full_liouvillian():
 @pytest.mark.parametrize("above", [False, True])
 @pytest.mark.parametrize("space", ["enlarged", "wwa"])
 def test_direct_rk4_above_superop_threshold(monkeypatch, space, above):
-    # Systems with d_s at the threshold take the stepper, one past it the
-    # direct RK4, on either space; the direct RK4 calls the system-block
+    # A d_s = 16 system pinned to the stepper, and a d_s = 17 one pinned to
+    # the direct RK4, on either space; the direct RK4 calls the system-block
     # equation's right-hand side four times per step, the stepper a fixed
     # number of times (the real form's build and the drift check), however
     # many steps it takes.  With its empty decay sector, the system space's
     # direct RK4 is integrate_rk4's arithmetic.
-    d_s = SUPEROP_MAX_DIM + int(above)
+    pin_route(monkeypatch, 0 if above else 1)
+    d_s = 16 + int(above)
     spec, rho0, decay, model = random_member(seed=15, d_s=d_s)
     if space == "enlarged":
         evolve, target, rhs = evolve_enlarged, model, rhs_enlarged
@@ -717,10 +722,73 @@ def test_the_jump_is_built_only_where_it_pays(monkeypatch, t_max, stride, jumps)
     assert np.array_equal(traj.times, cfg.sampled_steps() * cfg.dt)
 
 
+# The route and unit that the cost rule gives each evolution at dt = 1e-3:
+# (d_s, d_f, t_max, stride, route, unit), where unit is the steps per matvec
+# row of the stepper and 0 the direct RK4.  A run has two evolutions, the
+# enlarged space with the d_f of its decay block and the system space with
+# d_f = 0.
+PLANS = [
+    # Benchmark units, each where the fixed threshold d_s <= 16 and the
+    # earlier jump rule put it.  The shipped scenarios under rk4 and exact:
+    # single-decay, two-level-decay and random (d_s = d_f = 2 at seed 42).
+    *[
+        (d_s, d_f, t_max, stride, route, stride)
+        for d_s, t_max, stride in ((1, 10.0, 10), (2, 10.0, 10), (2, 5.0, 5))
+        for d_f in (d_s, 0)
+        for route in ("rk4", "exact")
+    ],
+    # Their asymptotics propagations: 200 steps, one sample each.
+    (1, 1, 0.2, 1, "nonsingular", 1),
+    (2, 2, 0.2, 1, "nonsingular", 1),
+    # large_d: random systems (d_f = d_s) at d_s 6, 12 and 16.
+    *[(d_s, d_f, 0.5, 10, "rk4", 10) for d_s in (6, 12, 16) for d_f in (d_s, 0)],
+    # The CI configs: rk4 at d_s 24 and 40 over 50 steps stays direct; exact
+    # at 17 and 30 goes one step per row over 50 steps and jumps at stride
+    # 50 over 5000; rk4 at 24 over 5000 steps at stride 50 jumps.
+    *[(d_s, d_f, 0.05, 10, "rk4", 0) for d_s in (24, 40) for d_f in (d_s, 0)],
+    *[(d_s, d_f, 0.05, 10, "exact", 1) for d_s in (17, 30) for d_f in (d_s, 0)],
+    (30, 30, 5.0, 50, "exact", 50),
+    (30, 0, 5.0, 50, "exact", 50),
+    # The measured rows of the module docstring: the stepper jumps at d_s
+    # 17, 24 and 30 where the direct RK4 took 2.4 to 4.8 times as long; d_s
+    # 40 over 5000 steps, short runs and stride 1 at d_s 24 stay direct.
+    *[(17, d_f, 0.5, 10, "rk4", 10) for d_f in (17, 0)],
+    *[(d_s, d_f, 5.0, 50, "rk4", 50) for d_s in (24, 30) for d_f in (d_s, 0)],
+    *[(40, d_f, 5.0, 50, "rk4", 0) for d_f in (40, 0)],
+    *[(d_s, d_f, 0.05, 10, "rk4", 0) for d_s in (24, 40) for d_f in (d_s, 0)],
+    *[(24, d_f, 1.0, 1, "rk4", 0) for d_f in (24, 0)],
+    # Stride 1 at d_s 16 stays on the stepper: 73 ms against 229 ms direct.
+    *[(16, d_f, 1.0, 1, "rk4", 1) for d_f in (16, 0)],
+    # A run of no steps takes the stepper.
+    (40, 40, 0.0, 10, "rk4", 1),
+]
+
+
+def test_the_cost_rule_plans_every_listed_run():
+    wrong = []
+    for d_s, d_f, t_max, stride, route, unit in PLANS:
+        cfg = IntegratorConfig(dt=1e-3, t_max=t_max, sample_stride=stride)
+        got = evolution._plan(d_s, d_f, cfg, route)
+        if got != unit:
+            wrong.append((d_s, d_f, t_max, stride, route, unit, got))
+    assert wrong == []
+
+
+def test_a_run_the_rule_prices_direct_builds_no_step(monkeypatch):
+    # d_s = 12 over 2 steps: the direct RK4 costs less than the step build,
+    # and the engine takes it.
+    counts = spy_jumps(monkeypatch)
+    spec, rho0, decay, model = random_member(seed=5, d_s=12)
+    cfg = IntegratorConfig(dt=1e-3, t_max=0.002)
+    assert evolution._plan(12, spec.d_f, cfg, "rk4") == 0
+    traj = evolve_enlarged(model, rho0, cfg)
+    assert counts == [] and len(traj) == 3
+
+
 def drift_error(monkeypatch, block_bytes, q, h0, cfg) -> str:
     monkeypatch.setattr(evolution, "BLOCK_BYTES", block_bytes)
     with pytest.raises(NumericsError) as info:
-        evolution._evolve_steps(lambda: np.vstack(q), h0, (1, 1), cfg)
+        evolution._evolve_steps(lambda: np.vstack(q), h0, (1, 1), cfg, 1)
     return str(info.value)
 
 
@@ -738,10 +806,11 @@ def test_block_stepper_names_the_first_nan_inside_a_block(monkeypatch):
     assert drift_error(monkeypatch, 2**20, q, h0, cfg) == one
 
 
-def test_direct_block_drift_monitor_trips():
-    # Above the stepper's threshold; dt = 50 makes every RK4 step grow the
+def test_direct_block_drift_monitor_trips(monkeypatch):
+    # The direct RK4 at d_s = 17; dt = 50 makes every RK4 step grow the
     # state, and its rounding-level antihermitian part with it.
-    spec, rho0, decay, model = random_member(seed=15, d_s=SUPEROP_MAX_DIM + 1)
+    pin_route(monkeypatch, 0)
+    spec, rho0, decay, model = random_member(seed=15, d_s=17)
     cfg = IntegratorConfig(dt=50.0, t_max=50.0 * 1000)
     with pytest.raises(NumericsError, match="hermiticity drift .* at step [0-9]+ exceeds 1e-09"):
         evolve_enlarged(model, rho0, cfg)
@@ -757,7 +826,7 @@ def decay_only(d, gamma, hamiltonian=None):
 
 
 @pytest.mark.parametrize("route", ["stepper", "direct"])
-def test_overflowing_state_ends_in_numerics_error_without_warnings(route):
+def test_overflowing_state_ends_in_numerics_error_without_warnings(monkeypatch, route):
     # The stepper at dt = 5 grows the single decay until it overflows; the
     # direct RK4 at d_s = 17 overflows in its first step on Gamma = 1e200 I.
     # On either space the drift monitor ends the run, and numpy warns of
@@ -766,7 +835,8 @@ def test_overflowing_state_ends_in_numerics_error_without_warnings(route):
         spec, _, model = single_decay()
         cfg, step = IntegratorConfig(dt=5.0, t_max=5000.0), 273
     else:
-        d = SUPEROP_MAX_DIM + 1
+        pin_route(monkeypatch, 0)
+        d = 17
         spec, model = decay_only(d, 1e200 * np.eye(d))
         cfg, step = IntegratorConfig(dt=1e-3, t_max=0.01), 1
     rho0 = np.zeros((spec.d_s, spec.d_s))
@@ -862,12 +932,14 @@ def test_superop_rejects_nonhermitian_initial_state():
         evolve_enlarged(model, [[1.0 + 0.1j]], cfg)
 
 
-@pytest.mark.parametrize("d_s", [SUPEROP_MAX_DIM, SUPEROP_MAX_DIM + 1])
+@pytest.mark.parametrize("d_s", [16, 17])
 @pytest.mark.parametrize("method", ["rk4", "exact"])
 @pytest.mark.parametrize("space", ["enlarged", "wwa"])
-def test_grid_warning_names_the_caller(space, method, d_s):
-    # On the stepper and on the direct route, the warning points at the line
-    # that called the integrator, not into the library.
+def test_grid_warning_names_the_caller(monkeypatch, space, method, d_s):
+    # On the stepper and on the direct route (rk4 pinned to it at d_s = 17),
+    # the warning points at the line that called the integrator, not into
+    # the library.
+    pin_route(monkeypatch, 1 if d_s == 16 else 0)
     spec, rho0, decay, model = random_member(seed=15, d_s=d_s)
     cfg = IntegratorConfig(dt=1e-3, t_max=0.0105, method=method)
     with pytest.warns(UserWarning, match="not an integer multiple of dt") as record:
