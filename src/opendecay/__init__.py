@@ -54,7 +54,6 @@ from .evolution import (
     evolve_wwa,
     integrate_rk4,
     propagate_exact,
-    propagate_nonsingular,
     rho_ff_quadrature,
     rhs_enlarged,
     rhs_wwa,

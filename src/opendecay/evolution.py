@@ -20,18 +20,22 @@ instead of d_tot^2.  Every run starts from diag(rho_ss, 0), the paper's
 state with no decay products yet, so the engine and its entry points take
 only the d_s x d_s system block.  The system space is the same engine with
 an empty decay sector, d_f = 0, and its own L_ss, built from H - (i/2) Gamma
-without B, so that the ``equivalence`` check still tests B†B = Gamma.  Every
-step, power and propagator of [[L_ss, 0], [L_fs, 0]] is held as its stacked
-pair [E; Phi], its first block column.  The ``rk4`` step has E = P(h L_ss)
-and Phi = h L_fs (I + a/2 + a^2/6 + a^3/24) for a = h L_ss; the ``exact``
-step is :func:`opendecay.linalg.expm` of the stacked pair h [L_ss; L_fs],
-which works on pairs throughout and never builds the (d_s^2 + d_f^2)^2
-block matrix (Van Loan, IEEE Trans. Autom. Control 23, 395 (1978)).
+without B, so that the ``equivalence`` check still tests B†B = Gamma.  The
+asymptotics check runs the same engine with d_f = 0 on the enlarged model's
+own system-block equation, G = H - (i/2)(B†B + sum A†A) with jumps A and
+without its feed: that block evolves alone under L_ss, and the check reads
+nothing else.  Every step, power and propagator of [[L_ss, 0], [L_fs, 0]]
+is held as its stacked pair [E; Phi], its first block column.  The ``rk4``
+step has E = P(h L_ss) and Phi = h L_fs (I + a/2 + a^2/6 + a^3/24) for a =
+h L_ss; the ``exact`` step is :func:`opendecay.linalg.expm` of the stacked
+pair h [L_ss; L_fs], which works on pairs throughout and never builds the
+(d_s^2 + d_f^2)^2 block matrix (Van Loan, IEEE Trans. Autom. Control 23, 395
+(1978)).
 
-The stepper builds the run's step once and then advances a block of sample
-intervals per real matvec: ``exact`` and ``nonsingular`` always, ``rk4``
-where the cost rule (below) prices it cheaper than the direct RK4.  The
-generator maps hermitian matrices to hermitian matrices, so in the real
+The stepper builds the run's step once, if the run has a step, and then
+advances a block of sample intervals per real matvec: ``exact`` always,
+``rk4`` where the cost rule (below) prices it cheaper than the direct RK4.
+The generator maps hermitian matrices to hermitian matrices, so in the real
 coordinates (s, f) of :class:`HermitianBasis` it is one real matrix
 [L_ss; L_fs], ``MasterEquation.real_form`` of the system-block equation,
 built once per equation from the columns of its operators, and every
@@ -81,10 +85,10 @@ share.  Larger blocks still help at d_s 4 to 8: on the real step, both
 block, so the matrix is the unit's pair itself.
 
 One cost rule, :func:`_plan`, decides how a run goes.  From d_s, d_f, the
-step count, the stride, the interval count and the route, it prices one
+step count, the stride, the interval count and the method, it prices one
 step per matvec row, one sample interval per row and, for ``rk4`` only, the
 direct RK4, in multiply-adds at the rate of the stepper's matvecs, and takes
-the cheapest; ``exact`` and ``nonsingular`` only pick the unit.
+the cheapest; ``exact`` only picks the unit.
 
 Without a short interval the jump pays when P d_s^2 < PRODUCT_SPEEDUP I (S -
 1): the fed rows scale both sides alike.  PRODUCT_SPEEDUP = 8 is the
@@ -178,7 +182,6 @@ __all__ = [
     "evolve_wwa",
     "integrate_rk4",
     "propagate_exact",
-    "propagate_nonsingular",
     "rho_ff_quadrature",
     "rhs_enlarged",
     "rhs_wwa",
@@ -510,7 +513,7 @@ def _step_powers(square: np.ndarray, counts: tuple) -> list:
         square = _then(square, square, n_s)
 
 
-def _plan(d: int, d_f: int, cfg: IntegratorConfig, route: str) -> int:
+def _plan(d: int, d_f: int, cfg: IntegratorConfig) -> int:
     """The one cost rule: how a run of the engine goes, as the number of
     steps that one matvec row of the stepper advances, 1 or
     ``cfg.sample_stride``, or 0 for the direct RK4, which only ``rk4`` has.
@@ -529,13 +532,14 @@ def _plan(d: int, d_f: int, cfg: IntegratorConfig, route: str) -> int:
       real multiply-adds of its four stages' four complex d x d products
       (G rho, rho G† and K rho K† of one jump) at PRODUCT_SPEEDUP.
 
-    The stepper takes the cheaper unit; ``rk4`` takes the direct RK4 where it
-    costs less than that unit plus the step build, whose products take (2
-    n_s + n) n_s^2 multiply-adds at the products' rate.  ``exact`` and ``nonsingular`` only pick the unit:
-    their build is the same for both.  Neither route counts the real form
-    [L_ss; L_fs], O(d^4) work cached per equation and shared with the ``cp``
-    check.  A run of no steps takes the stepper, whose build-time check of
-    the equation then runs on every route.
+    The stepper takes the cheaper unit; ``rk4`` (``cfg.method``) takes the
+    direct RK4 where it costs less than that unit plus the step build, whose
+    products take (2 n_s + n) n_s^2 multiply-adds at the products' rate.
+    ``exact`` only picks the unit: its build is the same for both.  Neither
+    method counts the real form [L_ss; L_fs], O(d^4) work cached per
+    equation and shared with the ``cp`` check.  A run of no steps takes the
+    stepper, which builds no step but still checks the first step's drift,
+    for either method.
     """
     steps = cfg.n_steps
     if not steps:
@@ -547,7 +551,7 @@ def _plan(d: int, d_f: int, cfg: IntegratorConfig, route: str) -> int:
     one = steps * n * n_s
     jump = products * n * n_s * n_s / PRODUCT_SPEEDUP + (cfg.n_samples - 1) * n * n_s
     unit = cfg.sample_stride if jump < one else 1
-    if route != "rk4":
+    if cfg.method != "rk4":
         return unit
     build = (2 * n_s + n) * n_s * n_s / PRODUCT_SPEEDUP
     direct = steps * (DIRECT_STEP + 64 * d**3 / PRODUCT_SPEEDUP)
@@ -578,7 +582,8 @@ def _evolve_steps(build, h0, dims: tuple[int, int], cfg: IntegratorConfig, jump:
     n_steps = cfg.n_steps
     full, tail = divmod(n_steps, jump)
     block = max(1, min(full, BLOCK_BYTES // (8 * n * n_s)))
-    m, m_tail = _step_powers(build(), (jump if full else 0, tail))
+    # A run of no steps builds no step.
+    m, m_tail = _step_powers(build(), (jump if full else 0, tail)) if n_steps else (None, None)
     if full:
         m = _block_matrix(m, block)
 
@@ -621,37 +626,24 @@ def _check_initial(rho0, d: int) -> np.ndarray:
     rho = as_matrix(rho0)
     if rho.shape != (d, d):
         raise DimensionError(f"state has shape {rho.shape}, expected {(d, d)}")
-    drift = float(np.linalg.norm(rho - rho.conj().T))
-    if drift > HERMITICITY_DRIFT_TOL:
-        raise NumericsError(
-            f"initial state deviates from hermiticity by {drift:.3e} "
-            f"(allowed {HERMITICITY_DRIFT_TOL:g})"
-        )
+    require_hermitian(rho, HERMITICITY_DRIFT_TOL, "initial state")
     return rho
 
 
-def _step_blocks(gen: np.ndarray, h: float, route: str) -> np.ndarray:
+def _step_blocks(gen: np.ndarray, h: float, method: str) -> np.ndarray:
     """[E; Phi]: the stacked pair of one step [[E, 0], [Phi, I]] of length h
     on the real coordinates (s, f) of :class:`HermitianBasis`, for the real
     form ``gen`` = [L_ss; L_fs] of n_s = d_s^2 columns; float64 throughout.
+    With d_f = 0, ``gen`` is the square L_ss and the pair is E alone.
 
     ``rk4``: E = P(a), Phi = h L_fs (I + a/2 + a^2/6 + a^3/24), a = h L_ss.
     ``exact``: :func:`expm` of the stacked pair h [L_ss; L_fs], the first
-    block column of exp([[a, 0], [h L_fs, 0]]).  ``nonsingular``: E =
-    expm(a) and Phi = L_fs L_ss^-1 (E - I), by a solve; exact when L_ss is
-    invertible.
+    block column of exp([[a, 0], [h L_fs, 0]]).
     """
     n_s = gen.shape[1]
-    if route == "exact":
+    if method == "exact":
         return expm(gen * h)
     a = gen[:n_s] * h
-    if route == "nonsingular":
-        e = expm(a)
-        try:
-            fed = gen[n_s:] @ np.linalg.solve(gen[:n_s], e - np.eye(n_s))
-        except np.linalg.LinAlgError as err:
-            raise NumericsError(f"the system-block Liouvillian is singular: {err}") from err
-        return np.vstack((e, fed))
     # E = I + a + a^2/2 + a^3/6 + a^4/24 in Horner form: for the linear
     # autonomous equation dx/dt = L x with a = dt L, one classical RK4 step
     # is exactly this matrix.  phi ends as its inner factor.  The blocks are
@@ -667,25 +659,26 @@ def _step_blocks(gen: np.ndarray, h: float, route: str) -> np.ndarray:
     return pair
 
 
-def _evolve(equation, rho0, cfg: IntegratorConfig, route: str):
+def _evolve(equation, rho0, cfg: IntegratorConfig):
     """The one engine: evolve diag(``rho0``, 0), for the checked system block
     ``rho0``, under the system-block ``equation``, with rho_ff' = B rho_ss B†
     for its d_f x d_s feed B; d_f = 0 is the system space.
 
-    The cost rule :func:`_plan` picks how the run goes.  The direct RK4,
-    for ``rk4`` runs it prices cheaper than the stepper: rho_ss by the
-    equation, and rho_ff by B (h rho_ss + (h^2/6)(k1 + k2 + k3)) B†, as the
-    stages of rho_ff' are B s_i B† for the stages s_i of rho_ss.  Otherwise
-    the stepper (:func:`_step_blocks`, :func:`_evolve_steps`) in the unit
-    the rule chose, on the equation's real form [L_ss; L_fs], after the
-    first-order drift of the first step, dt ||X - X†||_F for X = L_ss rho0,
-    shows that the equation preserves hermiticity.  A state that overflows
-    ends in a NumericsError, not in numpy's warnings.
+    The cost rule :func:`_plan` picks how the run goes, from ``cfg.method``
+    among the rest.  The direct RK4, for ``rk4`` runs it prices cheaper than
+    the stepper: rho_ss by the equation, and rho_ff by B (h rho_ss +
+    (h^2/6)(k1 + k2 + k3)) B†, as the stages of rho_ff' are B s_i B† for the
+    stages s_i of rho_ss.  Otherwise the stepper (:func:`_step_blocks`,
+    :func:`_evolve_steps`) in the unit the rule chose, on the equation's
+    real form [L_ss; L_fs], after the first-order drift of the first step,
+    dt ||X - X†||_F for X = L_ss rho0, shows that the equation preserves
+    hermiticity.  A state that overflows ends in a NumericsError, not in
+    numpy's warnings.
     """
     b = equation.feed
     d_f, d = b.shape
     dt = cfg.dt
-    unit = _plan(d, d_f, cfg, route)
+    unit = _plan(d, d_f, cfg)
     with np.errstate(over="ignore", invalid="ignore"):  # the checks below end it
         if not unit:
             rhs = equation.rhs
@@ -723,19 +716,13 @@ def _evolve(equation, rho0, cfg: IntegratorConfig, route: str):
             h0 = np.concatenate((basis.coords(rho0), np.zeros(d_f * d_f)))
 
             def build():  # the stacked step [E; Phi]
-                pair = _step_blocks(gen, dt, route)
+                pair = _step_blocks(gen, dt, cfg.method)
                 if not np.isfinite(pair).all():
-                    raise NumericsError(f"the {route} step of length {dt:g} is not finite")
+                    raise NumericsError(f"the {cfg.method} step of length {dt:g} is not finite")
                 return pair
 
             times, states, decay = _evolve_steps(build, h0, (d, d_f), cfg, unit)
     return Trajectory(times=times, states=states, decay=decay if d_f else None)
-
-
-def _evolve_model(model: EnlargedModel, rho0, cfg: IntegratorConfig, route: str) -> Trajectory:
-    # The initial state is checked before any operator of the run is built.
-    rho0 = _check_initial(rho0, model.d_s)
-    return _evolve(model.system_equation, rho0, cfg, route)
 
 
 def evolve_wwa(spec: SystemSpec, rho0, cfg: IntegratorConfig) -> Trajectory:
@@ -743,7 +730,7 @@ def evolve_wwa(spec: SystemSpec, rho0, cfg: IntegratorConfig) -> Trajectory:
     the engine with an empty decay sector."""
     _check_grid(cfg)
     rho0 = _check_initial(rho0, spec.d_s)
-    return _evolve(spec.equation, rho0, cfg, cfg.method)
+    return _evolve(spec.equation, rho0, cfg)
 
 
 def evolve_enlarged(model: EnlargedModel, rho0, cfg: IntegratorConfig) -> Trajectory:
@@ -754,26 +741,9 @@ def evolve_enlarged(model: EnlargedModel, rho0, cfg: IntegratorConfig) -> Trajec
     system blocks in ``states`` and the decay blocks in ``decay``.
     """
     _check_grid(cfg)
-    return _evolve_model(model, rho0, cfg, cfg.method)
-
-
-def propagate_nonsingular(model: EnlargedModel, rho0, t_max: float, n_steps: int) -> Trajectory:
-    """Exact propagation on the enlarged space from diag(``rho0``, 0), for the
-    system block ``rho0``, sampled at k t_max / n_steps for k = 0..n_steps.
-
-    For a model whose system block decays completely, so that L_ss is
-    invertible (a non-singular decay matrix): the fed block of each step
-    comes from a solve with L_ss, after an ``expm`` of the square h L_ss,
-    instead of from the ``expm`` of the stacked pair h [L_ss; L_fs] of the
-    ``exact`` method, whose products have twice the rows.  The asymptotics
-    check runs on it, and it stays because it is faster there: on random
-    systems (seed 42, one BLAS thread, 2-core Intel Xeon) that propagation
-    takes 0.78-0.84 s by the solve against 1.20-1.26 s by the pair at d_s =
-    30, and 4.0-4.2 s against 6.7-6.8 s at d_s = 40, the states within
-    3e-15.
-    """
-    cfg = IntegratorConfig(dt=t_max / n_steps, t_max=t_max)
-    return _evolve_model(model, rho0, cfg, "nonsingular")
+    # The initial state is checked before any operator of the run is built.
+    rho0 = _check_initial(rho0, model.d_s)
+    return _evolve(model.system_equation, rho0, cfg)
 
 
 def rho_ff_quadrature(decay: DecayOperator, traj: Trajectory) -> np.ndarray:

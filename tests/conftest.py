@@ -34,12 +34,12 @@ def split_oracle(times, full, d_s: int) -> tuple[Trajectory, float]:
 def pin_route(monkeypatch, unit: int) -> None:
     """Make every ``rk4`` run take ``unit`` steps per stepper row, or the
     direct RK4 for unit 0, whatever the cost rule ``evolution._plan``
-    prices; ``exact`` and ``nonsingular`` runs keep the rule's unit."""
+    prices; ``exact`` runs keep the rule's unit."""
     plan = evolution._plan
     monkeypatch.setattr(
         evolution,
         "_plan",
-        lambda d, d_f, cfg, route: unit if route == "rk4" else plan(d, d_f, cfg, route),
+        lambda d, d_f, cfg: unit if cfg.method == "rk4" else plan(d, d_f, cfg),
     )
 
 

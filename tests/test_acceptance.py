@@ -148,7 +148,7 @@ def test_05_complete_positivity(corpus):
     )
 
 
-def test_06_nonsingular_decay_limits(corpus):
+def test_06_non_singular_decay_limits(corpus):
     worst_excess = -np.inf
     worst_limit = 0.0
     checked = 0

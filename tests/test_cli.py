@@ -305,11 +305,11 @@ def test_run_without_checks_gates_its_samples(monkeypatch):
 
 
 def test_run_builds_the_system_real_form_once(monkeypatch):
-    # The enlarged run's step, the cp check and the asymptotics check's
-    # nonsingular propagation all take the real form of the model's
-    # system-block equation, which is built once.  The system-space run
-    # builds the real form of its own equation: two builds in all, one per
-    # equation.
+    # The enlarged run's step and the cp check take the real form of the
+    # model's system-block equation, which is built once.  The system-space
+    # run builds the real form of its own equation, and the asymptotics
+    # check that of the system-block equation without its feed, whose
+    # generator is the same array: three builds in all, one per equation.
     cfg = parse_config(builtin_scenario_path("random").read_text())
     assert {"cp", "asymptotics"} <= set(cfg.checks)
     build, built = MasterEquation.real_form.func, []
@@ -323,8 +323,9 @@ def test_run_builds_the_system_real_form_once(monkeypatch):
     monkeypatch.setattr(MasterEquation, "real_form", spy)
     result = run_scenario(short(cfg, t_max=1.0), write=False)
     assert result.exit_status == 0
-    assert len(built) == 2 and built[0] is not built[1]
-    assert sorted(e.feed.shape[0] for e in built) == [0, cfg.system.d_f]
+    assert len(built) == 3 and len({id(e) for e in built}) == 3
+    assert [e.feed.shape[0] for e in built] == [cfg.system.d_f, 0, 0]
+    assert built[2].generator is built[0].generator
 
 
 # -- command line ----------------------------------------------------------------
@@ -338,6 +339,19 @@ def test_main_simulate_builtin(tmp_path, capsys):
     out = capsys.readouterr().out
     assert "trace: pass" in out
     assert (tmp_path / "single-decay_timeseries.csv").exists()
+
+
+def test_a_run_of_no_steps_warns_of_no_step_size(tmp_path):
+    # dt |generator| is far above 0.1 at dt = 1e300, and an rk4 step of that
+    # length is not finite, but a run of no steps takes no step: it neither
+    # warns of the step size nor builds the step, and every check passes.
+    doc = json.loads(SINGLE_DECAY)
+    doc["integrator"].update(dt=1e300, t_max=0.0)
+    path = tmp_path / "no-steps.json"
+    path.write_text(json.dumps(doc))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert main(["simulate", str(path), "--out", str(tmp_path)]) == 0
 
 
 def test_main_exit_2_on_missing_config(tmp_path, capsys):
@@ -997,11 +1011,36 @@ def test_asymptotics_matches_full_liouvillian_loop(corpus):
         # The block-held trajectories take the sf block to be zero; the full
         # propagation keeps it within the tolerance of the meta comparison.
         assert sf <= 1e-13
-        # measured is the worst residual over its tolerance.  |1 - Tr rho_ff|,
-        # kept in meta, is rounding-level for most members after 200 steps,
-        # where the old loop alone is off by up to 1.4e-14 (1.4e-7 in units
-        # of 1e-7).  1e-6 allows 1e-13 on any residual.
+        # measured is the worst residual over its tolerance; 1e-6 allows
+        # 1e-13 on any residual.
         assert abs(new.measured - old.measured) <= 1e-6
-        for key in ("final_ss_norm", "final_ss_trace", "final_ff_trace_gap", "bound_excess"):
+        for key in ("final_ss_norm", "final_ss_trace", "bound_excess"):
             assert abs(new.meta[key] - old.meta[key]) <= 1e-13
     assert checked >= 3
+
+
+def test_asymptotics_check_builds_one_step_without_fed_rows(monkeypatch):
+    # The check's propagation runs on the system block alone: one exact step
+    # of d_s^2 x d_s^2 coordinates, with no rows for the decay sector, and a
+    # trajectory of system blocks only.
+    steps, trajs = [], []
+    step_blocks, check = evolution._step_blocks, analysis.asymptotics_check
+
+    def spy_step(gen, h, method):
+        pair = step_blocks(gen, h, method)
+        steps.append((pair.shape, method))
+        return pair
+
+    def spy_check(traj, dec):
+        trajs.append(traj)
+        return check(traj, dec)
+
+    monkeypatch.setattr(evolution, "_step_blocks", spy_step)
+    monkeypatch.setattr(analysis, "asymptotics_check", spy_check)
+    ctx = cli._RunContext(parse_config(builtin_scenario_path("random").read_text()))
+    assert ctx.dec.null_dim == 0 and ctx.spec.d_f > 0
+    n_s = ctx.spec.d_s**2
+    assert cli._check_asymptotics(ctx).status == "pass"
+    assert steps == [((n_s, n_s), "exact")]
+    (traj,) = trajs
+    assert traj.decay is None and len(traj) == cli.ASYMPTOTICS_STEPS + 1

@@ -1,11 +1,12 @@
 import warnings
+from dataclasses import replace
 
 import numpy as np
 import pytest
 from conftest import enlarged_gap, pin_route, split_oracle
 
 from opendecay import evolution
-from opendecay.errors import DimensionError, GridError, NumericsError
+from opendecay.errors import DimensionError, GridError, NotHermitianError, NumericsError
 from opendecay.evolution import (
     BlockDensity,
     IntegratorConfig,
@@ -15,7 +16,6 @@ from opendecay.evolution import (
     evolve_wwa,
     integrate_rk4,
     propagate_exact,
-    propagate_nonsingular,
     rho_ff_quadrature,
     rhs_enlarged,
     rhs_wwa,
@@ -225,8 +225,6 @@ def test_enlarged_rejects_a_padded_initial_state(monkeypatch, d_s):
     expected = rf"state has shape \({model.d_tot}, {model.d_tot}\), expected \({d_s}, {d_s}\)"
     with pytest.raises(DimensionError, match=expected):
         evolve_enlarged(model, rho, IntegratorConfig(dt=1e-3, t_max=0.01))
-    with pytest.raises(DimensionError, match=expected):
-        propagate_nonsingular(model, rho, 1.0, 10)
     assert "system_equation" not in vars(model)
 
 
@@ -433,8 +431,8 @@ def test_superop_stepper_matches_direct_rk4_on_corpus(corpus):
     cfg = IntegratorConfig(dt=1e-3, t_max=0.4, sample_stride=40)
     worst = 0.0
     for m in corpus:
-        assert evolution._plan(m.spec.d_s, m.spec.d_f, cfg, "rk4") > 0
-        assert evolution._plan(m.spec.d_s, 0, cfg, "rk4") > 0
+        assert evolution._plan(m.spec.d_s, m.spec.d_f, cfg) > 0
+        assert evolution._plan(m.spec.d_s, 0, cfg) > 0
         rho0_full = embed_state(m.rho0, m.spec.d_f)
         fast = evolve_enlarged(m.model, m.rho0, cfg)
         direct = integrate_rk4(lambda r: rhs_enlarged(r, m.model), rho0_full, cfg)
@@ -544,16 +542,18 @@ def test_superop_drift_monitor_trips(method):
     # drift after the first step is about 2 sin(dt).  The engine with an
     # empty decay sector, as the system space runs it, on a stub equation
     # whose right-hand side is i rho; its real form drops the imaginary
-    # part that makes the drift, and the build-time check sees it.
+    # part that makes the drift, and the build-time check sees it, also in
+    # a run of no steps, which builds no step.
     class Rotating(MasterEquation):
         def rhs(self, rho):
             return 1j * np.asarray(rho, dtype=np.complex128)
 
     equation = Rotating(np.zeros((2, 2), dtype=np.complex128), ())
-    cfg = IntegratorConfig(dt=0.1, t_max=1.0, method=method)
     rho0 = evolution._check_initial(np.eye(2) / 2, 2)
-    with pytest.raises(NumericsError, match="hermiticity drift .* at step 1 exceeds"):
-        evolution._evolve(equation, rho0, cfg, method)
+    for t_max in (1.0, 0.0):
+        cfg = IntegratorConfig(dt=0.1, t_max=t_max, method=method)
+        with pytest.raises(NumericsError, match="hermiticity drift .* at step 1 exceeds"):
+            evolution._evolve(equation, rho0, cfg)
 
 
 def test_superop_drift_monitor_trips_on_nan():
@@ -570,7 +570,9 @@ def test_a_long_step_does_not_trip_the_build_time_drift_check():
     # Gamma with rates 1, 1e-3 and 1e-10: the asymptotics horizon 20/gamma_min
     # in 200 steps makes dt = 1e9, and the matvec's rounding, times dt,
     # exceeds 1e-9 although L_ss preserves hermiticity.  The check scales it
-    # by dt ||L_ss||_F ||rho0||_F, so neither long-step route trips it.
+    # by dt ||L_ss||_F ||rho0||_F, so neither the asymptotics check's
+    # propagation (the system block's equation without its feed) nor the
+    # enlarged ``exact`` run trips it.
     v = np.array([1.0, 0.6 - 0.3j, -0.2 + 0.7j])
     rho0 = np.outer(v, v.conj()) / (v.conj() @ v).real
     unscaled = []
@@ -584,19 +586,18 @@ def test_a_long_step_does_not_trip_the_build_time_drift_check():
         model = embed_operators(spec, build_decay_operator(decompose_gamma(gamma), 3))
         x = unvec(model.system_equation.liouvillian().matrix @ vec(rho0), 3)
         unscaled.append(1e9 * np.linalg.norm(x - x.conj().T))
-        traj = propagate_nonsingular(model, rho0, 2e11, 200)
-        exact = evolve_enlarged(model, rho0, IntegratorConfig(dt=1e9, t_max=2e11, method="exact"))
-        assert enlarged_gap(traj, exact) <= 1e-10
+        cfg = IntegratorConfig(dt=1e9, t_max=2e11, method="exact")
+        traj = evolution._evolve(replace(model.system_equation, feed=None), rho0, cfg)
+        exact = evolve_enlarged(model, rho0, cfg)
+        assert np.linalg.norm(traj.states - exact.states, axis=(1, 2)).max() <= 1e-10
     assert max(unscaled) > 1e-9
 
 
-def run_route(space, route, cfg):
-    # The engine on one space by one route, for a d_s = 2 member whose
-    # decay matrix has full rank, so that L_ss is invertible.
+def run_method(space, cfg):
+    # The engine on one space by the method of ``cfg``, for a d_s = 2 member.
     spec, rho0, decay, model = random_member(seed=5, d_s=2)
-    if space == "enlarged":
-        return evolution._evolve_model(model, rho0, cfg, route)
-    return evolution._evolve(spec.equation, rho0, cfg, route)
+    equation = model.system_equation if space == "enlarged" else spec.equation
+    return evolution._evolve(equation, rho0, cfg)
 
 
 # At d_s = 2 a step takes 8 * 8 * 4 bytes of the enlarged stepper's block
@@ -618,16 +619,16 @@ def run_route(space, route, cfg):
         (evolution.BLOCK_BYTES, 0.0, 1),
     ],
 )
-@pytest.mark.parametrize("route", ["rk4", "exact", "nonsingular"])
+@pytest.mark.parametrize("method", ["rk4", "exact"])
 @pytest.mark.parametrize("space", ["enlarged", "wwa"])
 def test_block_stepper_matches_one_step_per_matvec(
-    monkeypatch, space, route, block_bytes, t_max, stride
+    monkeypatch, space, method, block_bytes, t_max, stride
 ):
     # A block of B units per matvec against one unit per matvec: the same
     # sample times, and states equal up to the rounding of the powers.  Every
     # run here jumps a sample interval per unit, so a run has n_steps //
     # stride whole units, and a short one for the rest.
-    cfg = IntegratorConfig(dt=1e-3, t_max=t_max, sample_stride=stride)
+    cfg = IntegratorConfig(dt=1e-3, t_max=t_max, sample_stride=stride, method=method)
     blocks = []
     build = evolution._block_matrix
 
@@ -637,10 +638,10 @@ def test_block_stepper_matches_one_step_per_matvec(
 
     monkeypatch.setattr(evolution, "_block_matrix", spy)
     monkeypatch.setattr(evolution, "BLOCK_BYTES", block_bytes)
-    blocked = run_route(space, route, cfg)
+    blocked = run_method(space, cfg)
     calls = len(blocks)
     monkeypatch.setattr(evolution, "BLOCK_BYTES", 1)
-    single = run_route(space, route, cfg)
+    single = run_method(space, cfg)
     assert blocks[calls:] == [1] * calls
     assert calls == 0 or blocks[0] > 1 or cfg.n_steps // stride <= 1
     assert len(blocked) == cfg.n_samples
@@ -685,20 +686,21 @@ def spy_jumps(monkeypatch) -> list:
         (2688, 0.253, 10),
     ],
 )
-@pytest.mark.parametrize("route", ["rk4", "exact", "nonsingular"])
+@pytest.mark.parametrize("method", ["rk4", "exact"])
 @pytest.mark.parametrize("space", ["enlarged", "wwa"])
 def test_stride_run_samples_the_stride_one_run(
-    monkeypatch, space, route, block_bytes, t_max, stride
+    monkeypatch, space, method, block_bytes, t_max, stride
 ):
     # A run that jumps a sample interval per matvec row against every
-    # stride-th sample, and the final one, of the run at stride 1.
+    # stride-th sample, and the final one, of the run at stride 1.  A run of
+    # no steps builds no step, so it powers none.
     counts = spy_jumps(monkeypatch)
     monkeypatch.setattr(evolution, "BLOCK_BYTES", block_bytes)
-    cfg = IntegratorConfig(dt=1e-3, t_max=t_max, sample_stride=stride)
-    strided = run_route(space, route, cfg)
-    one = run_route(space, route, IntegratorConfig(dt=1e-3, t_max=t_max))
+    cfg = IntegratorConfig(dt=1e-3, t_max=t_max, sample_stride=stride, method=method)
+    strided = run_method(space, cfg)
+    one = run_method(space, IntegratorConfig(dt=1e-3, t_max=t_max, method=method))
     n = cfg.n_steps
-    assert counts == [(stride if n >= stride else 0, n % stride), (min(n, 1), 0)]
+    assert counts == ([(stride if n >= stride else 0, n % stride), (1, 0)] if n else [])
     at = cfg.sampled_steps()
     assert np.array_equal(strided.times, one.times[at])
     assert np.abs(strided.states - one.states[at]).max() <= 1e-12
@@ -722,8 +724,8 @@ def test_the_jump_is_built_only_where_it_pays(monkeypatch, t_max, stride, jumps)
     assert np.array_equal(traj.times, cfg.sampled_steps() * cfg.dt)
 
 
-# The route and unit that the cost rule gives each evolution at dt = 1e-3:
-# (d_s, d_f, t_max, stride, route, unit), where unit is the steps per matvec
+# The unit that the cost rule gives each evolution at dt = 1e-3:
+# (d_s, d_f, t_max, stride, method, unit), where unit is the steps per matvec
 # row of the stepper and 0 the direct RK4.  A run has two evolutions, the
 # enlarged space with the d_f of its decay block and the system space with
 # d_f = 0.
@@ -732,14 +734,15 @@ PLANS = [
     # earlier jump rule put it.  The shipped scenarios under rk4 and exact:
     # single-decay, two-level-decay and random (d_s = d_f = 2 at seed 42).
     *[
-        (d_s, d_f, t_max, stride, route, stride)
+        (d_s, d_f, t_max, stride, method, stride)
         for d_s, t_max, stride in ((1, 10.0, 10), (2, 10.0, 10), (2, 5.0, 5))
         for d_f in (d_s, 0)
-        for route in ("rk4", "exact")
+        for method in ("rk4", "exact")
     ],
-    # Their asymptotics propagations: 200 steps, one sample each.
-    (1, 1, 0.2, 1, "nonsingular", 1),
-    (2, 2, 0.2, 1, "nonsingular", 1),
+    # Their asymptotics propagations: 200 exact steps on the system block
+    # alone, one sample each.
+    (1, 0, 0.2, 1, "exact", 1),
+    (2, 0, 0.2, 1, "exact", 1),
     # large_d: random systems (d_f = d_s) at d_s 6, 12 and 16.
     *[(d_s, d_f, 0.5, 10, "rk4", 10) for d_s in (6, 12, 16) for d_f in (d_s, 0)],
     # The CI configs: rk4 at d_s 24 and 40 over 50 steps stays direct; exact
@@ -766,11 +769,11 @@ PLANS = [
 
 def test_the_cost_rule_plans_every_listed_run():
     wrong = []
-    for d_s, d_f, t_max, stride, route, unit in PLANS:
-        cfg = IntegratorConfig(dt=1e-3, t_max=t_max, sample_stride=stride)
-        got = evolution._plan(d_s, d_f, cfg, route)
+    for d_s, d_f, t_max, stride, method, unit in PLANS:
+        cfg = IntegratorConfig(dt=1e-3, t_max=t_max, sample_stride=stride, method=method)
+        got = evolution._plan(d_s, d_f, cfg)
         if got != unit:
-            wrong.append((d_s, d_f, t_max, stride, route, unit, got))
+            wrong.append((d_s, d_f, t_max, stride, method, unit, got))
     assert wrong == []
 
 
@@ -780,7 +783,7 @@ def test_a_run_the_rule_prices_direct_builds_no_step(monkeypatch):
     counts = spy_jumps(monkeypatch)
     spec, rho0, decay, model = random_member(seed=5, d_s=12)
     cfg = IntegratorConfig(dt=1e-3, t_max=0.002)
-    assert evolution._plan(12, spec.d_f, cfg, "rk4") == 0
+    assert evolution._plan(12, spec.d_f, cfg) == 0
     traj = evolve_enlarged(model, rho0, cfg)
     assert counts == [] and len(traj) == 3
 
@@ -876,17 +879,9 @@ def test_a_stride_run_names_the_step_that_overflows(monkeypatch, stride):
     assert len(counts) == 4 and all(jump == stride for jump, _ in counts)
 
 
-def test_nonsingular_refuses_a_dark_state():
-    # Gamma = diag(1, 0) with H = 0 leaves the second level undecayed, so
-    # L_ss has a zero eigenvalue and the fed block has no solve.
-    _, model = decay_only(2, np.diag([1.0, 0.0]))
-    with pytest.raises(NumericsError, match="the system-block Liouvillian is singular"):
-        propagate_nonsingular(model, np.diag([1.0, 0.0]), 10.0, 100)
-
-
 def test_every_step_is_built_in_float64(monkeypatch):
     # The steps are built from the real forms of L_ss and L_fs: every expm
-    # of a run, on either space and every route, is of a float64 matrix,
+    # of a run, on either space and by either method, is of a float64 matrix,
     # and so is every stacked step pair [E; Phi].
     inputs, pairs = [], []
     real_expm, step_blocks = evolution.expm, evolution._step_blocks
@@ -907,28 +902,29 @@ def test_every_step_is_built_in_float64(monkeypatch):
         cfg = IntegratorConfig(dt=1e-3, t_max=0.01, method=method)
         evolve_enlarged(model, rho0, cfg)
         evolve_wwa(spec, rho0, cfg)
-    propagate_nonsingular(model, rho0, 1.0, 10)
-    assert len(inputs) == 3 and len(pairs) == 5
+    assert len(inputs) == 2 and len(pairs) == 4
     assert set(inputs) == set(pairs) == {np.dtype(np.float64)}
 
 
-def test_nonsingular_propagates_a_singular_gamma_without_dark_state():
-    # The same singular Gamma with an H that mixes the two levels has no
-    # dark state: the system block decays completely, L_ss is invertible,
-    # and the solve agrees with the stacked expm of the exact method.
-    _, model = decay_only(2, np.diag([1.0, 0.0]), [[0.0, 0.3], [0.3, 0.1]])
-    rho0 = np.diag([1.0, 0.0])
-    traj = propagate_nonsingular(model, rho0, 20.0, 200)
-    exact = evolve_enlarged(model, rho0, IntegratorConfig(dt=0.1, t_max=20.0, method="exact"))
-    assert np.array_equal(traj.times, exact.times)
-    assert enlarged_gap(traj, exact) <= 1e-10
-    assert np.trace(traj.decay[-1]).real == pytest.approx(1.0 - np.trace(traj.states[-1]).real)
+@pytest.mark.parametrize("method", ["rk4", "exact"])
+@pytest.mark.parametrize("space", ["enlarged", "wwa"])
+def test_a_run_of_no_steps_builds_no_step(monkeypatch, space, method):
+    # An rk4 step of length 1e300 is not finite, but a run of no steps takes
+    # none: it returns the initial state without building a step.
+    built, step_blocks = [], evolution._step_blocks
+    monkeypatch.setattr(evolution, "_step_blocks", lambda *a: built.append(a) or step_blocks(*a))
+    spec, rho0, decay, model = random_member(seed=5, d_s=2)
+    cfg = IntegratorConfig(dt=1e300, t_max=0.0, method=method)
+    traj = evolve_enlarged(model, rho0, cfg) if space == "enlarged" else evolve_wwa(spec, rho0, cfg)
+    assert built == []
+    assert np.array_equal(traj.times, [0.0])
+    assert np.abs(traj.states[0] - rho0).max() <= 1e-15
 
 
 def test_superop_rejects_nonhermitian_initial_state():
     _, _, model = single_decay()
     cfg = IntegratorConfig(dt=1e-3, t_max=0.01)
-    with pytest.raises(NumericsError, match="initial state deviates from hermiticity"):
+    with pytest.raises(NotHermitianError, match="initial state deviates from hermiticity"):
         evolve_enlarged(model, [[1.0 + 0.1j]], cfg)
 
 
