@@ -385,7 +385,8 @@ def _cp_propagators(gen: np.ndarray, times):
     the first, and each later one as a binary power of the one before when
     their ratio is an integer within rounding, otherwise its own ``expm``.
     E(1) = E(0.1)^10 and E(5) = E(1)^5 take 7 products, which at d_s = 40
-    cost about 0.7 s against 2.9 s for two ``expm`` (one BLAS thread)."""
+    cost about 0.95 s against 4.1-4.2 s for two ``expm`` (one BLAS thread,
+    2-core Intel Xeon)."""
     prop = None
     for k, t in enumerate(times):
         ratio = t / times[k - 1] if k else 0.0
@@ -427,15 +428,16 @@ def _check_asymptotics(ctx: _RunContext) -> analysis.VerificationReport:
     # integrator; a fixed-step run to that horizon would be wasteful.  The
     # check reads only the system block, which evolves alone under L_ss, as
     # in the cp check, so the engine runs with an empty decay sector on the
-    # model's system-block equation without its feed: G = H - (i/2)(B†B +
-    # sum A†A), B†B and not Gamma, so that the check certifies the map the
-    # enlarged model generates.  It calls the engine, not evolve_wwa: this
-    # propagation is not one of the run's two evolutions, whose steps and
-    # spans bench/tracing.py counts at evolve_enlarged and evolve_wwa.
+    # model's system-block equation without its feed, whose real form is the
+    # L_ss rows of the one the run built: G = H - (i/2)(B†B + sum A†A), B†B
+    # and not Gamma, so that the check certifies the map the enlarged model
+    # generates.  It calls the engine, not evolve_wwa: this propagation is
+    # not one of the run's two evolutions, whose steps and spans
+    # bench/tracing.py counts at evolve_enlarged and evolve_wwa.
     horizon = 20.0 / float(ctx.dec.rates.min())
     cfg = IntegratorConfig(dt=horizon / ASYMPTOTICS_STEPS, t_max=horizon, method="exact")
     rho0 = evolution._check_initial(ctx.cfg.initial_state, ctx.spec.d_s)
-    traj = evolution._evolve(replace(ctx.model.system_equation, feed=None), rho0, cfg)
+    traj = evolution._evolve(ctx.model.system_equation.without_feed(), rho0, cfg)
     return analysis.asymptotics_check(traj, ctx.dec)
 
 

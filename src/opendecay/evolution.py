@@ -23,14 +23,17 @@ an empty decay sector, d_f = 0, and its own L_ss, built from H - (i/2) Gamma
 without B, so that the ``equivalence`` check still tests B†B = Gamma.  The
 asymptotics check runs the same engine with d_f = 0 on the enlarged model's
 own system-block equation, G = H - (i/2)(B†B + sum A†A) with jumps A and
-without its feed: that block evolves alone under L_ss, and the check reads
-nothing else.  Every step, power and propagator of [[L_ss, 0], [L_fs, 0]]
-is held as its stacked pair [E; Phi], its first block column.  The ``rk4``
-step has E = P(h L_ss) and Phi = h L_fs (I + a/2 + a^2/6 + a^3/24) for a =
-h L_ss; the ``exact`` step is :func:`opendecay.linalg.expm` of the stacked
-pair h [L_ss; L_fs], which works on pairs throughout and never builds the
-(d_s^2 + d_f^2)^2 block matrix (Van Loan, IEEE Trans. Autom. Control 23, 395
-(1978)).
+without its feed (``MasterEquation.without_feed``, whose real form is the
+L_ss rows of the fed one): that block evolves alone under L_ss, and the
+check reads nothing else.  Every step, power and propagator of [[L_ss, 0],
+[L_fs, 0]] is held as its stacked pair [E; Phi], its first block column.
+The ``rk4`` step has E = P(h L_ss) and Phi = h L_fs (I + a/2 + a^2/6 +
+a^3/24) for a = h L_ss; the ``exact`` step is :func:`opendecay.linalg.expm`
+of the stacked pair h [L_ss; L_fs], which works on pairs throughout and
+never builds the (d_s^2 + d_f^2)^2 block matrix (Van Loan, IEEE Trans.
+Autom. Control 23, 395 (1978)): a Taylor polynomial of the halved pair,
+its degree and the halvings picked from the 1-norm by the fewest products,
+with no linear solve, squared back up by the pair composition below.
 
 The stepper builds the run's step once, if the run has a step, and then
 advances a block of sample intervals per real matvec: ``exact`` always,

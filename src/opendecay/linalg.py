@@ -10,11 +10,16 @@ hermiticity, such as a Liouvillian, is a real matrix.
 takes a stacked pair [A; C], which stands for the block matrix [[A, 0], [C,
 0]] of a generator whose second sector is passive, and returns the first
 block column [E; Phi] of its exponential without building the block
-matrix.  Pairs compose by :func:`_then`, which the stepper's powers use too.
+matrix.  It is a truncated Taylor series with scaling and squaring: the
+degree and the number of halvings are picked from the input's 1-norm by
+the fewest matrix products, within backward-error bounds that make the
+series exact to the unit roundoff, and it takes no linear solve.  Pairs
+compose by :func:`_then`, which the stepper's powers use too.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -140,12 +145,21 @@ def _require_square(a: np.ndarray) -> None:
         raise DimensionError(f"expected a square matrix, got shape {a.shape}")
 
 
-def _frobenius_each(a: np.ndarray) -> np.ndarray:
-    # ||a||_F over the last two axes, without complex temporaries.
-    re, im = a.real, a.imag
-    return np.sqrt(
-        np.einsum("...ij,...ij->...", re, re) + np.einsum("...ij,...ij->...", im, im)
-    )
+def _squares(a: np.ndarray):
+    # ||a||_F^2 over the last two axes, from a float64 view of a, or of its
+    # transpose, whose rows are contiguous; a copy only when neither has
+    # them.  One matrix gives a float from one dot product.
+    if a.shape[-1] > 1 and a.strides[-1] != a.itemsize:
+        a = np.swapaxes(a, -1, -2)
+    if a.ndim == 2:
+        a = a.reshape(-1)
+    if a.shape[-1] > 1 and a.strides[-1] != a.itemsize:
+        a = np.ascontiguousarray(a)
+    if np.iscomplexobj(a):
+        a = a.view(a.real.dtype)
+    if a.ndim == 1:
+        return float(np.dot(a, a))
+    return np.einsum("...ij,...ij->...", a, a)
 
 
 def require_hermitian(a: np.ndarray, tol: float, where: str = "matrix") -> np.ndarray:
@@ -159,10 +173,15 @@ def require_hermitian(a: np.ndarray, tol: float, where: str = "matrix") -> np.nd
     with np.errstate(over="ignore", invalid="ignore"):  # judged below
         half = np.conj(np.swapaxes(a, -1, -2))
         half -= a  # a† - a, worked on in place to keep one temporary
-        dev = _frobenius_each(half)
-        bound = tol * np.maximum(1.0, _frobenius_each(a))
-    bad = np.flatnonzero(~(dev <= bound) | (dev == np.inf))
-    if bad.size:
+        if a.ndim == 2:  # one matrix, in Python floats; max keeps a NaN
+            dev = math.sqrt(_squares(half))
+            bound = tol * max(math.sqrt(_squares(a)), 1.0)
+            bad = [] if dev <= bound and dev != math.inf else [0]
+        else:
+            dev = np.sqrt(_squares(half))
+            bound = tol * np.maximum(1.0, np.sqrt(_squares(a)))
+            bad = np.flatnonzero(~(dev <= bound) | (dev == np.inf))
+    if len(bad):
         i = int(bad[0])
         name = where if a.ndim == 2 else f"{where} {i}"
         raise NotHermitianError(
@@ -200,10 +219,6 @@ def hermitian_eig(m, tol: float = 1e-10) -> HermitianEigen:
     return HermitianEigen(eigenvalues=lam, eigenvectors=v)
 
 
-# Coefficients of the diagonal order-6 Pade approximant of exp.
-_PADE6 = (1.0, 1.0 / 2.0, 5.0 / 44.0, 1.0 / 66.0, 1.0 / 792.0, 1.0 / 15840.0, 1.0 / 665280.0)
-
-
 def _then(first: np.ndarray, then: np.ndarray, n: int, out=None) -> np.ndarray:
     """The composition of stacked pairs of n columns: [E_b E_a; F_a + F_b
     E_a] for ``first`` = [E_a; F_a] followed by ``then`` = [E_b; F_b], the
@@ -216,6 +231,88 @@ def _then(first: np.ndarray, then: np.ndarray, n: int, out=None) -> np.ndarray:
     return out
 
 
+def _block(m: int) -> int:
+    # The block size k, at least 2 so that the Horner multiplier X^k is a
+    # product; of two sizes with the same products, the smaller holds fewer.
+    return max(2, math.isqrt(m))
+
+
+# The Taylor approximants of exp: (degree m, theta_m, products).  theta_m is
+# the largest ||X||_1 for which T_m(X) = exp(X + dX) with ||dX|| <= 2^-53 ||X||
+# (Higham, Functions of Matrices, SIAM 2008, Table A.3; Al-Mohy, Higham,
+# SIAM J. Sci. Comput. 33, 488 (2011)).  The degrees are those that
+# Paterson-Stockmeyer evaluation in blocks of k terms reaches with 1, 2, ...,
+# 9 products: k - 1 for the powers and (m - 1) // k for the Horner steps
+# (Paterson, Stockmeyer, SIAM J. Comput. 2, 60 (1973)).
+_TAYLOR = tuple(
+    (m, theta, _block(m) - 1 + (m - 1) // _block(m))
+    for m, theta in (
+        (2, 2.58e-8), (4, 3.40e-4), (6, 9.07e-3), (9, 8.96e-2), (12, 3.00e-1),
+        (16, 7.81e-1), (20, 1.44), (25, 2.43), (30, 3.54),
+    )
+)
+_INV_FACTORIALS = tuple(1.0 / math.factorial(k) for k in range(_TAYLOR[-1][0] + 1))
+
+
+def _taylor_plan(norm: float) -> tuple[int, int]:
+    """(m, s): the degree and the squarings of the fewest products in all,
+    and of the fewer squarings on a tie, for an input of 1-norm ``norm``;
+    s is the least with norm / 2^s <= theta_m.  A norm that overflows
+    raises OverflowError."""
+    best = None
+    for m, theta, products in _TAYLOR:
+        s = 0
+        if norm > theta:
+            s = math.ceil(math.log2(norm / theta))
+            # The quotient is rounded; the test below is exact.
+            if math.ldexp(norm, -s) > theta:
+                s += 1
+            elif s and math.ldexp(norm, 1 - s) <= theta:
+                s -= 1
+        if best is None or (products + s, s) < best[:2]:
+            best = (products + s, s, m)
+        if not s:  # every higher degree costs more products
+            break
+    return best[2], best[1]
+
+
+def _taylor(a: np.ndarray, scale: float, m: int, n: int) -> np.ndarray:
+    # The first block column of T_m(M) for M the stacked pair X = scale * a,
+    # by Paterson-Stockmeyer: the powers X^1..X^k, and Horner's rule in X^k
+    # over blocks of k terms, the last block running to X^k.  A step is M^k
+    # P(M), the stacked product X^k @ P[:n], since P(M) has the pair P as its
+    # first block column; the identity is [I; 0], added to the top block's
+    # diagonal.  X^1 is ``a`` itself, scaled where it is used, and two
+    # buffers take turns as the product and as the scratch of the scaled
+    # powers, so that besides X^2..X^k only they are held.  Scaling by a
+    # power of 2 is exact, so every array has the bits it would have from a
+    # scaled copy of ``a``.
+    k = _block(m)
+    top = a[:n] * scale if scale != 1.0 else a[:n]  # X^1's top block
+    powers = [None, a, a @ top]
+    if scale != 1.0:
+        powers[2] *= scale
+    for _ in range(k - 2):
+        powers.append(powers[-1] @ top)
+    del top
+    steps = (m - 1) // k
+    acc, spare = np.empty(a.shape, a.dtype), np.empty(a.shape, a.dtype)  # C order: see below
+    for j in range(steps, -1, -1):
+        if j < steps:
+            np.matmul(powers[k], acc[:n], out=spare)
+            acc, spare = spare, acc
+        for i in range(1, (m - j * k if j == steps else k - 1) + 1):
+            out = acc if j == steps and i == 1 else spare
+            np.multiply(powers[i], _INV_FACTORIALS[j * k + i], out=out)
+            if i == 1 and scale != 1.0:
+                out *= scale
+            if out is spare:
+                acc += spare
+        diagonal = acc.reshape(-1)[: n * n : n + 1]  # a view, as acc is C-contiguous
+        diagonal += _INV_FACTORIALS[j * k]
+    return acc
+
+
 def expm(m) -> np.ndarray:
     """Matrix exponential by scaling and squaring, of a square A or of a
     stacked pair [A; C] of n columns, A being n x n.
@@ -224,38 +321,23 @@ def expm(m) -> np.ndarray:
     exponential is [[E, 0], [Phi, I]]; the result is its first block column
     [E; Phi], and E = exp(A) alone for a square input.  M is never built
     (Van Loan, IEEE Trans. Autom. Control 23, 395 (1978)).  The input is
-    halved until its 1-norm, that of M, is at most 0.5, a diagonal Pade
-    approximant of order 6 is evaluated, and the result is squared back up.
+    halved s times and a truncated Taylor series of degree m is evaluated,
+    with m and s picked from the 1-norm of M by the fewest matrix products
+    (:func:`_taylor_plan`); the bounds theta_m make the approximant's
+    backward error at most the unit roundoff, so it needs no linear solve.
     Every power M^k, k >= 1, is [[A^k, 0], [C A^(k-1), 0]], so each is the
     stacked product x @ y[:n] of two lower powers, and the identity is the
-    pair [I; 0].  The denominator is then [[D, 0], [D_C, I]] and the
-    numerator [[N, 0], [N_C, I]], so E = D^-1 N by one solve of n columns,
-    and Phi = N_C - D_C E.  Each squaring is the composition :func:`_then`
-    of the pair with itself (Higham, SIAM J. Matrix Anal. Appl. 26, 1179
-    (2005)).  A real input stays real, at a quarter of the complex cost.
+    pair [I; 0].  The result is squared back up by the composition
+    :func:`_then` of the pair with itself (Higham, SIAM J. Matrix Anal.
+    Appl. 26, 1179 (2005)).  A real input stays real, at a quarter of the
+    complex cost.
     """
     a = as_matrix(m, np.float64 if np.isrealobj(m) else np.complex128)
     n = a.shape[1]
     if a.shape[0] < n:
         raise DimensionError(f"expected a square matrix or a stacked pair, got shape {a.shape}")
-    norm = float(np.linalg.norm(a, 1)) if n else 0.0
-    squarings = 0
-    if norm > 0.5:
-        squarings = int(np.ceil(np.log2(norm / 0.5)))
-        a = a / (2.0**squarings)
-    eye = np.eye(*a.shape, dtype=a.dtype)
-    c = _PADE6
-    a2 = a @ a[:n]
-    a4 = a2 @ a2[:n]
-    odd = a @ (c[1] * eye[:n] + c[3] * a2[:n] + c[5] * a4[:n])
-    del a
-    even = c[0] * eye + c[2] * a2 + c[4] * a4 + c[6] * (a2 @ a4[:n])
-    # Drop the powers before the solve, which holds two more n x n arrays.
-    del eye, a2, a4
-    pair, den = even + odd, even - odd  # the numerator becomes [E; Phi]
-    del even, odd
-    pair[:n] = np.linalg.solve(den[:n], pair[:n])
-    pair[n:] -= den[n:] @ pair[:n]
+    degree, squarings = _taylor_plan(float(np.linalg.norm(a, 1)) if n else 0.0)
+    pair = _taylor(a, 2.0**-squarings, degree, n)
     for _ in range(squarings):
         pair = _then(pair, pair, n)
     return pair

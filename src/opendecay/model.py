@@ -27,7 +27,7 @@ from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from functools import cached_property
 
 import numpy as np
@@ -161,6 +161,14 @@ class MasterEquation:
             if d_f:
                 out[n_s:, i:j] = basis_f.coords(_outer_sum((feed_cols,), r, c, g, d_f)).T
         return out
+
+    def without_feed(self) -> MasterEquation:
+        """The same equation with no feed, d_f = 0: the system block alone.
+        Its real form is L_ss, the first d^2 rows of :attr:`real_form`, which
+        it shares instead of building them again."""
+        eq = replace(self, feed=None)
+        eq.__dict__["real_form"] = self.real_form[: self.generator.shape[0] ** 2]
+        return eq
 
     def liouvillian(self) -> Liouvillian:
         """L = -i I(x)G + i conj(G)(x)I + sum_k conj(K)(x)K: the column-stacking

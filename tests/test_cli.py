@@ -307,9 +307,9 @@ def test_run_without_checks_gates_its_samples(monkeypatch):
 def test_run_builds_the_system_real_form_once(monkeypatch):
     # The enlarged run's step and the cp check take the real form of the
     # model's system-block equation, which is built once.  The system-space
-    # run builds the real form of its own equation, and the asymptotics
-    # check that of the system-block equation without its feed, whose
-    # generator is the same array: three builds in all, one per equation.
+    # run builds the real form of its own equation.  The asymptotics check
+    # runs the system-block equation without its feed, whose real form is the
+    # L_ss rows of the first, shared and not built: two builds in all.
     cfg = parse_config(builtin_scenario_path("random").read_text())
     assert {"cp", "asymptotics"} <= set(cfg.checks)
     build, built = MasterEquation.real_form.func, []
@@ -323,9 +323,8 @@ def test_run_builds_the_system_real_form_once(monkeypatch):
     monkeypatch.setattr(MasterEquation, "real_form", spy)
     result = run_scenario(short(cfg, t_max=1.0), write=False)
     assert result.exit_status == 0
-    assert len(built) == 3 and len({id(e) for e in built}) == 3
-    assert [e.feed.shape[0] for e in built] == [cfg.system.d_f, 0, 0]
-    assert built[2].generator is built[0].generator
+    assert len(built) == 2 and len({id(e) for e in built}) == 2
+    assert [e.feed.shape[0] for e in built] == [cfg.system.d_f, 0]
 
 
 # -- command line ----------------------------------------------------------------

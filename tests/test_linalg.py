@@ -1,7 +1,9 @@
+import math
+
 import numpy as np
 import pytest
 
-from opendecay import cli
+from opendecay import cli, linalg
 from opendecay.analysis import ChoiMatrix, check_cp, check_positivity, mixedness
 from opendecay.errors import DimensionError, NotHermitianError, ValidationError
 from opendecay.evolution import Trajectory
@@ -315,6 +317,132 @@ def test_expm_matches_scipy_on_stiff_liouvillians(d_s, seed, scale):
         out = expm(pair * t)
         assert out.shape == (n, n_s) and out.dtype == np.float64
         assert np.linalg.norm(out - ref) <= 1e-12 * np.linalg.norm(ref)
+
+
+def _generator_inputs(d_s, seed):
+    # The generator of a random model as the four kinds of input: L_ss and
+    # the pair [L_ss; L_fs], in real coordinates and as complex vec()
+    # superoperators taken from the enlarged Kronecker Liouvillian.
+    spec, _ = random_system(seed, d_s, n_lindblad=2)
+    decay = build_decay_operator(decompose_gamma(spec.decay_matrix), spec.d_f)
+    model = embed_operators(spec, decay)
+    real = model.system_equation.real_form
+    d_tot = model.d_tot
+    idx = np.arange(d_tot * d_tot).reshape((d_tot, d_tot), order="F")
+    ss, ff = idx[:d_s, :d_s].ravel(order="F"), idx[d_s:, d_s:].ravel(order="F")
+    full = model.liouvillian.matrix
+    pair = full[np.concatenate((ss, ff))][:, ss]
+    return {"square real": real[: d_s * d_s], "pair real": real,
+            "square complex": pair[: d_s * d_s], "pair complex": pair}
+
+
+def _block_column(sl, pair):
+    # The first n columns of exp([[A, 0], [C, 0]]) for the pair [A; C].
+    n = pair.shape[1]
+    aug = np.zeros((pair.shape[0],) * 2, dtype=pair.dtype)
+    aug[:, :n] = pair
+    return sl.expm(aug)[:, :n]
+
+
+@pytest.mark.parametrize("norm", [1e-6, 1e-4, 1e-2, 1.0, 1e2, 1e4])
+@pytest.mark.parametrize("d_s, seed", [(2, 7), (3, 8)])
+def test_expm_matches_scipy_from_tiny_to_large_norms(d_s, seed, norm):
+    # Every kind of input, scaled to the 1-norm ``norm``: square and pair,
+    # real and complex, in C and in Fortran order.  At 1e4 the system block
+    # has decayed below the smallest float, and both give exact zeros there.
+    sl = pytest.importorskip("scipy.linalg")
+    for kind, m in _generator_inputs(d_s, seed).items():
+        m = m * (norm / np.linalg.norm(m, 1))
+        want = _block_column(sl, m)
+        for a in (np.ascontiguousarray(m), np.asfortranarray(m)):
+            got = expm(a)
+            assert got.shape == m.shape and got.dtype == m.dtype, kind
+            assert np.linalg.norm(got - want) <= 1e-13 * np.linalg.norm(want), kind
+
+
+@pytest.mark.parametrize("norm", [1e-6, 1e-2, 1.0, 3.0, 10.0])
+@pytest.mark.parametrize("kind", ["pair real", "pair complex"])
+@pytest.mark.parametrize("d_s, seed", [(2, 7), (3, 8), (4, 9)])
+def test_expm_pair_rows_match_the_square_exponential(d_s, seed, kind, norm):
+    # [E; Phi] of the pair has exp(A) as its first n rows, although the
+    # pair's larger norm may pick another degree and more squarings.  From a
+    # norm of about 30 the decayed E differs by more, up to 4e-15 relative at
+    # 1e2, as two plans' rounding is amplified by the squarings.
+    pair = _generator_inputs(d_s, seed)[kind]
+    pair = pair * (norm / np.linalg.norm(pair, 1))
+    n = pair.shape[1]
+    square = expm(pair[:n])
+    assert np.linalg.norm(expm(pair)[:n] - square) <= 1e-15 * np.linalg.norm(square)
+
+
+def test_expm_takes_no_linear_solve(monkeypatch):
+    # The Taylor approximant needs no solve and no inverse, at any degree.
+    def refuse(*args, **kwargs):
+        raise AssertionError("expm called a linear solve")
+
+    for name in ("solve", "inv", "lstsq"):
+        monkeypatch.setattr(np.linalg, name, refuse)
+    m = _generator_inputs(3, 8)["pair complex"]
+    for norm in (0.0, 1e-8, 1e-3, 0.5, 2.0, 3.0, 1e3):
+        for a in (m, m.real, m[: m.shape[1]]):
+            expm(a * (norm / np.linalg.norm(a, 1)))
+
+
+def _plan_oracle(norm):
+    # The rule by brute force: for each degree the fewest halvings that bring
+    # the norm to theta_m, then the fewest products in all, and on a tie the
+    # fewer squarings.
+    best = None
+    for m, theta, products in linalg._TAYLOR:
+        s = 0
+        while math.ldexp(norm, -s) > theta:
+            s += 1
+        if best is None or (products + s, s) < best[0]:
+            best = (products + s, s), (m, s)
+    return best[1]
+
+
+def test_taylor_degrees_are_the_paterson_stockmeyer_optimal_ones():
+    # Degree m costs min over k of (k - 1) + (m - 1) // k products, and each
+    # tabled degree is the highest that its product count reaches.
+    def cost(m):
+        return min(k - 1 + (m - 1) // k for k in range(1, m + 1))
+
+    table = [(m, products) for m, _, products in linalg._TAYLOR]
+    assert table == [(max(m for m in range(2, 40) if cost(m) <= p), p) for p in range(1, 10)]
+    assert all(cost(m) == p == linalg._block(m) - 1 + (m - 1) // linalg._block(m) for m, p in table)
+
+
+def test_taylor_plan_at_the_theta_boundaries():
+    # Just below, at and just above theta_m 2^s the rule's choice changes
+    # where the brute force's does; the 1-norm 2.06 of 0.1 L_ss of the
+    # d_s = 16 benchmark model takes degree 25 and no squaring.
+    assert linalg._taylor_plan(2.06) == (25, 0)
+    assert linalg._taylor_plan(2.43) == (25, 0)
+    assert linalg._taylor_plan(math.nextafter(2.43, math.inf)) == (20, 1)
+    assert linalg._taylor_plan(0.0) == (2, 0)
+    for _, theta, _ in linalg._TAYLOR:
+        for s in range(4):
+            edge = math.ldexp(theta, s)
+            for norm in (math.nextafter(edge, 0.0), edge, math.nextafter(edge, math.inf)):
+                m, squarings = linalg._taylor_plan(norm)
+                assert (m, squarings) == _plan_oracle(norm), norm
+                theta_m = dict((d, t) for d, t, _ in linalg._TAYLOR)[m]
+                assert math.ldexp(norm, -squarings) <= theta_m
+                assert squarings == 0 or math.ldexp(norm, 1 - squarings) > theta_m
+
+
+@pytest.mark.parametrize("shape", [(0, 0), (3, 0)])
+def test_expm_of_no_columns_is_empty(shape):
+    for dtype in (np.float64, np.complex128):
+        out = expm(np.zeros(shape, dtype=dtype))
+        assert out.shape == shape and out.dtype == dtype
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_expm_rejects_non_finite_input(bad):
+    with pytest.raises(ValueError, match="non-finite"):
+        expm(np.array([[0.0, bad], [0.0, 0.0]]))
 
 
 @pytest.mark.parametrize("shape", [(3, 4), (4,)], ids=["wide", "one-dimensional"])

@@ -408,6 +408,21 @@ def test_real_form_is_the_subspace_block_of_the_full_liouvillian(corpus):
             assert np.abs(got - full.real).max() <= 1e-13
 
 
+def test_equation_without_feed_shares_the_system_rows_of_the_real_form(corpus):
+    # The system block alone: the same generator and jumps with d_f = 0, and
+    # the L_ss rows of the fed real form as its own, bit for bit the real
+    # form a build without the feed gives, with nothing built again.
+    for m in corpus:
+        eq = m.model.system_equation
+        alone = eq.without_feed()
+        n_s = m.spec.d_s**2
+        assert alone.feed.shape == (0, m.spec.d_s)
+        assert alone.generator is eq.generator and alone.jumps is eq.jumps
+        assert np.shares_memory(alone.real_form, eq.real_form)
+        assert np.array_equal(alone.real_form, eq.real_form[:n_s])
+        assert np.array_equal(alone.real_form, MasterEquation(eq.generator, eq.jumps).real_form)
+
+
 def test_system_propagator_is_system_block_of_full_propagator(corpus):
     # No s<-f coupling makes L block-triangular, so exp(tL) restricted to the
     # system block is exp(t L_ss).
