@@ -27,11 +27,14 @@ without its feed (``MasterEquation.without_feed``, whose real form is the
 L_ss rows of the fed one): that block evolves alone under L_ss, and the
 check reads nothing else.  Every step, power and propagator of [[L_ss, 0],
 [L_fs, 0]] is held as its stacked pair [E; Phi], its first block column.
-The ``rk4`` step has E = P(h L_ss) and Phi = h L_fs (I + a/2 + a^2/6 +
-a^3/24) for a = h L_ss; the ``exact`` step is :func:`opendecay.linalg.expm`
-of the stacked pair h [L_ss; L_fs], which works on pairs throughout and
-never builds the (d_s^2 + d_f^2)^2 block matrix (Van Loan, IEEE Trans.
-Autom. Control 23, 395 (1978)): a Taylor polynomial of the halved pair,
+Both steps are Taylor polynomials of the stacked pair h [L_ss; L_fs],
+evaluated by the one kernel of :mod:`opendecay.linalg`, which works on
+pairs throughout and never builds the (d_s^2 + d_f^2)^2 block matrix (Van
+Loan, IEEE Trans. Autom. Control 23, 395 (1978)).  The ``rk4`` step is
+P(h M) for M = [[L_ss, 0], [L_fs, 0]], the kernel at degree 4 in 2 stacked
+products, 2 n n_s^2 multiply-adds for the n = d_s^2 + d_f^2 rows and n_s =
+d_s^2 columns of the pair.  The ``exact`` step is
+:func:`opendecay.linalg.expm` of the pair: the kernel on the halved pair,
 its degree and the halvings picked from the 1-norm by the fewest products,
 with no linear solve, squared back up by the pair composition below.
 
@@ -91,7 +94,9 @@ One cost rule, :func:`_plan`, decides how a run goes.  From d_s, d_f, the
 step count, the stride, the interval count and the method, it prices one
 step per matvec row, one sample interval per row and, for ``rk4`` only, the
 direct RK4, in multiply-adds at the rate of the stepper's matvecs, and takes
-the cheapest; ``exact`` only picks the unit.
+the cheapest; ``exact`` only picks the unit.  The direct RK4 is weighed
+against the stepper plus its step build, the kernel's 2 n n_s^2 for ``rk4``
+at the products' rate.
 
 Without a short interval the jump pays when P d_s^2 < PRODUCT_SPEEDUP I (S -
 1): the fed rows scale both sides alike.  PRODUCT_SPEEDUP = 8 is the
@@ -146,6 +151,7 @@ import numpy as np
 
 from .errors import DimensionError, GridError, NumericsError
 from .linalg import HermitianBasis, _then, as_matrix, expm, frobenius, require_hermitian, unvec, vec
+from .linalg import _TAYLOR, _taylor
 from .model import (
     DEFAULT_HERMITICITY_TOL,
     DecayOperator,
@@ -170,6 +176,9 @@ BLOCK_BYTES = 64 * 1024
 # powering) run than its matvecs, in the cost rule (_plan); the module
 # docstring gives the measurements.
 PRODUCT_SPEEDUP = 8
+# The stacked products of the rk4 step build, linalg's degree-4 Taylor
+# polynomial; the cost rule (_plan) prices the build with it.
+_RK4_PRODUCTS = next(products for m, _, products in _TAYLOR if m == 4)
 # Largest step count t_max/dt an IntegratorConfig accepts.  A step costs
 # ~0.1-0.3 us (stepper in blocks, d_s <= 2) to ~0.3 ms (direct RK4 on the
 # enlarged space at d_s = 30), so this caps one evolution at about a second
@@ -536,8 +545,9 @@ def _plan(d: int, d_f: int, cfg: IntegratorConfig) -> int:
       (G rho, rho G† and K rho K† of one jump) at PRODUCT_SPEEDUP.
 
     The stepper takes the cheaper unit; ``rk4`` (``cfg.method``) takes the
-    direct RK4 where it costs less than that unit plus the step build, whose
-    products take (2 n_s + n) n_s^2 multiply-adds at the products' rate.
+    direct RK4 where it costs less than that unit plus the step build, the
+    _RK4_PRODUCTS = 2 stacked products of linalg's degree-4 Taylor polynomial,
+    2 n n_s^2 multiply-adds at the products' rate.
     ``exact`` only picks the unit: its build is the same for both.  Neither
     method counts the real form [L_ss; L_fs], O(d^4) work cached per
     equation and shared with the ``cp`` check.  A run of no steps takes the
@@ -556,7 +566,7 @@ def _plan(d: int, d_f: int, cfg: IntegratorConfig) -> int:
     unit = cfg.sample_stride if jump < one else 1
     if cfg.method != "rk4":
         return unit
-    build = (2 * n_s + n) * n_s * n_s / PRODUCT_SPEEDUP
+    build = _RK4_PRODUCTS * n * n_s * n_s / PRODUCT_SPEEDUP
     direct = steps * (DIRECT_STEP + 64 * d**3 / PRODUCT_SPEEDUP)
     return 0 if direct < build + min(one, jump) else unit
 
@@ -639,27 +649,18 @@ def _step_blocks(gen: np.ndarray, h: float, method: str) -> np.ndarray:
     form ``gen`` = [L_ss; L_fs] of n_s = d_s^2 columns; float64 throughout.
     With d_f = 0, ``gen`` is the square L_ss and the pair is E alone.
 
-    ``rk4``: E = P(a), Phi = h L_fs (I + a/2 + a^2/6 + a^3/24), a = h L_ss.
+    ``rk4``: the degree-4 Taylor polynomial of the stacked pair h [L_ss;
+    L_fs], the first block column of P(M) for M = h [[L_ss, 0], [L_fs, 0]]:
+    for the linear autonomous equation dx/dt = L x, one classical RK4 step
+    is exactly that matrix.  It is :func:`opendecay.linalg._taylor` with h
+    as its scale, in 2 stacked products of n n_s^2 multiply-adds for the n
+    rows of ``gen``, and holds no scaled copy of ``gen``.
     ``exact``: :func:`expm` of the stacked pair h [L_ss; L_fs], the first
-    block column of exp([[a, 0], [h L_fs, 0]]).
+    block column of exp(M).
     """
-    n_s = gen.shape[1]
     if method == "exact":
         return expm(gen * h)
-    a = gen[:n_s] * h
-    # E = I + a + a^2/2 + a^3/6 + a^4/24 in Horner form: for the linear
-    # autonomous equation dx/dt = L x with a = dt L, one classical RK4 step
-    # is exactly this matrix.  phi ends as its inner factor.  The blocks are
-    # written into the pair, which holds no third copy of them.
-    eye = np.eye(n_s)
-    phi = eye + a / 4.0
-    phi = eye + (a @ phi) / 3.0
-    phi = eye + (a @ phi) / 2.0
-    pair = np.empty(gen.shape)
-    np.matmul(a, phi, out=pair[:n_s])
-    pair[:n_s] += eye
-    np.matmul(gen[n_s:] * h, phi, out=pair[n_s:])
-    return pair
+    return _taylor(gen, h, 4, gen.shape[1])
 
 
 def _evolve(equation, rho0, cfg: IntegratorConfig):
@@ -719,10 +720,13 @@ def _evolve(equation, rho0, cfg: IntegratorConfig):
             h0 = np.concatenate((basis.coords(rho0), np.zeros(d_f * d_f)))
 
             def build():  # the stacked step [E; Phi]
-                pair = _step_blocks(gen, dt, cfg.method)
-                if not np.isfinite(pair).all():
-                    raise NumericsError(f"the {cfg.method} step of length {dt:g} is not finite")
-                return pair
+                try:
+                    pair = _step_blocks(gen, dt, cfg.method)
+                    if np.isfinite(pair).all():
+                        return pair
+                except (ValueError, OverflowError):  # exact: dt L, or its 1-norm, overflows
+                    pass
+                raise NumericsError(f"the {cfg.method} step of length {dt:g} is not finite")
 
             times, states, decay = _evolve_steps(build, h0, (d, d_f), cfg, unit)
     return Trajectory(times=times, states=states, decay=decay if d_f else None)

@@ -13,8 +13,10 @@ block column [E; Phi] of its exponential without building the block
 matrix.  It is a truncated Taylor series with scaling and squaring: the
 degree and the number of halvings are picked from the input's 1-norm by
 the fewest matrix products, within backward-error bounds that make the
-series exact to the unit roundoff, and it takes no linear solve.  Pairs
-compose by :func:`_then`, which the stepper's powers use too.
+series exact to the unit roundoff, and it takes no linear solve.  Its
+Taylor kernel also builds the stepper's ``rk4`` step, the polynomial of
+degree 4.  Pairs compose by :func:`_then`, which the stepper's powers use
+too.
 """
 
 from __future__ import annotations
@@ -227,7 +229,8 @@ def _then(first: np.ndarray, then: np.ndarray, n: int, out=None) -> np.ndarray:
     ``then`` may be a stack of pairs, and the result is written to ``out``
     when given."""
     out = np.matmul(then, first[:n], out=out)
-    out[..., n:, :] += first[n:]
+    if len(first) > n:  # the add costs 1 us even when empty
+        out[..., n:, :] += first[n:]
     return out
 
 
@@ -285,8 +288,9 @@ def _taylor(a: np.ndarray, scale: float, m: int, n: int) -> np.ndarray:
     # diagonal.  X^1 is ``a`` itself, scaled where it is used, and two
     # buffers take turns as the product and as the scratch of the scaled
     # powers, so that besides X^2..X^k only they are held.  Scaling by a
-    # power of 2 is exact, so every array has the bits it would have from a
-    # scaled copy of ``a``.
+    # power of 2 is exact, so for expm's scales every array has the bits it
+    # would have from a scaled copy of ``a``; another scale, such as the rk4
+    # step's h, rounds differently, at the level of the unit roundoff.
     k = _block(m)
     top = a[:n] * scale if scale != 1.0 else a[:n]  # X^1's top block
     powers = [None, a, a @ top]

@@ -239,13 +239,17 @@ def validate_spec(spec: SystemSpec, tol: float = DEFAULT_HERMITICITY_TOL) -> Sys
     """Check hermiticity of H and Gamma, positivity of Gamma, and that the
     decay space is large enough (d_f >= rank Gamma).  Returns ``spec``
     unchanged when every invariant holds.
+
+    Gamma fails below the eigenvalue -``tol`` and below the relative bound of
+    :func:`decompose_gamma`, which the run decomposes it with, and its rank
+    is that decomposition's: the eigenvalues come from the same ``eigh`` of
+    the same symmetrized copy, and the zero cut is the same.
     """
     require_hermitian(spec.hamiltonian, tol, "H")
-    gamma = require_hermitian(spec.decay_matrix, tol, "Gamma")
-    lam = np.linalg.eigvalsh(gamma)
-    if lam[0] < -tol:
-        raise NotPSDError(f"Gamma has eigenvalue {lam[0]:.3e} < -{tol:g}")
-    cut = DEFAULT_ZERO_TOL * max(1.0, frobenius(gamma))
+    lam = np.linalg.eigh(require_hermitian(spec.decay_matrix, tol, "Gamma"))[0]
+    cut = DEFAULT_ZERO_TOL * max(1.0, frobenius(spec.decay_matrix))
+    if lam[0] < -min(tol, cut):
+        raise NotPSDError(f"Gamma has eigenvalue {lam[0]:.3e} < -{min(tol, cut):.3g}")
     rank = int(np.count_nonzero(lam > cut))
     if spec.d_f < rank:
         raise DimensionError(

@@ -66,6 +66,29 @@ def test_parse_rejects_non_psd_gamma():
         parse_config(json.dumps(doc))
 
 
+def test_main_exit_2_on_gamma_the_run_would_reject(tmp_path, monkeypatch, capsys):
+    # Gamma = diag(1, -5e-11) is above the absolute bound -1e-10 but below
+    # the relative one that decompose_gamma applies in the run, -1e-12 max(1,
+    # ||Gamma||_F): parsing rejects it (exit 2), and no run starts.
+    pairs = cli._matrix_to_json
+    doc = {
+        "name": "negative-rate",
+        "system": {
+            "d_s": 2, "d_f": 2, "H": pairs(np.zeros((2, 2))), "Gamma": pairs(np.diag([1.0, -5e-11])),
+        },
+        "initial_state": pairs(np.diag([1.0, 0.0])),
+        "integrator": {"dt": 1e-3, "t_max": 0.01},
+        "checks": ["trace"],
+    }
+    with pytest.raises(ValidationError, match="eigenvalue -5.000e-11"):
+        parse_config(json.dumps(doc))
+    path = tmp_path / "negative-rate.json"
+    path.write_text(json.dumps(doc))
+    monkeypatch.setattr(cli, "run_scenario", lambda *a, **k: pytest.fail("run started"))
+    assert main(["simulate", str(path), "--out", str(tmp_path / "out")]) == 2
+    assert "eigenvalue -5.000e-11" in capsys.readouterr().err
+
+
 def test_parse_rejects_small_decay_space():
     doc = json.loads(SINGLE_DECAY)
     doc["system"]["d_s"] = 2
@@ -481,6 +504,21 @@ def test_main_exit_3_on_overflowing_operator(tmp_path, capsys, method):
     path.write_text(json.dumps(doc))
     assert main(["simulate", str(path), "--out", str(tmp_path / "out"), "--method", method]) == 3
     assert "generator G has entries that are not finite" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
+def test_main_exit_3_on_an_exact_step_that_overflows(tmp_path, capsys):
+    # dt Gamma = 4e308 overflows: the exact step ends in a numerical error
+    # (exit 3), as the rk4 step does, not in a traceback (exit 1).
+    doc = json.loads(SINGLE_DECAY)
+    doc["system"]["Gamma"] = [[[4.0, 0.0]]]
+    doc["integrator"] = {"dt": 1e308, "t_max": 1e308, "method": "exact"}
+    path = tmp_path / "overflow.json"
+    path.write_text(json.dumps(doc))
+    assert main(["simulate", str(path), "--out", str(tmp_path / "out")]) == 3
+    captured = capsys.readouterr()
+    assert "numerical error: the exact step of length 1e+308 is not finite" in captured.err
+    assert "Traceback" not in captured.err + captured.out
     assert not (tmp_path / "out").exists()
 
 

@@ -1,3 +1,4 @@
+import tracemalloc
 import warnings
 from dataclasses import replace
 
@@ -859,6 +860,20 @@ def test_stepper_refuses_a_last_state_that_overflows():
         evolve_enlarged(model, [[1.0]], IntegratorConfig(dt=5.0, t_max=5.0 * 272))
 
 
+@pytest.mark.parametrize("gamma", [4.0, 1.0])
+def test_an_exact_step_that_overflows_ends_in_numerics_error(gamma):
+    # At Gamma 4 the entries of dt [L_ss; L_fs] = dt [-4; 4] overflow; at
+    # Gamma 1 they are finite, but the 1-norm, 2e308, overflows.  Either ends
+    # in the same NumericsError as an rk4 step that overflows, with no
+    # warning and no other exception.
+    _, _, model = single_decay(gamma=gamma)
+    cfg = IntegratorConfig(dt=1e308, t_max=1e308, method="exact")
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(NumericsError, match="the exact step of length 1e\\+308 is not finite"):
+            evolve_enlarged(model, [[1.0]], cfg)
+
+
 @pytest.mark.parametrize("stride", [7, 10])
 def test_a_stride_run_names_the_step_that_overflows(monkeypatch, stride):
     # A run that jumps 7 or 10 steps per matvec row replays the interval in
@@ -904,6 +919,40 @@ def test_every_step_is_built_in_float64(monkeypatch):
         evolve_wwa(spec, rho0, cfg)
     assert len(inputs) == 2 and len(pairs) == 4
     assert set(inputs) == set(pairs) == {np.dtype(np.float64)}
+
+
+@pytest.mark.parametrize("d_s", range(1, 7))
+def test_rk4_pair_is_the_first_block_column_of_the_degree_4_polynomial(d_s):
+    # One classical RK4 step of dx/dt = L x is I + M + M^2/2 + M^3/6 + M^4/24
+    # for M = h [[L_ss, 0], [L_fs, 0]], and the pair is its first block
+    # column: against numpy's powers of the block matrix, on the square real
+    # form of the system space and the stacked one of the enlarged space.
+    spec, rho0, decay, model = random_member(seed=5, d_s=d_s)
+    for gen in (spec.equation.real_form, model.system_equation.real_form):
+        n, n_s = gen.shape
+        for h in (1e-3, 0.05, 0.3):
+            m = np.zeros((n, n))
+            m[:, :n_s] = h * gen
+            powers = [np.linalg.matrix_power(m, k) for k in range(5)]
+            want = sum(p / f for p, f in zip(powers, (1, 1, 2, 6, 24)))[:, :n_s]
+            got = evolution._step_blocks(gen, h, "rk4")
+            assert got.shape == gen.shape
+            assert np.linalg.norm(got - want) <= 1e-15 * np.linalg.norm(want)
+
+
+@pytest.mark.parametrize("d_s", [12, 16])
+def test_rk4_build_holds_three_pairs(d_s):
+    # Beyond the cached real form, the build holds M^2, the result and one
+    # scratch pair, and no scaled copy of the real form, on either space.
+    spec, rho0, decay, model = random_member(seed=5, d_s=d_s)
+    for gen in (spec.equation.real_form, model.system_equation.real_form):
+        tracemalloc.start()
+        try:
+            evolution._step_blocks(gen, 1e-3, "rk4")
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 3.1 * gen.nbytes, (gen.shape, peak / gen.nbytes)
 
 
 @pytest.mark.parametrize("method", ["rk4", "exact"])

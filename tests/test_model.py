@@ -100,6 +100,39 @@ def test_decompose_zero_matrix():
     assert dec.rates.size == 0
 
 
+@pytest.mark.parametrize("scale", [1.0, 1e3])
+def test_validate_agrees_with_the_run_decomposition(scale):
+    # Around the bound -1e-10, the relative bound and the zero cut of
+    # decompose_gamma, 1e-12 max(1, ||Gamma||_F): validate_spec rejects every
+    # Gamma that decompose_gamma rejects, and where both pass it counts the
+    # same rank (d_f = rank passes, d_f = rank - 1 does not).
+    def outcome(gamma, d_f):
+        d = len(gamma)
+        try:
+            validate_spec(SystemSpec(d_s=d, d_f=d_f, hamiltonian=np.zeros((d, d)), decay_matrix=gamma))
+        except (NotPSDError, DimensionError) as e:
+            return type(e)
+
+    rng = np.random.default_rng(7)
+    rejected = ranked = 0
+    for d in (2, 3, 5):
+        u = np.linalg.qr(rng.normal(size=(d, d)) + 1j * rng.normal(size=(d, d)))[0]
+        for bound in (1e-10, 1e-12 * max(1.0, scale * np.sqrt(d - 1))):
+            for x in bound * np.array([-1.001, -1.0, -0.999, 0.999, 1.0, 1.001]):
+                gamma = (u * np.r_[np.full(d - 1, scale), x]) @ u.conj().T
+                try:
+                    rank = decompose_gamma(gamma).rank
+                except NotPSDError:
+                    assert outcome(gamma, d) is NotPSDError
+                    rejected += 1
+                    continue
+                if outcome(gamma, rank) is not NotPSDError:  # -1e-10 rejects more
+                    assert outcome(gamma, rank) is None
+                    assert outcome(gamma, rank - 1) is DimensionError
+                    ranked += 1
+    assert rejected and ranked
+
+
 def test_decompose_keeps_a_huge_rate():
     dec = decompose_gamma([[1e200]])
     assert dec.rank == 1 and dec.rates[0] == 1e200
