@@ -14,9 +14,9 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import DimensionError
-from .evolution import Trajectory
-from .linalg import frobenius, require_hermitian
-from .model import DEFAULT_HERMITICITY_TOL, GammaDecomposition
+from .evolution import Trajectory, _check_rate_time
+from .linalg import DEFAULT_HERMITICITY_TOL, frobenius, require_hermitian
+from .model import GammaDecomposition
 
 TRACE_TARGET = 1.0  # the total trace the enlarged evolution conserves
 # Tolerances of the asymptotics check's exponential bound and final limits.
@@ -29,6 +29,7 @@ __all__ = [
     "VerificationReport",
     "apply_kraus",
     "asymptotics_check",
+    "asymptotics_horizon",
     "check_cp",
     "check_positivity",
     "check_trace",
@@ -170,6 +171,12 @@ def mixedness(rho) -> float:
     return float(np.trace(sym @ sym).real)
 
 
+def asymptotics_horizon(dec: GammaDecomposition) -> float:
+    """20/gamma0, for the smallest decay rate gamma0: the time that the run
+    checked by :func:`asymptotics_check` must reach."""
+    return 20.0 / float(dec.rates.min())
+
+
 def asymptotics_check(traj: Trajectory, dec: GammaDecomposition) -> VerificationReport:
     """Decay limits for a non-singular decay matrix, from the system blocks
     ``traj.states`` alone, of any trajectory: an enlarged run's decay blocks
@@ -199,8 +206,7 @@ def asymptotics_check(traj: Trajectory, dec: GammaDecomposition) -> Verification
             tolerance=float("nan"),
             meta={"reason": "decay matrix is singular", "null_dim": dec.null_dim},
         )
-    gamma0 = float(dec.rates.min())
-    horizon = 20.0 / gamma0
+    gamma0, horizon = float(dec.rates.min()), asymptotics_horizon(dec)
     t_end = float(traj.times[-1])
     traces = traj.traces[0]
     tr0 = float(traces[0])
@@ -260,10 +266,7 @@ class KrausPair:
 def kraus_amplitude_damping(rate: float, t: float) -> KrausPair:
     """Kraus pair of the single decay channel at time ``t`` with damping
     probability p = 1 - exp(-rate * t)."""
-    if not 0 <= rate < math.inf:  # a NaN fails too
-        raise ValueError("rate must be non-negative and finite")
-    if not 0 <= t < math.inf:
-        raise ValueError("t must be non-negative and finite")
+    _check_rate_time(rate, t)
     p = -math.expm1(-rate * t)
     m0 = np.array([[math.sqrt(1.0 - p), 0.0], [0.0, 1.0]], dtype=np.complex128)
     m1 = np.array([[0.0, 0.0], [math.sqrt(p), 0.0]], dtype=np.complex128)

@@ -31,7 +31,6 @@ from __future__ import annotations
 
 import argparse
 import json
-import math
 import os
 import stat
 import sys
@@ -46,6 +45,7 @@ from . import analysis, evolution
 from .csvformat import format_rows
 from .errors import (
     ConfigError,
+    DimensionError,
     NotHermitianError,
     NumericsError,
     ParseError,
@@ -58,20 +58,14 @@ from .evolution import (
     evolve_enlarged,
     evolve_wwa,
 )
-from .linalg import HermitianBasis, expm, require_hermitian
-from .model import (
-    SystemSpec,
-    build_decay_operator,
-    decompose_gamma,
-    embed_operators,
-    validate_spec,
-)
+from .linalg import HermitianBasis, expm
+from .model import SystemSpec, build_decay_operator, embed_operators, validate_spec
 from .randmodel import MAX_ENTRIES, random_system
 
 CHECK_NAMES = ("trace", "positivity", "cp", "equivalence", "asymptotics")
 # Times at which complete positivity is certified (clipped to t_max).
 CP_SAMPLE_TIMES = (0.1, 1.0, 5.0)
-# Steps of the exact propagation to the asymptotics horizon 20/gamma0.
+# Steps of the exact propagation to analysis.asymptotics_horizon.
 ASYMPTOTICS_STEPS = 200
 # Largest size in bytes of the two trajectories a run keeps, n_samples * 16 *
 # (2 d_s^2 + d_f^2) for the complex blocks of the enlarged run and the
@@ -193,14 +187,12 @@ def _matrix_to_json(m: np.ndarray) -> list:
 
 
 def _validate_initial_state(rho: np.ndarray, d_s: int) -> np.ndarray:
-    if rho.shape != (d_s, d_s):
-        raise ValidationError(
-            f"initial_state has shape {rho.shape}, expected {(d_s, d_s)}"
-        )
+    # The engine's gate decides the shape and hermiticity; its message is
+    # given the config key's name.
     try:
-        sym = require_hermitian(rho, 1e-9, "initial_state")
-    except NotHermitianError as e:
-        raise ValidationError(str(e)) from e
+        sym = evolution._check_initial(rho, d_s)
+    except (DimensionError, NotHermitianError) as e:
+        raise ValidationError(str(e).replace("initial state", "initial_state", 1)) from e
     low = float(np.linalg.eigvalsh(sym)[0])
     if low < -1e-9:
         raise ValidationError(f"initial_state has eigenvalue {low:.3e} < -1e-9")
@@ -363,7 +355,7 @@ class _RunContext:
     def __init__(self, cfg: ScenarioConfig):
         self.cfg = cfg
         self.spec = cfg.system
-        self.dec = decompose_gamma(self.spec.decay_matrix)
+        self.dec = self.spec.decomposition  # the one that parsing built
         self.model = embed_operators(self.spec, build_decay_operator(self.dec, self.spec.d_f))
         self.enlarged: Trajectory | None = None
         self.wwa: Trajectory | None = None
@@ -381,21 +373,16 @@ def _check_equivalence(ctx: _RunContext) -> analysis.VerificationReport:
 
 
 def _cp_propagators(gen: np.ndarray, times):
-    """Yield exp(t gen) at each of the ascending ``times``: an ``expm`` at
-    the first, and each later one as a binary power of the one before
-    (:func:`evolution._step_powers`, the stepper's) when their ratio is an
-    integer within rounding, otherwise its own ``expm``.
-    E(1) = E(0.1)^10 and E(5) = E(1)^5 take 7 products, which at d_s = 40
-    cost about 0.95 s against 4.1-4.2 s for two ``expm`` (one BLAS thread,
-    2-core Intel Xeon)."""
-    prop = None
-    for k, t in enumerate(times):
-        ratio = t / times[k - 1] if k else 0.0
-        power = round(ratio)
-        if power >= 1 and math.isclose(ratio, power, rel_tol=1e-12):
-            prop = evolution._step_powers(prop, (power,))[0]
-        else:
-            prop = expm(gen * t)
+    """Yield exp(t gen) at each of the ascending ``times``, the clipped
+    CP_SAMPLE_TIMES: an ``expm`` at the first, and each later one as a
+    binary power of the one before (:func:`evolution._step_powers`, the
+    stepper's), whose ratio is 10 or 5.  E(1) = E(0.1)^10 and E(5) = E(1)^5
+    take 7 products, which at d_s = 40 cost about 0.95 s against 4.1-4.2 s
+    for two ``expm`` (one BLAS thread, 2-core Intel Xeon)."""
+    prop = expm(gen * times[0])
+    yield prop
+    for before, t in zip(times, times[1:]):
+        prop = evolution._step_powers(prop, (round(t / before),))[0]
         yield prop
 
 
@@ -425,8 +412,8 @@ def _check_cp(ctx: _RunContext) -> analysis.VerificationReport:
 def _check_asymptotics(ctx: _RunContext) -> analysis.VerificationReport:
     if ctx.dec.null_dim > 0:
         return analysis.asymptotics_check(ctx.enlarged, ctx.dec)
-    # Reach 20/gamma0 with the exact step regardless of the configured
-    # integrator; a fixed-step run to that horizon would be wasteful.  The
+    # Reach the check's horizon with the exact step regardless of the
+    # configured integrator; a fixed-step run to it would be wasteful.  The
     # check reads only the system block, which evolves alone under L_ss, as
     # in the cp check, so the engine runs with an empty decay sector on the
     # model's system-block equation without its feed, whose real form is the
@@ -435,7 +422,7 @@ def _check_asymptotics(ctx: _RunContext) -> analysis.VerificationReport:
     # generates.  It calls the engine, not evolve_wwa: this propagation is
     # not one of the run's two evolutions, whose steps and spans
     # bench/tracing.py counts at evolve_enlarged and evolve_wwa.
-    horizon = 20.0 / float(ctx.dec.rates.min())
+    horizon = analysis.asymptotics_horizon(ctx.dec)
     cfg = IntegratorConfig(dt=horizon / ASYMPTOTICS_STEPS, t_max=horizon, method="exact")
     rho0 = evolution._check_initial(ctx.cfg.initial_state, ctx.spec.d_s)
     traj = evolution._evolve(ctx.model.system_equation.without_feed(), rho0, cfg)

@@ -151,15 +151,8 @@ import numpy as np
 
 from .errors import DimensionError, GridError, NumericsError
 from .linalg import HermitianBasis, _then, as_matrix, expm, frobenius, require_hermitian, unvec, vec
-from .linalg import _TAYLOR, _taylor
-from .model import (
-    DEFAULT_HERMITICITY_TOL,
-    DecayOperator,
-    EnlargedModel,
-    Liouvillian,
-    SystemSpec,
-    decay_feed,
-)
+from .linalg import _TAYLOR, DEFAULT_HERMITICITY_TOL, _taylor
+from .model import DecayOperator, EnlargedModel, Liouvillian, SystemSpec, decay_feed
 
 # Allowed per-step hermiticity drift before the integrator aborts.
 HERMITICITY_DRIFT_TOL = 1e-9
@@ -448,10 +441,12 @@ def _check_defect(defect: np.ndarray, step: int) -> None:
 def integrate_rk4(rhs, rho0, cfg: IntegratorConfig) -> Trajectory:
     """Classical fixed-step fourth-order Runge-Kutta of any right-hand side.
 
-    The state is re-symmetrized after every step; the pre-symmetrization
-    hermiticity drift is monitored and a :class:`NumericsError` is raised if
-    it ever exceeds HERMITICITY_DRIFT_TOL.  No run path uses it: it is the
-    oracle that the engine is tested against.
+    It starts, as the engine does, from the copy of ``rho0`` that
+    :func:`_check_initial` returns.  The state is re-symmetrized after every
+    step; the pre-symmetrization hermiticity drift is monitored and a
+    :class:`NumericsError` is raised if it ever exceeds
+    HERMITICITY_DRIFT_TOL.  No run path uses it: it is the oracle that the
+    engine is tested against.
     """
     _check_grid(cfg)
     dt = cfg.dt
@@ -463,6 +458,7 @@ def integrate_rk4(rhs, rho0, cfg: IntegratorConfig) -> Trajectory:
         return rho, (rho[None],)
 
     rho = as_matrix(rho0)
+    rho = _check_initial(rho, len(rho))  # the engine's start
     states = np.empty((cfg.n_samples,) + rho.shape, dtype=np.complex128)
     states[0] = rho
     times = _sample(advance, rho, cfg, (states,))
@@ -635,12 +631,14 @@ def _evolve_steps(build, h0, dims: tuple[int, int], cfg: IntegratorConfig, jump:
 
 
 def _check_initial(rho0, d: int) -> np.ndarray:
-    # The system block of the initial state; the decay block starts at zero.
+    """The one decision on an initial system block (the decay block starts at
+    zero): its shape (d, d), and hermiticity at HERMITICITY_DRIFT_TOL.
+    Returns the gate's symmetrized copy, which every route starts from; an
+    exactly hermitian ``rho0`` is that copy bit for bit."""
     rho = as_matrix(rho0)
     if rho.shape != (d, d):
-        raise DimensionError(f"state has shape {rho.shape}, expected {(d, d)}")
-    require_hermitian(rho, HERMITICITY_DRIFT_TOL, "initial state")
-    return rho
+        raise DimensionError(f"initial state has shape {rho.shape}, expected {(d, d)}")
+    return require_hermitian(rho, HERMITICITY_DRIFT_TOL, "initial state")
 
 
 def _step_blocks(gen: np.ndarray, h: float, method: str) -> np.ndarray:
@@ -664,9 +662,11 @@ def _step_blocks(gen: np.ndarray, h: float, method: str) -> np.ndarray:
 
 
 def _evolve(equation, rho0, cfg: IntegratorConfig):
-    """The one engine: evolve diag(``rho0``, 0), for the checked system block
-    ``rho0``, under the system-block ``equation``, with rho_ff' = B rho_ss B†
-    for its d_f x d_s feed B; d_f = 0 is the system space.
+    """The one engine: evolve diag(``rho0``, 0), for the system block
+    ``rho0`` that :func:`_check_initial` returned, under the system-block
+    ``equation``, with rho_ff' = B rho_ss B† for its d_f x d_s feed B;
+    d_f = 0 is the system space.  Every route starts from ``rho0`` as it
+    is, and the direct RK4 stores it as sample 0.
 
     The cost rule :func:`_plan` picks how the run goes, from ``cfg.method``
     among the rest.  The direct RK4, for ``rk4`` runs it prices cheaper than
@@ -704,18 +704,17 @@ def _evolve(equation, rho0, cfg: IntegratorConfig):
             times = _sample(advance, (rho0, decay[0]), cfg, (states, decay))
         else:
             gen = equation.real_form
-            # The first step's drift to first order, from the hermitian
-            # state the stepper starts at (the real step itself has none),
-            # relative to dt ||L_ss||_F ||rho||_F where that exceeds 1: the
-            # scale of the step's rounding, which a long step magnifies.
+            # The first step's drift to first order (the real step itself
+            # has none), relative to dt ||L_ss||_F ||rho0||_F where that
+            # exceeds 1: the scale of the step's rounding, which a long step
+            # magnifies.
             # L_ss = U R U^-1 for the real block R and the basis U of
             # orthogonal columns of norms w, so ||L_ss||_F = ||diag(w) R
             # diag(w)^-1||_F.
             basis = HermitianBasis(d)
-            rho = 0.5 * (rho0 + rho0.conj().T)
-            x = equation.rhs(rho)
+            x = equation.rhs(rho0)
             w = np.sqrt(basis.norms_sq)
-            scale = max(1.0, dt * frobenius(w[:, None] * gen[: d * d] / w) * frobenius(rho))
+            scale = max(1.0, dt * frobenius(w[:, None] * gen[: d * d] / w) * frobenius(rho0))
             _check_drift(dt * frobenius(x - x.conj().T) / scale, 1)
             h0 = np.concatenate((basis.coords(rho0), np.zeros(d_f * d_f)))
 
@@ -778,13 +777,17 @@ def rho_ff_quadrature(decay: DecayOperator, traj: Trajectory) -> np.ndarray:
     return out
 
 
+def _check_rate_time(rate: float, t: float) -> None:
+    # The arguments of the single decay channel's closed forms.
+    for name, x in (("rate", rate), ("t", t)):
+        if not 0 <= x < math.inf:  # a NaN fails too
+            raise ValueError(f"{name} must be non-negative and finite")
+
+
 def closed_form_1d(rate: float, t: float) -> BlockDensity:
     """Closed form of the single decay channel started in the unstable state:
     diag(exp(-rate*t), 1 - exp(-rate*t))."""
-    if not 0 <= rate < math.inf:  # a NaN fails too
-        raise ValueError("rate must be non-negative and finite")
-    if not 0 <= t < math.inf:
-        raise ValueError("t must be non-negative and finite")
+    _check_rate_time(rate, t)
     surv = float(np.exp(-rate * t))
     return BlockDensity(
         rho_ss=np.array([[surv]], dtype=np.complex128),

@@ -28,6 +28,11 @@ import numpy as np
 
 from .errors import DimensionError, NotHermitianError
 
+# The hermiticity bound of the operators, the decay matrix, the samples and
+# the Choi matrices; the initial state is gated at evolution's
+# HERMITICITY_DRIFT_TOL.
+DEFAULT_HERMITICITY_TOL = 1e-10
+
 __all__ = [
     "HermitianBasis",
     "HermitianEigen",
@@ -204,8 +209,9 @@ class HermitianEigen:
     eigenvectors: np.ndarray
 
 
-def hermitian_eig(m, tol: float = 1e-10) -> HermitianEigen:
-    """Eigendecomposition of a hermitian matrix.
+def hermitian_eig(m) -> HermitianEigen:
+    """Eigendecomposition of a hermitian matrix, gated by
+    :func:`require_hermitian` at ``DEFAULT_HERMITICITY_TOL``.
 
     Each eigenvector is rotated by a global phase so that its largest-magnitude
     component is real and positive, making the output deterministic enough for
@@ -213,8 +219,12 @@ def hermitian_eig(m, tol: float = 1e-10) -> HermitianEigen:
     """
     a = as_matrix(m)
     _require_square(a)
-    lam, v = np.linalg.eigh(require_hermitian(a, tol))
-    v = v.copy()
+    return _phase_fixed_eig(require_hermitian(a, DEFAULT_HERMITICITY_TOL))
+
+
+def _phase_fixed_eig(h: np.ndarray) -> HermitianEigen:
+    # The eigendecomposition of the gated copy h, phases fixed as above.
+    lam, v = np.linalg.eigh(h)
     for j in range(v.shape[1]):
         k = int(np.argmax(np.abs(v[:, j])))
         v[:, j] /= v[k, j] / abs(v[k, j])

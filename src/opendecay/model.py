@@ -33,9 +33,9 @@ from functools import cached_property
 import numpy as np
 
 from .errors import ConstraintError, DimensionError, NotPSDError, NumericsError
-from .linalg import HermitianBasis, as_matrix, frobenius, hermitian_eig, require_hermitian
+from .linalg import DEFAULT_HERMITICITY_TOL, HermitianBasis, _phase_fixed_eig, as_matrix
+from .linalg import frobenius, require_hermitian
 
-DEFAULT_HERMITICITY_TOL = 1e-10
 # Eigenvalues of the decay matrix at or below this (times max(1, ||Gamma||_F))
 # count as zero when classifying the null space.
 DEFAULT_ZERO_TOL = 1e-12
@@ -229,28 +229,26 @@ class SystemSpec:
         """The system-space equation: G = H - (i/2)(Gamma + sum A†A), jumps A."""
         return MasterEquation.build(self.hamiltonian, self.lindblad_ops, loss=self.decay_matrix)
 
+    @cached_property
+    def decomposition(self) -> GammaDecomposition:
+        """:func:`decompose_gamma` of the decay matrix, taken once: both
+        :func:`validate_spec` and the run read it."""
+        return decompose_gamma(self.decay_matrix)
+
 
 def effective_hamiltonian(spec: SystemSpec) -> np.ndarray:
     """Non-hermitian effective Hamiltonian H - (i/2) Gamma."""
     return spec.hamiltonian - 0.5j * spec.decay_matrix
 
 
-def validate_spec(spec: SystemSpec, tol: float = DEFAULT_HERMITICITY_TOL) -> SystemSpec:
-    """Check hermiticity of H and Gamma, positivity of Gamma, and that the
+def validate_spec(spec: SystemSpec) -> SystemSpec:
+    """Check hermiticity of H at ``DEFAULT_HERMITICITY_TOL``, Gamma by its
+    decomposition ``spec.decomposition``, which the run reuses, and that the
     decay space is large enough (d_f >= rank Gamma).  Returns ``spec``
     unchanged when every invariant holds.
-
-    Gamma fails below the eigenvalue -``tol`` and below the relative bound of
-    :func:`decompose_gamma`, which the run decomposes it with, and its rank
-    is that decomposition's: the eigenvalues come from the same ``eigh`` of
-    the same symmetrized copy, and the zero cut is the same.
     """
-    require_hermitian(spec.hamiltonian, tol, "H")
-    lam = np.linalg.eigh(require_hermitian(spec.decay_matrix, tol, "Gamma"))[0]
-    cut = DEFAULT_ZERO_TOL * max(1.0, frobenius(spec.decay_matrix))
-    if lam[0] < -min(tol, cut):
-        raise NotPSDError(f"Gamma has eigenvalue {lam[0]:.3e} < -{min(tol, cut):.3g}")
-    rank = int(np.count_nonzero(lam > cut))
+    require_hermitian(spec.hamiltonian, DEFAULT_HERMITICITY_TOL, "H")
+    rank = spec.decomposition.rank
     if spec.d_f < rank:
         raise DimensionError(
             f"d_f={spec.d_f} is smaller than rank(Gamma)={rank}; "
@@ -277,23 +275,25 @@ def _lex_key(col: np.ndarray):
     return tuple((round(float(z.real), 12), round(float(z.imag), 12)) for z in col)
 
 
-def decompose_gamma(gamma, zero_tol: float = DEFAULT_ZERO_TOL) -> GammaDecomposition:
-    """Spectral decomposition of the decay matrix.
+def decompose_gamma(gamma) -> GammaDecomposition:
+    """Spectral decomposition of the decay matrix: the one decision on it.
 
-    Eigenvalues at or below ``zero_tol * max(1, ||Gamma||_F)`` are classified
-    as zero and counted in ``null_dim``; anything below the negative of that
-    threshold raises :class:`NotPSDError`.  Ties between equal rates are
-    broken by lexicographic order of the (sign-fixed) eigenvectors so the
-    output is deterministic.
+    Gamma must be hermitian within ``DEFAULT_HERMITICITY_TOL``
+    (:class:`NotHermitianError`).  Eigenvalues at or below the zero cut
+    ``DEFAULT_ZERO_TOL * max(1, ||Gamma||_F)`` are classified as zero and
+    counted in ``null_dim``; one below -min(``DEFAULT_HERMITICITY_TOL``, cut)
+    raises :class:`NotPSDError`.  Ties between equal rates are broken by
+    lexicographic order of the (sign-fixed) eigenvectors so the output is
+    deterministic.
     """
     g = as_matrix(gamma)
     if g.shape[0] != g.shape[1]:
         raise DimensionError(f"decay matrix must be square, got {g.shape}")
-    eig = hermitian_eig(g)
-    cut = zero_tol * max(1.0, frobenius(g))
-    lam = eig.eigenvalues
-    if lam[0] < -cut:
-        raise NotPSDError(f"decay matrix has eigenvalue {lam[0]:.3e} < -{cut:.3e}")
+    eig = _phase_fixed_eig(require_hermitian(g, DEFAULT_HERMITICITY_TOL, "Gamma"))
+    cut = DEFAULT_ZERO_TOL * max(1.0, frobenius(g))
+    lam, bound = eig.eigenvalues, min(DEFAULT_HERMITICITY_TOL, cut)
+    if lam[0] < -bound:
+        raise NotPSDError(f"Gamma has eigenvalue {lam[0]:.3e} < -{bound:.3g}")
     # Descending rate, then the eigenvectors' lexicographic order among
     # exactly equal rates; the keys are built only for those ties.
     by_rate = sorted((j for j in range(lam.size) if lam[j] > cut), key=lambda j: -lam[j])

@@ -24,7 +24,7 @@ _MIX2 = 0x94D049BB133111EB
 
 # Generated operator entries are rescaled to this peak magnitude (well inside
 # the unit bound) to keep generator norms modest for fixed-step integration.
-DEFAULT_MAX_ENTRY = 0.5
+PEAK_ENTRY = 0.5
 # Most complex entries one random_system call may draw.  Each costs about
 # 0.26 us (one numpy mix of its two states and one Box-Muller pair through
 # ``math``), so the cap keeps generation near a quarter of a second however
@@ -106,11 +106,11 @@ def _scalar_gaussian_matrix(rng: SplitMix64, rows: int, cols: int) -> np.ndarray
     return out
 
 
-def _rescale(m: np.ndarray, target: float) -> np.ndarray:
+def _rescale(m: np.ndarray) -> np.ndarray:
     peak = float(np.abs(m).max()) if m.size else 0.0
     if peak == 0.0:
         return m
-    return m * (target / peak)
+    return m * (PEAK_ENTRY / peak)
 
 
 def random_system(
@@ -118,7 +118,6 @@ def random_system(
     d_s: int,
     n_lindblad: int = 1,
     rank: int | None = None,
-    max_entry: float = DEFAULT_MAX_ENTRY,
 ) -> tuple[SystemSpec, np.ndarray]:
     """Generate a valid system plus a PSD trace-one initial state.
 
@@ -126,7 +125,7 @@ def random_system(
     matrix is G†G for a Gaussian G with ``rank`` rows (guaranteeing positive
     semidefiniteness at the requested rank), and each Lindblad operator is an
     unconstrained Gaussian matrix; every operator is rescaled to peak entry
-    magnitude ``max_entry``.  The decay dimension is set to the realized rank
+    magnitude ``PEAK_ENTRY``.  The decay dimension is set to the realized rank
     of the decay matrix.  Returns ``(spec, rho0)``.  Raises ``ValueError``
     for a request that would draw more than ``MAX_ENTRIES`` entries.
     """
@@ -146,12 +145,10 @@ def random_system(
         )
     rng = SplitMix64(seed)
     w = _gaussian_matrix(rng, d_s, d_s)
-    hamiltonian = _rescale(0.5 * (w + w.conj().T), max_entry)
+    hamiltonian = _rescale(0.5 * (w + w.conj().T))
     g = _gaussian_matrix(rng, rank, d_s)
-    gamma = _rescale(g.conj().T @ g, max_entry)
-    ops = tuple(
-        _rescale(_gaussian_matrix(rng, d_s, d_s), max_entry) for _ in range(n_lindblad)
-    )
+    gamma = _rescale(g.conj().T @ g)
+    ops = tuple(_rescale(_gaussian_matrix(rng, d_s, d_s)) for _ in range(n_lindblad))
     r = _gaussian_matrix(rng, d_s, d_s)
     s = r.conj().T @ r
     trace = float(np.trace(s).real)

@@ -970,6 +970,28 @@ def test_a_run_of_no_steps_builds_no_step(monkeypatch, space, method):
     assert np.abs(traj.states[0] - rho0).max() <= 1e-15
 
 
+def test_every_route_starts_from_the_gates_copy(monkeypatch):
+    # rho0 with 5e-10 added to one entry, within the gate's 1e-9: each
+    # route of each space stores the gate's symmetrized copy as sample 0,
+    # and the sample tables of the routes agree.
+    from opendecay.cli import _sample_table
+
+    spec, rho0, decay, model = random_member(seed=42, d_s=6)
+    rho0 = rho0.copy()
+    rho0[0, 1] += 5e-10
+    start = evolution._check_initial(rho0, 6)
+    assert np.array_equal(start, start.conj().T) and not np.array_equal(start, rho0)
+    cfg = IntegratorConfig(dt=1e-3, t_max=0.05, sample_stride=10)
+    tables = []
+    for unit in (0, 1, cfg.sample_stride):  # direct, one step per row, one interval
+        pin_route(monkeypatch, unit)
+        enlarged, wwa = evolve_enlarged(model, rho0, cfg), evolve_wwa(spec, rho0, cfg)
+        assert np.array_equal(enlarged.states[0], start) and np.array_equal(wwa.states[0], start)
+        assert np.abs(enlarged.states - wwa.states).max() <= 1e-12
+        tables.append(_sample_table(enlarged))
+    assert max(np.abs(t - tables[0]).max() for t in tables) <= 1e-12
+
+
 def test_superop_rejects_nonhermitian_initial_state():
     _, _, model = single_decay()
     cfg = IntegratorConfig(dt=1e-3, t_max=0.01)

@@ -133,6 +133,25 @@ def test_validate_agrees_with_the_run_decomposition(scale):
     assert rejected and ranked
 
 
+def test_decompose_gamma_is_the_one_decision_on_gamma():
+    # ||Gamma||_F = 1000 puts the zero cut at 1e-9: the eigenvalue -5e-10
+    # lies above -cut but below the one reject bound -min(1e-10, cut), so a
+    # library call rejects it as parsing does.  validate_spec reports
+    # decompose_gamma's errors, named for Gamma, and its rank.
+    gamma = np.diag([1000.0, -5e-10])
+    with pytest.raises(NotPSDError, match="^Gamma has eigenvalue -5.000e-10 < -1e-10$"):
+        decompose_gamma(gamma)
+    spec = SystemSpec(d_s=2, d_f=2, hamiltonian=np.zeros((2, 2)), decay_matrix=gamma)
+    with pytest.raises(NotPSDError, match="-5.000e-10"):
+        validate_spec(spec)
+    lopsided = SystemSpec(d_s=2, d_f=2, hamiltonian=np.zeros((2, 2)), decay_matrix=[[1, 1e-3], [0, 1]])
+    with pytest.raises(NotHermitianError, match="^Gamma deviates from hermiticity"):
+        validate_spec(lopsided)
+    spec = SystemSpec(d_s=2, d_f=1, hamiltonian=np.zeros((2, 2)), decay_matrix=np.diag([2.0, 0.0]))
+    assert validate_spec(spec) is spec and spec.decomposition.rank == 1
+    assert spec.decomposition is spec.decomposition
+
+
 def test_decompose_keeps_a_huge_rate():
     dec = decompose_gamma([[1e200]])
     assert dec.rank == 1 and dec.rates[0] == 1e200
