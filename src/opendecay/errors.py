@@ -26,7 +26,8 @@ class GridError(ToolkitError):
 
 
 class NumericsError(ToolkitError):
-    """A numerical integrity monitor tripped (e.g. hermiticity drift)."""
+    """A numerical integrity monitor tripped: a step or a state that is not
+    finite, or the direct RK4's hermiticity drift."""
 
 
 class ConfigError(ToolkitError):

@@ -58,18 +58,16 @@ with too (powers by squaring, as in Higham, SIAM J. Matrix Anal. Appl. 26,
 pair the same way.  One matrix stacks the rows
 [E^(ju); Phi_(ju)] of the states after j = 1..B units, built once from the
 unit's pair with the powers by doubling, so one matvec gives B states, B
-samples when u = S, and applies the fed rows once per unit.  Two checks
-stand in for the drift monitor of the direct route.  At build time, the
-first step's drift to first order, dt ||X - X†||_F for X = L_ss rho0 from
-the equation's right-hand side, relative to dt ||L_ss||_F ||rho0||_F where
-that exceeds 1 (the scale of its rounding), fails for a generator that does
-not preserve hermiticity, whose imaginary part in these coordinates the
-real form drops.  Per block, every state the block reaches is tested for
-finiteness; when one fails, the first unit that reached a state that is not
-finite is replayed one step at a time from the state before it, with the
-one-step pair rebuilt, so that the error names the step that a one-step
-loop would: the NaN drift of the step that starts from that state, or the
-last state of the run.
+samples when u = S, and applies the fed rows once per unit.  The map
+rho -> -i(G rho - rho G†) + sum_k K rho K† takes hermitian matrices to
+hermitian matrices for every G and K, so the stepper checks only what can
+fail, and calls no right-hand side: per block, every state the block
+reaches is tested for finiteness.  When one fails, the first unit that
+reached a state that is not finite is replayed one step at a time from the
+state before it, with the one-step pair rebuilt, and the error names the
+first step whose state is not finite.  The direct RK4 reports a state that
+is not finite the same way, and a finite drift above HERMITICITY_DRIFT_TOL
+as the drift it is.
 
 B is as many units as fit in BLOCK_BYTES, 65536 // (8 n n_s) for the n =
 d_s^2 + d_f^2 rows and n_s = d_s^2 columns of a unit, and at least one:
@@ -150,7 +148,7 @@ from functools import cached_property
 import numpy as np
 
 from .errors import DimensionError, GridError, NumericsError
-from .linalg import HermitianBasis, _then, as_matrix, expm, frobenius, require_hermitian, unvec, vec
+from .linalg import HermitianBasis, _then, as_matrix, expm, require_hermitian, unvec, vec
 from .linalg import _TAYLOR, DEFAULT_HERMITICITY_TOL, _taylor
 from .model import DecayOperator, EnlargedModel, Liouvillian, SystemSpec, decay_feed
 
@@ -379,13 +377,6 @@ def _check_grid(cfg: IntegratorConfig) -> None:
         )
 
 
-def _check_drift(drift: float, step: int) -> None:
-    if not drift <= HERMITICITY_DRIFT_TOL:  # a NaN fails too
-        raise NumericsError(
-            f"hermiticity drift {drift:.3e} at step {step} exceeds {HERMITICITY_DRIFT_TOL:g}"
-        )
-
-
 def _sample(
     advance, x0, cfg: IntegratorConfig, outs: tuple, block: int = 1, jump: int = 1
 ) -> np.ndarray:
@@ -434,8 +425,17 @@ def _symmetrized(rho):
 
 
 def _check_defect(defect: np.ndarray, step: int) -> None:
-    # The drift ||rho - rho†||_F of a step is twice the defect's norm.
-    _check_drift(2.0 * math.sqrt(defect @ defect), step)
+    # The drift ||rho - rho†||_F of a step is twice the defect's norm.  A
+    # defect that is not finite, whose drift is NaN or inf, is a state that
+    # is not finite, reported as the stepper reports one.
+    drift = 2.0 * math.sqrt(defect @ defect)
+    if drift <= HERMITICITY_DRIFT_TOL:
+        return
+    if not np.isfinite(defect).all():
+        raise NumericsError(f"the state after step {step} is not finite")
+    raise NumericsError(
+        f"hermiticity drift {drift:.3e} at step {step} exceeds {HERMITICITY_DRIFT_TOL:g}"
+    )
 
 
 def integrate_rk4(rhs, rho0, cfg: IntegratorConfig) -> Trajectory:
@@ -443,10 +443,10 @@ def integrate_rk4(rhs, rho0, cfg: IntegratorConfig) -> Trajectory:
 
     It starts, as the engine does, from the copy of ``rho0`` that
     :func:`_check_initial` returns.  The state is re-symmetrized after every
-    step; the pre-symmetrization hermiticity drift is monitored and a
-    :class:`NumericsError` is raised if it ever exceeds
-    HERMITICITY_DRIFT_TOL.  No run path uses it: it is the oracle that the
-    engine is tested against.
+    step; the pre-symmetrization hermiticity drift is monitored, and a
+    :class:`NumericsError` names the first step whose state is not finite
+    or whose drift exceeds HERMITICITY_DRIFT_TOL.  No run path uses it: it
+    is the oracle that the engine is tested against.
     """
     _check_grid(cfg)
     dt = cfg.dt
@@ -547,8 +547,8 @@ def _plan(d: int, d_f: int, cfg: IntegratorConfig) -> int:
     ``exact`` only picks the unit: its build is the same for both.  Neither
     method counts the real form [L_ss; L_fs], O(d^4) work cached per
     equation and shared with the ``cp`` check.  A run of no steps takes the
-    stepper, which builds no step but still checks the first step's drift,
-    for either method.
+    stepper, which builds neither the real form nor a step, for either
+    method.
     """
     steps = cfg.n_steps
     if not steps:
@@ -583,8 +583,8 @@ def _evolve_steps(build, h0, dims: tuple[int, int], cfg: IntegratorConfig, jump:
     no hermiticity drift, so the monitor is a finiteness test of every state
     a block reaches.  When it fails, the first unit that reached a state
     that is not finite is replayed one step at a time from the state before
-    it, with the one-step pair rebuilt, so that the error names the step
-    that a one-step loop would.
+    it, with the one-step pair rebuilt, so that the error names the first
+    step whose state is not finite.
     """
     d, d_f = dims
     n_s, n = d * d, d * d + d_f * d_f
@@ -616,11 +616,9 @@ def _evolve_steps(build, h0, dims: tuple[int, int], cfg: IntegratorConfig, jump:
         for i in range(k + 1, min(k + jump, n_steps) + 1):
             y = step(pair, y)[0]
             if not np.isfinite(y).all():
-                if i < n_steps:  # the next step starts from it
-                    _check_drift(math.nan, i + 1)
                 break
-        # The last state of the run, or a unit's state that only the jump
-        # took past the largest float.
+        # Without a break, only the jump took the unit's last state past the
+        # largest float.
         raise NumericsError(f"the state after step {i} is not finite")
 
     hs = np.empty((cfg.n_samples, n))
@@ -674,10 +672,9 @@ def _evolve(equation, rho0, cfg: IntegratorConfig):
     (h^2/6)(k1 + k2 + k3)) B†, as the stages of rho_ff' are B s_i B† for the
     stages s_i of rho_ss.  Otherwise the stepper (:func:`_step_blocks`,
     :func:`_evolve_steps`) in the unit the rule chose, on the equation's
-    real form [L_ss; L_fs], after the first-order drift of the first step,
-    dt ||X - X†||_F for X = L_ss rho0, shows that the equation preserves
-    hermiticity.  A state that overflows ends in a NumericsError, not in
-    numpy's warnings.
+    real form [L_ss; L_fs], which only a run with a step builds.  A state
+    that overflows ends in a NumericsError that names the first step whose
+    state is not finite, on either route, not in numpy's warnings.
     """
     b = equation.feed
     d_f, d = b.shape
@@ -703,24 +700,11 @@ def _evolve(equation, rho0, cfg: IntegratorConfig):
             states[0] = rho0
             times = _sample(advance, (rho0, decay[0]), cfg, (states, decay))
         else:
-            gen = equation.real_form
-            # The first step's drift to first order (the real step itself
-            # has none), relative to dt ||L_ss||_F ||rho0||_F where that
-            # exceeds 1: the scale of the step's rounding, which a long step
-            # magnifies.
-            # L_ss = U R U^-1 for the real block R and the basis U of
-            # orthogonal columns of norms w, so ||L_ss||_F = ||diag(w) R
-            # diag(w)^-1||_F.
-            basis = HermitianBasis(d)
-            x = equation.rhs(rho0)
-            w = np.sqrt(basis.norms_sq)
-            scale = max(1.0, dt * frobenius(w[:, None] * gen[: d * d] / w) * frobenius(rho0))
-            _check_drift(dt * frobenius(x - x.conj().T) / scale, 1)
-            h0 = np.concatenate((basis.coords(rho0), np.zeros(d_f * d_f)))
+            h0 = np.concatenate((HermitianBasis(d).coords(rho0), np.zeros(d_f * d_f)))
 
             def build():  # the stacked step [E; Phi]
                 try:
-                    pair = _step_blocks(gen, dt, cfg.method)
+                    pair = _step_blocks(equation.real_form, dt, cfg.method)
                     if np.isfinite(pair).all():
                         return pair
                 except (ValueError, OverflowError):  # exact: dt L, or its 1-norm, overflows

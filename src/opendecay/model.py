@@ -232,7 +232,8 @@ class SystemSpec:
     @cached_property
     def decomposition(self) -> GammaDecomposition:
         """:func:`decompose_gamma` of the decay matrix, taken once: both
-        :func:`validate_spec` and the run read it."""
+        :func:`validate_spec` and the run read it.  ``random_system`` hands
+        over the one that sized its d_f."""
         return decompose_gamma(self.decay_matrix)
 
 

@@ -161,4 +161,5 @@ def random_system(
         decay_matrix=gamma,
         lindblad_ops=ops,
     )
+    spec.__dict__["decomposition"] = dec  # validate_spec reads it, not decomposes again
     return spec, rho0

@@ -183,9 +183,9 @@ def test_main_runs_a_nearly_hermitian_initial_state_on_every_route(tmp_path, cap
 
 
 def test_gamma_is_decomposed_once_per_spec(monkeypatch):
-    # One decomposition of Gamma per explicit-system parse and run, which
-    # validate_spec and the run share, and one more for a random_system,
-    # which decomposes its Gamma to size d_f; no other eigh is taken.
+    # One decomposition of Gamma per parse and run, which validate_spec and
+    # the run share: a random_system hands over the one that sized its d_f.
+    # No other eigh is taken.
     from opendecay import randmodel
 
     calls, eighs = [], []
@@ -199,7 +199,7 @@ def test_gamma_is_decomposed_once_per_spec(monkeypatch):
     monkeypatch.setattr(randmodel, "decompose_gamma", counted)
     monkeypatch.setattr(np.linalg, "eigh", lambda a: eighs.append(1) or eigh(a))
     checks = list(cli.CHECK_NAMES)
-    for text, n in ((SINGLE_DECAY, 1), (builtin_scenario_path("random").read_text(), 2)):
+    for text, n in ((SINGLE_DECAY, 1), (builtin_scenario_path("random").read_text(), 1)):
         calls.clear()
         eighs.clear()
         run_scenario(short(parse_config(text), t_max=0.1, checks=checks), write=False)
@@ -601,12 +601,13 @@ def test_main_keeps_a_huge_decay_rate(tmp_path, capsys):
 def test_main_exit_3_on_overflowing_state_without_runtime_warnings(
     monkeypatch, tmp_path, capsys, route
 ):
-    # A state that overflows ends in the drift monitor's numerical error:
-    # on the stepper (single-decay at dt = 5) and on the direct RK4 (d_s = 17
-    # with Gamma = 1e200 I, pinned to it).  The step-size warning is the only
+    # A state that overflows ends in the same numerical error, which names
+    # the first step whose state is not finite: on the stepper (single-decay
+    # at dt = 5) and on the direct RK4 (d_s = 17 with Gamma = 1e200 I, pinned
+    # to it).  The step-size warning is the only
     # warning.
     if route == "stepper":
-        config, flags, step = "single-decay", ["--dt", "5", "--t-max", "5000"], 273
+        config, flags, step = "single-decay", ["--dt", "5", "--t-max", "5000"], 272
     else:
         pin_route(monkeypatch, 0)
         d = 17
@@ -624,7 +625,7 @@ def test_main_exit_3_on_overflowing_state_without_runtime_warnings(
     with pytest.warns(UserWarning, match="dt\\*\\|generator\\|") as record:
         assert main(["simulate", config, "--out", str(tmp_path / "out"), *flags]) == 3
     assert [w.category for w in record] == [UserWarning]
-    assert f"hermiticity drift nan at step {step} exceeds" in capsys.readouterr().err
+    assert f"the state after step {step} is not finite" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("case", ["under-a-file", "onto-a-directory"])

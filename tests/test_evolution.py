@@ -302,7 +302,7 @@ def test_rk4_drift_monitor_trips_on_nan():
     # The state overflows to inf on the diagonal in the first step, so
     # rho - rho† holds inf - inf = NaN there.
     cfg = IntegratorConfig(dt=1.0, t_max=10.0)
-    with pytest.raises(NumericsError, match="hermiticity drift nan at step 1 "):
+    with pytest.raises(NumericsError, match="the state after step 1 is not finite"):
         integrate_rk4(lambda r: 1e300 * r, np.eye(2) / 2, cfg)
 
 
@@ -495,10 +495,9 @@ def test_exact_with_more_fed_rows_than_columns_matches_full_liouvillian():
 def test_direct_rk4_above_superop_threshold(monkeypatch, space, above):
     # A d_s = 16 system pinned to the stepper, and a d_s = 17 one pinned to
     # the direct RK4, on either space; the direct RK4 calls the system-block
-    # equation's right-hand side four times per step, the stepper a fixed
-    # number of times (the real form's build and the drift check), however
-    # many steps it takes.  With its empty decay sector, the system space's
-    # direct RK4 is integrate_rk4's arithmetic.
+    # equation's right-hand side four times per step, the stepper never: it
+    # builds its step from the real form.  With its empty decay sector, the
+    # system space's direct RK4 is integrate_rk4's arithmetic.
     pin_route(monkeypatch, 0 if above else 1)
     d_s = 16 + int(above)
     spec, rho0, decay, model = random_member(seed=15, d_s=d_s)
@@ -524,7 +523,7 @@ def test_direct_rk4_above_superop_threshold(monkeypatch, space, above):
         calls.clear()
         spec, _, _, model = random_member(seed=15, d_s=d_s)
         evolve(model if space == "enlarged" else spec, rho0, IntegratorConfig(dt=1e-3, t_max=0.1))
-        assert len(calls) == built > 0
+        assert len(calls) == built == 0
         return
     assert len(calls) == 4 * cfg.n_steps
     ref = integrate_rk4(lambda r: rhs(r, target), full, cfg)
@@ -537,43 +536,23 @@ def test_direct_rk4_above_superop_threshold(monkeypatch, space, above):
         assert max(enlarged_gap(traj, ref), sf) <= 1e-12
 
 
-@pytest.mark.parametrize("method", ["rk4", "exact"])
-def test_superop_drift_monitor_trips(method):
-    # rho' = i rho turns rho into exp(it) rho, which is not hermitian: the
-    # drift after the first step is about 2 sin(dt).  The engine with an
-    # empty decay sector, as the system space runs it, on a stub equation
-    # whose right-hand side is i rho; its real form drops the imaginary
-    # part that makes the drift, and the build-time check sees it, also in
-    # a run of no steps, which builds no step.
-    class Rotating(MasterEquation):
-        def rhs(self, rho):
-            return 1j * np.asarray(rho, dtype=np.complex128)
-
-    equation = Rotating(np.zeros((2, 2), dtype=np.complex128), ())
-    rho0 = evolution._check_initial(np.eye(2) / 2, 2)
-    for t_max in (1.0, 0.0):
-        cfg = IntegratorConfig(dt=0.1, t_max=t_max, method=method)
-        with pytest.raises(NumericsError, match="hermiticity drift .* at step 1 exceeds"):
-            evolution._evolve(equation, rho0, cfg)
-
-
 def test_superop_drift_monitor_trips_on_nan():
     # At dt = 5 the RK4 polynomial of the single decay rate is
-    # 1 - 5 + 25/2 - 125/6 + 625/24 > 1, so the stepper grows until it
-    # overflows and the drift becomes NaN.
+    # 1 - 5 + 25/2 - 125/6 + 625/24 > 1, so the stepper grows until its
+    # state overflows, after step 272.
     _, _, model = single_decay()
     cfg = IntegratorConfig(dt=5.0, t_max=5000.0)
-    with pytest.raises(NumericsError, match="hermiticity drift nan"):
+    with pytest.raises(NumericsError, match="the state after step 272 is not finite"):
         evolve_enlarged(model, [[1.0]], cfg)
 
 
 def test_a_long_step_does_not_trip_the_build_time_drift_check():
     # Gamma with rates 1, 1e-3 and 1e-10: the asymptotics horizon 20/gamma_min
     # in 200 steps makes dt = 1e9, and the matvec's rounding, times dt,
-    # exceeds 1e-9 although L_ss preserves hermiticity.  The check scales it
-    # by dt ||L_ss||_F ||rho0||_F, so neither the asymptotics check's
-    # propagation (the system block's equation without its feed) nor the
-    # enlarged ``exact`` run trips it.
+    # exceeds 1e-9 although L_ss preserves hermiticity.  The stepper checks
+    # no drift, so neither the asymptotics check's propagation (the system
+    # block's equation without its feed) nor the enlarged ``exact`` run
+    # fails, and they agree.
     v = np.array([1.0, 0.6 - 0.3j, -0.2 + 0.7j])
     rho0 = np.outer(v, v.conj()) / (v.conj() @ v).real
     unscaled = []
@@ -799,14 +778,13 @@ def drift_error(monkeypatch, block_bytes, q, h0, cfg) -> str:
 @pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning", "ignore:invalid:RuntimeWarning")
 def test_block_stepper_names_the_first_nan_inside_a_block(monkeypatch):
     # A real step has no drift, so a one-step loop fails only once the state
-    # is infinite: 2^1000 * 2^24 overflows at step 24 and the drift of step
-    # 25 is NaN.  In a block of 40 the finiteness test of the block's states
-    # still names step 25.
+    # is infinite: 2^1000 * 2^24 overflows at step 24.  In a block of 40 the
+    # finiteness test of the block's states still names step 24.
     q = [np.array([[2.0]]), np.zeros((1, 1))]
     h0 = np.array([2.0**1000, 0.0])
     cfg = IntegratorConfig(dt=0.1, t_max=4.0)
     one = drift_error(monkeypatch, 1, q, h0, cfg)
-    assert one == "hermiticity drift nan at step 25 exceeds 1e-09"
+    assert one == "the state after step 24 is not finite"
     assert drift_error(monkeypatch, 2**20, q, h0, cfg) == one
 
 
@@ -833,11 +811,11 @@ def decay_only(d, gamma, hamiltonian=None):
 def test_overflowing_state_ends_in_numerics_error_without_warnings(monkeypatch, route):
     # The stepper at dt = 5 grows the single decay until it overflows; the
     # direct RK4 at d_s = 17 overflows in its first step on Gamma = 1e200 I.
-    # On either space the drift monitor ends the run, and numpy warns of
-    # none of it.
+    # On either space and route the same error names the first step whose
+    # state is not finite, and numpy warns of none of it.
     if route == "stepper":
         spec, _, model = single_decay()
-        cfg, step = IntegratorConfig(dt=5.0, t_max=5000.0), 273
+        cfg, step = IntegratorConfig(dt=5.0, t_max=5000.0), 272
     else:
         pin_route(monkeypatch, 0)
         d = 17
@@ -848,13 +826,74 @@ def test_overflowing_state_ends_in_numerics_error_without_warnings(monkeypatch, 
     for evolve, target in ((evolve_enlarged, model), (evolve_wwa, spec)):
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            with pytest.raises(NumericsError, match=f"hermiticity drift nan at step {step} "):
+            with pytest.raises(NumericsError, match=f"the state after step {step} is not finite"):
                 evolve(target, rho0, cfg)
 
 
+def test_every_route_names_the_first_state_that_is_not_finite(monkeypatch):
+    # The single decay at dt = 5 up to t = 5000, 1000 steps: the stepper's
+    # state first overflows after step 272, at any stride and block size,
+    # and the direct RK4's and the integrate_rk4 oracle's, in their own
+    # arithmetic, after step 271.  Every route says it in the same words.
+    spec, _, model = single_decay()
+
+    def message(run) -> str:
+        with pytest.raises(NumericsError) as info:
+            run()
+        return str(info.value)
+
+    stepper = set()
+    for block_bytes in (1, 2**20):
+        monkeypatch.setattr(evolution, "BLOCK_BYTES", block_bytes)
+        for stride in (1, 7, 10):
+            cfg = IntegratorConfig(dt=5.0, t_max=5000.0, sample_stride=stride)
+            stepper.add(message(lambda: evolve_enlarged(model, [[1.0]], cfg)))
+            stepper.add(message(lambda: evolve_wwa(spec, [[1.0]], cfg)))
+    assert stepper == {"the state after step 272 is not finite"}
+    pin_route(monkeypatch, 0)
+    cfg = IntegratorConfig(dt=5.0, t_max=5000.0)
+    direct = {
+        message(lambda: evolve_enlarged(model, [[1.0]], cfg)),
+        message(lambda: evolve_wwa(spec, [[1.0]], cfg)),
+    }
+    with np.errstate(over="ignore", invalid="ignore"):
+        direct.add(message(lambda: integrate_rk4(spec.equation.rhs, [[1.0]], cfg)))
+        full = embed_state([[1.0]], 1)
+        direct.add(message(lambda: integrate_rk4(lambda r: rhs_enlarged(r, model), full, cfg)))
+    assert direct == {"the state after step 271 is not finite"}
+
+
+@pytest.mark.parametrize("method", ["rk4", "exact"])
+@pytest.mark.parametrize("unit", ["step", "interval"])
+def test_every_stepper_sample_is_exactly_hermitian(monkeypatch, unit, method):
+    # The stepper's real coordinates cannot leave the hermitian matrices, so
+    # it checks its states for finiteness alone: every sample it stores, of
+    # either block and on either space, equals its adjoint bit for bit, one
+    # step or one sample interval per matvec row, with a short last interval.
+    stride = 10
+    monkeypatch.setattr(evolution, "_plan", lambda d, d_f, cfg: 1 if unit == "step" else stride)
+    for d_s in (1, 2, 3):
+        spec, rho0, decay, model = random_member(seed=d_s, d_s=d_s)
+        cfg = IntegratorConfig(dt=0.01, t_max=1.03, sample_stride=stride, method=method)
+        for traj in (evolve_enlarged(model, rho0, cfg), evolve_wwa(spec, rho0, cfg)):
+            for block in traj.blocks:
+                assert np.array_equal(block, block.conj().transpose(0, 2, 1))
+
+
+def test_every_direct_sample_after_the_first_is_exactly_hermitian(monkeypatch):
+    # The direct RK4 re-symmetrizes every state it stores.
+    pin_route(monkeypatch, 0)
+    for d_s in (1, 2, 3):
+        spec, rho0, decay, model = random_member(seed=d_s, d_s=d_s)
+        cfg = IntegratorConfig(dt=0.01, t_max=0.5, sample_stride=10)
+        for traj in (evolve_enlarged(model, rho0, cfg), evolve_wwa(spec, rho0, cfg)):
+            for block in traj.blocks:
+                assert np.array_equal(block[1:], block[1:].conj().transpose(0, 2, 1))
+
+
 def test_stepper_refuses_a_last_state_that_overflows():
-    # With dt = 5 the single decay's state first overflows at step 272; the
-    # drift of step 273 would be NaN, but a run of 272 steps ends before it.
+    # With dt = 5 the single decay's state first overflows at step 272, the
+    # last step of this run.
     _, _, model = single_decay()
     with pytest.raises(NumericsError, match="the state after step 272 is not finite"):
         evolve_enlarged(model, [[1.0]], IntegratorConfig(dt=5.0, t_max=5.0 * 272))
@@ -882,7 +921,7 @@ def test_a_stride_run_names_the_step_that_overflows(monkeypatch, stride):
     counts = spy_jumps(monkeypatch)
     spec, _, model = single_decay()
     for t_max, message in (
-        (5000.0, "hermiticity drift nan at step 273 "),
+        (5000.0, "the state after step 272 is not finite"),
         (5.0 * 272, "the state after step 272 is not finite"),
     ):
         cfg = IntegratorConfig(dt=5.0, t_max=t_max, sample_stride=stride)
@@ -953,6 +992,25 @@ def test_rk4_build_holds_three_pairs(d_s):
         finally:
             tracemalloc.stop()
         assert peak <= 3.1 * gen.nbytes, (gen.shape, peak / gen.nbytes)
+
+
+@pytest.mark.parametrize("method", ["rk4", "exact"])
+@pytest.mark.parametrize("space", ["enlarged", "wwa"])
+def test_a_run_of_no_steps_builds_nothing(monkeypatch, space, method):
+    # A run of no steps neither builds the equation's real form nor calls
+    # its right-hand side.
+    calls, rhs = [], MasterEquation.rhs
+    monkeypatch.setattr(MasterEquation, "rhs", lambda self, rho: calls.append(1) or rhs(self, rho))
+    spec, rho0, decay, model = random_member(seed=5, d_s=2)
+    cfg = IntegratorConfig(dt=1e-3, t_max=0.0, method=method)
+    if space == "enlarged":
+        evolve_enlarged(model, rho0, cfg)
+        equation = model.system_equation
+    else:
+        evolve_wwa(spec, rho0, cfg)
+        equation = spec.equation
+    assert "real_form" not in vars(equation)
+    assert calls == []
 
 
 @pytest.mark.parametrize("method", ["rk4", "exact"])
