@@ -16,6 +16,7 @@ from .analysis import (
     apply_kraus,
     asymptotics_check,
     check_cp,
+    check_cp_generator,
     check_positivity,
     check_trace,
     choi_matrix,

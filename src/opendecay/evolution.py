@@ -275,8 +275,12 @@ class Trajectory:
 
     @cached_property
     def purity(self) -> np.ndarray:
-        """Tr(rho^2) of each sample, the sum of its blocks' purities."""
-        return _read_only(np.sum([np.einsum("nij,nji->n", b, b).real for b in self.blocks], axis=0))
+        """Tr(rho^2) of each sample, the sum of its blocks' purities.  A
+        finite state whose purity overflows reads inf, without numpy's
+        warning."""
+        with np.errstate(over="ignore"):
+            per_block = [np.einsum("nij,nji->n", b, b).real for b in self.blocks]
+            return _read_only(np.sum(per_block, axis=0))
 
     @cached_property
     def min_eigenvalues(self) -> np.ndarray:

@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 
 from opendecay import evolution
+from opendecay.analysis import choi_of_superoperator
 from opendecay.evolution import Trajectory
 from opendecay.model import (
     assemble_liouvillian,
@@ -49,6 +50,17 @@ def enlarged_gap(a: Trajectory, b: Trajectory) -> float:
     ss = np.linalg.norm(a.states - b.states, axis=(1, 2))
     ff = np.linalg.norm(a.decay - b.decay, axis=(1, 2))
     return float(np.hypot(ss, ff).max())
+
+
+def projected_choi(liouvillian, d: int) -> tuple[float, float]:
+    """The smallest eigenvalue of P C P and ||C||_F, for the Choi matrix C of
+    a vec() Liouvillian on d x d matrices and P the projector off
+    vec(I)/sqrt(d): exp(tL) is completely positive for every t >= 0 exactly
+    when that eigenvalue is not negative."""
+    choi = choi_of_superoperator(liouvillian, d).matrix
+    omega = np.eye(d).reshape(-1) / np.sqrt(d)
+    proj = np.eye(d * d) - np.outer(omega, omega)
+    return float(np.linalg.eigvalsh(proj @ choi @ proj)[0]), float(np.linalg.norm(choi))
 
 
 def corpus_params(i: int) -> dict:

@@ -1,6 +1,6 @@
 import numpy as np
 import pytest
-from conftest import split_oracle
+from conftest import projected_choi, split_oracle
 
 from opendecay import evolution
 from opendecay.analysis import (
@@ -10,6 +10,7 @@ from opendecay.analysis import (
     apply_kraus,
     asymptotics_check,
     check_cp,
+    check_cp_generator,
     check_positivity,
     check_trace,
     choi_matrix,
@@ -28,6 +29,7 @@ from opendecay.evolution import (
 )
 from opendecay.linalg import expm, unvec, vec
 from opendecay.model import (
+    MasterEquation,
     SystemSpec,
     assemble_liouvillian,
     assemble_liouvillian_wwa,
@@ -286,6 +288,48 @@ def test_choi_of_superoperator_matches_map_evaluation():
         np.testing.assert_allclose(got.matrix, want.matrix, rtol=0, atol=1e-14)
     assert check_cp(choi_of_superoperator(prop, 3)).status == "pass"
     assert check_cp(choi_of_superoperator(transpose, 2)).meta["min_eigenvalue"] == -1.0
+
+
+# Scales c of the generator L -> cL: H and Gamma times c, the jumps times
+# sqrt(c).  Complete positivity at every t does not change under them.
+CP_SCALES = [10.0**e for e in range(-8, 9)]
+
+
+def _scaled(eq: MasterEquation, c: float) -> MasterEquation:
+    return MasterEquation(eq.generator * c, tuple(a * np.sqrt(c) for a in eq.jumps))
+
+
+def test_cp_generator_certifies_the_corpus_at_every_scale(corpus):
+    # Every corpus generator, scaled by 1e-8 to 1e8, is certified by the
+    # bound alone, at a relative residual that does not grow with the scale.
+    for m in corpus:
+        eq = m.model.system_equation
+        for c in CP_SCALES:
+            scaled = _scaled(eq, c)
+            rep = check_cp_generator(scaled.real_form[: m.spec.d_s**2], scaled.jumps)
+            assert rep.status == "pass" and rep.meta["decided_by"] == "bound", (m.index, c)
+            assert rep.measured <= 1e-14, (m.index, c, rep.measured)
+
+
+def test_cp_generator_fails_a_negative_weight_dissipator_at_every_scale(corpus):
+    # The same G with the jump term's sign flipped, -i(G rho - rho G†) -
+    # sum_k A_k rho A_k†, certified against the jumps A_k: the bound cannot
+    # decide, and the eigvalsh of P C P fails it with the smallest eigenvalue
+    # of the Kronecker Liouvillian's projected Choi matrix.
+    members = [m for m in corpus if m.model.system_equation.jumps]
+    assert members
+    for m in members:
+        d = m.spec.d_s
+        for c in CP_SCALES:
+            eq = _scaled(m.model.system_equation, c)
+            closed = MasterEquation(eq.generator, ())
+            flipped = 2 * closed.real_form - eq.real_form
+            rep = check_cp_generator(flipped[: d * d], eq.jumps)
+            assert rep.status == "fail" and rep.meta["decided_by"] == "eigvalsh", (m.index, c)
+            want, _ = projected_choi(2 * closed.liouvillian().matrix - eq.liouvillian().matrix, d)
+            low = rep.meta["min_eigenvalue"]
+            assert abs(low - want) <= 1e-12 * rep.meta["scale"], (m.index, c)
+            assert rep.measured == -low / rep.meta["scale"] > 1e-8
 
 
 def test_trajectory_caches_its_per_sample_numbers(monkeypatch):

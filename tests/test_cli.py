@@ -1,5 +1,6 @@
 import json
 import os
+import tracemalloc
 import warnings
 
 from dataclasses import replace
@@ -9,7 +10,7 @@ from types import SimpleNamespace
 
 import numpy as np
 import pytest
-from conftest import pin_route, split_oracle
+from conftest import pin_route, projected_choi, split_oracle
 
 from opendecay import analysis, cli, evolution, model as model_module
 from opendecay.cli import (
@@ -899,65 +900,84 @@ def test_equivalence_norm_equals_the_unchunked_norm(name, stride):
     assert rep.measured == float(np.linalg.norm(delta, axis=(1, 2)).max())
 
 
-def _full_propagator_cp(ctx):
-    # The cp certificate computed from the d_tot^2 x d_tot^2 propagator of the
-    # whole enlarged Liouvillian, restricted to the system block afterwards.
-    d_s, d_f, d_tot = ctx.spec.d_s, ctx.spec.d_f, ctx.model.d_tot
-    t_max = ctx.cfg.integrator.t_max
-    times = [t for t in cli.CP_SAMPLE_TIMES if t <= t_max] or [max(t_max, 1e-3)]
-    worst, low = 0.0, np.inf
-    for t in times:
-        prop = expm(ctx.model.liouvillian.matrix * t)
-
-        def apply(rho_ss):
-            return unvec(prop @ vec(embed_state(rho_ss, d_f)), d_tot)[:d_s, :d_s]
-
-        rep = analysis.check_cp(analysis.choi_matrix(apply, d_s, t=t), tol=1e-8)
-        worst = max(worst, rep.measured)
-        low = min(low, rep.meta["min_eigenvalue"])
-    return worst, low
-
-
 @pytest.mark.parametrize("name", ["single-decay", "two-level-decay", "random"])
 def test_cp_report_matches_full_propagator(name):
-    cfg = short(parse_config(builtin_scenario_path(name).read_text()), t_max=5.0, checks=("cp",))
+    # The run's certificate of the system block's generator against an
+    # oracle independent of real_form: the projected Choi spectrum of the
+    # Kronecker Liouvillian.  The bound decides, its scale is the oracle's
+    # ||C||_F, its residual bounds the oracle's smallest eigenvalue from
+    # below, and the oracle's own verdict is a pass.
+    cfg = short(parse_config(builtin_scenario_path(name).read_text()), checks=("cp",))
     (rep,) = run_scenario(cfg, write=False).reports
-    worst, low = _full_propagator_cp(cli._RunContext(cfg))
-    assert rep.status == "pass"
-    assert rep.meta["times"] == list(cli.CP_SAMPLE_TIMES)
-    assert abs(rep.measured - worst) <= 1e-12
-    assert abs(rep.meta["min_eigenvalue"] - low) <= 1e-12
-
-
-def test_powered_cp_propagators_match_direct_expm(corpus, monkeypatch):
-    # E(1) = E(0.1)^10 and E(5) = E(1)^5 by binary powering, from one expm,
-    # against an expm at each time, for CP_SAMPLE_TIMES and each clipping of
-    # it to a shorter t_max.
-    calls = []
-
-    def counted(m):
-        calls.append(m.shape)
-        return expm(m)
-
-    monkeypatch.setattr(cli, "expm", counted)
-    for m in corpus:
-        d_s = m.spec.d_s
-        gen = m.model.system_equation.real_form[: d_s * d_s]
-        for times in (cli.CP_SAMPLE_TIMES, cli.CP_SAMPLE_TIMES[:2], (0.05,)):
-            calls.clear()
-            for t, prop in zip(times, cli._cp_propagators(gen, times)):
-                want = expm(gen * t)
-                assert np.linalg.norm(prop - want) <= 1e-12 * np.linalg.norm(want)
-            assert len(calls) == 1
+    eq = cli._RunContext(cfg).model.system_equation
+    low, norm = projected_choi(eq.liouvillian().matrix, cfg.system.d_s)
+    assert rep.status == "pass" and rep.meta["decided_by"] == "bound"
+    assert abs(rep.meta["scale"] - norm) <= 1e-12 * norm
+    assert rep.measured == rep.meta["residual"] / rep.meta["scale"]
+    assert low >= -rep.meta["residual"] - 1e-14 * norm
+    assert max(0.0, -low) / norm <= 1e-8
 
 
 def test_cp_report_fails_on_nan_eigenvalue(monkeypatch):
-    # An eigensolver that returns NaN must fail the run's cp report, not pass
-    # it at 0 when the per-time reports are folded.
-    cfg = short(parse_config(SINGLE_DECAY), checks=("cp",))
+    # A NaN in the real form fails the bound, and an eigensolver that
+    # returns NaN fails the eigvalsh path: neither passes at 0.  The real
+    # form of a CP generator certified against no jumps leaves the bound
+    # undecided, so the eigvalsh decides it, and passes it.
+    cfg = short(parse_config(builtin_scenario_path("random").read_text()), checks=("cp",))
+    eq = cli._RunContext(cfg).model.system_equation
+    real_ss = eq.real_form[: cfg.system.d_s**2].copy()
+    assert eq.jumps
+    undecided = analysis.check_cp_generator(real_ss, ())
+    assert undecided.status == "pass" and undecided.meta["decided_by"] == "eigvalsh"
+    real_ss[1, 2] = np.nan
+    rep = analysis.check_cp_generator(real_ss, eq.jumps)
+    assert rep.status == "fail" and np.isnan(rep.measured) and rep.meta["decided_by"] == "bound"
     monkeypatch.setattr(np.linalg, "eigvalsh", lambda a: np.full(a.shape[:-1], np.nan))
-    (rep,) = run_scenario(cfg, write=False).reports
-    assert rep.status == "fail" and np.isnan(rep.measured)
+    rep = analysis.check_cp_generator(eq.real_form[: cfg.system.d_s**2], ())
+    assert rep.status == "fail" and np.isnan(rep.measured) and rep.meta["decided_by"] == "eigvalsh"
+
+
+def test_cp_check_holds_one_choi_sized_array():
+    # With the real form built beforehand, the cp check at d_s = 24 holds
+    # one complex d_s^4 array and row blocks of it: its peak traced
+    # allocation is at most 1.5 times 16 d_s^4 bytes.
+    d_s = 24
+    ctx = cli._RunContext(_no_padding_config(d_s, "rk4", ["cp"]))
+    ctx.model.system_equation.real_form
+    tracemalloc.start()
+    try:
+        rep = cli._check_cp(ctx)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert rep.status == "pass" and rep.meta["decided_by"] == "bound"
+    assert peak <= 1.5 * 16 * d_s**4
+
+
+def test_equivalence_of_overflowing_finite_states_fails_with_a_finite_measure(tmp_path, capsys):
+    # An rk4 run whose states stay finite but reach about 1e180: the
+    # equivalence norm is rescaled and the purity reads inf, with no numpy
+    # warning.  Warnings are errors, except the step-size UserWarning.
+    path = tmp_path / "equivalence-overflow.json"
+    path.write_text(json.dumps({
+        "name": "equivalence-overflow",
+        "system": {"d_s": 1, "d_f": 1, "H": [[[0, 0]]], "Gamma": [[[3, 0]]], "A": []},
+        "initial_state": [[[1, 0]]],
+        "integrator": {"dt": 1.0, "t_max": 1300.0, "sample_stride": 1, "method": "rk4"},
+        "checks": ["equivalence"],
+    }))
+    out = tmp_path / "out"
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        warnings.filterwarnings("ignore", category=UserWarning)
+        assert main(["simulate", str(path), "--out", str(out)]) == 1
+    captured = capsys.readouterr()
+    assert "Traceback" not in captured.err + captured.out
+    name, verdict, measured, tol = (out / "equivalence-overflow_report.csv").read_text().split(",")
+    assert (name, verdict, tol) == ("equivalence", "fail", "1e-08\n")
+    assert np.isfinite(float(measured))
+    last = (out / "equivalence-overflow_timeseries.csv").read_text().splitlines()[-1].split(",")
+    assert last[4] == "inf" and np.isfinite(float(last[1]))
 
 
 # The cp check alone at d_s = 12, and all five checks on the stepper (rk4 and
