@@ -20,13 +20,11 @@ instead of d_tot^2.  Every run starts from diag(rho_ss, 0), the paper's
 state with no decay products yet, so the engine and its entry points take
 only the d_s x d_s system block.  The system space is the same engine with
 an empty decay sector, d_f = 0, and its own L_ss, built from H - (i/2) Gamma
-without B, so that the ``equivalence`` check still tests B†B = Gamma.  The
-asymptotics check runs the same engine with d_f = 0 on the enlarged model's
-own system-block equation, G = H - (i/2)(B†B + sum A†A) with jumps A and
-without its feed (``MasterEquation.without_feed``, whose real form is the
-L_ss rows of the fed one): that block evolves alone under L_ss, and the
-check reads nothing else.  Every step, power and propagator of [[L_ss, 0],
-[L_fs, 0]] is held as its stacked pair [E; Phi], its first block column.
+without B, so that the ``equivalence`` check still tests B†B = Gamma.  These
+two evolutions are the only propagations of a run: the ``cp`` and
+asymptotics checks certify the generator.  Every step, power and propagator
+of [[L_ss, 0], [L_fs, 0]] is held as its stacked pair [E; Phi], its first
+block column.
 Both steps are Taylor polynomials of the stacked pair h [L_ss; L_fs],
 evaluated by the one kernel of :mod:`opendecay.linalg`, which works on
 pairs throughout and never builds the (d_s^2 + d_f^2)^2 block matrix (Van
@@ -148,7 +146,7 @@ from functools import cached_property
 import numpy as np
 
 from .errors import DimensionError, GridError, NumericsError
-from .linalg import HermitianBasis, _then, as_matrix, expm, require_hermitian, unvec, vec
+from .linalg import _then, as_matrix, expm, hermitian_basis, require_hermitian, unvec, vec
 from .linalg import _TAYLOR, DEFAULT_HERMITICITY_TOL, _taylor
 from .model import DecayOperator, EnlargedModel, Liouvillian, SystemSpec, decay_feed
 
@@ -628,7 +626,7 @@ def _evolve_steps(build, h0, dims: tuple[int, int], cfg: IntegratorConfig, jump:
     hs = np.empty((cfg.n_samples, n))
     hs[0] = h0
     times = _sample(advance, h0, cfg, (hs,), block, jump)
-    basis_ss, basis_ff = HermitianBasis(d), HermitianBasis(d_f)
+    basis_ss, basis_ff = hermitian_basis(d), hermitian_basis(d_f)
     return times, basis_ss.matrices(hs[:, :n_s]), basis_ff.matrices(hs[:, n_s:])
 
 
@@ -704,7 +702,7 @@ def _evolve(equation, rho0, cfg: IntegratorConfig):
             states[0] = rho0
             times = _sample(advance, (rho0, decay[0]), cfg, (states, decay))
         else:
-            h0 = np.concatenate((HermitianBasis(d).coords(rho0), np.zeros(d_f * d_f)))
+            h0 = np.concatenate((hermitian_basis(d).coords(rho0), np.zeros(d_f * d_f)))
 
             def build():  # the stacked step [E; Phi]
                 try:

@@ -21,6 +21,7 @@ too.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -39,6 +40,7 @@ __all__ = [
     "as_matrix",
     "expm",
     "frobenius",
+    "hermitian_basis",
     "hermitian_eig",
     "require_hermitian",
     "unvec",
@@ -83,7 +85,8 @@ class HermitianBasis:
     changes of basis below are two scaled copies that round at most once per
     entry, and U itself is never built.  The permutation ``kt`` is a
     transpose of the d x d index grid, so it is applied as a reshape and a
-    swap of axes, not a gather.
+    swap of axes, not a gather.  Its arrays are read-only, so that the
+    basis :func:`hermitian_basis` shares cannot be changed.
     """
 
     def __init__(self, d: int):
@@ -94,6 +97,8 @@ class HermitianBasis:
         self.first = np.where(row <= col, 1.0, -1j)
         self.second = np.where(row < col, 1.0, np.where(row > col, 1j, 0.0))
         self.norms_sq = np.where(row == col, 1.0, 2.0)  # squared column norms
+        for a in (self.kt, self.first, self.second, self.norms_sq):
+            a.flags.writeable = False
 
     def _swap(self, m: np.ndarray, axis: int) -> np.ndarray:
         # m with the index k of ``axis`` (0 or -1) taken to kt[k], in a copy.
@@ -133,6 +138,13 @@ class HermitianBasis:
         v = coords * self.first + self._swap(coords, -1) * self.second[self.kt]  # rows of (U h)^T
         # The row count is given, not inferred, so that d = 0 gives (n, 0, 0).
         return v.reshape(len(coords), self.d, self.d).transpose(0, 2, 1)  # vec() stacks columns
+
+
+@functools.cache
+def hermitian_basis(d: int) -> HermitianBasis:
+    """The one :class:`HermitianBasis` of dimension d, built on first use
+    and shared by every later caller."""
+    return HermitianBasis(d)
 
 
 def frobenius(m) -> float:

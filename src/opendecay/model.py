@@ -27,13 +27,13 @@ from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
 
 from .errors import ConstraintError, DimensionError, NotPSDError, NumericsError
-from .linalg import DEFAULT_HERMITICITY_TOL, HermitianBasis, _phase_fixed_eig, as_matrix
+from .linalg import DEFAULT_HERMITICITY_TOL, _phase_fixed_eig, as_matrix, hermitian_basis
 from .linalg import frobenius, require_hermitian
 
 # Eigenvalues of the decay matrix at or below this (times max(1, ||Gamma||_F))
@@ -134,7 +134,7 @@ class MasterEquation:
         feed.  The map preserves hermiticity, so the imaginary parts that
         the coordinates drop are rounding."""
         d, d_f = self.generator.shape[0], self.feed.shape[0]
-        basis, basis_f = HermitianBasis(d), HermitianBasis(d_f)
+        basis, basis_f = hermitian_basis(d), hermitian_basis(d_f)
         n_s = d * d
         out = np.empty((n_s + d_f * d_f, n_s))
         ks = np.arange(n_s)
@@ -161,14 +161,6 @@ class MasterEquation:
             if d_f:
                 out[n_s:, i:j] = basis_f.coords(_outer_sum((feed_cols,), r, c, g, d_f)).T
         return out
-
-    def without_feed(self) -> MasterEquation:
-        """The same equation with no feed, d_f = 0: the system block alone.
-        Its real form is L_ss, the first d^2 rows of :attr:`real_form`, which
-        it shares instead of building them again."""
-        eq = replace(self, feed=None)
-        eq.__dict__["real_form"] = self.real_form[: self.generator.shape[0] ** 2]
-        return eq
 
     def liouvillian(self) -> Liouvillian:
         """L = -i I(x)G + i conj(G)(x)I + sum_k conj(K)(x)K: the column-stacking

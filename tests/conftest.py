@@ -63,6 +63,22 @@ def projected_choi(liouvillian, d: int) -> tuple[float, float]:
     return float(np.linalg.eigvalsh(proj @ choi @ proj)[0]), float(np.linalg.norm(choi))
 
 
+def sampled_asymptotics(traj: Trajectory, dec) -> float:
+    """The decay limits read from the samples of a run from trace-one
+    rho_ss(0) to the horizon 20/gamma0, for the smallest decay rate gamma0:
+    the largest of the bound excess max_t [Tr rho_ss(t) - Tr rho_ss(0)
+    exp(-gamma0 t) (1 + 1e-6)] over 1e-8, and the final ||rho_ss||_F and
+    |Tr rho_ss| over 1e-7; inf for a run that stops short of the horizon.
+    The limits hold when it is at most 1."""
+    gamma0 = float(dec.rates.min())
+    if traj.times[-1] < 20.0 / gamma0 * (1.0 - 1e-9):
+        return np.inf
+    traces = traj.traces[0]
+    excess = np.max(traces - traces[0] * np.exp(-gamma0 * traj.times) * (1.0 + 1e-6))
+    final = max(np.linalg.norm(traj.states[-1]), abs(traces[-1]))
+    return float(max(excess / 1e-8, final / 1e-7))
+
+
 def corpus_params(i: int) -> dict:
     d_s = (i % 3) + 1
     return dict(

@@ -18,6 +18,7 @@ from opendecay.analysis import (
     apply_kraus,
     asymptotics_check,
     check_cp,
+    check_cp_generator,
     check_positivity,
     choi_matrix,
     kraus_amplitude_damping,
@@ -180,7 +181,9 @@ def test_06_non_singular_decay_limits(corpus):
             sf,
             abs(float(np.trace(traj.decay[-1]).real) - 1.0),
         )
-        assert asymptotics_check(traj, m.dec).status == "pass"
+        eq = m.model.system_equation
+        cp = check_cp_generator(eq.real_form[: m.spec.d_s**2], eq.jumps)
+        assert asymptotics_check(eq.real_form, m.rho0, m.dec, cp).status == "pass"
     ok = worst_excess <= 0.0 and worst_limit <= 1e-7 and checked >= 3
     report(
         "06 non-singular decay limits",

@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 from conftest import projected_choi, split_oracle
@@ -58,8 +60,8 @@ def closed_form_trajectory(gamma=1.0, t_max=5.0, n=51):
 
 
 def exact_trajectory(liouv, rho0, t_max, n, d_s):
-    # Held by its blocks; the full propagator keeps the sf block within the
-    # asymptotics check's limit tolerance.
+    # Held by its blocks; the full propagator keeps the sf block within
+    # 1e-7.
     h = t_max / n
     step = expm(liouv.matrix * h)
     v = vec(rho0)
@@ -403,106 +405,142 @@ def test_mixedness_rejects_nonhermitian():
 # -- asymptotics ------------------------------------------------------------------
 
 
-def test_asymptotics_single_decay():
-    spec, model, liouv = single_decay_model(gamma=1.0)
-    traj = exact_trajectory(liouv, np.diag([1.0, 0.0]).astype(complex), 25.0, 200, d_s=1)
+def _certify(model, rho0, dec, generator=None):
+    # The asymptotics report of the enlarged model's system-block equation,
+    # or of that equation with another generator G, with its cp report.
+    eq = model.system_equation
+    if generator is not None:
+        eq = MasterEquation(generator, eq.jumps, eq.feed)
+    cp = check_cp_generator(eq.real_form[: model.d_s**2], eq.jumps)
+    return asymptotics_check(eq.real_form, rho0, dec, cp)
+
+
+def _scaled_member(m, c: float):
+    # H and Gamma times c, A times sqrt(c): L_ss and L_fs times c.
+    spec = SystemSpec(
+        d_s=m.spec.d_s, d_f=m.spec.d_f, hamiltonian=m.spec.hamiltonian * c,
+        decay_matrix=m.spec.decay_matrix * c,
+        lindblad_ops=tuple(a * np.sqrt(c) for a in m.spec.lindblad_ops),
+    )
     dec = decompose_gamma(spec.decay_matrix)
-    report = asymptotics_check(traj, dec)
+    return embed_operators(spec, build_decay_operator(dec, spec.d_f)), dec
+
+
+def test_asymptotics_single_decay():
+    spec, model, _ = single_decay_model(gamma=1.0)
+    dec = decompose_gamma(spec.decay_matrix)
+    report = _certify(model, np.array([[1.0]]), dec)
     assert report.status == "pass"
-    assert abs(np.trace(traj.decay[-1]).real - 1.0) <= 1e-7
-
-
-@pytest.mark.parametrize(
-    "ss_final, ff_final, status",
-    [(0.0, 1.0 - 1e-6, "pass"), (2e-7, 1.0 - 2e-7, "fail"), (1e-30, 1.0 - 4.4e-16, "pass")],
-)
-def test_asymptotics_final_gap_is_the_system_trace(ss_final, ff_final, status):
-    # The final trace gap is Tr rho_ss, not |1 - Tr rho_ff|: a deficit of the
-    # total trace is the trace check's, and a rounding-level 1 - Tr rho_ff
-    # no longer sets ``measured``, which the |1 - Tr rho_ff| rule read as 10,
-    # 20 and 4.4e-9 here.
-    dec = decompose_gamma(np.array([[1.0]]))
-    traj = Trajectory(
-        times=[0.0, 25.0],
-        states=(np.array([[1.0]]), np.array([[ss_final]])),
-        decay=(np.array([[0.0]]), np.array([[ff_final]])),
-    )
-    report = asymptotics_check(traj, dec)
-    assert report.status == status
-    assert report.meta["final_ss_trace"] == ss_final
-    assert "final_ff_trace_gap" not in report.meta
-    excess = max(-1e-6, ss_final - np.exp(-25.0) * (1.0 + 1e-6))
-    assert report.measured == pytest.approx(max(excess / 1e-8, ss_final / 1e-7), rel=1e-9)
-
-
-def _decaying_trajectory(nan_at):
-    # Six samples of a single decay to the horizon 20/gamma0 = 20, with a
-    # NaN system block at sample ``nan_at``.
-    times = np.linspace(0.0, 25.0, 6)
-    ss = np.exp(-times)
-    ss[nan_at] = np.nan
-    return Trajectory(
-        times=times,
-        states=tuple(np.array([[x]]) for x in ss),
-        decay=tuple(np.array([[1.0 - x]]) for x in np.exp(-times)),
-    )
-
-
-@pytest.mark.parametrize("nan_at", [2, 5], ids=["inner-sample", "final-sample"])
-def test_asymptotics_fails_on_nan_system_trace(nan_at):
-    # A NaN trace is neither within the bound nor emptied; the worst values
-    # are taken with NaN-keeping reductions, so measured is NaN and fails.
-    report = asymptotics_check(_decaying_trajectory(nan_at), decompose_gamma(np.array([[1.0]])))
-    assert report.status == "fail"
-    assert np.isnan(report.measured)
+    assert report.meta["max_trace_rate"] == -1.0 and report.meta["decay_limit"] == 1.0
+    assert report.measured == 0.0
 
 
 def test_asymptotics_singular_not_applicable():
     spec = SystemSpec(d_s=2, d_f=1, hamiltonian=np.zeros((2, 2)), decay_matrix=np.diag([1.0, 0.0]))
     dec = decompose_gamma(spec.decay_matrix)
-    traj = Trajectory(times=[0.0], states=(np.zeros((2, 2)),), decay=(np.zeros((1, 1)),))
-    report = asymptotics_check(traj, dec)
+    model = embed_operators(spec, build_decay_operator(dec, 1))
+    report = _certify(model, np.diag([1.0, 0.0]), dec)
     assert report.status == "not_applicable"
     assert report.passed
 
 
-def test_asymptotics_reads_only_the_system_blocks():
-    # A system-only trajectory gives the report of an enlarged one with the
-    # same system blocks, on a run that reaches the horizon and on one that
-    # stops short of it: the decay blocks decide nothing.
-    spec, model, liouv = single_decay_model(gamma=1.0)
-    dec = decompose_gamma(spec.decay_matrix)
-    for t_max, n, status in ((25.0, 200, "pass"), (5.0, 50, "fail")):
-        traj = exact_trajectory(liouv, np.diag([1.0, 0.0]).astype(complex), t_max, n, d_s=1)
-        alone = Trajectory(times=traj.times, states=traj.states)
-        report = asymptotics_check(alone, dec)
-        assert report.status == status
-        assert report == asymptotics_check(traj, dec)
-
-
-def test_asymptotics_short_horizon_fails():
-    spec, model, liouv = single_decay_model(gamma=1.0)
-    traj = exact_trajectory(liouv, np.diag([1.0, 0.0]).astype(complex), 5.0, 50, d_s=1)
-    report = asymptotics_check(traj, decompose_gamma(spec.decay_matrix))
-    assert report.status == "fail"
-    assert not report.meta["horizon_ok"]
-
-
 def test_asymptotics_exponential_bound_random_model():
+    # The trace of an exact run stays under exp(lambda_max t) Tr rho0 for
+    # the certified rate lambda_max, past the horizon 20/gamma0.
     spec, rho0 = random_system(19, d_s=2, n_lindblad=1)
     dec = decompose_gamma(spec.decay_matrix)
     assert dec.null_dim == 0
-    decay = build_decay_operator(dec, spec.d_f)
-    model = embed_operators(spec, decay)
+    model = embed_operators(spec, build_decay_operator(dec, spec.d_f))
     liouv = assemble_liouvillian(model.hamiltonian, model.lindblad_ops, model.decay_op)
-    gamma0 = float(dec.rates.min())
-    traj = exact_trajectory(liouv, embed_state(rho0, spec.d_f), 20.0 / gamma0, 200, d_s=2)
-    report = asymptotics_check(traj, dec)
+    report = _certify(model, rho0, dec)
     assert report.status == "pass"
+    rate = report.meta["max_trace_rate"]
+    assert rate <= -dec.rates.min() * (1 - 5e-8)
+    traj = exact_trajectory(liouv, embed_state(rho0, spec.d_f), 30.0 / dec.rates.min(), 300, d_s=2)
     tr0 = float(np.trace(rho0).real)
     for k in range(len(traj)):
         tr = float(np.trace(traj.states[k]).real)
-        assert tr <= tr0 * np.exp(-gamma0 * traj.times[k]) + 1e-8
+        assert tr <= tr0 * np.exp(rate * traj.times[k]) + 1e-15
+    assert abs(report.meta["decay_limit"] - np.trace(traj.decay[-1]).real) <= 1e-12
+
+
+def test_asymptotics_singular_corpus_members_are_not_applicable(corpus):
+    singular = [m for m in corpus if m.dec.null_dim > 0]
+    assert len(singular) == 3
+    for m in singular:
+        assert _certify(m.model, m.rho0, m.dec).status == "not_applicable"
+
+
+def test_asymptotics_verdicts_do_not_change_with_scale(corpus):
+    # Every non-singular member passes at every scale of L, with the ratios
+    # of the rate excess and the limit gap at rounding level.
+    for m in corpus:
+        if m.dec.null_dim > 0:
+            continue
+        for c in CP_SCALES:
+            model, dec = _scaled_member(m, c)
+            report = _certify(model, m.rho0, dec)
+            assert report.status == "pass", (m.index, c)
+            assert report.measured <= 1e-6, (m.index, c, report.measured)
+
+
+@pytest.mark.parametrize("c", [0.9, 1 - 1e-6])
+def test_asymptotics_fails_a_loss_below_the_decay_operator(corpus, c):
+    # G + (i/2)(1 - c) B†B, the loss term c B†B: the trace now decays at c
+    # gamma0, and 1/c of it arrives in the decay block.  Both parts fail, at
+    # every scale, while cp still passes.
+    members = [m for m in corpus if m.dec.null_dim == 0]
+    for m in members:
+        for scale in (1e-8, 1.0, 1e8):
+            model, dec = _scaled_member(m, scale)
+            gen = model.system_equation.generator + 0.5j * (1 - c) * model.decay.gram
+            report = _certify(model, m.rho0, dec, gen)
+            assert report.status == "fail", (m.index, scale)
+            gamma0 = dec.rates.min()
+            excess = (report.meta["max_trace_rate"] + gamma0) / (5e-8 * gamma0)
+            assert excess == pytest.approx((1 - c) / 5e-8, rel=1e-6)
+            gap = abs(report.meta["decay_limit"] - 1.0) / 1e-7
+            assert gap == pytest.approx((1 / c - 1) / 1e-7, rel=1e-6)
+
+
+def test_asymptotics_fails_with_a_cp_failing_dissipator(corpus):
+    # The jump term's sign flipped: the cp certificate fails, so the
+    # positivity that the rate bound rests on does not hold.
+    members = [m for m in corpus if m.dec.null_dim == 0 and m.spec.lindblad_ops]
+    assert members
+    for m in members:
+        eq = m.model.system_equation
+        closed = MasterEquation(eq.generator, (), eq.feed)
+        flipped = 2 * closed.real_form - eq.real_form
+        cp = check_cp_generator(flipped[: m.spec.d_s**2], eq.jumps)
+        report = asymptotics_check(flipped, m.rho0, m.dec, cp)
+        assert cp.status == "fail" and report.status == "fail"
+        assert report.measured >= cp.measured / cp.tolerance
+
+
+@pytest.mark.parametrize("rows", ["loss", "feed"])
+def test_asymptotics_fails_on_a_generator_that_is_not_finite(rows):
+    # A NaN in the L_ss rows reaches the trace row and the solve, one in
+    # the L_fs rows the decay limit: either fails, with no warning.
+    spec, model, _ = single_decay_model(gamma=1.0)
+    dec = decompose_gamma(spec.decay_matrix)
+    gen = model.system_equation.real_form.copy()
+    gen[0 if rows == "loss" else 1, 0] = np.nan
+    cp = check_cp_generator(model.system_equation.real_form[:1], ())
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        report = asymptotics_check(gen, np.array([[1.0]]), dec, cp)
+    assert report.status == "fail" and np.isnan(report.measured)
+
+
+def test_asymptotics_fails_on_a_singular_solve():
+    # A generator whose L_ss is singular, checked against a non-singular
+    # decay matrix: the LU solve fails, and the report fails with it.
+    dec = decompose_gamma(np.eye(2))
+    gen = np.zeros((8, 4))
+    cp = check_cp_generator(gen[:4], ())
+    report = asymptotics_check(gen, np.diag([1.0, 0.0]), dec, cp)
+    assert report.status == "fail" and np.isnan(report.meta["decay_limit"])
 
 
 # -- Kraus pair -------------------------------------------------------------------

@@ -10,7 +10,7 @@ from types import SimpleNamespace
 
 import numpy as np
 import pytest
-from conftest import pin_route, projected_choi, split_oracle
+from conftest import pin_route, projected_choi, sampled_asymptotics, split_oracle
 
 from opendecay import analysis, cli, evolution, model as model_module
 from opendecay.cli import (
@@ -386,11 +386,10 @@ def test_run_without_checks_gates_its_samples(monkeypatch):
 
 
 def test_run_builds_the_system_real_form_once(monkeypatch):
-    # The enlarged run's step and the cp check take the real form of the
-    # model's system-block equation, which is built once.  The system-space
-    # run builds the real form of its own equation.  The asymptotics check
-    # runs the system-block equation without its feed, whose real form is the
-    # L_ss rows of the first, shared and not built: two builds in all.
+    # The enlarged run's step and the cp and asymptotics checks take the
+    # real form of the model's system-block equation, which is built once.
+    # The system-space run builds the real form of its own equation: two
+    # builds in all.
     cfg = parse_config(builtin_scenario_path("random").read_text())
     assert {"cp", "asymptotics"} <= set(cfg.checks)
     build, built = MasterEquation.real_form.func, []
@@ -946,7 +945,7 @@ def test_cp_check_holds_one_choi_sized_array():
     ctx.model.system_equation.real_form
     tracemalloc.start()
     try:
-        rep = cli._check_cp(ctx)
+        rep = ctx.cp
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -1091,16 +1090,16 @@ def test_all_checks_do_not_assemble_enlarged_liouvillian(monkeypatch):
     assert [r.name for r in result.reports] == list(cli.CHECK_NAMES)
     assert all(r.passed for r in result.reports)
     (ctx,) = contexts
-    assert ctx.dec.null_dim == 0  # the asymptotics check propagates
+    assert ctx.dec.null_dim == 0  # the asymptotics check applies
     assert ctx.model.d_tot == 24
     assert "liouvillian" not in vars(ctx.model)
 
 
 def _full_liouvillian_asymptotics(m):
-    # The asymptotics check's propagation before it moved onto the
-    # block-diagonal subspace: expm of the whole enlarged Liouvillian.
+    # The sampled oracle of the decay limits: 200 steps of expm of the whole
+    # enlarged Liouvillian to the horizon 20/gamma0.
     horizon = 20.0 / float(m.dec.rates.min())
-    n = cli.ASYMPTOTICS_STEPS
+    n = 200
     step = expm(m.liouv.matrix * (horizon / n))
     v = vec(embed_state(m.rho0, m.spec.d_f))
     states = [unvec(v, m.model.d_tot)]
@@ -1108,65 +1107,41 @@ def _full_liouvillian_asymptotics(m):
         v = step @ v
         states.append(unvec(v, m.model.d_tot))
     traj, sf = split_oracle(np.arange(n + 1) * (horizon / n), states, m.spec.d_s)
-    return analysis.asymptotics_check(traj, m.dec), sf
+    return sampled_asymptotics(traj, m.dec), traj, sf
 
 
 def test_asymptotics_matches_full_liouvillian_loop(corpus):
+    # On every non-singular corpus member the generator certificate gives
+    # the verdict of the sampled oracle, a pass, and its decay limit is the
+    # oracle's final Tr rho_ff, which lacks only Tr rho_ss(20/gamma0) <=
+    # e^-20.
     checked = 0
     for m in corpus:
         if m.dec.null_dim > 0:
             continue
         checked += 1
+        eq = m.model.system_equation
+        cp = analysis.check_cp_generator(eq.real_form[: m.spec.d_s**2], eq.jumps)
         ctx = SimpleNamespace(
-            dec=m.dec, spec=m.spec, model=m.model, cfg=SimpleNamespace(initial_state=m.rho0)
+            dec=m.dec, model=m.model, cfg=SimpleNamespace(initial_state=m.rho0), cp=cp
         )
         new = cli._check_asymptotics(ctx)
-        old, sf = _full_liouvillian_asymptotics(m)
-        assert new.status == old.status == "pass"
-        # The block-held trajectories take the sf block to be zero; the full
-        # propagation keeps it within the tolerance of the meta comparison.
+        oracle, traj, sf = _full_liouvillian_asymptotics(m)
+        assert new.status == "pass" and oracle <= 1.0, m.index
         assert sf <= 1e-13
-        # measured is the worst residual over its tolerance; 1e-6 allows
-        # 1e-13 on any residual.
-        assert abs(new.measured - old.measured) <= 1e-6
-        for key in ("final_ss_norm", "final_ss_trace", "bound_excess"):
-            assert abs(new.meta[key] - old.meta[key]) <= 1e-13
-    assert checked >= 3
+        assert new.measured <= 1e-6
+        assert abs(new.meta["decay_limit"] - np.trace(traj.decay[-1]).real) <= 1e-8
+    assert checked == 22
 
 
-def test_asymptotics_check_builds_one_step_without_fed_rows(monkeypatch):
-    # The check's propagation runs on the system block alone: one exact step
-    # of d_s^2 x d_s^2 coordinates, with no rows for the decay sector, and a
-    # trajectory of system blocks only.
-    steps, trajs = [], []
-    step_blocks, check = evolution._step_blocks, analysis.asymptotics_check
-
-    def spy_step(gen, h, method):
-        pair = step_blocks(gen, h, method)
-        steps.append((pair.shape, method))
-        return pair
-
-    def spy_check(traj, dec):
-        trajs.append(traj)
-        return check(traj, dec)
-
-    monkeypatch.setattr(evolution, "_step_blocks", spy_step)
-    monkeypatch.setattr(analysis, "asymptotics_check", spy_check)
-    ctx = cli._RunContext(parse_config(builtin_scenario_path("random").read_text()))
-    assert ctx.dec.null_dim == 0 and ctx.spec.d_f > 0
-    n_s = ctx.spec.d_s**2
-    assert cli._check_asymptotics(ctx).status == "pass"
-    assert steps == [((n_s, n_s), "exact")]
-    (traj,) = trajs
-    assert traj.decay is None and len(traj) == cli.ASYMPTOTICS_STEPS + 1
-
-
-def test_asymptotics_propagation_reaches_the_checks_horizon(monkeypatch):
-    # The CLI propagates to analysis.asymptotics_horizon, the horizon the
-    # check demands, so a longer horizon moves both and the check passes.
-    horizon = analysis.asymptotics_horizon
-    monkeypatch.setattr(analysis, "asymptotics_horizon", lambda dec: 1.5 * horizon(dec))
-    cfg = short(parse_config(SINGLE_DECAY), t_max=0.1, checks=["asymptotics"])
-    (rep,) = run_scenario(cfg, write=False).reports
-    assert rep.status == "pass" and rep.meta["horizon_ok"]
-    assert rep.meta["horizon"] == 30.0 and rep.meta["t_end"] == pytest.approx(30.0, rel=1e-12)
+def test_an_all_checks_run_evolves_twice(monkeypatch):
+    # The enlarged and the system-space evolutions are the only
+    # propagations of a run with every check: the cp and asymptotics checks
+    # certify the generator.
+    calls, evolve = [], evolution._evolve
+    monkeypatch.setattr(evolution, "_evolve", lambda *a: calls.append(a) or evolve(*a))
+    cfg = parse_config(builtin_scenario_path("random").read_text())
+    assert cfg.checks == cli.CHECK_NAMES and cfg.system.decomposition.null_dim == 0
+    result = run_scenario(cfg, write=False)
+    assert all(r.status == "pass" for r in result.reports)
+    assert len(calls) == 2

@@ -12,6 +12,7 @@ from opendecay.linalg import (
     as_matrix,
     expm,
     frobenius,
+    hermitian_basis,
     hermitian_eig,
     require_hermitian,
     unvec,
@@ -52,6 +53,14 @@ def test_hermitian_basis_matrices_invert_coords(d):
     out = basis.matrices(coords)
     assert out.shape == (3, d, d)
     np.testing.assert_allclose(out, rhos, rtol=0, atol=1e-15)
+
+
+def test_hermitian_basis_is_built_once_per_dimension_and_read_only():
+    basis = hermitian_basis(3)
+    assert hermitian_basis(3) is basis and hermitian_basis(2) is not basis
+    for a in (basis.kt, basis.first, basis.second, basis.norms_sq):
+        with pytest.raises(ValueError, match="read-only"):
+            a[0] = 0
 
 
 def explicit_basis(d):
