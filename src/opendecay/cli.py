@@ -495,19 +495,6 @@ def write_report(result: RunResult, path) -> None:
     _atomic_write(Path(path), ("\n".join(lines) + ("\n" if lines else "")).encode())
 
 
-def _liouvillian_norm_bound(model) -> float:
-    # L = -i I(x)G + i conj(G)(x)I + sum_k conj(K)(x)K, so ||L||_2 <= 2||G||_2
-    # + sum_k ||K||_2^2; the padded G is diag(G_ss, 0) and the jumps are the
-    # A and B.  The bound holds for L restricted to the block-diagonal
-    # subspace too; that generator's SVD is needed only when the bound cannot
-    # rule the step-size warning out.
-    eq = model.system_equation
-    bound = 2.0 * np.linalg.norm(eq.generator, 2)
-    for k in eq.jumps + (model.decay.matrix,):
-        bound += np.linalg.norm(k, 2) ** 2
-    return float(bound)
-
-
 def _subspace_generator_norm(model) -> float:
     # The generator on (vec rho_ss, vec rho_ff) is [[L_ss, 0], [L_fs, 0]]; its
     # zero block column does not change the 2-norm.  [L_ss; L_fs] is diag(U_s,
@@ -524,8 +511,11 @@ def run_scenario(cfg: ScenarioConfig, out_dir=None, write: bool = True) -> RunRe
     CSV and report files."""
     ctx = _RunContext(cfg)
     dt, steps = cfg.integrator.dt, cfg.integrator.n_steps
-    # A run of no steps takes no step of length dt.
-    if cfg.integrator.method == "rk4" and steps and dt * _liouvillian_norm_bound(ctx.model) > 0.1:
+    # A run of no steps takes no step of length dt.  The bound on ||L||_2
+    # holds for L restricted to the block-diagonal subspace too; that
+    # generator's SVD is taken only when the bound cannot rule the warning out.
+    norm_bound = ctx.model.system_equation.norm_bound
+    if cfg.integrator.method == "rk4" and steps and dt * norm_bound(2) > 0.1:
         gen_scale = _subspace_generator_norm(ctx.model)
         if dt * gen_scale > 0.1:
             warnings.warn(

@@ -27,7 +27,7 @@ class GridError(ToolkitError):
 
 class NumericsError(ToolkitError):
     """A numerical integrity monitor tripped: a step or a state that is not
-    finite, or the direct RK4's hermiticity drift."""
+    finite."""
 
 
 class ConfigError(ToolkitError):

@@ -37,8 +37,8 @@ its degree and the halvings picked from the 1-norm by the fewest products,
 with no linear solve, squared back up by the pair composition below.
 
 The stepper builds the run's step once, if the run has a step, and then
-advances a block of sample intervals per real matvec: ``exact`` always,
-``rk4`` where the cost rule (below) prices it cheaper than the direct RK4.
+advances a block of sample intervals per real matvec, by either method,
+where the cost rule (below) prices it cheaper than the direct step.
 The generator maps hermitian matrices to hermitian matrices, so in the real
 coordinates (s, f) of :class:`HermitianBasis` it is one real matrix
 [L_ss; L_fs], ``MasterEquation.real_form`` of the system-block equation,
@@ -63,9 +63,10 @@ fail, and calls no right-hand side: per block, every state the block
 reaches is tested for finiteness.  When one fails, the first unit that
 reached a state that is not finite is replayed one step at a time from the
 state before it, with the one-step pair rebuilt, and the error names the
-first step whose state is not finite.  The direct RK4 reports a state that
-is not finite the same way, and a finite drift above HERMITICITY_DRIFT_TOL
-as the drift it is.
+first step whose state is not finite.  The direct step re-symmetrizes
+every state it reaches and tests it for finiteness in the same way, and
+watches no drift: a run whose state grows ends at the same step, in the
+same words, on every route.
 
 B is as many units as fit in BLOCK_BYTES, 65536 // (8 n n_s) for the n =
 d_s^2 + d_f^2 rows and n_s = d_s^2 columns of a unit, and at least one:
@@ -86,13 +87,18 @@ share.  Larger blocks still help at d_s 4 to 8: on the real step, both
 4, 6 and 8 (best and median of 15).  From d_s = 8 on one unit fills the
 block, so the matrix is the unit's pair itself.
 
-One cost rule, :func:`_plan`, decides how a run goes.  From d_s, d_f, the
-step count, the stride, the interval count and the method, it prices one
-step per matvec row, one sample interval per row and, for ``rk4`` only, the
-direct RK4, in multiply-adds at the rate of the stepper's matvecs, and takes
-the cheapest; ``exact`` only picks the unit.  The direct RK4 is weighed
-against the stepper plus its step build, the kernel's 2 n n_s^2 for ``rk4``
-at the products' rate.
+One cost rule, :func:`_plan`, decides how a run goes, for either method.
+From d_s, d_f, the step count, the stride and the interval count, it prices
+one step per matvec row, one sample interval per row and the direct step,
+in multiply-adds at the rate of the stepper's matvecs, and takes the
+cheapest.  The method enters only through the degree m and the halvings
+sigma of its direct step (:func:`_direct_plan`): (4, 0) for ``rk4``, and
+for ``exact`` linalg's plan for dt times the O(d_s^2) bound
+``MasterEquation.norm_bound(1)``.  The direct step is priced per
+right-hand side, N 2^sigma (m/4) (DIRECT_STEP + 8 d_s^3) for N steps; the
+stepper adds to its unit the build of the method's step, the products of
+linalg's Taylor polynomial of degree m and sigma squarings, at the
+products' rate.
 
 Without a short interval the jump pays when P d_s^2 < PRODUCT_SPEEDUP I (S -
 1): the fed rows scale both sides alike.  PRODUCT_SPEEDUP = 8 is the
@@ -105,21 +111,24 @@ never slower by more than 0.003 ms.  The rule jumps from x = 1/8.  At d_s =
 30 and S = 50, 10 intervals (x = 0.08) take 306 ms one step per matvec and
 337 ms with the jump; 30 intervals (x = 0.23) take 891 and 362 ms.
 
-The direct RK4 evolves rho_ss with the system-block equation and
-accumulates rho_ff from the RK4 stages: O(d_s^3) work per step against the
-stepper's O(d_s^4) matvec, but call-bound.  Per step and evolution, on the
-host above, it takes 74-92 us at d_s = 8, 81-108 us at 12 and 16, and
+The direct step (:func:`_direct_step`) evolves rho_ss with the system-block
+equation and accumulates rho_ff from the same Taylor sums, matrix-free:
+O(d_s^3) work per right-hand side against the stepper's O(d_s^4) matvec and
+O(d_s^6) build, but call-bound, and it builds neither the real form nor a
+step.  Per step and evolution, on the host above, the rk4 step (four
+right-hand sides) takes 74-92 us at d_s = 8, 81-108 us at 12 and 16, and
 133-270 us at 20 and 24, while the stepper's matvecs of pairs too large for
 L2 (d_s >= 24) run at 2.0-2.7 multiply-adds per ns.  DIRECT_STEP = 250000
-multiply-adds, about 100 us at that rate, is its fixed term; 8 d_s^3 is
-the 64 d_s^3 real multiply-adds of its four stages' complex d_s x d_s
-products (G rho, rho G†, and K rho K† for one jump) at the products' rate.
-Priced by those products alone, d_s = 16 at stride 1 would go direct.
-Both evolutions (seed 42, dt = 1e-3, the real forms built beforehand, best
-of 3 per run) by either route, and the route the rule takes and the fixed
-threshold d_s <= 16 that it replaced took; the stepper runs at the unit
-that the rule gives it, and the rows at d_s = 17, 24 and 30 are medians
-of 5 alternating pairs of the rule against the threshold:
+multiply-adds, about 100 us at that rate, is its fixed term per four
+right-hand sides; 8 d_s^3 is the 64 d_s^3 real multiply-adds of their
+complex d_s x d_s products (G rho, rho G†, and K rho K† for one jump) at
+the products' rate.  Priced by those products alone, d_s = 16 at stride 1
+would go direct.  Both evolutions (seed 42, dt = 1e-3, the real forms built
+beforehand, best of 3 per run) by either route, and the route the rule
+takes and the fixed threshold d_s <= 16 that it replaced took, for
+``rk4``; the stepper runs at the unit that the rule gives it, and the rows
+at d_s = 17, 24 and 30 are medians of 5 alternating pairs of the rule
+against the threshold:
 
     d_s  t_max  S    direct    stepper           rule     threshold
     16   1      1    229 ms    73 ms (1 step)    stepper  stepper
@@ -130,6 +139,21 @@ of 5 alternating pairs of the rule against the threshold:
     24   0.05   10   21 ms     125 ms (1 step)   direct   direct
     40   0.05   10   47 ms     1.7 s (1 step)    direct   direct
     24   1      1    445 ms    557 ms (1 step)   direct   direct
+
+and for ``exact``, whose direct step is (9, 0) in every row, the enlarged
+plus the system-space evolution, medians of 3 to 5 runs (one at d_s = 64),
+with the route the rule takes for each:
+
+    d_s  t_max  S    direct          stepper                  rule
+    17   0.05   10   10 + 9 ms       15 + 7 ms (1 step)       stepper
+    30   0.05   10   21 + 20 ms      279 + 140 ms (1 step)    direct
+    40   0.05   10   35 + 32 ms      1368 + 642 ms (1 step)   direct
+    64   0.05   10   0.19 + 0.18 s   31.2 + 15.3 s (1 step)   direct
+    30   5      50   2.20 + 2.21 s   0.83 + 0.41 s (jump)     stepper
+    40   5      50   3.57 + 3.17 s   3.69 + 1.65 s (jump)     direct, stepper
+
+The d_s = 64 ``exact`` evolutions on the direct route peak at 2.1 MB under
+tracemalloc; the stepper's real form alone is 268 MB.
 
 A :class:`Trajectory` holds the read-only (n, d, d) complex arrays the engine
 fills; for an enlarged-space run, its system and decay blocks.  It caches
@@ -147,15 +171,16 @@ import numpy as np
 
 from .errors import DimensionError, GridError, NumericsError
 from .linalg import _then, as_matrix, expm, hermitian_basis, require_hermitian, unvec, vec
-from .linalg import _TAYLOR, DEFAULT_HERMITICITY_TOL, _taylor
+from .linalg import _TAYLOR, DEFAULT_HERMITICITY_TOL, _taylor, _taylor_plan
 from .model import DecayOperator, EnlargedModel, Liouvillian, SystemSpec, decay_feed
 
-# Allowed per-step hermiticity drift before the integrator aborts.
+# The hermiticity bound of the initial-state gate (_check_initial), and the
+# per-step drift that the integrate_rk4 oracle allows.
 HERMITICITY_DRIFT_TOL = 1e-9
-# Fixed cost of one step of the direct RK4, the Python and numpy calls of
-# its four stages, in multiply-adds at the rate of the stepper's matvecs;
-# the cost rule (_plan) prices the direct route with it, and the module
-# docstring gives the measurements.
+# Fixed cost of four right-hand sides of the direct step (one rk4 step), the
+# Python and numpy calls of their evaluation, in multiply-adds at the rate
+# of the stepper's matvecs; the cost rule (_plan) prices the direct route
+# with it, and the module docstring gives the measurements.
 DIRECT_STEP = 250_000
 # Size of the stepper's block matrix, which advances as many units (steps,
 # or sample intervals) per matvec as fit in it; the module docstring gives
@@ -165,12 +190,12 @@ BLOCK_BYTES = 64 * 1024
 # powering) run than its matvecs, in the cost rule (_plan); the module
 # docstring gives the measurements.
 PRODUCT_SPEEDUP = 8
-# The stacked products of the rk4 step build, linalg's degree-4 Taylor
-# polynomial; the cost rule (_plan) prices the build with it.
-_RK4_PRODUCTS = next(products for m, _, products in _TAYLOR if m == 4)
+# The stacked products of linalg's Taylor polynomial of each degree; the
+# cost rule (_plan) prices a step build with them.
+_PRODUCTS = {m: products for m, _, products in _TAYLOR}
 # Largest step count t_max/dt an IntegratorConfig accepts.  A step costs
-# ~0.1-0.3 us (stepper in blocks, d_s <= 2) to ~0.3 ms (direct RK4 on the
-# enlarged space at d_s = 30), so this caps one evolution at about a second
+# ~0.1-0.3 us (stepper in blocks, d_s <= 2) to ~0.3 ms (direct rk4 step on
+# the enlarged space at d_s = 30), so this caps one evolution at about a second
 # to about an hour instead of letting a tiny dt ask for unbounded work.
 MAX_STEPS = 10**7
 
@@ -523,10 +548,27 @@ def _step_powers(square: np.ndarray, counts: tuple) -> list:
         square = _then(square, square, n_s)
 
 
-def _plan(d: int, d_f: int, cfg: IntegratorConfig) -> int:
-    """The one cost rule: how a run of the engine goes, as the number of
-    steps that one matvec row of the stepper advances, 1 or
-    ``cfg.sample_stride``, or 0 for the direct RK4, which only ``rk4`` has.
+def _direct_plan(equation, cfg: IntegratorConfig) -> tuple[int, float]:
+    """(m, halvings) of the direct step of ``cfg.method``: 2^halvings
+    substeps of dt / 2^halvings, each the degree-m Taylor polynomial of the
+    substep's generator.  ``rk4`` is (4, 0), one classical RK4 step.
+    ``exact`` takes linalg's plan (:func:`opendecay.linalg._taylor_plan`) for
+    dt times ``equation.norm_bound(1)``, an upper bound on the 1-norm of
+    [[L_ss, 0], [L_fs, 0]], so that each substep is exp(hL) within the
+    backward-error bound theta_m.  A product that overflows gives infinite
+    halvings, which the cost rule prices out of reach."""
+    if cfg.method == "rk4":
+        return 4, 0
+    try:
+        return _taylor_plan(cfg.dt * equation.norm_bound(1))
+    except OverflowError:
+        return _TAYLOR[-1][0], math.inf
+
+
+def _plan(equation, cfg: IntegratorConfig) -> int:
+    """The one cost rule: how a run of the engine on the system-block
+    ``equation`` goes, as the number of steps that one matvec row of the
+    stepper advances, 1 or ``cfg.sample_stride``, or 0 for the direct step.
 
     Every way is priced in multiply-adds at the rate of the stepper's
     matvecs, for the n = d^2 + d_f^2 rows and n_s = d^2 columns of a unit's
@@ -538,23 +580,24 @@ def _plan(d: int, d_f: int, cfg: IntegratorConfig) -> int:
       PRODUCT_SPEEDUP times the matvecs' rate, for the P = bit_length(S) +
       popcount(S) - 2 of the powering and popcount(N mod S) - 1 more for a
       short last interval;
-    - the direct RK4: N (DIRECT_STEP + 8 d^3), where 8 d^3 is the 64 d^3
-      real multiply-adds of its four stages' four complex d x d products
-      (G rho, rho G† and K rho K† of one jump) at PRODUCT_SPEEDUP.
+    - the direct step, for the (m, halvings) of :func:`_direct_plan`:
+      N 2^halvings (m/4) (DIRECT_STEP + 8 d^3), per four right-hand sides,
+      where 8 d^3 is the 64 d^3 real multiply-adds of four complex d x d
+      products (G rho, rho G† and K rho K† of one jump) at PRODUCT_SPEEDUP.
 
-    The stepper takes the cheaper unit; ``rk4`` (``cfg.method``) takes the
-    direct RK4 where it costs less than that unit plus the step build, the
-    _RK4_PRODUCTS = 2 stacked products of linalg's degree-4 Taylor polynomial,
-    2 n n_s^2 multiply-adds at the products' rate.
-    ``exact`` only picks the unit: its build is the same for both.  Neither
-    method counts the real form [L_ss; L_fs], O(d^4) work cached per
-    equation and shared with the ``cp`` check.  A run of no steps takes the
-    stepper, which builds neither the real form nor a step, for either
-    method.
+    The stepper takes the cheaper unit, and the run takes the direct step
+    where it costs less than that unit plus the build of the method's step:
+    the products of linalg's degree-m Taylor polynomial (_TAYLOR) and one
+    per halving, n n_s^2 multiply-adds each at the products' rate.  For
+    ``rk4``, (4, 0), that is 2 products.  Neither way counts the real form
+    [L_ss; L_fs], O(d^4) work cached per equation and shared with the
+    ``cp`` check.  A run of no steps takes the stepper, which builds
+    neither the real form nor a step, for either method.
     """
     steps = cfg.n_steps
     if not steps:
         return 1
+    d_f, d = equation.feed.shape
     n_s, n = d * d, d * d + d_f * d_f
     stride = min(cfg.sample_stride, steps)
     tail = steps % stride
@@ -562,10 +605,11 @@ def _plan(d: int, d_f: int, cfg: IntegratorConfig) -> int:
     one = steps * n * n_s
     jump = products * n * n_s * n_s / PRODUCT_SPEEDUP + (cfg.n_samples - 1) * n * n_s
     unit = cfg.sample_stride if jump < one else 1
-    if cfg.method != "rk4":
-        return unit
-    build = _RK4_PRODUCTS * n * n_s * n_s / PRODUCT_SPEEDUP
-    direct = steps * (DIRECT_STEP + 64 * d**3 / PRODUCT_SPEEDUP)
+    m, halvings = _direct_plan(equation, cfg)
+    build = (_PRODUCTS[m] + halvings) * n * n_s * n_s / PRODUCT_SPEEDUP
+    # A float holds 2^1023 at most, and from far below it the stepper wins.
+    substeps = 2.0 ** min(halvings, 1023)
+    direct = steps * (DIRECT_STEP + 64 * d**3 / PRODUCT_SPEEDUP) * (m / 4) * substeps
     return 0 if direct < build + min(one, jump) else unit
 
 
@@ -661,46 +705,71 @@ def _step_blocks(gen: np.ndarray, h: float, method: str) -> np.ndarray:
     return _taylor(gen, h, 4, gen.shape[1])
 
 
+def _direct_step(equation, cfg: IntegratorConfig):
+    """The one direct step, of either method: the ``advance`` of
+    :func:`_sample` that moves (rho_ss, rho_ff) forward by one step of dt
+    under the system-block ``equation`` L, with rho_ff' = B rho_ss B† for its
+    d_f x d_s feed B, in 2^halvings substeps of h = dt / 2^halvings, for the
+    (m, halvings) of :func:`_direct_plan`.
+
+    Each substep is the degree-m Taylor polynomial of the action of h [[L_ss,
+    0], [L_fs, 0]] in Horner form, matrix-free (Al-Mohy, Higham, SIAM J.
+    Sci. Comput. 33, 488 (2011)): y = s, then y = s + (h/j) L(y) for j = m ..
+    2, and s <- s + h L(y), rho_ff <- rho_ff + B (h y) B†.  That is m
+    right-hand sides of d x d matrices per substep; the fed block takes the
+    sum h y = sum_k h^k L^(k-1) s / k! of the same polynomial.  At (4, 0) it
+    is one classical RK4 step of the linear equation.  Each step's state is
+    re-symmetrized and then tested for finiteness, as the stepper tests its
+    states: a NumericsError names the first step whose state is not finite.
+    """
+    rhs, b = equation.rhs, equation.feed
+    m, halvings = _direct_plan(equation, cfg)
+    h = cfg.dt / 2**halvings
+
+    def advance(x, k, _):  # one step per call
+        s, f = x
+        for _ in range(2**halvings):
+            y = s
+            for j in range(m, 1, -1):
+                y = rhs(y)
+                y *= h / j
+                y += s
+            y *= h
+            s = s + rhs(y)
+            if len(b):  # an empty decay sector costs no product
+                f = f + decay_feed(b, y)
+        s, f = (0.5 * (a + a.conj().T) for a in (s, f))
+        if not (np.isfinite(s).all() and np.isfinite(f).all()):
+            raise NumericsError(f"the state after step {k + 1} is not finite")
+        return (s, f), (s[None], f[None])
+
+    return advance
+
+
 def _evolve(equation, rho0, cfg: IntegratorConfig):
     """The one engine: evolve diag(``rho0``, 0), for the system block
     ``rho0`` that :func:`_check_initial` returned, under the system-block
     ``equation``, with rho_ff' = B rho_ss B† for its d_f x d_s feed B;
     d_f = 0 is the system space.  Every route starts from ``rho0`` as it
-    is, and the direct RK4 stores it as sample 0.
+    is, and stores it as sample 0.
 
     The cost rule :func:`_plan` picks how the run goes, from ``cfg.method``
-    among the rest.  The direct RK4, for ``rk4`` runs it prices cheaper than
-    the stepper: rho_ss by the equation, and rho_ff by B (h rho_ss +
-    (h^2/6)(k1 + k2 + k3)) B†, as the stages of rho_ff' are B s_i B† for the
-    stages s_i of rho_ss.  Otherwise the stepper (:func:`_step_blocks`,
-    :func:`_evolve_steps`) in the unit the rule chose, on the equation's
-    real form [L_ss; L_fs], which only a run with a step builds.  A state
-    that overflows ends in a NumericsError that names the first step whose
-    state is not finite, on either route, not in numpy's warnings.
+    among the rest: the direct step of :func:`_direct_step`, or the stepper
+    (:func:`_step_blocks`, :func:`_evolve_steps`) in the unit the rule
+    chose, on the equation's real form [L_ss; L_fs], which only a run with a
+    step builds.  A state that overflows ends in a NumericsError that names
+    the first step whose state is not finite, on either route, not in
+    numpy's warnings.
     """
-    b = equation.feed
-    d_f, d = b.shape
+    d_f, d = equation.feed.shape
     dt = cfg.dt
-    unit = _plan(d, d_f, cfg)
+    unit = _plan(equation, cfg)
     with np.errstate(over="ignore", invalid="ignore"):  # the checks below end it
         if not unit:
-            rhs = equation.rhs
-
-            def advance(x, k, _):  # one step per call
-                s, f = x
-                k1, k2, k3, k4 = _rk4_stages(rhs, s, dt)
-                s_next, defect = _symmetrized(s + (dt / 6.0) * (k1 + 2.0 * (k2 + k3) + k4))
-                if d_f:  # an empty decay sector costs no work
-                    fed = decay_feed(b, dt * s + (dt * dt / 6.0) * (k1 + k2 + k3))
-                    f, defect_ff = _symmetrized(f + fed)
-                    defect = np.concatenate((defect, defect_ff))
-                _check_defect(defect, k + 1)
-                return (s_next, f), (s_next[None], f[None])
-
             states = np.empty((cfg.n_samples, d, d), dtype=np.complex128)
             decay = np.zeros((cfg.n_samples, d_f, d_f), dtype=np.complex128)
             states[0] = rho0
-            times = _sample(advance, (rho0, decay[0]), cfg, (states, decay))
+            times = _sample(_direct_step(equation, cfg), (rho0, decay[0]), cfg, (states, decay))
         else:
             h0 = np.concatenate((hermitian_basis(d).coords(rho0), np.zeros(d_f * d_f)))
 

@@ -15,8 +15,9 @@ states only into it.  So a block-diagonal state stays block-diagonal: rho_ss
 evolves alone under L_ss, the Liouvillian of G = H - (i/2)(B†B + sum A†A)
 and the Lindblad operators A (``EnlargedModel.system_equation``), rho_sf
 stays zero, and rho_ff' = L_fs rho_ss = B rho_ss B† (:func:`decay_feed`).
-Every run works on that subspace, with the generator
-``MasterEquation.real_form``: [L_ss; L_fs] as one real matrix in the
+Every run works on that subspace: the direct step with the right-hand side
+alone, and the stepper and the generator checks with
+``MasterEquation.real_form``, [L_ss; L_fs] as one real matrix in the
 coordinates of :class:`HermitianBasis`, built in O(d^4) from the columns of
 G, the jumps and the feed.  The Kronecker Liouvillians, the padded
 d_tot x d_tot operators and the d_tot^2 x d_tot^2 Liouvillian are derived
@@ -115,13 +116,29 @@ class MasterEquation:
             out += k @ rho @ k_dag
         return out
 
+    def norm_bound(self, order) -> float:
+        """An upper bound, 2||G|| + sum_K ||K||^2 over the jumps and the feed
+        F, on the ``order``-norm (1 or 2) of the generator [[L_ss, 0], [L_fs,
+        0]] of (vec rho, vec rho_ff), from ||A (x) B|| = ||A|| ||B||, with
+        no d^2 x d^2 matrix built (O(d^2) work for the 1-norm); an empty feed
+        adds nothing.  A bound that overflows is inf, without numpy's
+        warning."""
+        with np.errstate(over="ignore"):
+            bound = 2.0 * float(np.linalg.norm(self.generator, order))
+            for k in self.jumps + (self.feed,):
+                if k.size:
+                    norm = float(np.linalg.norm(k, order))
+                    bound += norm * norm
+        return bound
+
     @cached_property
     def real_form(self) -> np.ndarray:
         """[L_ss; L_fs], the map rho -> (rhs(rho), F rho F†), as one real
         (d^2 + d_f^2) x d^2 matrix in the coordinates of :class:`HermitianBasis`,
         built once: column k holds the coordinates of the images of the k-th
-        basis matrix.  Every run takes its steps, the ``cp`` check and the
-        step-size norm from this matrix.
+        basis matrix.  The stepper builds its steps, and the ``cp`` and
+        asymptotics checks and the step-size fallback norm read theirs, from
+        this matrix.
 
         The k-th basis matrix is u = f E_rc + s E_cr, with s = conj(f) off
         the diagonal and s = 0 on it, so its images are sums of outer

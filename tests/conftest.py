@@ -32,15 +32,15 @@ def split_oracle(times, full, d_s: int) -> tuple[Trajectory, float]:
     return traj, float(np.linalg.norm(full[:, :d_s, d_s:], axis=(1, 2)).max())
 
 
-def pin_route(monkeypatch, unit: int) -> None:
-    """Make every ``rk4`` run take ``unit`` steps per stepper row, or the
-    direct RK4 for unit 0, whatever the cost rule ``evolution._plan``
-    prices; ``exact`` runs keep the rule's unit."""
+def pin_route(monkeypatch, unit: int, method: str = "rk4") -> None:
+    """Make every run of ``method`` take ``unit`` steps per stepper row, or
+    the direct step for unit 0, whatever the cost rule ``evolution._plan``
+    prices; runs of the other method keep the rule's unit."""
     plan = evolution._plan
     monkeypatch.setattr(
         evolution,
         "_plan",
-        lambda d, d_f, cfg: unit if cfg.method == "rk4" else plan(d, d_f, cfg),
+        lambda equation, cfg: unit if cfg.method == method else plan(equation, cfg),
     )
 
 

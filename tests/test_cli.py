@@ -168,7 +168,7 @@ def _defect_config(path, d_s):
         "checks": ["trace", "positivity", "equivalence"],
     }
     path.write_text(json.dumps(doc))
-    return IntegratorConfig(dt=1e-3, t_max=0.05, sample_stride=10), spec
+    return parse_config(path.read_text())
 
 
 @pytest.mark.parametrize("d_s, route", [(24, "direct"), (4, "stepper")])
@@ -177,8 +177,9 @@ def test_main_runs_a_nearly_hermitian_initial_state_on_every_route(tmp_path, cap
     # passes the samples' 1e-10 gate; the direct route once stored the
     # input itself and exited 3 on it.
     path = tmp_path / "defect.json"
-    integ, spec = _defect_config(path, d_s)
-    assert (evolution._plan(d_s, spec.d_f, integ) == 0) == (route == "direct")
+    cfg = _defect_config(path, d_s)
+    equation = cli._RunContext(cfg).model.system_equation
+    assert (evolution._plan(equation, cfg.integrator) == 0) == (route == "direct")
     assert main(["simulate", str(path), "--out", str(tmp_path / "out")]) == 0
     assert "error" not in capsys.readouterr().err
 
@@ -597,31 +598,59 @@ def test_main_keeps_a_huge_decay_rate(tmp_path, capsys):
     assert "rk4 step of length 0.001 is not finite" in capsys.readouterr().err
 
 
+def _huge_decay_config(tmp_path) -> str:
+    # d_s = 17 with H = 0 and Gamma = 1e200 I, from the first basis state.
+    d = 17
+    path = tmp_path / "huge.json"
+    pairs = cli._matrix_to_json
+    path.write_text(json.dumps({
+        "name": "huge",
+        "system": {
+            "d_s": d, "d_f": d, "H": pairs(np.zeros((d, d))), "Gamma": pairs(1e200 * np.eye(d)),
+        },
+        "initial_state": pairs(np.diag([1.0] + [0.0] * (d - 1))),
+        "integrator": {"dt": 1e-3, "t_max": 0.01},
+        "checks": ["trace"],
+    }))
+    return str(path)
+
+
+@pytest.mark.parametrize("dt", ["0.001", "1e150"])
+def test_main_ends_an_exact_run_with_a_huge_or_overflowing_bound_on_the_stepper(
+    tmp_path, capsys, dt
+):
+    # Gamma = 1e200 I at d_s = 17 with exact: the direct step would take
+    # 2^650 substeps at dt = 1e-3, and its bound overflows at dt = 1e150.
+    # The cost rule sends both to the stepper, with no OverflowError, no hang
+    # and no warning: at 1e-3 its step is finite and the run passes; at 1e150
+    # dt L overflows, a numerical error (exit 3).
+    config = _huge_decay_config(tmp_path)
+    flags = ["--method", "exact", "--dt", dt, "--t-max", str(10 * float(dt))]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        status = main(["simulate", config, "--out", str(tmp_path / "out"), *flags])
+    captured = capsys.readouterr()
+    if dt == "1e150":
+        assert status == 3
+        assert "numerical error: the exact step of length 1e+150 is not finite" in captured.err
+    else:
+        assert status == 0 and "trace: pass" in captured.out
+    assert "Traceback" not in captured.err + captured.out
+
+
 @pytest.mark.parametrize("route", ["stepper", "direct"])
 def test_main_exit_3_on_overflowing_state_without_runtime_warnings(
     monkeypatch, tmp_path, capsys, route
 ):
     # A state that overflows ends in the same numerical error, which names
     # the first step whose state is not finite: on the stepper (single-decay
-    # at dt = 5) and on the direct RK4 (d_s = 17 with Gamma = 1e200 I, pinned
-    # to it).  The step-size warning is the only
-    # warning.
+    # at dt = 5) and on the direct step (d_s = 17 with Gamma = 1e200 I,
+    # pinned to it).  The step-size warning is the only warning.
     if route == "stepper":
         config, flags, step = "single-decay", ["--dt", "5", "--t-max", "5000"], 272
     else:
         pin_route(monkeypatch, 0)
-        d = 17
-        config, flags, step = str(tmp_path / "huge.json"), [], 1
-        pairs = cli._matrix_to_json
-        Path(config).write_text(json.dumps({
-            "name": "huge",
-            "system": {
-                "d_s": d, "d_f": d, "H": pairs(np.zeros((d, d))), "Gamma": pairs(1e200 * np.eye(d)),
-            },
-            "initial_state": pairs(np.diag([1.0] + [0.0] * (d - 1))),
-            "integrator": {"dt": 1e-3, "t_max": 0.01},
-            "checks": ["trace"],
-        }))
+        config, flags, step = _huge_decay_config(tmp_path), [], 1
     with pytest.warns(UserWarning, match="dt\\*\\|generator\\|") as record:
         assert main(["simulate", config, "--out", str(tmp_path / "out"), *flags]) == 3
     assert [w.category for w in record] == [UserWarning]
@@ -865,7 +894,7 @@ def test_step_size_warning(dt, warns):
     # the warning rests on the exact ||L||_2 (dt * ||L||_2 is about 0.07).
     cfg = short(parse_config(SINGLE_DECAY), dt=dt, sample_stride=1, checks=())
     model = cli._RunContext(cfg).model
-    assert dt * cli._liouvillian_norm_bound(model) > 0.1
+    assert dt * model.system_equation.norm_bound(2) > 0.1
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always")
         run_scenario(cfg, write=False)

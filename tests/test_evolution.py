@@ -1,3 +1,4 @@
+import math
 import tracemalloc
 import warnings
 from dataclasses import replace
@@ -7,6 +8,7 @@ import pytest
 from conftest import enlarged_gap, pin_route, split_oracle
 
 from opendecay import evolution
+from opendecay.cli import builtin_scenario_path, parse_config
 from opendecay.errors import DimensionError, GridError, NotHermitianError, NumericsError
 from opendecay.evolution import (
     BlockDensity,
@@ -432,8 +434,8 @@ def test_superop_stepper_matches_direct_rk4_on_corpus(corpus):
     cfg = IntegratorConfig(dt=1e-3, t_max=0.4, sample_stride=40)
     worst = 0.0
     for m in corpus:
-        assert evolution._plan(m.spec.d_s, m.spec.d_f, cfg) > 0
-        assert evolution._plan(m.spec.d_s, 0, cfg) > 0
+        assert evolution._plan(m.model.system_equation, cfg) > 0
+        assert evolution._plan(m.spec.equation, cfg) > 0
         rho0_full = embed_state(m.rho0, m.spec.d_f)
         fast = evolve_enlarged(m.model, m.rho0, cfg)
         direct = integrate_rk4(lambda r: rhs_enlarged(r, m.model), rho0_full, cfg)
@@ -444,6 +446,38 @@ def test_superop_stepper_matches_direct_rk4_on_corpus(corpus):
         direct = integrate_rk4(lambda r: rhs_wwa(r, m.spec), m.rho0, cfg)
         assert np.array_equal(fast.times, direct.times)
         worst = max(worst, float(np.linalg.norm(fast.states - direct.states, axis=(1, 2)).max()))
+    assert worst <= 1e-12
+
+
+@pytest.mark.parametrize("dt, t_max, stride", [(1e-3, 0.4, 40), (0.5, 5.0, 5)])
+@pytest.mark.parametrize("method", ["rk4", "exact"])
+def test_direct_step_matches_the_stepper_on_corpus(monkeypatch, corpus, method, dt, t_max, stride):
+    # The direct step, pinned, against the stepper that the rule picks, by
+    # the same method on both spaces; rk4 also against the integrate_rk4
+    # oracle, which takes its own stages.  At dt = 0.5 the exact steps take
+    # up to 4 substeps.
+    cfg = IntegratorConfig(dt=dt, t_max=t_max, sample_stride=stride, method=method)
+    halvings = set()
+    stepper = []
+    for m in corpus:
+        for equation in (m.model.system_equation, m.spec.equation):
+            assert evolution._plan(equation, cfg) > 0
+            halvings.add(evolution._direct_plan(equation, cfg)[1])
+        stepper.append((evolve_enlarged(m.model, m.rho0, cfg), evolve_wwa(m.spec, m.rho0, cfg)))
+    assert halvings == ({0} if method == "rk4" or dt < 0.5 else {0, 1, 2})
+    pin_route(monkeypatch, 0, method)
+    worst = 0.0
+    for m, (enlarged, wwa) in zip(corpus, stepper):
+        direct = evolve_enlarged(m.model, m.rho0, cfg), evolve_wwa(m.spec, m.rho0, cfg)
+        gaps = [enlarged_gap(direct[0], enlarged), np.abs(direct[1].states - wwa.states).max()]
+        if method == "rk4":
+            full = embed_state(m.rho0, m.spec.d_f)
+            oracle = integrate_rk4(lambda r: rhs_enlarged(r, m.model), full, cfg)
+            oracle, sf = split_oracle(oracle.times, oracle.states, m.spec.d_s)
+            oracle_wwa = integrate_rk4(lambda r: rhs_wwa(r, m.spec), m.rho0, cfg)
+            gaps += [enlarged_gap(direct[0], oracle), sf]
+            gaps += [np.abs(direct[1].states - oracle_wwa.states).max()]
+        worst = max(worst, *gaps)
     assert worst <= 1e-12
 
 
@@ -494,10 +528,11 @@ def test_exact_with_more_fed_rows_than_columns_matches_full_liouvillian():
 @pytest.mark.parametrize("space", ["enlarged", "wwa"])
 def test_direct_rk4_above_superop_threshold(monkeypatch, space, above):
     # A d_s = 16 system pinned to the stepper, and a d_s = 17 one pinned to
-    # the direct RK4, on either space; the direct RK4 calls the system-block
-    # equation's right-hand side four times per step, the stepper never: it
-    # builds its step from the real form.  With its empty decay sector, the
-    # system space's direct RK4 is integrate_rk4's arithmetic.
+    # the direct step, on either space; the direct rk4 step calls the
+    # system-block equation's right-hand side four times per step, the
+    # stepper never: it builds its step from the real form.  The direct step
+    # is the RK4 polynomial in Horner form, so it matches integrate_rk4's
+    # stages up to rounding.
     pin_route(monkeypatch, 0 if above else 1)
     d_s = 16 + int(above)
     spec, rho0, decay, model = random_member(seed=15, d_s=d_s)
@@ -528,10 +563,8 @@ def test_direct_rk4_above_superop_threshold(monkeypatch, space, above):
     assert len(calls) == 4 * cfg.n_steps
     ref = integrate_rk4(lambda r: rhs(r, target), full, cfg)
     if space == "wwa":
-        assert np.array_equal(traj.states, ref.states)
+        assert np.abs(traj.states - ref.states).max() <= 1e-12
     else:
-        # The enlarged space runs the same RK4 on its blocks, in other
-        # arithmetic.
         ref, sf = split_oracle(ref.times, ref.states, d_s)
         assert max(enlarged_gap(traj, ref), sf) <= 1e-12
 
@@ -704,63 +737,88 @@ def test_the_jump_is_built_only_where_it_pays(monkeypatch, t_max, stride, jumps)
 
 
 # The unit that the cost rule gives each evolution at dt = 1e-3:
-# (d_s, d_f, t_max, stride, method, unit), where unit is the steps per matvec
-# row of the stepper and 0 the direct RK4.  A run has two evolutions, the
-# enlarged space with the d_f of its decay block and the system space with
-# d_f = 0.
+# (system, t_max, stride, method, units), where the system is a shipped
+# scenario or random_system(42, d_s) with one Lindblad operator, as the CI
+# configs and the benchmark's large_d units draw it, and units is that of
+# the enlarged space (d_f = d_s) and that of the system space (d_f = 0): the
+# steps per matvec row of the stepper, or 0 for the direct step.
 PLANS = [
-    # Benchmark units, each where the fixed threshold d_s <= 16 and the
-    # earlier jump rule put it.  The shipped scenarios under rk4 and exact:
-    # single-decay, two-level-decay and random (d_s = d_f = 2 at seed 42).
+    # The benchmark units, all on the stepper, one interval per row: the
+    # shipped scenarios under rk4 and exact, and large_d.
     *[
-        (d_s, d_f, t_max, stride, method, stride)
-        for d_s, t_max, stride in ((1, 10.0, 10), (2, 10.0, 10), (2, 5.0, 5))
-        for d_f in (d_s, 0)
+        (name, t_max, stride, method, (stride, stride))
+        for name, t_max, stride in (
+            ("single-decay", 10.0, 10), ("two-level-decay", 10.0, 10), ("random", 5.0, 5),
+        )
         for method in ("rk4", "exact")
     ],
-    # large_d: random systems (d_f = d_s) at d_s 6, 12 and 16.
-    *[(d_s, d_f, 0.5, 10, "rk4", 10) for d_s in (6, 12, 16) for d_f in (d_s, 0)],
-    # The CI configs: rk4 at d_s 24 and 40 over 50 steps stays direct; exact
-    # at 17 and 30 goes one step per row over 50 steps and jumps at stride
-    # 50 over 5000; rk4 at 24 over 5000 steps at stride 50 jumps.
-    *[(d_s, d_f, 0.05, 10, "rk4", 0) for d_s in (24, 40) for d_f in (d_s, 0)],
-    *[(d_s, d_f, 0.05, 10, "exact", 1) for d_s in (17, 30) for d_f in (d_s, 0)],
-    (30, 30, 5.0, 50, "exact", 50),
-    (30, 0, 5.0, 50, "exact", 50),
+    *[(d_s, 0.5, 10, "rk4", (10, 10)) for d_s in (6, 12, 16)],
+    # The CI configs: rk4 at d_s 24, 40 and 64 over 50 steps goes direct, and
+    # over 5000 steps at stride 50 at 24 it jumps.  exact at 17 over 50
+    # steps stays one step per row, and 30, 40 and 64 go direct, where the
+    # stepper took 10 to 125 times as long; exact at 30 over 5000 steps jumps.
+    *[(d_s, 0.05, 10, "rk4", (0, 0)) for d_s in (24, 40, 64)],
+    (24, 5.0, 50, "rk4", (50, 50)),
+    (17, 0.05, 10, "exact", (1, 1)),
+    *[(d_s, 0.05, 10, "exact", (0, 0)) for d_s in (30, 40, 64)],
+    (30, 5.0, 50, "exact", (50, 50)),
+    # Over 5000 steps at d_s 40, the enlarged exact evolution goes direct and
+    # the system space jumps.
+    (40, 5.0, 50, "exact", (0, 50)),
     # The measured rows of the module docstring: the stepper jumps at d_s
     # 17, 24 and 30 where the direct RK4 took 2.4 to 4.8 times as long; d_s
     # 40 over 5000 steps, short runs and stride 1 at d_s 24 stay direct.
-    *[(17, d_f, 0.5, 10, "rk4", 10) for d_f in (17, 0)],
-    *[(d_s, d_f, 5.0, 50, "rk4", 50) for d_s in (24, 30) for d_f in (d_s, 0)],
-    *[(40, d_f, 5.0, 50, "rk4", 0) for d_f in (40, 0)],
-    *[(d_s, d_f, 0.05, 10, "rk4", 0) for d_s in (24, 40) for d_f in (d_s, 0)],
-    *[(24, d_f, 1.0, 1, "rk4", 0) for d_f in (24, 0)],
+    (17, 0.5, 10, "rk4", (10, 10)),
+    *[(d_s, 5.0, 50, "rk4", (50, 50)) for d_s in (24, 30)],
+    (40, 5.0, 50, "rk4", (0, 0)),
+    (24, 1.0, 1, "rk4", (0, 0)),
     # Stride 1 at d_s 16 stays on the stepper: 73 ms against 229 ms direct.
-    *[(16, d_f, 1.0, 1, "rk4", 1) for d_f in (16, 0)],
+    (16, 1.0, 1, "rk4", (1, 1)),
     # A run of no steps takes the stepper.
-    (40, 40, 0.0, 10, "rk4", 1),
+    *[(40, 0.0, 10, method, (1, 1)) for method in ("rk4", "exact")],
 ]
+
+
+def plan_equations(system):
+    # The system-block equations of the enlarged space and of the system
+    # space of a PLANS system.
+    if isinstance(system, str):
+        cfg = parse_config(builtin_scenario_path(system).read_text())
+        spec = cfg.system
+        model = embed_operators(spec, build_decay_operator(spec.decomposition, spec.d_f))
+    else:
+        spec, _, _, model = random_member(seed=42, d_s=system)
+    return model.system_equation, spec.equation
 
 
 def test_the_cost_rule_plans_every_listed_run():
     wrong = []
-    for d_s, d_f, t_max, stride, method, unit in PLANS:
-        cfg = IntegratorConfig(dt=1e-3, t_max=t_max, sample_stride=stride, method=method)
-        got = evolution._plan(d_s, d_f, cfg)
-        if got != unit:
-            wrong.append((d_s, d_f, t_max, stride, method, unit, got))
+    for system in dict.fromkeys(row[0] for row in PLANS):
+        equations = plan_equations(system)
+        for _, t_max, stride, method, units in (row for row in PLANS if row[0] == system):
+            cfg = IntegratorConfig(dt=1e-3, t_max=t_max, sample_stride=stride, method=method)
+            got = tuple(evolution._plan(equation, cfg) for equation in equations)
+            if got != units:
+                wrong.append((system, t_max, stride, method, units, got))
     assert wrong == []
 
 
 def test_a_run_the_rule_prices_direct_builds_no_step(monkeypatch):
-    # d_s = 12 over 2 steps: the direct RK4 costs less than the step build,
-    # and the engine takes it.
+    # rk4 at d_s = 12 over 2 steps, and exact at d_s = 30 over 50: the direct
+    # step costs less than the step build, and the engine takes it on both
+    # spaces, with neither a step nor the real form built.
     counts = spy_jumps(monkeypatch)
-    spec, rho0, decay, model = random_member(seed=5, d_s=12)
-    cfg = IntegratorConfig(dt=1e-3, t_max=0.002)
-    assert evolution._plan(12, spec.d_f, cfg) == 0
-    traj = evolve_enlarged(model, rho0, cfg)
-    assert counts == [] and len(traj) == 3
+    for method, d_s, t_max in (("rk4", 12, 0.002), ("exact", 30, 0.05)):
+        spec, rho0, decay, model = random_member(seed=5, d_s=d_s)
+        cfg = IntegratorConfig(dt=1e-3, t_max=t_max, sample_stride=10, method=method)
+        for evolve, target, equation in (
+            (evolve_enlarged, model, model.system_equation),
+            (evolve_wwa, spec, spec.equation),
+        ):
+            assert evolution._plan(equation, cfg) == 0
+            assert len(evolve(target, rho0, cfg)) == cfg.n_samples
+            assert "real_form" not in vars(equation)
+    assert counts == []
 
 
 def drift_error(monkeypatch, block_bytes, q, h0, cfg) -> str:
@@ -783,14 +841,20 @@ def test_block_stepper_names_the_first_nan_inside_a_block(monkeypatch):
     assert drift_error(monkeypatch, 2**20, q, h0, cfg) == one
 
 
-def test_direct_block_drift_monitor_trips(monkeypatch):
-    # The direct RK4 at d_s = 17; dt = 50 makes every RK4 step grow the
-    # state, and its rounding-level antihermitian part with it.
-    pin_route(monkeypatch, 0)
+def test_a_growing_run_ends_at_the_same_step_on_every_route(monkeypatch):
+    # rk4 at d_s = 17 with dt = 50 grows the state every step.  The direct
+    # step, one step per stepper row and one sample interval per row each
+    # re-symmetrize or keep the state hermitian, and all of them end at the
+    # first state that is not finite, on either space.
     spec, rho0, decay, model = random_member(seed=15, d_s=17)
-    cfg = IntegratorConfig(dt=50.0, t_max=50.0 * 1000)
-    with pytest.raises(NumericsError, match="hermiticity drift .* at step [0-9]+ exceeds 1e-09"):
-        evolve_enlarged(model, rho0, cfg)
+    cfg = IntegratorConfig(dt=50.0, t_max=50.0 * 1000, sample_stride=10)
+    for unit in (0, 1, cfg.sample_stride):
+        pin_route(monkeypatch, unit)
+        for evolve, target in ((evolve_enlarged, model), (evolve_wwa, spec)):
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                with pytest.raises(NumericsError, match="^the state after step 44 is not finite$"):
+                    evolve(target, rho0, cfg)
 
 
 def decay_only(d, gamma, hamiltonian=None):
@@ -805,7 +869,7 @@ def decay_only(d, gamma, hamiltonian=None):
 @pytest.mark.parametrize("route", ["stepper", "direct"])
 def test_overflowing_state_ends_in_numerics_error_without_warnings(monkeypatch, route):
     # The stepper at dt = 5 grows the single decay until it overflows; the
-    # direct RK4 at d_s = 17 overflows in its first step on Gamma = 1e200 I.
+    # direct step at d_s = 17 overflows in its first step on Gamma = 1e200 I.
     # On either space and route the same error names the first step whose
     # state is not finite, and numpy warns of none of it.
     if route == "stepper":
@@ -828,7 +892,7 @@ def test_overflowing_state_ends_in_numerics_error_without_warnings(monkeypatch, 
 def test_every_route_names_the_first_state_that_is_not_finite(monkeypatch):
     # The single decay at dt = 5 up to t = 5000, 1000 steps: the stepper's
     # state first overflows after step 272, at any stride and block size,
-    # and the direct RK4's and the integrate_rk4 oracle's, in their own
+    # and the direct rk4 step's and the integrate_rk4 oracle's, in their own
     # arithmetic, after step 271.  Every route says it in the same words.
     spec, _, model = single_decay()
 
@@ -866,7 +930,7 @@ def test_every_stepper_sample_is_exactly_hermitian(monkeypatch, unit, method):
     # either block and on either space, equals its adjoint bit for bit, one
     # step or one sample interval per matvec row, with a short last interval.
     stride = 10
-    monkeypatch.setattr(evolution, "_plan", lambda d, d_f, cfg: 1 if unit == "step" else stride)
+    monkeypatch.setattr(evolution, "_plan", lambda equation, cfg: 1 if unit == "step" else stride)
     for d_s in (1, 2, 3):
         spec, rho0, decay, model = random_member(seed=d_s, d_s=d_s)
         cfg = IntegratorConfig(dt=0.01, t_max=1.03, sample_stride=stride, method=method)
@@ -876,14 +940,15 @@ def test_every_stepper_sample_is_exactly_hermitian(monkeypatch, unit, method):
 
 
 def test_every_direct_sample_after_the_first_is_exactly_hermitian(monkeypatch):
-    # The direct RK4 re-symmetrizes every state it stores.
-    pin_route(monkeypatch, 0)
-    for d_s in (1, 2, 3):
-        spec, rho0, decay, model = random_member(seed=d_s, d_s=d_s)
-        cfg = IntegratorConfig(dt=0.01, t_max=0.5, sample_stride=10)
-        for traj in (evolve_enlarged(model, rho0, cfg), evolve_wwa(spec, rho0, cfg)):
-            for block in traj.blocks:
-                assert np.array_equal(block[1:], block[1:].conj().transpose(0, 2, 1))
+    # The direct step of either method re-symmetrizes every state it stores.
+    for method in ("rk4", "exact"):
+        pin_route(monkeypatch, 0, method)
+        for d_s in (1, 2, 3):
+            spec, rho0, decay, model = random_member(seed=d_s, d_s=d_s)
+            cfg = IntegratorConfig(dt=0.01, t_max=0.5, sample_stride=10, method=method)
+            for traj in (evolve_enlarged(model, rho0, cfg), evolve_wwa(spec, rho0, cfg)):
+                for block in traj.blocks:
+                    assert np.array_equal(block[1:], block[1:].conj().transpose(0, 2, 1))
 
 
 def test_stepper_refuses_a_last_state_that_overflows():
@@ -906,6 +971,31 @@ def test_an_exact_step_that_overflows_ends_in_numerics_error(gamma):
         warnings.simplefilter("error")
         with pytest.raises(NumericsError, match="the exact step of length 1e\\+308 is not finite"):
             evolve_enlarged(model, [[1.0]], cfg)
+
+
+@pytest.mark.parametrize("dt", [1e-3, 1e150])
+def test_an_exact_bound_that_is_huge_or_overflows_takes_the_stepper(dt):
+    # Gamma = 1e200 I at d_s = 17: dt times the 1-norm bound is 1e197 at dt
+    # = 1e-3, 2^650 substeps of the direct step, and overflows at 1e150.
+    # The rule prices either out of reach without an OverflowError, and the
+    # stepper takes the run: at 1e-3 its exact step is finite, and at 1e150
+    # it ends in the NumericsError of a step that is not finite.
+    d = 17
+    spec, model = decay_only(d, 1e200 * np.eye(d))
+    cfg = IntegratorConfig(dt=dt, t_max=10 * dt, method="exact")
+    for equation in (model.system_equation, spec.equation):
+        m, halvings = evolution._direct_plan(equation, cfg)
+        assert halvings > 600 and (halvings == math.inf) == (dt > 1)
+        assert evolution._plan(equation, cfg) == 1
+    rho0 = np.diag([1.0] + [0.0] * (d - 1))
+    for evolve, target in ((evolve_enlarged, model), (evolve_wwa, spec)):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            if dt > 1:
+                with pytest.raises(NumericsError, match="the exact step of length 1e\\+150 is not"):
+                    evolve(target, rho0, cfg)
+            else:
+                assert np.abs(evolve(target, rho0, cfg).states[1:]).max() == 0.0
 
 
 @pytest.mark.parametrize("stride", [7, 10])

@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 
@@ -351,6 +353,29 @@ def test_master_equation_rejects_overflow():
         MasterEquation.build(zero, (np.array([[1e160 + 0j]]),))
     with pytest.raises(NumericsError, match="Liouvillian"):
         MasterEquation(zero, (np.array([[1e200 + 0j]]),)).liouvillian()
+
+
+@pytest.mark.parametrize("order", [1, 2])
+def test_norm_bound_bounds_the_subspace_generator(corpus, order):
+    # 2||G|| + sum_K ||K||^2 against the 1- and 2-norm of the complex
+    # [L_ss; L_fs] (L_ss alone for the system space, whose empty feed adds
+    # nothing), and a bound that overflows is inf, without a warning.
+    for m in corpus:
+        l_ss = m.model.system_equation.liouvillian().matrix
+        l_fs = np.kron(m.decay.matrix.conj(), m.decay.matrix)
+        for equation, gen in (
+            (m.model.system_equation, np.concatenate((l_ss, l_fs))),
+            (m.spec.equation, m.liouv_wwa.matrix),
+        ):
+            assert np.linalg.norm(gen, order) <= equation.norm_bound(order) * (1 + 1e-12)
+        eq = m.spec.equation
+        want = 2.0 * np.linalg.norm(eq.generator, order)
+        want += sum(np.linalg.norm(k, order) ** 2 for k in eq.jumps)
+        assert eq.norm_bound(order) == pytest.approx(want, rel=1e-15)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        huge = MasterEquation(np.zeros((1, 1), dtype=complex), (np.array([[1e200 + 0j]]),))
+        assert huge.norm_bound(order) == np.inf
 
 
 def test_liouvillian_single_decay_action():
