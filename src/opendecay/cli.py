@@ -70,10 +70,12 @@ from .model import SystemSpec, build_decay_operator, embed_operators, validate_s
 from .randmodel import MAX_ENTRIES, random_system
 
 CHECK_NAMES = ("trace", "positivity", "cp", "equivalence", "asymptotics")
-# Largest size in bytes of the two trajectories a run keeps, n_samples * 16 *
-# (2 d_s^2 + d_f^2) for the complex blocks of the enlarged run and the
-# system-space states.  The hermiticity gate of the smallest eigenvalues
-# holds at most one more copy of the enlarged run's blocks.
+# Largest size in bytes of the two trajectories a run keeps, counted as
+# n_samples * 16 * (2 d_s^2 + d_f^2), the complex blocks of the enlarged run
+# and the system-space states.  The run holds them as real coordinates, half
+# those bytes, and takes the smallest eigenvalues from them in chunks; the
+# bound still counts the complex form until a memory budget of the whole run
+# replaces it.
 MAX_TRAJECTORY_BYTES = 2**29
 # Rows of the time-series CSV formatted per format_rows call, which bounds
 # its temporaries (about 0.7 MB at 512 rows).
@@ -377,20 +379,25 @@ class _RunContext:
 
 
 def _check_equivalence(ctx: _RunContext) -> analysis.VerificationReport:
-    # Over chunks of about 256 KiB of samples, so that the temporaries stay
-    # small; each sample's norm is reduced on its own, so the worst one is
-    # that of the whole stack, and np.max keeps a NaN.  Only a norm whose sum
-    # of squares overflows is taken again, by linalg.frobenius, which
-    # rescales it; a difference that overflows reads inf.  Neither warns.
-    a, b = ctx.enlarged.states, ctx.wwa.states
-    k = max(1, 2**18 // a[0].nbytes)  # samples per chunk
+    # The Frobenius norm of rho_ss(enlarged) - rho_ss(wwa) of each sample,
+    # from the coordinates, sqrt(sum norms_sq (h_enlarged - h_wwa)^2), over
+    # chunks of about 256 KiB of samples so that the temporaries stay small;
+    # each sample's norm is reduced on its own, so the worst one is that of
+    # the whole stack, and np.max keeps a NaN.  Only a norm whose sum of
+    # squares overflows is taken again, by linalg.frobenius of the weighted
+    # difference, which rescales it; a difference that overflows reads inf.
+    # Neither warns.
+    n_s = ctx.spec.d_s**2
+    a, b = ctx.enlarged.coords[:, :n_s], ctx.wwa.coords
+    norms_sq = hermitian_basis(ctx.spec.d_s).norms_sq
+    k = max(1, 2**18 // (8 * n_s))  # samples per chunk
     peaks = []
     with np.errstate(over="ignore"):
         for i in range(0, len(a), k):
             diff = a[i : i + k] - b[i : i + k]
-            norms = np.linalg.norm(diff, axis=(1, 2))
+            norms = np.sqrt(np.square(diff) @ norms_sq)
             for j in np.flatnonzero(norms == np.inf):
-                norms[j] = frobenius(diff[j])
+                norms[j] = frobenius(diff[j] * np.sqrt(norms_sq))
             peaks.append(norms.max())
     worst = float(np.max(peaks))
     return analysis._report("equivalence", worst, 1e-8, n_samples=len(ctx.enlarged))

@@ -155,13 +155,22 @@ with the route the rule takes for each:
 The d_s = 64 ``exact`` evolutions on the direct route peak at 2.1 MB under
 tracemalloc; the stepper's real form alone is 268 MB.
 
-A :class:`Trajectory` holds the read-only (n, d, d) complex arrays the engine
-fills; for an enlarged-space run, its system and decay blocks.  It caches
-the per-sample numbers that the CSV table and the checks read.
+Every route stores each sample as the real coordinates it reaches, one row
+of d_s^2 + d_f^2 numbers: the stepper its rows as they are, the direct step
+the coordinates of each state it keeps.  A :class:`Trajectory` holds those
+rows, 8 n (d_s^2 + d_f^2) bytes for n samples, half the complex blocks.  It
+takes the per-sample numbers that the CSV table and the checks read from
+the coordinates, in real arithmetic, and caches them: the traces are sums
+of diagonal coordinates, the purity a weighted sum of squares, and the
+smallest eigenvalue the coordinate itself at d = 1, a closed form at d = 2
+and, above, one ``eigvalsh`` per chunk of about 256 KiB of expanded blocks.
+Its complex ``states`` and ``decay`` blocks are derived on first use, for
+library callers; no run path builds them.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 import warnings
 from dataclasses import dataclass
@@ -255,80 +264,175 @@ def _read_only_stack(a, name: str, times: np.ndarray) -> np.ndarray:
     return a
 
 
-@dataclass(frozen=True)
 class Trajectory:
     """Sampled evolution: strictly increasing times and one state per time.
 
-    ``states`` is stored as one read-only (n, d, d) complex array, so that
-    code which writes into a sample fails instead of changing it.  An
-    enlarged-space run holds its block-diagonal states as the (n, d_s, d_s)
-    system blocks in ``states`` and the (n, d_f, d_f) decay blocks, read-only
-    too, in ``decay``; any other trajectory has ``decay = None``.  The
-    per-sample numbers below are computed on first use and cached, read-only.
+    Every sample is hermitian, so a trajectory holds it as its real
+    coordinates in :class:`HermitianBasis`: ``coords`` is one read-only (n,
+    d^2) float array, one row per sample.  An enlarged-space run holds its
+    block-diagonal states as the coordinates of the d_s x d_s system block
+    followed by those of the d_f x d_f decay block, (n, d_s^2 + d_f^2);
+    ``dims`` is (d,) or (d_s, d_f).  The engine fills ``coords`` and builds
+    no matrix of a sample.
+
+    ``Trajectory(times, states, decay)`` builds a trajectory from (n, d, d)
+    stacks of the system blocks and, for an enlarged-space one, the decay
+    blocks.  ``states`` and ``decay`` (None for a single block) are read-only
+    complex arrays, so that code which writes into a sample fails instead of
+    changing it: the stacks given, as read-only views, or for an engine
+    trajectory the matrices of its coordinates, derived on first use for
+    library callers; no run path reads them.
+
+    The per-sample numbers below are computed on first use from the
+    coordinates, by one formula each, and cached, read-only.  The only
+    branch is the hermiticity gate: coordinates keep only a matrix's
+    hermitian part, so a trajectory built from matrices gates its samples
+    before it takes their smallest eigenvalues, while the engine's samples
+    are hermitian by construction.
     """
 
-    times: np.ndarray
-    states: np.ndarray
-    decay: np.ndarray | None = None
+    def __init__(self, times, states, decay=None):
+        times = self._set_times(times)
+        blocks = [_read_only_stack(states, "states", times)]
+        if decay is not None:
+            blocks.append(_read_only_stack(decay, "decay", times))
+        self.__dict__.update(
+            dims=tuple(b.shape[1] for b in blocks), states=blocks[0],
+            decay=blocks[1] if decay is not None else None, _gated=True,
+        )
 
-    def __post_init__(self):
-        object.__setattr__(self, "times", np.asarray(self.times, dtype=float))
-        if self.times.ndim != 1:
+    @classmethod
+    def _of_coords(cls, times, coords: np.ndarray, dims: tuple) -> "Trajectory":
+        """The trajectory of the rows ``coords`` of coordinates of blocks of
+        dimensions ``dims``, which it holds as they are, read-only."""
+        traj = cls.__new__(cls)
+        traj._set_times(times)
+        traj.__dict__.update(dims=tuple(dims), coords=_read_only(coords), _gated=False)
+        return traj
+
+    def _set_times(self, times) -> np.ndarray:
+        times = np.asarray(times, dtype=float)
+        if times.ndim != 1:
             raise ValueError("times must be one-dimensional")
-        if not np.isfinite(self.times).all():
+        if not np.isfinite(times).all():
             raise ValueError("times must be finite")
-        if np.any(np.diff(self.times) <= 0):
+        if np.any(np.diff(times) <= 0):
             raise ValueError("times must be strictly increasing")
-        object.__setattr__(self, "states", _read_only_stack(self.states, "states", self.times))
-        if self.decay is not None:
-            object.__setattr__(self, "decay", _read_only_stack(self.decay, "decay", self.times))
+        self.__dict__["times"] = times
+        return times
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"Trajectory is read-only: cannot set {name!r}")
 
     def __len__(self) -> int:
         return int(self.times.size)
+
+    @cached_property
+    def coords(self) -> np.ndarray:
+        """The samples' rows of coordinates: of the given matrices' hermitian
+        parts, for a trajectory built from matrices.  A sample that is not
+        finite has coordinates that are not finite, without numpy's
+        warnings."""
+        with np.errstate(over="ignore", invalid="ignore"):
+            rows = [hermitian_basis(d).coords(b) for d, b in zip(self.dims, self.blocks)]
+        return _read_only(np.concatenate(rows, axis=1))
+
+    @cached_property
+    def states(self) -> np.ndarray:
+        """The (n, d, d) system blocks, the matrices of the coordinates."""
+        d = self.dims[0]
+        return _read_only(hermitian_basis(d).matrices(self.coords[:, : d * d]))
+
+    @cached_property
+    def decay(self) -> np.ndarray | None:
+        """The (n, d_f, d_f) decay blocks of an enlarged-space run, else None."""
+        if len(self.dims) == 1:
+            return None
+        d, d_f = self.dims
+        return _read_only(hermitian_basis(d_f).matrices(self.coords[:, d * d :]))
 
     @property
     def blocks(self) -> tuple[np.ndarray, ...]:
         """The diagonal blocks: ``(states,)``, or ``(states, decay)``."""
         return (self.states,) if self.decay is None else (self.states, self.decay)
 
+    def _block_coords(self):
+        # Each block's coordinates as an (n, d, d) real view of ``coords``,
+        # coordinate i d + j at [:, i, j]: its diagonal is that of the block.
+        start = 0
+        for d in self.dims:
+            yield self.coords[:, start : start + d * d].reshape(len(self), d, d)
+            start += d * d
+
     @cached_property
     def traces(self) -> np.ndarray:
-        """The real trace of each block of each sample, one row per block."""
-        return _read_only(np.array([np.trace(b, axis1=1, axis2=2).real for b in self.blocks]))
+        """The trace of each block of each sample, one row per block: the sum
+        of its diagonal coordinates, added column by column, which numpy
+        does faster than a reduction over a short axis."""
+        out = np.empty((len(self.dims), len(self)))
+        for row, c in zip(out, self._block_coords()):
+            row[:] = c[:, 0, 0]
+            for i in range(1, c.shape[-1]):
+                row += c[:, i, i]
+        return _read_only(out)
 
     @cached_property
     def purity(self) -> np.ndarray:
-        """Tr(rho^2) of each sample, the sum of its blocks' purities.  A
-        finite state whose purity overflows reads inf, without numpy's
-        warning."""
+        """Tr(rho^2) of each sample, the sum of its blocks' purities: the sum
+        of its squared coordinates weighted by the basis's squared column
+        norms.  A finite state whose purity overflows reads inf, without
+        numpy's warning."""
+        norms_sq = np.concatenate([hermitian_basis(d).norms_sq for d in self.dims])
         with np.errstate(over="ignore"):
-            per_block = [np.einsum("nij,nji->n", b, b).real for b in self.blocks]
-            return _read_only(np.sum(per_block, axis=0))
+            return _read_only(np.square(self.coords) @ norms_sq)
 
     @cached_property
     def min_eigenvalues(self) -> np.ndarray:
         """The smallest eigenvalue of each sample, from the union of its
-        blocks' spectra (NaN stays NaN), after the hermiticity gate: a sample
-        that fails :func:`require_hermitian` raises, and nothing is cached.
-        One block at a time, gated and then reduced by
-        :func:`_smallest_eigenvalues`, so that one symmetrized copy is held
-        at once."""
-        gate = lambda b: require_hermitian(b, DEFAULT_HERMITICITY_TOL, "sample")
-        return _read_only(np.min([_smallest_eigenvalues(gate(b)) for b in self.blocks], axis=0))
+        blocks' spectra, by :func:`_smallest_eigenvalues` of each block's
+        coordinates (NaN stays NaN).  A trajectory built from matrices gates
+        each block first: a sample that fails :func:`require_hermitian`
+        raises, and nothing is cached.  One block at a time, gated and then
+        reduced, so that one symmetrized copy is held at once."""
+        per_block = []
+        for i, c in enumerate(self._block_coords()):
+            if self._gated:
+                require_hermitian(self.blocks[i], DEFAULT_HERMITICITY_TOL, "sample")
+            per_block.append(_smallest_eigenvalues(c))
+        return _read_only(functools.reduce(np.minimum, per_block))
 
 
-def _smallest_eigenvalues(h: np.ndarray) -> np.ndarray:
-    """The smallest eigenvalue of each matrix of a hermitian (n, d, d) stack.
+# Bytes of the complex matrices that _smallest_eigenvalues expands at a time
+# above d = 2.
+EIGEN_CHUNK_BYTES = 2**18
 
-    A 2 x 2 stack takes the closed form m - hypot((a - d)/2, |b|), with
-    m = (a + d)/2, for the blocks [[a, b], [b*, d]]: the entries are halved
-    before they are summed, so that no finite block overflows.  Every other
-    size takes one ``eigvalsh`` of the stack.
+
+def _smallest_eigenvalues(c: np.ndarray) -> np.ndarray:
+    """The smallest eigenvalue of each hermitian d x d matrix of an (n, d, d)
+    real stack of coordinates, laid out as :meth:`Trajectory._block_coords`
+    lays them out; NaN for a matrix whose coordinates are not all finite.
+
+    At d = 1 the matrix is its coordinate.  At d = 2 the matrix [[a, b],
+    [b*, e]] has the coordinates (a, Im b, Re b, e), and its smallest
+    eigenvalue is the closed form m - hypot((a - e)/2, |b|), m = (a + e)/2,
+    with |b| = hypot(Im b, Re b): the entries are halved before they are
+    summed, so that no finite block overflows.  Above, the matrices are
+    expanded in chunks of about EIGEN_CHUNK_BYTES, each taken by one
+    ``eigvalsh``, so that no complex array of the whole stack is built.
     """
-    if h.shape[1:] != (2, 2):
-        return np.linalg.eigvalsh(h)[:, 0]
-    a, d = 0.5 * h[:, 0, 0].real, 0.5 * h[:, 1, 1].real
-    return (a + d) - np.hypot(a - d, np.abs(h[:, 0, 1]))
+    n, d = len(c), c.shape[-1]
+    if d == 1:
+        return c[:, 0, 0].copy()
+    if d == 2:
+        a, e = 0.5 * c[:, 0, 0], 0.5 * c[:, 1, 1]
+        return (a + e) - np.hypot(a - e, np.hypot(c[:, 0, 1], c[:, 1, 0]))
+    basis, k = hermitian_basis(d), max(1, EIGEN_CHUNK_BYTES // (16 * d * d))
+    out = np.full(n, np.nan)
+    for i in range(0, n, k):
+        h = c[i : i + k].reshape(-1, d * d)
+        finite = np.isfinite(h).all(axis=1)
+        out[i : i + k][finite] = np.linalg.eigvalsh(basis.matrices(h[finite]))[:, 0]
+    return out
 
 
 @dataclass(frozen=True)
@@ -617,8 +721,8 @@ def _evolve_steps(build, h0, dims: tuple[int, int], cfg: IntegratorConfig, jump:
     """Sample h <- [[E, 0], [Phi, I]] h from h0, for the stacked real step
     [E; Phi] that ``build()`` returns, in the coordinates of
     :class:`HermitianBasis`, of dimensions ``dims`` = (d, d_f); Phi has no
-    rows when d_f is 0.  Returns the sample times and the system and decay
-    blocks.
+    rows when d_f is 0.  Returns the sample times and the (n, d^2 + d_f^2)
+    rows of the samples' coordinates.
 
     The state is held as its real coordinates h = (s, f).  Each unit of
     ``jump`` steps, the sample stride or a single step as :func:`_plan`
@@ -669,9 +773,7 @@ def _evolve_steps(build, h0, dims: tuple[int, int], cfg: IntegratorConfig, jump:
 
     hs = np.empty((cfg.n_samples, n))
     hs[0] = h0
-    times = _sample(advance, h0, cfg, (hs,), block, jump)
-    basis_ss, basis_ff = hermitian_basis(d), hermitian_basis(d_f)
-    return times, basis_ss.matrices(hs[:, :n_s]), basis_ff.matrices(hs[:, n_s:])
+    return _sample(advance, h0, cfg, (hs,), block, jump), hs
 
 
 def _check_initial(rho0, d: int) -> np.ndarray:
@@ -710,7 +812,9 @@ def _direct_step(equation, cfg: IntegratorConfig):
     :func:`_sample` that moves (rho_ss, rho_ff) forward by one step of dt
     under the system-block ``equation`` L, with rho_ff' = B rho_ss B† for its
     d_f x d_s feed B, in 2^halvings substeps of h = dt / 2^halvings, for the
-    (m, halvings) of :func:`_direct_plan`.
+    (m, halvings) of :func:`_direct_plan`.  The state is held as its
+    matrices (rho_ss, rho_ff), and each step's row is their coordinates in
+    :class:`HermitianBasis`, as the stepper's rows are.
 
     Each substep is the degree-m Taylor polynomial of the action of h [[L_ss,
     0], [L_fs, 0]] in Horner form, matrix-free (Al-Mohy, Higham, SIAM J.
@@ -725,6 +829,7 @@ def _direct_step(equation, cfg: IntegratorConfig):
     rhs, b = equation.rhs, equation.feed
     m, halvings = _direct_plan(equation, cfg)
     h = cfg.dt / 2**halvings
+    basis_s, basis_f = hermitian_basis(b.shape[1]), hermitian_basis(b.shape[0])
 
     def advance(x, k, _):  # one step per call
         s, f = x
@@ -741,7 +846,7 @@ def _direct_step(equation, cfg: IntegratorConfig):
         s, f = (0.5 * (a + a.conj().T) for a in (s, f))
         if not (np.isfinite(s).all() and np.isfinite(f).all()):
             raise NumericsError(f"the state after step {k + 1} is not finite")
-        return (s, f), (s[None], f[None])
+        return (s, f), (np.concatenate((basis_s.coords(s), basis_f.coords(f)))[None],)
 
     return advance
 
@@ -751,7 +856,8 @@ def _evolve(equation, rho0, cfg: IntegratorConfig):
     ``rho0`` that :func:`_check_initial` returned, under the system-block
     ``equation``, with rho_ff' = B rho_ss B† for its d_f x d_s feed B;
     d_f = 0 is the system space.  Every route starts from ``rho0`` as it
-    is, and stores it as sample 0.
+    is, and stores its coordinates as sample 0.  Returns the trajectory of
+    the rows of coordinates the route fills.
 
     The cost rule :func:`_plan` picks how the run goes, from ``cfg.method``
     among the rest: the direct step of :func:`_direct_step`, or the stepper
@@ -764,15 +870,14 @@ def _evolve(equation, rho0, cfg: IntegratorConfig):
     d_f, d = equation.feed.shape
     dt = cfg.dt
     unit = _plan(equation, cfg)
+    h0 = np.concatenate((hermitian_basis(d).coords(rho0), np.zeros(d_f * d_f)))
     with np.errstate(over="ignore", invalid="ignore"):  # the checks below end it
         if not unit:
-            states = np.empty((cfg.n_samples, d, d), dtype=np.complex128)
-            decay = np.zeros((cfg.n_samples, d_f, d_f), dtype=np.complex128)
-            states[0] = rho0
-            times = _sample(_direct_step(equation, cfg), (rho0, decay[0]), cfg, (states, decay))
+            hs = np.empty((cfg.n_samples, h0.size))
+            hs[0] = h0
+            x0 = (rho0, np.zeros((d_f, d_f), dtype=np.complex128))
+            times = _sample(_direct_step(equation, cfg), x0, cfg, (hs,))
         else:
-            h0 = np.concatenate((hermitian_basis(d).coords(rho0), np.zeros(d_f * d_f)))
-
             def build():  # the stacked step [E; Phi]
                 try:
                     pair = _step_blocks(equation.real_form, dt, cfg.method)
@@ -782,8 +887,8 @@ def _evolve(equation, rho0, cfg: IntegratorConfig):
                     pass
                 raise NumericsError(f"the {cfg.method} step of length {dt:g} is not finite")
 
-            times, states, decay = _evolve_steps(build, h0, (d, d_f), cfg, unit)
-    return Trajectory(times=times, states=states, decay=decay if d_f else None)
+            times, hs = _evolve_steps(build, h0, (d, d_f), cfg, unit)
+    return Trajectory._of_coords(times, hs, (d, d_f) if d_f else (d,))
 
 
 def evolve_wwa(spec: SystemSpec, rho0, cfg: IntegratorConfig) -> Trajectory:

@@ -158,10 +158,10 @@ def test_nan_decay_block_fails_trace_and_positivity(monkeypatch):
     with pytest.raises(NotHermitianError, match=r"^sample 1 deviates from hermiticity by nan"):
         check_positivity(traj)
     # A NaN eigenvalue of the decay blocks alone fails the report too.
-    eigvalsh = np.linalg.eigvalsh
+    smallest = evolution._smallest_eigenvalues
     monkeypatch.setattr(
-        np.linalg, "eigvalsh",
-        lambda a: np.full(a.shape[:-1], np.nan) if a.shape[-1] == 1 else eigvalsh(a),
+        evolution, "_smallest_eigenvalues",
+        lambda c: np.full(len(c), np.nan) if c.shape[-1] == 1 else smallest(c),
     )
     traj = Trajectory(times=[0.0, 0.1], states=states, decay=[[[0.5]]] * 2)
     report = check_positivity(traj)
@@ -336,8 +336,10 @@ def test_cp_generator_fails_a_negative_weight_dissipator_at_every_scale(corpus):
 
 def test_trajectory_caches_its_per_sample_numbers(monkeypatch):
     traj = closed_form_trajectory(n=5)
-    eigvalsh, calls = np.linalg.eigvalsh, []
-    monkeypatch.setattr(np.linalg, "eigvalsh", lambda a: calls.append(a.shape) or eigvalsh(a))
+    smallest, calls = evolution._smallest_eigenvalues, []
+    monkeypatch.setattr(
+        evolution, "_smallest_eigenvalues", lambda c: calls.append(c.shape) or smallest(c)
+    )
     first = check_positivity(traj)
     assert check_positivity(traj) == first
     assert calls == [(5, 1, 1), (5, 1, 1)]  # one stack per block, once

@@ -23,7 +23,7 @@ from opendecay.cli import (
 )
 from opendecay.errors import NotHermitianError, ParseError, ValidationError
 from opendecay.evolution import BlockDensity, IntegratorConfig, Trajectory
-from opendecay.linalg import expm, unvec, vec
+from opendecay.linalg import HermitianBasis, expm, hermitian_basis, unvec, vec
 from opendecay.model import MasterEquation, embed_state
 from opendecay.randmodel import MAX_ENTRIES, random_system
 
@@ -384,6 +384,74 @@ def test_run_without_checks_gates_its_samples(monkeypatch):
     monkeypatch.setattr(cli, "evolve_enlarged", skewed)
     with pytest.raises(NotHermitianError, match=r"^sample 2 deviates from hermiticity"):
         run_scenario(short(parse_config(SINGLE_DECAY), checks=()), write=False)
+
+
+def _d6_all_checks():
+    # d_s = d_f = 6 over 1001 samples: more than the 455 samples of one
+    # chunk of expanded 6 x 6 blocks.
+    return parse_config(json.dumps({
+        "name": "d6",
+        "random_system": {"seed": 42, "d_s": 6, "n_lindblad": 1},
+        "integrator": {"dt": 1e-3, "t_max": 1.0, "sample_stride": 1},
+        "checks": list(cli.CHECK_NAMES),
+    }))
+
+
+def test_run_keeps_its_samples_as_coordinates(monkeypatch):
+    # No run expands a stack of samples into matrices: at d <= 2 the table
+    # and the checks expand none (the asymptotics check expands one row),
+    # and at d >= 3 the smallest eigenvalues expand chunks of about 256 KiB.
+    # An engine trajectory holds 8 n (d_s^2 + d_f^2) bytes of coordinates;
+    # its states and decay blocks, built on first use, are read-only and the
+    # matrices of those coordinates bit for bit.
+    matrices, calls = HermitianBasis.matrices, []
+    monkeypatch.setattr(
+        HermitianBasis, "matrices", lambda self, c: calls.append((self.d, len(c))) or matrices(self, c)
+    )
+    configs = [parse_config(builtin_scenario_path(n).read_text()) for n in ("single-decay", "two-level-decay", "random")]
+    for cfg in configs + [_d6_all_checks()]:
+        calls.clear()
+        result = run_scenario(cfg, write=False)
+        assert result.exit_status == 0
+        d_s, d_f = cfg.system.d_s, cfg.system.d_f
+        if d_s <= 2:
+            assert all(rows == 1 for _, rows in calls), calls
+        else:
+            chunk = 2**18 // (16 * d_s**2)
+            assert max(rows for _, rows in calls) == chunk < len(result.enlarged)
+        for traj, dims in ((result.enlarged, (d_s, d_f)), (result.wwa, (d_s,))):
+            assert "states" not in vars(traj) and "decay" not in vars(traj)
+            assert traj.coords.nbytes == 8 * len(traj) * sum(d * d for d in dims)
+            start = 0
+            for d, block in zip(dims, traj.blocks):
+                assert not block.flags.writeable
+                want = matrices(hermitian_basis(d), traj.coords[:, start : start + d * d])
+                assert np.array_equal(block, want, equal_nan=True)
+                start += d * d
+        assert result.wwa.decay is None
+
+
+def test_equivalence_of_coordinates_whose_squares_overflow():
+    # Finite d_s = 2 coordinates whose weighted sum of squares overflows give
+    # a finite measure, rescaled, with no numpy warning; a difference that
+    # overflows reads inf.
+    def ctx(a, b):
+        times = np.arange(float(len(a)))
+        return SimpleNamespace(
+            spec=SimpleNamespace(d_s=2),
+            enlarged=Trajectory._of_coords(times, np.concatenate((a, np.zeros((len(a), 1))), axis=1), (2, 1)),
+            wwa=Trajectory._of_coords(times, b, (2,)),
+        )
+
+    big = np.array([[0.0, 0.0, 0.0, 0.0], [1e160, -1e160, 1e160, 0.5e160]])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        rep = cli._check_equivalence(ctx(big, -big))
+        # ||diff||_F^2 is (1 + 2 + 2 + 1/4) (2e160)^2: the off-diagonal
+        # coordinates weigh twice.
+        assert rep.status == "fail" and rep.measured == pytest.approx(5.25**0.5 * 2e160, rel=1e-15)
+        huge = np.array([[1e308, 0.0, 0.0, 0.0]])
+        assert cli._check_equivalence(ctx(huge, -huge)).measured == np.inf
 
 
 def test_run_builds_the_system_real_form_once(monkeypatch):

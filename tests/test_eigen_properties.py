@@ -1,5 +1,6 @@
-"""The closed-form smallest eigenvalue of 2 x 2 hermitian sample blocks
-against LAPACK's eigvalsh, within 8 eps ||block||_F."""
+"""The closed-form smallest eigenvalue of 2 x 2 hermitian sample blocks,
+taken from their coordinates, against LAPACK's eigvalsh, within 8 eps
+||block||_F."""
 
 import numpy as np
 import pytest
@@ -9,6 +10,7 @@ from hypothesis import given, settings  # noqa: E402
 from hypothesis import strategies as st  # noqa: E402
 
 from opendecay.evolution import Trajectory, _smallest_eigenvalues  # noqa: E402
+from opendecay.linalg import hermitian_basis  # noqa: E402
 
 EPS = np.finfo(float).eps
 TINY = 4 * np.finfo(float).smallest_subnormal
@@ -36,7 +38,7 @@ def assert_close(got: np.ndarray, want, h: np.ndarray) -> None:
 
 
 def assert_matches_eigvalsh(h: np.ndarray) -> np.ndarray:
-    got = _smallest_eigenvalues(h)
+    got = _smallest_eigenvalues(hermitian_basis(2).coords(h).reshape(-1, 2, 2))
     want = np.linalg.eigvalsh(h)[:, 0]
     assert got.shape == want.shape and np.all(np.isfinite(got))
     assert_close(got, want, h)
