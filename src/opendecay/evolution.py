@@ -808,13 +808,15 @@ def _step_blocks(gen: np.ndarray, h: float, method: str) -> np.ndarray:
 
 
 def _direct_step(equation, cfg: IntegratorConfig):
-    """The one direct step, of either method: the ``advance`` of
-    :func:`_sample` that moves (rho_ss, rho_ff) forward by one step of dt
-    under the system-block ``equation`` L, with rho_ff' = B rho_ss B† for its
-    d_f x d_s feed B, in 2^halvings substeps of h = dt / 2^halvings, for the
-    (m, halvings) of :func:`_direct_plan`.  The state is held as its
-    matrices (rho_ss, rho_ff), and each step's row is their coordinates in
-    :class:`HermitianBasis`, as the stepper's rows are.
+    """The one direct step, of either method, and the ``advance`` of
+    :func:`_sample` that takes it over one sample interval: steps of dt that
+    move (rho_ss, rho_ff) forward under the system-block ``equation`` L, with
+    rho_ff' = B rho_ss B† for its d_f x d_s feed B, each in 2^halvings
+    substeps of h = dt / 2^halvings, for the (m, halvings) of
+    :func:`_direct_plan`.  The state is held as its matrices (rho_ss,
+    rho_ff); the row of the sample that ends the interval is their
+    coordinates in :class:`HermitianBasis`, as the stepper's rows are, so
+    that only sampled states are converted.
 
     Each substep is the degree-m Taylor polynomial of the action of h [[L_ss,
     0], [L_fs, 0]] in Horner form, matrix-free (Al-Mohy, Higham, SIAM J.
@@ -831,21 +833,22 @@ def _direct_step(equation, cfg: IntegratorConfig):
     h = cfg.dt / 2**halvings
     basis_s, basis_f = hermitian_basis(b.shape[1]), hermitian_basis(b.shape[0])
 
-    def advance(x, k, _):  # one step per call
+    def advance(x, k, _):  # one sample interval per call
         s, f = x
-        for _ in range(2**halvings):
-            y = s
-            for j in range(m, 1, -1):
-                y = rhs(y)
-                y *= h / j
-                y += s
-            y *= h
-            s = s + rhs(y)
-            if len(b):  # an empty decay sector costs no product
-                f = f + decay_feed(b, y)
-        s, f = (0.5 * (a + a.conj().T) for a in (s, f))
-        if not (np.isfinite(s).all() and np.isfinite(f).all()):
-            raise NumericsError(f"the state after step {k + 1} is not finite")
+        for step in range(k + 1, min(k + cfg.sample_stride, cfg.n_steps) + 1):
+            for _ in range(2**halvings):
+                y = s
+                for j in range(m, 1, -1):
+                    y = rhs(y)
+                    y *= h / j
+                    y += s
+                y *= h
+                s = s + rhs(y)
+                if len(b):  # an empty decay sector costs no product
+                    f = f + decay_feed(b, y)
+            s, f = (0.5 * (a + a.conj().T) for a in (s, f))
+            if not (np.isfinite(s).all() and np.isfinite(f).all()):
+                raise NumericsError(f"the state after step {step} is not finite")
         return (s, f), (np.concatenate((basis_s.coords(s), basis_f.coords(f)))[None],)
 
     return advance
@@ -876,7 +879,7 @@ def _evolve(equation, rho0, cfg: IntegratorConfig):
             hs = np.empty((cfg.n_samples, h0.size))
             hs[0] = h0
             x0 = (rho0, np.zeros((d_f, d_f), dtype=np.complex128))
-            times = _sample(_direct_step(equation, cfg), x0, cfg, (hs,))
+            times = _sample(_direct_step(equation, cfg), x0, cfg, (hs,), jump=cfg.sample_stride)
         else:
             def build():  # the stacked step [E; Phi]
                 try:

@@ -406,9 +406,11 @@ def test_run_keeps_its_samples_as_coordinates(monkeypatch):
     # matrices of those coordinates bit for bit.
     matrices, calls = HermitianBasis.matrices, []
     monkeypatch.setattr(
-        HermitianBasis, "matrices", lambda self, c: calls.append((self.d, len(c))) or matrices(self, c)
+        HermitianBasis, "matrices",
+        lambda self, c: calls.append((self.d, len(c))) or matrices(self, c),
     )
-    configs = [parse_config(builtin_scenario_path(n).read_text()) for n in ("single-decay", "two-level-decay", "random")]
+    names = ("single-decay", "two-level-decay", "random")
+    configs = [parse_config(builtin_scenario_path(n).read_text()) for n in names]
     for cfg in configs + [_d6_all_checks()]:
         calls.clear()
         result = run_scenario(cfg, write=False)
@@ -435,11 +437,12 @@ def test_equivalence_of_coordinates_whose_squares_overflow():
     # Finite d_s = 2 coordinates whose weighted sum of squares overflows give
     # a finite measure, rescaled, with no numpy warning; a difference that
     # overflows reads inf.
-    def ctx(a, b):
+    def ctx(a, b):  # the enlarged run with a zero 1 x 1 decay block
         times = np.arange(float(len(a)))
+        enlarged = np.concatenate((a, np.zeros((len(a), 1))), axis=1)
         return SimpleNamespace(
             spec=SimpleNamespace(d_s=2),
-            enlarged=Trajectory._of_coords(times, np.concatenate((a, np.zeros((len(a), 1))), axis=1), (2, 1)),
+            enlarged=Trajectory._of_coords(times, enlarged, (2, 1)),
             wwa=Trajectory._of_coords(times, b, (2,)),
         )
 
@@ -983,9 +986,10 @@ def test_step_size_norm_from_the_real_forms_matches_the_complex_generator(corpus
 @pytest.mark.parametrize("stride", [None, 1])
 @pytest.mark.parametrize("name", ["single-decay", "two-level-decay", "random"])
 def test_equivalence_norm_equals_the_unchunked_norm(name, stride):
-    # The check takes the norms over chunks of samples; the measured value is
-    # bit-identical to the norm of the whole difference, at the shipped
-    # stride and at stride 1, where the d_s = 2 runs span several chunks.
+    # The check takes the norms over chunks of samples, from coordinates;
+    # the measured value is bit-identical to the norm of the whole complex
+    # difference, at the shipped stride and at stride 1, where the
+    # two-level run spans two chunks of 8192 samples.
     cfg = parse_config(builtin_scenario_path(name).read_text())
     if stride is not None:
         cfg = short(cfg, t_max=cfg.integrator.t_max, sample_stride=stride)

@@ -23,7 +23,7 @@ from opendecay.evolution import (
     rhs_enlarged,
     rhs_wwa,
 )
-from opendecay.linalg import unvec, vec
+from opendecay.linalg import HermitianBasis, unvec, vec
 from opendecay.model import (
     MasterEquation,
     SystemSpec,
@@ -937,6 +937,23 @@ def test_every_stepper_sample_is_exactly_hermitian(monkeypatch, unit, method):
         for traj in (evolve_enlarged(model, rho0, cfg), evolve_wwa(spec, rho0, cfg)):
             for block in traj.blocks:
                 assert np.array_equal(block, block.conj().transpose(0, 2, 1))
+
+
+def test_the_direct_step_converts_only_the_states_it_stores(monkeypatch):
+    # The direct step holds its state as matrices and takes the coordinates
+    # of a state only at a sample: 53 steps at stride 10 store 6 samples
+    # after the start, two blocks each, and the start's system block.
+    coords, calls = HermitianBasis.coords, []
+    monkeypatch.setattr(
+        HermitianBasis, "coords", lambda self, rho: calls.append(self.d) or coords(self, rho)
+    )
+    for method in ("rk4", "exact"):
+        pin_route(monkeypatch, 0, method)
+        spec, rho0, decay, model = random_member(seed=2, d_s=2)
+        cfg = IntegratorConfig(dt=0.01, t_max=0.53, sample_stride=10, method=method)
+        calls.clear()
+        traj = evolve_enlarged(model, rho0, cfg)
+        assert len(traj) == 7 and len(calls) == 1 + 2 * 6
 
 
 def test_every_direct_sample_after_the_first_is_exactly_hermitian(monkeypatch):
